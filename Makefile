@@ -37,7 +37,8 @@ check: build vet test race
 # registry's lock-free hot paths — then a quick E12 smoke across all
 # three tiers and both worker counts (exits nonzero if any engine
 # row's behaviour hash diverges from the interpreted baseline; its
-# rows land in BENCH_exec.json for the workflow artifact), and
+# -quick smoke rows land in the git-ignored ci-bench/ for the workflow
+# artifact, never in the committed BENCH_exec.json), and
 # finally a quick campaign that must export a parseable metric
 # snapshot carrying the counters the telemetry layer promises —
 # including, via the ">0" assertions, proof that tier promotion to
@@ -62,7 +63,8 @@ ci: vet test
 	$(GO) test -race ./internal/passes ./internal/optfuzz
 	$(GO) test -race -run 'Memo|Compiled|ProgramShared|ExecTwins|Lowering|Fold|Superblock|TierPromotion' ./internal/refine ./internal/core ./internal/core/bytecode ./internal/bench
 	$(GO) test -race -run 'TelemetryRaceStress' ./internal/telemetry
-	$(GO) run ./cmd/tame-bench -exp exec -quick -json BENCH_exec.json
+	mkdir -p ci-bench
+	$(GO) run ./cmd/tame-bench -exp exec -quick -json ci-bench/BENCH_exec.quick.json
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics - \
 	  | $(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total,campaign_verified_total,check_checks_total,check_inputs_total,check_set_size,engine_steps_total,engine_execs_bytecode_total>0,engine_promotions_total>0,progcache_hits_total,memo_lookups_total,pool_tasks_total,pass_runs_total,opt_funcs_total,analysis_computes_total,span_wall_ns,verify_each_checks_total>0,verify_each_failures_total=0'
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics metrics-snapshot.json
@@ -80,11 +82,15 @@ ci: vet test
 # run must actually serve memo lookups from them (cache_disk_hits_total
 # strictly positive, zero stale rejects) and — the soundness half —
 # produce byte-identical findings, which cmp enforces on the captured
-# stdout. The warm run's memo must then be effectively total: the ratio
-# assertion demands at least half of all lookups hit (in practice the
-# disk snapshot makes it 100%; 0.5 leaves headroom for generator
-# growth). The ci-cache/ dir is kept — snapshots and both metric
-# snapshots — for the workflow's cache-snapshots artifact.
+# stdout. The ratio floor comes from the target side. The memo admits
+# a function only when it comes back, so the cold run never snapshots
+# a source (each is seen once) and the warm run's source-side lookups
+# miss, except for sources -O2 left unchanged. Every Check looks up
+# one source and one target set per input, so target-side lookups are
+# half of all lookups, and the warm run must serve at least nine in ten
+# of them from the snapshot: 0.5 x 0.9 = 0.45 (measured: 0.51). The
+# ci-cache/ dir is kept — snapshots and both metric snapshots — for
+# the workflow's cache-snapshots artifact.
 .PHONY: ci-cache
 ci-cache:
 	rm -rf ci-cache && mkdir -p ci-cache
@@ -92,7 +98,7 @@ ci-cache:
 	$(GO) run ./cmd/tame-fuzz -validate -n 300 -workers 2 -sem freeze -cache-dir ci-cache -metrics ci-cache/warm-metrics.json > ci-cache/warm-findings.txt
 	cmp ci-cache/cold-findings.txt ci-cache/warm-findings.txt
 	$(GO) run ./cmd/tame-metrics -check 'cache_disk_loads_total=0,cache_disk_hits_total=0,cache_disk_stale_rejects_total=0' ci-cache/cold-metrics.json
-	$(GO) run ./cmd/tame-metrics -check 'cache_disk_loads_total>0,cache_disk_hits_total>0,cache_disk_stale_rejects_total=0,memo_hits_total/memo_lookups_total>=0.5' ci-cache/warm-metrics.json
+	$(GO) run ./cmd/tame-metrics -check 'cache_disk_loads_total>0,cache_disk_hits_total>0,cache_disk_stale_rejects_total=0,memo_hits_total/memo_lookups_total>=0.45' ci-cache/warm-metrics.json
 
 # The workload-layer gate, in two halves. Determinism: the same seeded
 # mutation campaign (unsound legacy -O2, reducer on) runs at two worker

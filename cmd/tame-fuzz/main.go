@@ -441,8 +441,8 @@ func runCampaign(fl campaignFlags) {
 		// above includes cross-shard hits: one worker's derivation
 		// serves every other worker's structurally identical candidate.
 		fmt.Fprintf(os.Stderr,
-			"tame-fuzz: shared memo across %d workers: %d sets resident, %d evictions (second-chance clock)\n",
-			fl.workers, st.MemoSets, st.MemoEvictions)
+			"tame-fuzz: shared memo across %d workers: %d sets resident, %d evictions (second-chance clock); admission on repeat: %d functions admitted, %d session-slot hits, %d doorkeeper entries\n",
+			fl.workers, st.MemoSets, st.MemoEvictions, st.MemoAdmissions, st.MemoSessionReuse, st.MemoDoorkeeper)
 	}
 	if fl.optStats {
 		st.Opt.Emit(os.Stderr, true, true)

@@ -237,7 +237,7 @@ func digestBehaviorSet(set refine.BehaviorSet) uint64 {
 		flags |= 16
 	}
 	var rets uint64
-	for k := range set.Rets {
+	for _, k := range set.Rets.Keys() {
 		rets ^= fnvString(k)
 	}
 	d := uint64(fnvOffset64)
@@ -245,7 +245,7 @@ func digestBehaviorSet(set refine.BehaviorSet) uint64 {
 	d *= fnvPrime64
 	d ^= rets
 	d *= fnvPrime64
-	d ^= uint64(len(set.Rets))
+	d ^= uint64(set.Rets.Len())
 	d *= fnvPrime64
 	return d
 }

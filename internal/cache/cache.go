@@ -18,7 +18,6 @@
 package cache
 
 import (
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -98,19 +97,25 @@ func (c *Clock[R]) Admit(r R, recentlyUsed func(R) bool, evict func(R)) {
 // StringHash is the layer's shared string hash (FNV-32a), exposed so
 // instantiations that shard by string agree with StringMap's stripe
 // selection.
-func StringHash(key string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return h.Sum32()
+func StringHash(key string) uint32 { return fnv32a(key) }
+
+func fnv32a[T string | []byte](key T) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return h
 }
 
 // StringMap is a lock-striped, string-keyed get-or-create map for
 // values that carry their own stripe-guarded mutable state: the
 // constructor receives the stripe mutex so the value can keep it and
 // guard its interior with it afterwards (refine.Memo's per-function
-// entries do exactly that). Entries are never removed by the map
-// itself; bounded residency is the Clock's job, and it reaches into
-// entries, not into this index.
+// entries do exactly that). The map never removes an entry by itself:
+// bounded residency is the Clock's job, and an owner whose clock
+// evicted the last of an entry's contents deletes the entry from
+// inside its own critical section (DeleteLocked).
 type StringMap[V any] struct {
 	stripes []mapStripe[V]
 }
@@ -137,7 +142,7 @@ func NewStringMap[V any](n int) *StringMap[V] {
 // lock to create it on first use. mk receives the stripe mutex that
 // will guard the entry from then on.
 func (s *StringMap[V]) GetOrCreate(key string, mk func(mu *sync.Mutex) V) V {
-	st := &s.stripes[StringHash(key)%uint32(len(s.stripes))]
+	st := s.stripe(fnv32a(key))
 	st.mu.Lock()
 	v, ok := st.m[key]
 	if !ok {
@@ -146,6 +151,39 @@ func (s *StringMap[V]) GetOrCreate(key string, mk func(mu *sync.Mutex) V) V {
 	}
 	st.mu.Unlock()
 	return v
+}
+
+func (s *StringMap[V]) stripe(h uint32) *mapStripe[V] {
+	return &s.stripes[h%uint32(len(s.stripes))]
+}
+
+// Lookup returns the value under key, if present. Taking the key as
+// bytes lets a caller probe with a reused buffer without allocating a
+// string.
+func (s *StringMap[V]) Lookup(key []byte) (V, bool) {
+	st := s.stripe(fnv32a(key))
+	st.mu.Lock()
+	v, ok := st.m[string(key)]
+	st.mu.Unlock()
+	return v, ok
+}
+
+// DeleteLocked removes key. The caller must hold key's stripe lock —
+// the mutex mk received when the entry was created.
+func (s *StringMap[V]) DeleteLocked(key string) {
+	delete(s.stripe(fnv32a(key)).m, key)
+}
+
+// Len returns the number of entries.
+func (s *StringMap[V]) Len() int {
+	n := 0
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.mu.Lock()
+		n += len(st.m)
+		st.mu.Unlock()
+	}
+	return n
 }
 
 // Range visits every entry with its stripe lock held, so f may read

@@ -63,7 +63,8 @@ type Runner struct {
 }
 
 // Run implements core.TierRunner, mirroring core.Executor.Run step for
-// step: same validation order, same reset semantics, same metrics.
+// step: same validation order, same reset semantics, same metrics, and
+// outgoing lanes that may live in the arena until the next Run.
 func (r *Runner) Run(args []core.Value, o core.Oracle, m *core.EngineMetrics) core.Outcome {
 	p := r.p.root
 	if out := checkArgs(p.fn, args); out != nil {
@@ -100,11 +101,6 @@ func (r *Runner) Run(args []core.Value, o core.Oracle, m *core.EngineMetrics) co
 	m.Execs++
 	m.BytecodeExecs++
 	m.Steps += uint64(r.steps)
-	// Outgoing lanes may be carved from the arena, which the next Run
-	// resets; give them their own backing.
-	if out.Val.Lanes != nil {
-		out.Val.Lanes = append([]core.Scalar(nil), out.Val.Lanes...)
-	}
 	return out
 }
 

@@ -192,7 +192,12 @@ func (env *Env) Run(fn *ir.Func, args []Value) Outcome {
 	p := sharedPrograms.getVerified(fn, opts)
 	if env.Tier.Mode != TierClosure && env.Trace == nil {
 		if r := env.tierRunnerFor(p); r != nil {
-			return r.Run(args, env.Oracle, &env.Metrics)
+			out := r.Run(args, env.Oracle, &env.Metrics)
+			// The runner's lanes are valid only until its next Run.
+			if out.Val.Lanes != nil {
+				out.Val.Lanes = append([]Scalar(nil), out.Val.Lanes...)
+			}
+			return out
 		}
 	}
 	if out := p.checkArgs(args); out != nil {

@@ -123,9 +123,9 @@ type cframe struct {
 // arena turns those per-step heap allocations into a pointer bump,
 // reset once per top-level Run. Values carved here live until the end
 // of the current execution (they may sit in any frame's registers or be
-// the final return value), so the arena is per-Env, only ever grows
-// within an execution, and Executor.Run clones the outgoing Outcome's
-// lanes before resetting. The three-index slice keeps later appends
+// the final return value), so the arena is per-Env and only ever grows
+// within an execution; an Executor.Run outcome's lanes are therefore
+// valid until the executor's next Run. The three-index slice keeps later appends
 // from stomping earlier carvings.
 func (env *Env) newLanes(n int) []Scalar {
 	if cap(env.arena)-len(env.arena) < n {
@@ -1022,6 +1022,10 @@ func (p *Program) Exec(args []Value, o Oracle) Outcome {
 		e = NewExecutor(p)
 	}
 	out := e.Run(args, o)
+	// The lanes live in e's arena, which the executor's next user resets.
+	if out.Val.Lanes != nil {
+		out.Val.Lanes = append([]Scalar(nil), out.Val.Lanes...)
+	}
 	p.execPool.Put(e)
 	return out
 }
@@ -1114,6 +1118,9 @@ func NewExecutor(p *Program) *Executor {
 }
 
 // Run executes the program on args, resolving nondeterminism through o.
+// The outcome's lanes are valid until the executor's next Run: callers
+// that keep a value copy it (Program.Exec does), and a behaviour sweep
+// consumes it in place without allocating per execution.
 func (e *Executor) Run(args []Value, o Oracle) Outcome {
 	p := e.prog
 	if e.tier.Mode != TierClosure {
@@ -1160,11 +1167,6 @@ func (e *Executor) Run(args []Value, o Oracle) Outcome {
 	env.Metrics.Execs++
 	env.Metrics.ClosureExecs++
 	env.Metrics.Steps += uint64(env.Steps)
-	// The outcome may carry lanes carved from the arena, which the next
-	// Run resets; give it its own backing so callers can keep it.
-	if out.Val.Lanes != nil {
-		out.Val.Lanes = append([]Scalar(nil), out.Val.Lanes...)
-	}
 	return out
 }
 

@@ -86,7 +86,8 @@ type TierRunner interface {
 	// o. It must produce an Outcome identical to Executor.Run on the
 	// closure engine — same UB messages, same Oracle.Choose sequence,
 	// same fuel accounting — and update m exactly as the closure
-	// engine would (plus its own per-tier exec counter).
+	// engine would (plus its own per-tier exec counter). Like
+	// Executor.Run, the outcome's lanes are valid until the next Run.
 	Run(args []Value, o Oracle, m *EngineMetrics) Outcome
 }
 

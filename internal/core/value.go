@@ -23,7 +23,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"tameir/internal/ir"
 )
@@ -169,33 +168,32 @@ func (v Value) Equal(w Value) bool {
 // String renders the value for diagnostics, e.g. "i32 7",
 // "<2 x i8> <3, poison>". It doubles as the behaviour-set key, so it
 // is on the validator's hot path and avoids the fmt machinery.
-func (v Value) String() string {
-	var b strings.Builder
-	writeLane := func(s Scalar) {
-		switch s.Kind {
-		case PoisonVal:
-			b.WriteString("poison")
-		case UndefVal:
-			b.WriteString("undef")
-		default:
-			b.WriteString(strconv.FormatUint(s.Bits, 10))
-		}
-	}
-	b.WriteString(v.Ty.String())
-	b.WriteByte(' ')
+func (v Value) String() string { return string(v.AppendTo(make([]byte, 0, 16))) }
+
+// AppendTo appends String's rendering of v to b.
+func (v Value) AppendTo(b []byte) []byte {
+	b = append(v.Ty.AppendTo(b), ' ')
 	if len(v.Lanes) == 1 {
-		writeLane(v.Lanes[0])
-		return b.String()
+		return appendLane(b, v.Lanes[0])
 	}
-	b.WriteByte('<')
+	b = append(b, '<')
 	for i, l := range v.Lanes {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		writeLane(l)
+		b = appendLane(b, l)
 	}
-	b.WriteByte('>')
-	return b.String()
+	return append(b, '>')
+}
+
+func appendLane(b []byte, s Scalar) []byte {
+	switch s.Kind {
+	case PoisonVal:
+		return append(b, "poison"...)
+	case UndefVal:
+		return append(b, "undef"...)
+	}
+	return strconv.AppendUint(b, s.Bits, 10)
 }
 
 // Key returns a comparable key for use in behaviour sets.

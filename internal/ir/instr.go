@@ -146,18 +146,19 @@ const (
 
 // String renders the attribute list, with a trailing space when
 // non-empty so it can be inserted directly after the opcode.
-func (a Attrs) String() string {
-	s := ""
+func (a Attrs) String() string { return string(a.appendTo(nil)) }
+
+func (a Attrs) appendTo(b []byte) []byte {
 	if a&NSW != 0 {
-		s += "nsw "
+		b = append(b, "nsw "...)
 	}
 	if a&NUW != 0 {
-		s += "nuw "
+		b = append(b, "nuw "...)
 	}
 	if a&Exact != 0 {
-		s += "exact "
+		b = append(b, "exact "...)
 	}
-	return s
+	return b
 }
 
 // Pred is an icmp predicate.

@@ -2,100 +2,158 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
-// typedIdent renders "ty ident" for an operand.
-func typedIdent(v Value) string {
-	return fmt.Sprintf("%s %s", v.Type(), v.Ident())
+// The printers append into a caller's buffer instead of going through
+// fmt: canonical function text is the memo's key, rendered for every
+// function a campaign checks, so its cost is paid per candidate.
+
+// appendIdent appends v's operand spelling (Value.Ident).
+func appendIdent(b []byte, v Value) []byte {
+	switch v := v.(type) {
+	case *Instr:
+		return append(append(b, '%'), v.Nam...)
+	case *Param:
+		return append(append(b, '%'), v.Nam...)
+	case *Const:
+		return v.appendIdent(b)
+	case *VecConst:
+		return v.appendIdent(b)
+	}
+	return append(b, v.Ident()...)
+}
+
+// appendTyped appends "ty ident" for an operand.
+func appendTyped(b []byte, v Value) []byte {
+	b = v.Type().AppendTo(b)
+	b = append(b, ' ')
+	return appendIdent(b, v)
+}
+
+// appendTypedArgs appends "ty ident" for each value operand, separated
+// by ", ".
+func (in *Instr) appendTypedArgs(b []byte) []byte {
+	for i, a := range in.args {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendTyped(b, a)
+	}
+	return b
+}
+
+func appendLabel(b []byte, blk *Block) []byte {
+	return append(append(b, "label %"...), blk.Nam...)
 }
 
 // String renders the instruction in textual IR syntax (one line, no
 // leading indentation).
-func (in *Instr) String() string {
-	var b strings.Builder
+func (in *Instr) String() string { return string(in.appendTo(nil)) }
+
+func (in *Instr) appendTo(b []byte) []byte {
 	if !in.Ty.IsVoid() {
-		fmt.Fprintf(&b, "%%%s = ", in.Nam)
+		b = append(append(b, '%'), in.Nam...)
+		b = append(b, " = "...)
 	}
 	switch {
 	case in.Op.IsBinop():
-		fmt.Fprintf(&b, "%s %s%s %s, %s", in.Op, in.Attrs, in.Arg(0).Type(), in.Arg(0).Ident(), in.Arg(1).Ident())
+		b = append(append(b, in.Op.String()...), ' ')
+		b = in.Attrs.appendTo(b)
+		b = appendTyped(b, in.Arg(0))
+		b = append(b, ", "...)
+		b = appendIdent(b, in.Arg(1))
 	case in.Op == OpICmp:
-		fmt.Fprintf(&b, "icmp %s %s, %s", in.Pred, typedIdent(in.Arg(0)), in.Arg(1).Ident())
-	case in.Op == OpSelect:
-		fmt.Fprintf(&b, "select %s, %s, %s", typedIdent(in.Arg(0)), typedIdent(in.Arg(1)), typedIdent(in.Arg(2)))
+		b = append(b, "icmp "...)
+		b = append(append(b, in.Pred.String()...), ' ')
+		b = appendTyped(b, in.Arg(0))
+		b = append(b, ", "...)
+		b = appendIdent(b, in.Arg(1))
 	case in.Op == OpPhi:
-		fmt.Fprintf(&b, "phi %s ", in.Ty)
+		b = append(b, "phi "...)
+		b = append(in.Ty.AppendTo(b), ' ')
 		for i := 0; i < in.NumArgs(); i++ {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			fmt.Fprintf(&b, "[ %s, %%%s ]", in.Arg(i).Ident(), in.BlockArg(i).Nam)
+			b = append(b, "[ "...)
+			b = appendIdent(b, in.Arg(i))
+			b = append(b, ", %"...)
+			b = append(b, in.BlockArg(i).Nam...)
+			b = append(b, " ]"...)
 		}
-	case in.Op == OpFreeze:
-		fmt.Fprintf(&b, "freeze %s", typedIdent(in.Arg(0)))
+	case in.Op == OpSelect, in.Op == OpFreeze, in.Op == OpStore,
+		in.Op == OpExtractElement, in.Op == OpInsertElement:
+		b = append(append(b, in.Op.String()...), ' ')
+		b = in.appendTypedArgs(b)
 	case in.Op == OpAlloca:
-		fmt.Fprintf(&b, "alloca %s, %s", in.AllocTy, typedIdent(in.Arg(0)))
+		b = append(b, "alloca "...)
+		b = append(in.AllocTy.AppendTo(b), ", "...)
+		b = appendTyped(b, in.Arg(0))
 	case in.Op == OpLoad:
-		fmt.Fprintf(&b, "load %s, %s", in.Ty, typedIdent(in.Arg(0)))
-	case in.Op == OpStore:
-		fmt.Fprintf(&b, "store %s, %s", typedIdent(in.Arg(0)), typedIdent(in.Arg(1)))
+		b = append(b, "load "...)
+		b = append(in.Ty.AppendTo(b), ", "...)
+		b = appendTyped(b, in.Arg(0))
 	case in.Op == OpGEP:
-		inb := ""
+		b = append(b, "getelementptr "...)
 		if in.Attrs&NSW != 0 {
-			inb = "inbounds "
+			b = append(b, "inbounds "...)
 		}
-		fmt.Fprintf(&b, "getelementptr %s%s, %s, %s", inb, in.AllocTy, typedIdent(in.Arg(0)), typedIdent(in.Arg(1)))
+		b = append(in.AllocTy.AppendTo(b), ", "...)
+		b = in.appendTypedArgs(b)
 	case in.Op.IsCast():
-		fmt.Fprintf(&b, "%s %s to %s", in.Op, typedIdent(in.Arg(0)), in.Ty)
-	case in.Op == OpExtractElement:
-		fmt.Fprintf(&b, "extractelement %s, %s", typedIdent(in.Arg(0)), typedIdent(in.Arg(1)))
-	case in.Op == OpInsertElement:
-		fmt.Fprintf(&b, "insertelement %s, %s, %s", typedIdent(in.Arg(0)), typedIdent(in.Arg(1)), typedIdent(in.Arg(2)))
+		b = append(append(b, in.Op.String()...), ' ')
+		b = appendTyped(b, in.Arg(0))
+		b = append(b, " to "...)
+		b = in.Ty.AppendTo(b)
 	case in.Op == OpBr && in.NumArgs() == 0:
-		fmt.Fprintf(&b, "br label %%%s", in.BlockArg(0).Nam)
+		b = appendLabel(append(b, "br "...), in.BlockArg(0))
 	case in.Op == OpBr:
-		fmt.Fprintf(&b, "br %s, label %%%s, label %%%s", typedIdent(in.Arg(0)), in.BlockArg(0).Nam, in.BlockArg(1).Nam)
+		b = appendTyped(append(b, "br "...), in.Arg(0))
+		b = appendLabel(append(b, ", "...), in.BlockArg(0))
+		b = appendLabel(append(b, ", "...), in.BlockArg(1))
 	case in.Op == OpRet && in.NumArgs() == 0:
-		b.WriteString("ret void")
+		b = append(b, "ret void"...)
 	case in.Op == OpRet:
-		fmt.Fprintf(&b, "ret %s", typedIdent(in.Arg(0)))
+		b = appendTyped(append(b, "ret "...), in.Arg(0))
 	case in.Op == OpUnreachable:
-		b.WriteString("unreachable")
+		b = append(b, "unreachable"...)
 	case in.Op == OpCall:
-		fmt.Fprintf(&b, "call %s @%s(", in.Ty, in.Callee.Nam)
-		for i := 0; i < in.NumArgs(); i++ {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(typedIdent(in.Arg(i)))
-		}
-		b.WriteByte(')')
+		b = append(b, "call "...)
+		b = append(in.Ty.AppendTo(b), " @"...)
+		b = append(append(b, in.Callee.Nam...), '(')
+		b = append(in.appendTypedArgs(b), ')')
 	default:
-		fmt.Fprintf(&b, "<unknown op %d>", in.Op)
+		b = append(b, "<unknown op "...)
+		b = append(strconv.AppendUint(b, uint64(in.Op), 10), '>')
 	}
-	return b.String()
+	return b
 }
 
 // String renders the function in textual IR syntax.
-func (f *Func) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "define %s @%s(", f.RetTy, f.Nam)
+func (f *Func) String() string { return string(f.AppendTo(make([]byte, 0, 256))) }
+
+// AppendTo appends String's rendering of the function to b.
+func (f *Func) AppendTo(b []byte) []byte {
+	b = append(b, "define "...)
+	b = append(f.RetTy.AppendTo(b), " @"...)
+	b = append(append(b, f.Nam...), '(')
 	for i, p := range f.Params {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(&b, "%s %%%s", p.Ty, p.Nam)
+		b = append(p.Ty.AppendTo(b), " %"...)
+		b = append(b, p.Nam...)
 	}
-	b.WriteString(") {\n")
+	b = append(b, ") {\n"...)
 	for _, blk := range f.Blocks {
-		fmt.Fprintf(&b, "%s:\n", blk.Nam)
+		b = append(append(b, blk.Nam...), ":\n"...)
 		for _, in := range blk.instrs {
-			fmt.Fprintf(&b, "  %s\n", in)
+			b = append(in.appendTo(append(b, "  "...)), '\n')
 		}
 	}
-	b.WriteString("}\n")
-	return b.String()
+	return append(b, "}\n"...)
 }
 
 // String renders the module: globals followed by functions.

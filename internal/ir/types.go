@@ -166,6 +166,19 @@ func (t Type) String() string {
 	return "<invalid type>"
 }
 
+// AppendTo appends String's rendering of t to b.
+func (t Type) AppendTo(b []byte) []byte {
+	switch t.Kind {
+	case IntKind:
+		return strconv.AppendUint(append(b, 'i'), uint64(t.Bits), 10)
+	case VecKind:
+		b = strconv.AppendUint(append(b, '<'), uint64(t.Len), 10)
+		b = t.ElemType().AppendTo(append(b, " x "...))
+		return append(b, '>')
+	}
+	return append(b, t.String()...)
+}
+
 // ParseType parses a type written in String's syntax. It accepts "iN",
 // "ptr", "void", and "<N x elem>".
 func ParseType(s string) (Type, error) {

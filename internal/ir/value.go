@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // Value is anything that can appear as an instruction operand: an
 // instruction result, a function parameter, or one of the constant
@@ -122,13 +119,15 @@ func (c *Const) IsZero() bool { return c.Bits == 0 }
 func (c *Const) IsAllOnes() bool { return c.Bits == TruncBits(^uint64(0), c.Ty.Bits) }
 
 // Ident implements Value.
-func (c *Const) Ident() string {
+func (c *Const) Ident() string { return string(c.appendIdent(nil)) }
+
+func (c *Const) appendIdent(b []byte) []byte {
 	// Print small-width constants in signed form when the sign bit is
 	// set, matching LLVM's convention for readability (e.g. i32 -1).
 	if c.Ty.Bits > 1 && c.Bits>>(c.Ty.Bits-1) != 0 {
-		return fmt.Sprintf("%d", c.SInt())
+		return strconv.AppendInt(b, c.SInt(), 10)
 	}
-	return fmt.Sprintf("%d", c.Bits)
+	return strconv.AppendUint(b, c.Bits, 10)
 }
 
 func (c *Const) addUse(*Instr) {}
@@ -199,17 +198,17 @@ func NewVecConst(elems []Value) *VecConst {
 func (v *VecConst) Type() Type { return v.Ty }
 
 // Ident implements Value.
-func (v *VecConst) Ident() string {
-	var b strings.Builder
-	b.WriteByte('<')
+func (v *VecConst) Ident() string { return string(v.appendIdent(nil)) }
+
+func (v *VecConst) appendIdent(b []byte) []byte {
+	b = append(b, '<')
 	for i, e := range v.Elems {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(&b, "%s %s", e.Type(), e.Ident())
+		b = appendTyped(b, e)
 	}
-	b.WriteByte('>')
-	return b.String()
+	return append(b, '>')
 }
 
 func (v *VecConst) addUse(*Instr) {}

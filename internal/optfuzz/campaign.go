@@ -324,6 +324,14 @@ type Stats struct {
 	MemoLookups   uint64
 	MemoEvictions uint64
 	MemoSets      int
+	// MemoAdmissions counts functions the memo published to its shared
+	// index because they came back; MemoSessionReuse counts the hits a
+	// worker's session answered from its own slots; MemoDoorkeeper is
+	// how many key hashes the admission doorkeeper held at the end.
+	// All three are scheduling-dependent like the counters above.
+	MemoAdmissions   uint64
+	MemoSessionReuse uint64
+	MemoDoorkeeper   int
 
 	// DiskLoads / DiskHits / DiskStaleRejects are the persistent
 	// -cache-dir counters: snapshot files loaded in full, memo hits
@@ -735,6 +743,9 @@ func (c Campaign) Run() Stats {
 		out.MemoLookups = memo.Lookups()
 		out.MemoEvictions = memo.Evictions()
 		out.MemoSets = memo.Len()
+		out.MemoAdmissions = memo.Admissions()
+		out.MemoSessionReuse = memo.SessionReuse()
+		out.MemoDoorkeeper = memo.DoorkeeperEntries()
 	}
 	if disk != nil {
 		if err := disk.Save(); err != nil && diskErr == nil {
@@ -1067,6 +1078,9 @@ func (c Campaign) publish(out Stats, shardRuns int, check *refine.CheckMetrics, 
 		reg.Counter("memo_hits_total", telemetry.Scheduling, "shared-memo hits").Add(out.MemoHits)
 		reg.Counter("memo_evictions_total", telemetry.Scheduling, "shared-memo evictions").Add(out.MemoEvictions)
 		reg.Gauge("memo_sets", telemetry.Scheduling, "behaviour sets resident in the shared memo").Set(int64(out.MemoSets))
+		reg.Counter("memo_admissions_total", telemetry.Scheduling, "functions admitted to the shared memo on repeat").Add(out.MemoAdmissions)
+		reg.Counter("memo_session_reuse_total", telemetry.Scheduling, "memo hits answered from a worker session's own slots").Add(out.MemoSessionReuse)
+		reg.Gauge("memo_doorkeeper_entries", telemetry.Scheduling, "key hashes held by the memo's admission doorkeeper").Set(int64(out.MemoDoorkeeper))
 	}
 	if diskCache {
 		// Which lookups land on disk-loaded entries depends on worker

@@ -189,6 +189,7 @@ func summarize(s Stats) Stats {
 // evicts) is a race. Verdicts, findings and the lookup count are not.
 func maskMemo(s Stats) Stats {
 	s.MemoHits, s.MemoEvictions, s.MemoSets = 0, 0, 0
+	s.MemoAdmissions, s.MemoSessionReuse, s.MemoDoorkeeper = 0, 0, 0
 	return s
 }
 

@@ -48,6 +48,7 @@ func TestMutationDeterministicAcrossWorkers(t *testing.T) {
 		// Memo statistics are scheduling-dependent by contract; blank
 		// them before comparing.
 		st.MemoHits, st.MemoLookups, st.MemoEvictions, st.MemoSets = 0, 0, 0, 0
+		st.MemoAdmissions, st.MemoSessionReuse, st.MemoDoorkeeper = 0, 0, 0
 		st.Opt = nil // pass-stats include wall-clock timings
 		if i == 0 {
 			base = st

@@ -80,7 +80,8 @@ func TestCampaignExplicitSourceMatchesNil(t *testing.T) {
 	}
 	nilSrc := mk(nil)
 	explicit := mk(NewExhaustiveSource(gen))
-	if !reflect.DeepEqual(nilSrc, explicit) {
+	// The memo counters are scheduling-dependent at two workers.
+	if !reflect.DeepEqual(maskMemo(nilSrc), maskMemo(explicit)) {
 		t.Fatalf("explicit ExhaustiveSource diverges from nil-Source default:\nnil: %+v\nexp: %+v", nilSrc, explicit)
 	}
 	if nilSrc.Source != "exhaustive" || nilSrc.Epochs != 1 {

@@ -1,7 +1,9 @@
 package refine
 
 import (
-	"fmt"
+	"bytes"
+	"hash/maphash"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,39 +16,51 @@ import (
 // Memo caches behaviour sets across refinement checks, keyed by the
 // canonical (function, semantics, input vector) triple.
 //
-// Exhaustive campaigns are dominated by structurally identical work:
-// most candidates pass through an optimizer unchanged or collapse to
-// one of a few small forms, so the same behaviour sets are re-derived
-// over and over. The memo turns those derivations into lookups.
+// The traffic it serves is lopsided. A campaign never repeats a
+// source: every candidate's text is new, so a source's sets can only
+// be reused within the work on that one candidate. Targets are the
+// opposite: -O2 collapses tens of thousands of candidates onto a few
+// hundred forms, each worth deriving once and serving for good. The
+// memo therefore admits on repeat:
 //
-// The cache is two-level so the hot path never touches the expensive
-// part of the key. The first level maps the canonical function text
-// (plus a semantics/bounds fingerprint) to a per-function entry; a
-// per-session two-slot identity cache — two slots because Check
-// alternates between src and tgt on every input — resolves repeat
-// (function, options) pairs by pointer comparison, so the function is
-// printed once per Check side, not once per input. The second level
-// maps the input vector's short key (or its ordinal in Check's
-// deterministic input enumeration) to its behaviour set.
+//   - A MemoSession keeps the sets it derives in its two identity
+//     slots (two because Check alternates between src and tgt on every
+//     input), in per-slot arrays reused from check to check, and
+//     answers repeat lookups of a slot's function from there.
+//   - A function is published to the shared index only when it comes
+//     back: in a later Check of the same session (a candidate checked
+//     against several transforms), as the other side of the same Check
+//     (target text equal to source), or as a key whose hash the
+//     doorkeeper recorded at an earlier sighting anywhere in the
+//     process. Publishing copies what the slot already derived, so
+//     nothing is derived twice.
 //
-// Keys are full canonical strings, not hashes, so a hit can never be a
-// collision: a memoized verdict is always the verdict the engine would
-// have produced (see TestMemoNeverChangesVerdict). Entries whose sets
-// are Incomplete are not cached — they depend on enumeration bounds in
-// a way that is cheap to just redo. The identity cache assumes
-// functions are not mutated between checks that share a Memo; the
-// pipeline upholds this by checking sources it never mutates and
-// transforming private clones.
+// A function that never comes back thus costs one rendering of its key
+// into a reused buffer and one hash, and leaves nothing in the index,
+// the clock or the heap.
 //
-// A Memo IS safe for concurrent use: the function table is a
-// cache.StringMap split over memoShardCount lock stripes and the
-// counters are atomic, so one memo can back every worker of a campaign
-// and hits cross worker shards. Each goroutine must drive it through
-// its own MemoSession (NewSession), which holds the only unshared
-// state — the identity cache. Bounded residency is a cache.Clock
+// Keys stay full canonical strings — a semantics/bounds fingerprint
+// plus the function text — and a slot matches by pointer identity or
+// full key equality, so a hit can never be a collision: a memoized
+// verdict is always the verdict the engine would have produced (see
+// TestMemoNeverChangesVerdict). The doorkeeper's hashes only decide
+// when to publish: a collision publishes early, a forgotten hash
+// publishes late, and neither changes a set. Incomplete sets are never
+// cached — they depend on enumeration bounds in a way that is cheap to
+// just redo. The identity slots assume functions are not mutated
+// between checks that share a session; the pipeline upholds this by
+// checking sources it never mutates and transforming private clones.
+//
+// A Memo IS safe for concurrent use: the function index is a
+// cache.StringMap split over memoShardCount lock stripes, and the
+// doorkeeper and counters are atomic, so one memo can back every
+// worker of a campaign and hits cross worker shards. Each goroutine
+// drives it through its own MemoSession (NewSession), which holds the
+// only unshared state. Bounded residency is a cache.Clock
 // (second-chance) sweep that evicts cold behaviour sets to admit new
-// ones, so long campaigns keep a warm working set; an eviction can
-// cost a recomputation but never changes a verdict
+// ones; a function whose last set is evicted leaves the index, so the
+// index is bounded by the clock's capacity too. An eviction can cost a
+// recomputation but never changes a verdict
 // (TestMemoEvictionKeepsVerdicts).
 //
 // A memo can also be snapshotted to disk and reloaded by a later
@@ -56,25 +70,34 @@ import (
 type Memo struct {
 	funcs *cache.StringMap[*memoFuncEntry]
 	clock *cache.Clock[evictRef]
+	door  doorkeeper
+	seed  maphash.Seed
+	// private recycles the sessions Check and Behaviors create for
+	// callers that bring none.
+	private sync.Pool
 
-	hits, lookups, diskHits atomic.Uint64
+	hits, lookups, diskHits, sessionReuse, admissions atomic.Uint64
 }
 
 // memoShardCount is the lock-striping factor. 64 keeps contention
-// negligible at any plausible worker count while costing one FNV hash
-// per per-function entry resolution (once per Check side, thanks to
-// the session identity cache).
+// negligible at any plausible worker count.
 const memoShardCount = 64
 
 type memoFuncEntry struct {
-	mu *sync.Mutex // home stripe lock; guards all mutable state below
-	// sets is the generic second level, keyed by input-vector text.
+	mu   *sync.Mutex // home stripe lock; guards all mutable state below
+	key  string      // the index key, for removal
 	sets map[string]*strSet
-	// byIdx is the fast second level used by Check, keyed by the input
-	// vector's ordinal in Check's deterministic enumeration. Sound
-	// because the fingerprint pins everything the sequence depends on:
-	// the parameter types (via the function text) and the source mode.
+	// byIdx is the level Check uses, keyed by the input vector's
+	// ordinal in Check's deterministic enumeration and sized from the
+	// Check's input count. Sound because the key pins everything the
+	// sequence depends on: the parameter types (via the function text)
+	// and the source mode.
 	byIdx []idxSet
+	// resident counts the sets admitted to the clock and not yet
+	// evicted. When it drops to zero the entry leaves the index and
+	// dead tells sessions still holding it to resolve the key afresh.
+	resident int
+	dead     bool
 }
 
 type idxSet struct {
@@ -99,21 +122,35 @@ type evictRef struct {
 	ordinal int
 }
 
-// MemoSession is one goroutine's handle on a shared Memo. It carries
-// the two-slot function-identity cache, which is the only part of the
-// memo machinery that is not safe to share. Sessions are cheap; create
-// one per worker (Check creates a private one when given a Memo
-// without a Session).
+// MemoSession is one goroutine's handle on a shared Memo: its two
+// identity slots and its share of the counters, which reach the Memo
+// when a Check ends. Sessions are cheap; create one per worker (Check
+// uses a private one when given a Memo without a Session).
 type MemoSession struct {
-	m        *Memo
-	ident    [2]memoIdent
-	identPos int
+	m     *Memo
+	slots [2]memoSlot
+	// next is the slot a miss replaces: the one used least recently.
+	next  int
+	check uint64 // sequence number of the current Check
+	n     int    // the current Check's input count, which sizes arrays
+	buf   []byte // key scratch, swapped into the slot that takes the key
+
+	hits, lookups, diskHits, reuse uint64
 }
 
-type memoIdent struct {
+// memoSlot is one identity slot: a function, its rendered key, and the
+// sets this session derived or fetched for it.
+type memoSlot struct {
 	fn    *ir.Func
 	opts  memoOpts
-	entry *memoFuncEntry
+	key   []byte
+	check uint64 // the Check that last used the slot
+	// admitted: the function came back, so its sets are also published
+	// to entry (resolved from the index on first use).
+	admitted bool
+	entry    *memoFuncEntry
+	sets     []BehaviorSet // by input ordinal
+	have     []bool
 }
 
 // memoOpts is the comparable fingerprint of everything besides the
@@ -130,9 +167,9 @@ type memoOpts struct {
 
 // memoRef carries a resolved slot from lookup to store so the key work
 // is not repeated on the put path. ordinal < 0 means the string-keyed
-// level addressed by argsKey; otherwise byIdx[ordinal].
+// level addressed by argsKey; otherwise the ordinal-indexed one.
 type memoRef struct {
-	entry   *memoFuncEntry
+	slot    *memoSlot
 	argsKey string
 	ordinal int
 }
@@ -148,17 +185,20 @@ func NewMemo(max int) *Memo {
 	if max <= 0 {
 		max = DefaultMemoEntries
 	}
-	return &Memo{
+	m := &Memo{
 		funcs: cache.NewStringMap[*memoFuncEntry](memoShardCount),
 		clock: cache.NewClock[evictRef](max),
+		seed:  maphash.MakeSeed(),
 	}
+	m.door.init(max)
+	return m
 }
 
 // NewSession returns a fresh session over m for use by one goroutine.
 func (m *Memo) NewSession() *MemoSession { return &MemoSession{m: m} }
 
 // Hits returns the number of lookups answered from the cache (summed
-// over all sessions).
+// over all sessions, slot reuse included).
 func (m *Memo) Hits() uint64 { return m.hits.Load() }
 
 // Lookups returns the total number of lookups.
@@ -171,51 +211,77 @@ func (m *Memo) Evictions() uint64 { return m.clock.Evictions() }
 // from a -cache-dir snapshot rather than this process's own work.
 func (m *Memo) DiskHits() uint64 { return m.diskHits.Load() }
 
+// SessionReuse returns the number of hits a session answered from its
+// own identity slots, without touching the shared index.
+func (m *Memo) SessionReuse() uint64 { return m.sessionReuse.Load() }
+
+// Admissions returns the number of functions published to the shared
+// index because they came back.
+func (m *Memo) Admissions() uint64 { return m.admissions.Load() }
+
+// DoorkeeperEntries returns the number of key hashes the admission
+// doorkeeper holds.
+func (m *Memo) DoorkeeperEntries() int { return int(m.door.used.Load()) }
+
 // Len returns the number of cached behaviour sets (approximate while
 // concurrent stores are in flight).
 func (m *Memo) Len() int { return m.clock.Len() }
 
-// entryFor resolves the per-function entry for a fully rendered key,
-// creating it on first use. The constructor keeps the stripe mutex as
-// the entry's guard.
-func (m *Memo) entryFor(key string) *memoFuncEntry {
-	return m.funcs.GetOrCreate(key, func(mu *sync.Mutex) *memoFuncEntry {
-		return &memoFuncEntry{mu: mu}
-	})
-}
-
-// funcEntry resolves the per-function cache level, through the
-// session's identity cache when possible.
-func (s *MemoSession) funcEntry(fn *ir.Func, mo memoOpts) *memoFuncEntry {
-	for i := range s.ident {
-		if s.ident[i].fn == fn && s.ident[i].opts == mo {
-			return s.ident[i].entry
-		}
+// acquire hands out a private session; release takes it back, dropping
+// its identities so nothing carries over to the next caller.
+func (m *Memo) acquire() *MemoSession {
+	if s, ok := m.private.Get().(*MemoSession); ok {
+		return s
 	}
-	entry := s.m.entryFor(memoFuncKey(fn, mo))
-	s.ident[s.identPos] = memoIdent{fn: fn, opts: mo, entry: entry}
-	s.identPos = (s.identPos + 1) % len(s.ident)
-	return entry
+	return m.NewSession()
 }
 
-// memoFuncKey renders the first-level key: the semantics/bounds
+func (m *Memo) release(s *MemoSession) {
+	for i := range s.slots {
+		s.slots[i].fn, s.slots[i].entry = nil, nil
+	}
+	m.private.Put(s)
+}
+
+// begin starts a Check (or a Behaviors call) over n inputs.
+func (s *MemoSession) begin(n int) {
+	s.check++
+	s.n = n
+}
+
+// end folds the session's counters into the memo.
+func (s *MemoSession) end() {
+	m := s.m
+	m.lookups.Add(s.lookups)
+	m.hits.Add(s.hits)
+	m.sessionReuse.Add(s.reuse)
+	m.diskHits.Add(s.diskHits)
+	s.hits, s.lookups, s.diskHits, s.reuse = 0, 0, 0, 0
+}
+
+// appendMemoFuncKey renders the first-level key: the semantics/bounds
 // fingerprint followed by the canonical function text. Everything the
 // behaviour set (and Check's ordinal enumeration) depends on is in
 // here, which is also what makes the key stable across processes —
-// the property the snapshot layer rides on.
-func memoFuncKey(fn *ir.Func, mo memoOpts) string {
-	var b strings.Builder
-	// srcMode and inputBits must be part of the rendered key, not just
-	// the identity-cache struct: they steer Check's input enumeration,
-	// so the byIdx ordinal space is only stable within one
-	// (srcMode, inputBits) regime.
-	fmt.Fprintf(&b, "%d|%d|%d|%t|%d|%d|%d|%d|%d|%d|%d|%d\x00",
-		mo.opts.Mode, mo.opts.BranchPoison, mo.opts.SelectPoisonCond,
-		mo.opts.SelectArmPoisonEither, mo.opts.Fuel, mo.opts.MaxCallDepth,
-		mo.srcMode, mo.inputBits,
-		mo.maxChoices, mo.maxFanout, mo.maxExecs, mo.fuel)
-	b.WriteString(fn.String())
-	return b.String()
+// the property the snapshot layer rides on. srcMode and inputBits must
+// be part of the rendered key, not just the slot's opts: they steer
+// Check's input enumeration, so the byIdx ordinal space is only stable
+// within one (srcMode, inputBits) regime.
+func appendMemoFuncKey(b []byte, fn *ir.Func, mo memoOpts) []byte {
+	o := mo.opts
+	for _, u := range [...]uint64{uint64(o.Mode), uint64(o.BranchPoison), uint64(o.SelectPoisonCond)} {
+		b = append(strconv.AppendUint(b, u, 10), '|')
+	}
+	b = append(strconv.AppendBool(b, o.SelectArmPoisonEither), '|')
+	b = append(strconv.AppendInt(b, int64(o.Fuel), 10), '|')
+	b = append(strconv.AppendInt(b, int64(o.MaxCallDepth), 10), '|')
+	b = append(strconv.AppendUint(b, uint64(mo.srcMode), 10), '|')
+	b = append(strconv.AppendUint(b, uint64(mo.inputBits), 10), '|')
+	b = append(strconv.AppendInt(b, int64(mo.maxChoices), 10), '|')
+	b = append(strconv.AppendUint(b, mo.maxFanout, 10), '|')
+	b = append(strconv.AppendInt(b, int64(mo.maxExecs), 10), '|')
+	b = append(strconv.AppendInt(b, int64(mo.fuel), 10), 0)
+	return fn.AppendTo(b)
 }
 
 func memoOptsOf(opts core.Options, cfg Config) memoOpts {
@@ -240,6 +306,97 @@ func argsKey(args []core.Value) string {
 	return b.String()
 }
 
+// slotFor resolves fn's identity slot, taking over the least recently
+// used one on a miss and deciding there whether fn is admitted.
+func (s *MemoSession) slotFor(fn *ir.Func, mo memoOpts) *memoSlot {
+	for i := range s.slots {
+		sl := &s.slots[i]
+		if sl.fn == fn && sl.opts == mo {
+			s.next = 1 - i
+			if sl.check != s.check {
+				sl.check = s.check
+				s.admitFunc(sl) // back in a later Check of this session
+			}
+			return sl
+		}
+	}
+	s.buf = appendMemoFuncKey(s.buf[:0], fn, mo)
+	sl, other := &s.slots[s.next], &s.slots[1-s.next]
+	s.next = 1 - s.next
+	switch {
+	case sl.fn != nil && bytes.Equal(sl.key, s.buf):
+		// The slot's previous function had the same text, so its sets
+		// still apply, and the text came back.
+		sl.fn, sl.opts, sl.check = fn, mo, s.check
+		s.admitFunc(sl)
+		return sl
+	case other.fn != nil && bytes.Equal(other.key, s.buf):
+		// The other side of this Check has the same text.
+		s.admitFunc(other)
+		s.take(sl, fn, mo)
+		sl.admitted, sl.entry = true, other.entry
+		return sl
+	}
+	s.take(sl, fn, mo)
+	if s.m.door.sighted(maphash.Bytes(s.m.seed, sl.key)) {
+		if e, ok := s.m.funcs.Lookup(sl.key); ok {
+			sl.admitted, sl.entry = true, e
+		} else {
+			s.admitFunc(sl)
+		}
+	}
+	return sl
+}
+
+// take assigns sl to fn, whose key is in s.buf, with empty arrays
+// sized for the current Check.
+func (s *MemoSession) take(sl *memoSlot, fn *ir.Func, mo memoOpts) {
+	sl.key, s.buf = s.buf, sl.key
+	sl.fn, sl.opts, sl.check = fn, mo, s.check
+	sl.admitted, sl.entry = false, nil
+	if cap(sl.have) < s.n {
+		sl.have, sl.sets = make([]bool, s.n), make([]BehaviorSet, s.n)
+		return
+	}
+	sl.have, sl.sets = sl.have[:s.n], sl.sets[:s.n]
+	clear(sl.have)
+}
+
+// admitFunc publishes sl's function: its sets go to the shared index
+// from now on, starting with those the slot already holds.
+func (s *MemoSession) admitFunc(sl *memoSlot) {
+	if sl.admitted {
+		return
+	}
+	sl.admitted = true
+	s.m.admissions.Add(1)
+	for i, ok := range sl.have {
+		if ok {
+			s.publish(sl, i, sl.sets[i])
+		}
+	}
+}
+
+// keep records a set in sl's own arrays.
+func (s *MemoSession) keep(sl *memoSlot, ordinal int, set BehaviorSet) {
+	for ordinal >= len(sl.have) {
+		sl.have = append(sl.have, false)
+		sl.sets = append(sl.sets, BehaviorSet{})
+	}
+	sl.sets[ordinal], sl.have[ordinal] = set, true
+}
+
+// publish stores an ordinal-indexed set in sl's shared entry.
+func (s *MemoSession) publish(sl *memoSlot, ordinal int, set BehaviorSet) {
+	e := s.m.lockEntry(sl.entry, sl.key, s.n)
+	sl.entry = e
+	ok := e.putIdx(ordinal, set, false)
+	e.mu.Unlock()
+	if ok {
+		s.m.admit(evictRef{entry: e, ordinal: ordinal})
+	}
+}
+
 // lookup resolves (fn, args, opts, cfg); ok reports a hit. The
 // returned ref is passed to store to cache a freshly computed set.
 // ordinal, when non-negative, is the input vector's position in
@@ -247,76 +404,136 @@ func argsKey(args []core.Value) string {
 // level, whose hot path does no string work at all; pass -1 when no
 // such ordinal exists.
 func (s *MemoSession) lookup(fn *ir.Func, args []core.Value, ordinal int, opts core.Options, cfg Config) (memoRef, BehaviorSet, bool) {
-	s.m.lookups.Add(1)
-	entry := s.funcEntry(fn, memoOptsOf(opts, cfg))
+	s.lookups++
+	sl := s.slotFor(fn, memoOptsOf(opts, cfg))
+	ref := memoRef{slot: sl, ordinal: ordinal}
 	if ordinal >= 0 {
-		ref := memoRef{entry: entry, ordinal: ordinal}
-		entry.mu.Lock()
-		if ordinal < len(entry.byIdx) && entry.byIdx[ordinal].ok {
-			entry.byIdx[ordinal].ref = true
-			set := entry.byIdx[ordinal].set
-			disk := entry.byIdx[ordinal].disk
-			entry.mu.Unlock()
-			s.m.hits.Add(1)
-			if disk {
-				s.m.diskHits.Add(1)
-			}
-			return ref, set, true
+		if ordinal < len(sl.have) && sl.have[ordinal] {
+			s.hits++
+			s.reuse++
+			return ref, sl.sets[ordinal], true
 		}
-		entry.mu.Unlock()
+		if e := sl.entry; e != nil {
+			e.mu.Lock()
+			if !e.dead && ordinal < len(e.byIdx) && e.byIdx[ordinal].ok {
+				x := &e.byIdx[ordinal]
+				x.ref = true
+				set, disk := x.set, x.disk
+				e.mu.Unlock()
+				s.hit(disk)
+				s.keep(sl, ordinal, set)
+				return ref, set, true
+			}
+			e.mu.Unlock()
+		}
 		return ref, BehaviorSet{}, false
 	}
-	ref := memoRef{entry: entry, argsKey: argsKey(args), ordinal: -1}
-	entry.mu.Lock()
-	if e := entry.sets[ref.argsKey]; e != nil {
-		e.ref = true
-		set := e.set
-		disk := e.disk
-		entry.mu.Unlock()
-		s.m.hits.Add(1)
-		if disk {
-			s.m.diskHits.Add(1)
-		}
-		return ref, set, true
+	if !sl.admitted {
+		return ref, BehaviorSet{}, false
 	}
-	entry.mu.Unlock()
+	ref.argsKey = argsKey(args)
+	if e := sl.entry; e != nil {
+		e.mu.Lock()
+		if x := e.sets[ref.argsKey]; x != nil && !e.dead {
+			x.ref = true
+			set, disk := x.set, x.disk
+			e.mu.Unlock()
+			s.hit(disk)
+			return ref, set, true
+		}
+		e.mu.Unlock()
+	}
 	return ref, BehaviorSet{}, false
 }
 
-// store caches a computed set under a ref obtained from lookup.
+func (s *MemoSession) hit(disk bool) {
+	s.hits++
+	if disk {
+		s.diskHits++
+	}
+}
+
+// store caches a computed set under a ref obtained from lookup: in the
+// slot always, in the shared index once the function is admitted.
 func (s *MemoSession) store(ref memoRef, set BehaviorSet) {
 	if set.Incomplete {
 		return
 	}
-	e := ref.entry
-	e.mu.Lock()
+	sl := ref.slot
 	if ref.ordinal >= 0 {
-		for len(e.byIdx) <= ref.ordinal {
-			e.byIdx = append(e.byIdx, idxSet{})
+		s.keep(sl, ref.ordinal, set)
+		if sl.admitted {
+			s.publish(sl, ref.ordinal, set)
 		}
-		if e.byIdx[ref.ordinal].ok {
-			e.mu.Unlock()
-			return // another session raced the same computation
-		}
-		e.byIdx[ref.ordinal] = idxSet{set: set, ok: true}
-	} else {
-		if _, dup := e.sets[ref.argsKey]; dup {
-			e.mu.Unlock()
-			return
-		}
-		if e.sets == nil {
-			e.sets = make(map[string]*strSet)
-		}
-		e.sets[ref.argsKey] = &strSet{set: set}
+		return
 	}
+	if !sl.admitted {
+		return
+	}
+	e := s.m.lockEntry(sl.entry, sl.key, s.n)
+	sl.entry = e
+	ok := e.putKey(ref.argsKey, set, false)
 	e.mu.Unlock()
-	s.m.admit(evictRef{entry: ref.entry, key: ref.argsKey, ordinal: ref.ordinal})
+	if ok {
+		s.m.admit(evictRef{entry: e, key: ref.argsKey, ordinal: -1})
+	}
+}
+
+// lockEntry returns the live index entry for key — e itself while it
+// lives — with its stripe lock held, creating the entry (byIdx sized
+// for n inputs) when the index has none.
+func (m *Memo) lockEntry(e *memoFuncEntry, key []byte, n int) *memoFuncEntry {
+	for {
+		if e == nil {
+			var ok bool
+			if e, ok = m.funcs.Lookup(key); !ok {
+				k := string(key)
+				e = m.funcs.GetOrCreate(k, func(mu *sync.Mutex) *memoFuncEntry {
+					return &memoFuncEntry{mu: mu, key: k, byIdx: make([]idxSet, n)}
+				})
+			}
+		}
+		e.mu.Lock()
+		if !e.dead {
+			return e
+		}
+		e.mu.Unlock()
+		e = nil
+	}
+}
+
+// putIdx installs an ordinal-indexed set unless one is there already
+// (another session raced the same computation), reporting whether it
+// did. Caller holds the entry's stripe lock.
+func (e *memoFuncEntry) putIdx(ordinal int, set BehaviorSet, disk bool) bool {
+	if ordinal >= len(e.byIdx) {
+		e.byIdx = append(e.byIdx, make([]idxSet, ordinal+1-len(e.byIdx))...)
+	}
+	if e.byIdx[ordinal].ok {
+		return false
+	}
+	e.byIdx[ordinal] = idxSet{set: set, ok: true, disk: disk}
+	e.resident++
+	return true
+}
+
+// putKey is putIdx for the string-keyed level.
+func (e *memoFuncEntry) putKey(key string, set BehaviorSet, disk bool) bool {
+	if _, dup := e.sets[key]; dup {
+		return false
+	}
+	if e.sets == nil {
+		e.sets = make(map[string]*strSet)
+	}
+	e.sets[key] = &strSet{set: set, disk: disk}
+	e.resident++
+	return true
 }
 
 // admit registers a freshly stored set with the clock, evicting a cold
 // set first when the memo is at capacity. Lock order is strictly
-// ring → stripe; the insert path above holds only the stripe lock, so
-// the two cannot deadlock.
+// ring → stripe; the insert paths hold only the stripe lock, so the
+// two cannot deadlock.
 func (m *Memo) admit(r evictRef) {
 	m.clock.Admit(r,
 		func(v evictRef) bool {
@@ -325,9 +542,14 @@ func (m *Memo) admit(r evictRef) {
 			return v.entry.deref(v)
 		},
 		func(v evictRef) {
-			v.entry.mu.Lock()
-			defer v.entry.mu.Unlock()
-			v.entry.remove(v)
+			e := v.entry
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			e.remove(v)
+			if e.resident == 0 && !e.dead {
+				e.dead = true
+				m.funcs.DeleteLocked(e.key)
+			}
 		})
 }
 
@@ -353,10 +575,46 @@ func (e *memoFuncEntry) deref(v evictRef) bool {
 // lock.
 func (e *memoFuncEntry) remove(v evictRef) {
 	if v.ordinal >= 0 {
-		if v.ordinal < len(e.byIdx) {
+		if v.ordinal < len(e.byIdx) && e.byIdx[v.ordinal].ok {
 			e.byIdx[v.ordinal] = idxSet{}
+			e.resident--
 		}
 		return
 	}
-	delete(e.sets, v.key)
+	if _, ok := e.sets[v.key]; ok {
+		delete(e.sets, v.key)
+		e.resident--
+	}
+}
+
+// doorkeeper remembers the key hashes of functions seen recently,
+// direct-mapped into a fixed table of atomics: a newer hash replaces
+// whatever older one shares its slot, so the table forgets rather than
+// grows.
+type doorkeeper struct {
+	slots []atomic.Uint64
+	used  atomic.Int64
+}
+
+// init sizes the table from the memo's capacity: a power of two
+// between 1Ki and 64Ki slots (512 KiB).
+func (d *doorkeeper) init(capacity int) {
+	n := 1 << 10
+	for n < capacity && n < 1<<16 {
+		n <<= 1
+	}
+	d.slots = make([]atomic.Uint64, n)
+}
+
+// sighted records h and reports whether it was already recorded.
+func (d *doorkeeper) sighted(h uint64) bool {
+	h |= 1 // zero marks an empty slot
+	slot := &d.slots[(h>>32)&uint64(len(d.slots)-1)]
+	if slot.Load() == h {
+		return true
+	}
+	if slot.Swap(h) == 0 {
+		d.used.Add(1)
+	}
+	return false
 }

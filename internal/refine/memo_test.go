@@ -93,16 +93,18 @@ func TestMemoNeverChangesVerdict(t *testing.T) {
 	}
 }
 
-// TestMemoHitsOnRepeatedCheck: a second identical Check must be
-// answered entirely from the cache.
+// TestMemoHitsOnRepeatedCheck: once admitted, a repeated identical
+// Check must be answered entirely from the cache.
 func TestMemoHitsOnRepeatedCheck(t *testing.T) {
 	src := ir.MustParseFunc(memoPairs[0].src)
 	tgt := ir.MustParseFunc(memoPairs[0].tgt)
 	cfg := DefaultConfig(core.FreezeOptions(), core.FreezeOptions())
 	cfg.Memo = NewMemo(0)
 
+	Check(src, tgt, cfg) // first sighting: admission is on repeat
+	primed := cfg.Memo.Lookups()
 	Check(src, tgt, cfg)
-	cold := cfg.Memo.Lookups()
+	cold := cfg.Memo.Lookups() - primed
 	if cold == 0 {
 		t.Fatal("no memo lookups on first Check")
 	}
@@ -114,6 +116,13 @@ func TestMemoHitsOnRepeatedCheck(t *testing.T) {
 	}
 }
 
+// prime sights fn once from a throwaway session, so that the next
+// session admits it on its first lookup: the state the direct
+// lookup/store tests below start from.
+func prime(m *Memo, fn *ir.Func, opts core.Options, cfg Config) {
+	m.NewSession().lookup(fn, nil, -1, opts, cfg)
+}
+
 // TestMemoEvictsWhenFull: a full memo admits new sets by evicting cold
 // ones instead of refusing them.
 func TestMemoEvictsWhenFull(t *testing.T) {
@@ -122,6 +131,7 @@ func TestMemoEvictsWhenFull(t *testing.T) {
 	fn := ir.MustParseFunc(memoPairs[2].src)
 	opts := core.FreezeOptions()
 	cfg := DefaultConfig(opts, opts)
+	prime(m, fn, opts, cfg)
 
 	a := []core.Value{core.VC(ir.Int(2), 0)}
 	b := []core.Value{core.VC(ir.Int(2), 1)}
@@ -151,6 +161,7 @@ func TestMemoSecondChance(t *testing.T) {
 	fn := ir.MustParseFunc(memoPairs[2].src)
 	opts := core.FreezeOptions()
 	cfg := DefaultConfig(opts, opts)
+	prime(m, fn, opts, cfg)
 
 	vals := [][]core.Value{
 		{core.VC(ir.Int(2), 0)},
@@ -184,6 +195,7 @@ func TestMemoSkipsIncomplete(t *testing.T) {
 	fn := ir.MustParseFunc(memoPairs[2].src)
 	opts := core.FreezeOptions()
 	cfg := DefaultConfig(opts, opts)
+	prime(m, fn, opts, cfg)
 	ref, _, _ := s.lookup(fn, nil, -1, opts, cfg)
 	s.store(ref, BehaviorSet{Incomplete: true})
 	if m.Len() != 0 {
@@ -267,5 +279,151 @@ func TestMemoConcurrentSessions(t *testing.T) {
 	}
 	if memo.Hits() == 0 {
 		t.Error("concurrent sessions produced no cross-session hits")
+	}
+}
+
+// TestMemoFuncKeyMatchesFormat: the strconv-built first-level key is
+// byte-identical to the fmt rendering it replaced, so snapshots keyed
+// by either stay interchangeable.
+func TestMemoFuncKeyMatchesFormat(t *testing.T) {
+	fn := ir.MustParseFunc(memoPairs[0].src)
+	for _, opts := range []core.Options{core.FreezeOptions(), core.LegacyOptions(core.BranchPoisonNondet)} {
+		cfg := DefaultConfig(opts, opts)
+		cfg.ExhaustiveInputBits = 8
+		mo := memoOptsOf(opts, cfg)
+		want := fmt.Sprintf("%d|%d|%d|%t|%d|%d|%d|%d|%d|%d|%d|%d\x00",
+			mo.opts.Mode, mo.opts.BranchPoison, mo.opts.SelectPoisonCond,
+			mo.opts.SelectArmPoisonEither, mo.opts.Fuel, mo.opts.MaxCallDepth,
+			mo.srcMode, mo.inputBits,
+			mo.maxChoices, mo.maxFanout, mo.maxExecs, mo.fuel) + fn.String()
+		if got := string(appendMemoFuncKey(nil, fn, mo)); got != want {
+			t.Errorf("mode=%v: key %q, want %q", opts.Mode, got, want)
+		}
+	}
+}
+
+// TestMemoSeenOnceNeverResident: a function seen once is derived in
+// its session's slots and leaves nothing in the shared memo.
+func TestMemoSeenOnceNeverResident(t *testing.T) {
+	cfg := DefaultConfig(core.FreezeOptions(), core.FreezeOptions())
+	cfg.Memo = NewMemo(0)
+	Check(ir.MustParseFunc(memoPairs[0].src), ir.MustParseFunc(memoPairs[0].tgt), cfg)
+	if n := cfg.Memo.Len(); n != 0 {
+		t.Errorf("Len = %d after one sighting of each side, want 0", n)
+	}
+	if n := cfg.Memo.funcs.Len(); n != 0 {
+		t.Errorf("index holds %d functions after one sighting of each side, want 0", n)
+	}
+}
+
+// checkExecs runs Check and returns the executions it performed.
+func checkExecs(src, tgt *ir.Func, cfg Config) uint64 {
+	var n uint64
+	cfg.ExecCount = &n
+	Check(src, tgt, cfg)
+	return n
+}
+
+// TestMemoSameTextSidesDeriveOnce: when the target's text equals the
+// source's, the source is admitted within the Check and every set is
+// derived once, serving both sides.
+func TestMemoSameTextSidesDeriveOnce(t *testing.T) {
+	opts := core.LegacyOptions(core.BranchPoisonNondet)
+	cfg := DefaultConfig(opts, opts)
+	src, tgt := ir.MustParseFunc(memoPairs[2].src), ir.MustParseFunc(memoPairs[2].tgt)
+	plain := checkExecs(src, tgt, cfg)
+	cfg.Memo = NewMemo(0)
+	if got := checkExecs(src, tgt, cfg); 2*got != plain {
+		t.Errorf("memoized Check ran %d executions, want %d (half of the memo-less %d)", got, plain/2, plain)
+	}
+	if cfg.Memo.Admissions() != 1 || cfg.Memo.Len() == 0 {
+		t.Errorf("admissions=%d len=%d, want the shared text admitted once and resident", cfg.Memo.Admissions(), cfg.Memo.Len())
+	}
+}
+
+// TestMemoFiveTransformsDeriveSourceOnce: a candidate checked against
+// five transforms through one session derives its source sets once.
+// Every target verifies, so each Check sweeps every input.
+func TestMemoFiveTransformsDeriveSourceOnce(t *testing.T) {
+	opts := core.FreezeOptions()
+	cfg := DefaultConfig(opts, opts)
+	src := ir.MustParseFunc(memoPairs[0].src)
+	var tgts []*ir.Func
+	for _, body := range []string{
+		"%cmp = icmp sgt i2 %b, 0",
+		"%cmp = icmp sge i2 %b, 1",
+		"%cmp = icmp eq i2 %b, 1",
+		"%add = add nsw i2 %b, %a\n  %cmp = icmp sgt i2 %add, %a",
+		"%add = add nsw i2 %a, %b\n  %cmp = icmp slt i2 %a, %add",
+	} {
+		tgts = append(tgts, ir.MustParseFunc("define i1 @f(i2 %a, i2 %b) {\nentry:\n  "+body+"\n  ret i1 %cmp\n}"))
+	}
+	srcExecs := checkExecs(src, ir.CloneFunc(src), cfg) / 2
+	var plain uint64
+	for _, tgt := range tgts {
+		if r := Check(src, tgt, cfg); r.Status != Verified {
+			t.Fatalf("target does not verify: %s\n%s", r, tgt)
+		}
+		plain += checkExecs(src, tgt, cfg)
+	}
+
+	cfg.Memo = NewMemo(0)
+	cfg.Session = cfg.Memo.NewSession()
+	var got uint64
+	for _, tgt := range tgts {
+		got += checkExecs(src, tgt, cfg)
+	}
+	if want := plain - uint64(len(tgts)-1)*srcExecs; got != want {
+		t.Errorf("five checks ran %d executions, want %d (source derived once)", got, want)
+	}
+	if cfg.Memo.SessionReuse() == 0 {
+		t.Error("later checks never reused the session's source sets")
+	}
+}
+
+// TestMemoThirdSightingHits: the first sighting only records the
+// function, the second admits and derives it, the third is served
+// entirely by the memo.
+func TestMemoThirdSightingHits(t *testing.T) {
+	cfg := DefaultConfig(core.FreezeOptions(), core.FreezeOptions())
+	cfg.Memo = NewMemo(0)
+	src, tgt := ir.MustParseFunc(memoPairs[0].src), ir.MustParseFunc(memoPairs[0].tgt)
+	Check(src, tgt, cfg)
+	Check(src, tgt, cfg)
+	if cfg.Memo.Len() == 0 {
+		t.Fatal("second sighting did not admit")
+	}
+	hits, lookups := cfg.Memo.Hits(), cfg.Memo.Lookups()
+	if execs := checkExecs(src, tgt, cfg); execs != 0 {
+		t.Errorf("third sighting ran %d executions, want 0", execs)
+	}
+	if h, l := cfg.Memo.Hits()-hits, cfg.Memo.Lookups()-lookups; h != l || l == 0 {
+		t.Errorf("third sighting: %d hits of %d lookups, want all", h, l)
+	}
+}
+
+// TestMemoIndexBounded: functions whose sets the clock has evicted
+// leave the index, so many more repeated functions than the memo's
+// capacity leave at most that capacity resident in it.
+func TestMemoIndexBounded(t *testing.T) {
+	const capacity = 8
+	opts := core.FreezeOptions()
+	cfg := DefaultConfig(opts, opts)
+	cfg.Memo = NewMemo(capacity)
+	const funcs = 40
+	for i := 0; i < funcs; i++ {
+		text := fmt.Sprintf("define i2 @f%d(i2 %%a) {\nentry:\n  %%x = xor i2 %%a, 1\n  ret i2 %%x\n}", i)
+		// The target repeats the source's text, so each function is
+		// admitted.
+		Check(ir.MustParseFunc(text), ir.MustParseFunc(text), cfg)
+	}
+	if a := cfg.Memo.Admissions(); a != funcs {
+		t.Fatalf("admitted %d functions, want %d", a, funcs)
+	}
+	if n := cfg.Memo.funcs.Len(); n > capacity {
+		t.Errorf("index holds %d functions, want at most the capacity %d", n, capacity)
+	}
+	if n := cfg.Memo.Len(); n > capacity {
+		t.Errorf("Len = %d exceeds capacity %d", n, capacity)
 	}
 }

@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"hash/maphash"
 	"sort"
 )
 
@@ -48,8 +49,8 @@ type ArgSetSnapshot struct {
 	Set BehaviorSetSnapshot
 }
 
-// BehaviorSetSnapshot is a BehaviorSet with the Rets map flattened to
-// a sorted slice, for deterministic encoding. Incomplete sets are
+// BehaviorSetSnapshot is a BehaviorSet with its Rets flattened to a
+// sorted slice of keys, for deterministic encoding. Incomplete sets are
 // never cached, so the field has no snapshot counterpart.
 type BehaviorSetSnapshot struct {
 	UB, Poison, Undef, Void bool
@@ -59,23 +60,16 @@ type BehaviorSetSnapshot struct {
 
 func snapshotSet(b BehaviorSet) BehaviorSetSnapshot {
 	s := BehaviorSetSnapshot{UB: b.UB, Poison: b.Poison, Undef: b.Undef, Void: b.Void, RetBits: b.RetBits}
-	if len(b.Rets) > 0 {
-		s.Rets = make([]string, 0, len(b.Rets))
-		for k := range b.Rets {
-			s.Rets = append(s.Rets, k)
-		}
-		sort.Strings(s.Rets)
+	if b.Rets.Len() > 0 {
+		s.Rets = b.Rets.Keys()
 	}
 	return s
 }
 
 func (s BehaviorSetSnapshot) restore() BehaviorSet {
 	b := BehaviorSet{UB: s.UB, Poison: s.Poison, Undef: s.Undef, Void: s.Void, RetBits: s.RetBits}
-	if len(s.Rets) > 0 {
-		b.Rets = make(map[string]bool, len(s.Rets))
-		for _, k := range s.Rets {
-			b.Rets[k] = true
-		}
+	for _, k := range s.Rets {
+		b.Rets.AddKey(k)
 	}
 	return b
 }
@@ -116,19 +110,17 @@ func (m *Memo) Snapshot() *MemoSnapshot {
 func (m *Memo) LoadSnapshot(snap *MemoSnapshot) int {
 	n := 0
 	for _, ent := range snap.Entries {
-		e := m.entryFor(ent.FuncKey)
+		key := []byte(ent.FuncKey)
+		// A loaded function counts as sighted, so the first session to
+		// meet it looks it up in the index.
+		m.door.sighted(maphash.Bytes(m.seed, key))
+		var e *memoFuncEntry
 		for _, o := range ent.Ordinals {
 			if o.Ordinal < 0 {
 				continue // defensive: never trust file contents blindly
 			}
-			e.mu.Lock()
-			for len(e.byIdx) <= o.Ordinal {
-				e.byIdx = append(e.byIdx, idxSet{})
-			}
-			installed := !e.byIdx[o.Ordinal].ok
-			if installed {
-				e.byIdx[o.Ordinal] = idxSet{set: o.Set.restore(), ok: true, disk: true}
-			}
+			e = m.lockEntry(e, key, 0)
+			installed := e.putIdx(o.Ordinal, o.Set.restore(), true)
 			e.mu.Unlock()
 			if installed {
 				m.admit(evictRef{entry: e, ordinal: o.Ordinal})
@@ -136,16 +128,10 @@ func (m *Memo) LoadSnapshot(snap *MemoSnapshot) int {
 			}
 		}
 		for _, a := range ent.Args {
-			e.mu.Lock()
-			_, dup := e.sets[a.Key]
-			if !dup {
-				if e.sets == nil {
-					e.sets = make(map[string]*strSet)
-				}
-				e.sets[a.Key] = &strSet{set: a.Set.restore(), disk: true}
-			}
+			e = m.lockEntry(e, key, 0)
+			installed := e.putKey(a.Key, a.Set.restore(), true)
 			e.mu.Unlock()
-			if !dup {
+			if installed {
 				m.admit(evictRef{entry: e, key: a.Key, ordinal: -1})
 				n++
 			}

@@ -39,7 +39,7 @@ type CheckMetrics struct {
 
 // setSize is the histogram measure of a behaviour set.
 func setSize(b BehaviorSet) uint64 {
-	n := uint64(len(b.Rets))
+	n := uint64(b.Rets.Len())
 	for _, f := range []bool{b.UB, b.Poison, b.Undef, b.Void} {
 		if f {
 			n++

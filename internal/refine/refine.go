@@ -21,8 +21,8 @@ package refine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+	"sync"
 
 	"tameir/internal/core"
 	_ "tameir/internal/core/bytecode" // link the bytecode tier backend
@@ -40,7 +40,7 @@ type BehaviorSet struct {
 	// Undef: some execution returns a value with an undef lane.
 	Undef bool
 	// Rets: concrete return values (keyed by Value.Key()).
-	Rets map[string]bool
+	Rets RetSet
 	// Void: the function returned normally with no value.
 	Void bool
 	// Incomplete: enumeration hit a resource bound (fuel, choice
@@ -56,7 +56,7 @@ type BehaviorSet struct {
 // coversAllConcretes reports whether Rets contains every value of the
 // return type.
 func (b BehaviorSet) coversAllConcretes() bool {
-	return b.RetBits > 0 && b.RetBits <= 20 && uint64(len(b.Rets)) == uint64(1)<<b.RetBits
+	return b.RetBits > 0 && b.RetBits <= 20 && uint64(b.Rets.Len()) == uint64(1)<<b.RetBits
 }
 
 // String summarizes the set for diagnostics.
@@ -71,12 +71,7 @@ func (b BehaviorSet) String() string {
 	if b.Undef {
 		parts = append(parts, "undef")
 	}
-	rets := make([]string, 0, len(b.Rets))
-	for k := range b.Rets {
-		rets = append(rets, k)
-	}
-	sort.Strings(rets)
-	parts = append(parts, rets...)
+	parts = append(parts, b.Rets.Keys()...)
 	if b.Void {
 		parts = append(parts, "ret void")
 	}
@@ -216,7 +211,12 @@ func DefaultConfig(srcOpts, tgtOpts core.Options) Config {
 // cfg.Interpret to force the legacy interpreter instead.
 func Behaviors(fn *ir.Func, args []core.Value, opts core.Options, cfg Config) BehaviorSet {
 	if cfg.Memo != nil && cfg.Session == nil {
-		cfg.Session = cfg.Memo.NewSession()
+		cfg.Session = cfg.Memo.acquire()
+		defer cfg.Memo.release(cfg.Session)
+	}
+	if s := cfg.Session; s != nil {
+		s.begin(0)
+		defer s.end()
 	}
 	var ex *core.Executor
 	if !cfg.Interpret {
@@ -269,9 +269,6 @@ func behaviorsAt(fn *ir.Func, ex *core.Executor, args []core.Value, ordinal int,
 			return set
 		}
 	}
-	// Rets is allocated on the first concrete return value: many sweeps
-	// (all-poison candidates, void functions, UB) never need it, and
-	// the per-input map allocation is measurable on the §6 campaign.
 	var set BehaviorSet
 	if !fn.RetTy.IsVoid() && fn.RetTy.Bitwidth() <= 20 {
 		set.RetBits = fn.RetTy.Bitwidth()
@@ -286,13 +283,6 @@ func behaviorsAt(fn *ir.Func, ex *core.Executor, args []core.Value, ordinal int,
 		opts.Fuel = cfg.Fuel
 	}
 	execs := 0
-	// Concrete return values repeat heavily across an oracle sweep
-	// (most functions have far fewer distinct results than executions),
-	// and Value.Key() allocates a string every call. Dedupe through a
-	// small linear-scan cache first so the Key()+map-insert cost is
-	// paid once per distinct value, not once per execution.
-	var seen [8]core.Value
-	nseen := 0
 	for {
 		if execs >= cfg.MaxExecs {
 			set.Incomplete = true
@@ -300,6 +290,8 @@ func behaviorsAt(fn *ir.Func, ex *core.Executor, args []core.Value, ordinal int,
 		}
 		execs++
 		o.Reset()
+		// A compiled outcome's lanes are valid only until ex's next Run;
+		// the set reads them below and keeps no reference.
 		var out core.Outcome
 		if ex != nil {
 			out = ex.Run(args, o)
@@ -323,23 +315,7 @@ func behaviorsAt(fn *ir.Func, ex *core.Executor, args []core.Value, ordinal int,
 			case !out.Val.IsConcrete():
 				set.Undef = true
 			default:
-				dup := false
-				for i := 0; i < nseen; i++ {
-					if seen[i].Equal(out.Val) {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					if nseen < len(seen) {
-						seen[nseen] = out.Val
-						nseen++
-					}
-					if set.Rets == nil {
-						set.Rets = make(map[string]bool, 4)
-					}
-					set.Rets[out.Val.Key()] = true
-				}
+				set.Rets.Add(out.Val)
 			}
 		}
 		if !o.Next() {
@@ -384,15 +360,9 @@ func Refines(src, tgt BehaviorSet) (bool, string) {
 		return true, "" // deferred UB in source covers every concrete value
 	}
 	// Report the smallest missing value so the counterexample is
-	// deterministic (map iteration order is not).
-	missing := ""
-	for r := range tgt.Rets {
-		if !src.Rets[r] && (missing == "" || r < missing) {
-			missing = r
-		}
-	}
-	if missing != "" {
-		return false, fmt.Sprintf("target can return %s, source cannot", missing)
+	// deterministic.
+	if missing, ok := tgt.Rets.firstMissing(src.Rets); ok {
+		return false, "target can return " + missing + ", source cannot"
 	}
 	if tgt.Void && !src.Void {
 		return false, "target returns void, source never returns"
@@ -491,8 +461,22 @@ func Check(src, tgt *ir.Func, cfg Config) Result {
 			panic("refine: parameter type mismatch")
 		}
 	}
+	exhaustive := true
+	cands := make([][]core.Value, len(src.Params))
+	n := 1 // the number of input ordinals this Check can consult
+	for i, p := range src.Params {
+		var ex bool
+		cands[i], ex = cachedCandidates(p.Ty, cfg.SrcOpts.Mode, cfg.ExhaustiveInputBits)
+		exhaustive = exhaustive && ex
+		n = min(n*len(cands[i]), max(cfg.MaxInputs, 0))
+	}
 	if cfg.Memo != nil && cfg.Session == nil {
-		cfg.Session = cfg.Memo.NewSession()
+		cfg.Session = cfg.Memo.acquire()
+		defer cfg.Memo.release(cfg.Session)
+	}
+	if s := cfg.Session; s != nil {
+		s.begin(n)
+		defer s.end()
 	}
 	var srcEx, tgtEx *core.Executor
 	if !cfg.Interpret {
@@ -512,18 +496,12 @@ func Check(src, tgt *ir.Func, cfg Config) Result {
 			}()
 		}
 	}
-	exhaustive := true
-	cands := make([][]core.Value, len(src.Params))
-	for i, p := range src.Params {
-		var ex bool
-		cands[i], ex = candidateValuesBits(p.Ty, cfg.SrcOpts.Mode, cfg.ExhaustiveInputBits)
-		exhaustive = exhaustive && ex
-	}
 
 	res := Result{Exhaustive: exhaustive}
 	idx := make([]int, len(cands))
+	// One args vector serves every input; a counterexample takes a copy.
+	args := make([]core.Value, len(cands))
 	for {
-		args := make([]core.Value, len(cands))
 		for i, j := range idx {
 			args[i] = cands[i][j]
 		}
@@ -547,7 +525,7 @@ func Check(src, tgt *ir.Func, cfg Config) Result {
 				res.InconclusiveInputs++
 			} else {
 				res.Status = Refuted
-				res.CE = &CounterExample{Args: args, Src: sb, Tgt: tb, Reason: reason}
+				res.CE = &CounterExample{Args: append([]core.Value(nil), args...), Src: sb, Tgt: tb, Reason: reason}
 				return res
 			}
 		}
@@ -579,6 +557,42 @@ func Check(src, tgt *ir.Func, cfg Config) Result {
 // enumerated; Config.ExhaustiveInputBits widens that cutoff.
 func CandidateValues(ty ir.Type, mode core.Mode) ([]core.Value, bool) {
 	return candidateValuesBits(ty, mode, 0)
+}
+
+// candidates memoizes candidateValuesBits, a pure function of its
+// arguments, so Check builds each candidate list once per process. The
+// lists are shared read-only by every Check.
+var candidates struct {
+	sync.RWMutex
+	m map[candidateKey]candidateList
+}
+
+type candidateKey struct {
+	ty   ir.Type
+	mode core.Mode
+	bits uint
+}
+
+type candidateList struct {
+	vals       []core.Value
+	exhaustive bool
+}
+
+func cachedCandidates(ty ir.Type, mode core.Mode, bits uint) ([]core.Value, bool) {
+	k := candidateKey{ty, mode, bits}
+	candidates.RLock()
+	c, ok := candidates.m[k]
+	candidates.RUnlock()
+	if !ok {
+		c.vals, c.exhaustive = candidateValuesBits(ty, mode, bits)
+		candidates.Lock()
+		if candidates.m == nil {
+			candidates.m = make(map[candidateKey]candidateList)
+		}
+		candidates.m[k] = c
+		candidates.Unlock()
+	}
+	return c.vals, c.exhaustive
 }
 
 func candidateValuesBits(ty ir.Type, mode core.Mode, bits uint) ([]core.Value, bool) {
