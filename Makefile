@@ -106,8 +106,11 @@ ci-cache:
 # byte-identical final corpus; the exhaustive-on-Source path gets the
 # same cmp across workers 1 vs 4, proving the Source refactor did not
 # perturb the original stream. Liveness: the mutation run's metric
-# snapshot must show a populated corpus, novel coverage keys, and a
-# reducer that actually shrank findings. The ci-workload/ dir — both
+# snapshot must show a populated corpus, novel coverage keys, a
+# reducer that actually shrank findings, and executions the engines
+# stopped early as provably divergent (looping mutants would otherwise
+# run to the fuel limit, which costs no verdict but most of the run's
+# time). The ci-workload/ dir — both
 # findings files, the corpus, and the metric snapshot — is kept for the
 # workflow's fuzz-corpus artifact.
 .PHONY: ci-workload
@@ -119,7 +122,7 @@ ci-workload:
 	  -corpus ci-workload/corpus-w8.ll > ci-workload/mutate-w8.txt || true
 	cmp ci-workload/mutate-w2.txt ci-workload/mutate-w8.txt
 	cmp ci-workload/corpus-w2.ll ci-workload/corpus-w8.ll
-	$(GO) run ./cmd/tame-metrics -check 'workload_funcs_total>0,workload_epochs_total>0,corpus_size>0,coverage_keys>0,reduce_steps_total>0,reduce_findings_total>0' ci-workload/mutate-metrics.json
+	$(GO) run ./cmd/tame-metrics -check 'workload_funcs_total>0,workload_epochs_total>0,corpus_size>0,coverage_keys>0,reduce_steps_total>0,reduce_findings_total>0,engine_cycle_exits_total>0' ci-workload/mutate-metrics.json
 	$(GO) run ./cmd/tame-fuzz -validate -n 300 -workers 1 -sem freeze > ci-workload/exhaustive-w1.txt
 	$(GO) run ./cmd/tame-fuzz -validate -source exhaustive -n 300 -workers 4 -sem freeze > ci-workload/exhaustive-w4.txt
 	cmp ci-workload/exhaustive-w1.txt ci-workload/exhaustive-w4.txt

@@ -60,6 +60,10 @@ type Runner struct {
 
 	rootFr *frame
 	free   map[*fnProg][]*frame
+
+	// cyc is the divergence detector the closure engine uses too. It
+	// sees the same backward jumps, so both tiers exit at the same step.
+	cyc core.Cycles
 }
 
 // Run implements core.TierRunner, mirroring core.Executor.Run step for
@@ -73,6 +77,7 @@ func (r *Runner) Run(args []core.Value, o core.Oracle, m *core.EngineMetrics) co
 	r.o = o
 	r.m = m
 	r.opts = r.p.opts
+	r.cyc.Arm(o, !r.p.needsMem && !r.opts.EmitTrace)
 	r.fuel = r.p.opts.Fuel
 	r.depth = 0
 	r.steps = 0
@@ -183,6 +188,7 @@ func (r *Runner) invoke(p *fnProg, args []core.Value) core.Outcome {
 	}
 	r.free[p] = append(r.free[p], fr)
 	r.depth--
+	r.cyc.Return(r.depth)
 	return out
 }
 
@@ -190,11 +196,19 @@ func ubOut(msg string) *core.Outcome { return &core.Outcome{Kind: core.OutUB, Ms
 
 var timeoutOut = core.Outcome{Kind: core.OutTimeout}
 
+// outOfFuel ends an execution at the fuel limit.
+func (r *Runner) outOfFuel() core.Outcome {
+	r.m.FuelExits++
+	return timeoutOut
+}
+
 // exec is the dispatch loop over the dense instruction stream. Fuel is
 // charged per original IR instruction exactly as the other engines
 // charge it: one unit checked-then-charged per step, none for phi
 // moves or pre/fall errors; fused bodies charge in bulk when covered
-// and refund the unexecuted tail on abort.
+// and refund the unexecuted tail on abort. Backward jumps (to a pc at
+// or before the branch) go to the cycle detector, as in the closure
+// engine.
 func (r *Runner) exec(p *fnProg, fr *frame, args []core.Value) core.Outcome {
 	for i, ps := range p.params {
 		if ps.vec {
@@ -214,7 +228,7 @@ func (r *Runner) exec(p *fnProg, fr *frame, args []core.Value) core.Outcome {
 		}
 		if op != opFuse {
 			if r.fuel <= 0 {
-				return timeoutOut
+				return r.outOfFuel()
 			}
 			r.fuel--
 			r.steps++
@@ -240,7 +254,7 @@ func (r *Runner) exec(p *fnProg, fr *frame, args []core.Value) core.Outcome {
 			} else {
 				for i := range body.uops {
 					if r.fuel <= 0 {
-						return timeoutOut
+						return r.outOfFuel()
 					}
 					r.fuel--
 					r.steps++
@@ -261,6 +275,9 @@ func (r *Runner) exec(p *fnProg, fr *frame, args []core.Value) core.Outcome {
 			tgt, out := r.takeEdge(p, fr, &p.edges[a])
 			if out != nil {
 				return *out
+			}
+			if tgt <= pc && r.cyc.Repeats(r.o, r.depth, tgt, fr.s, fr.v) {
+				return r.cyc.Exit(&r.fuel, r.m)
 			}
 			pc = tgt
 
@@ -285,6 +302,9 @@ func (r *Runner) exec(p *fnProg, fr *frame, args []core.Value) core.Outcome {
 			tgt, out := r.takeEdge(p, fr, &p.edges[ei])
 			if out != nil {
 				return *out
+			}
+			if tgt <= pc && r.cyc.Repeats(r.o, r.depth, tgt, fr.s, fr.v) {
+				return r.cyc.Exit(&r.fuel, r.m)
 			}
 			pc = tgt
 

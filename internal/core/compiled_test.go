@@ -12,6 +12,7 @@ package core_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sync"
 	"testing"
@@ -108,16 +109,17 @@ func outcomeKey(o core.Outcome) string {
 	return s
 }
 
-// diffOne sweeps all three engines through the full oracle enumeration
-// on one (function, input) and fails on the first divergence.
-func diffOne(t *testing.T, label string, fn *ir.Func, ex, exB *core.Executor, args []core.Value, opts core.Options) {
+// diffOne sweeps all three engines through the oracle enumeration on
+// one (function, input), up to maxExecs executions, and fails on the
+// first divergence.
+func diffOne(t *testing.T, label string, fn *ir.Func, ex, exB *core.Executor, args []core.Value, opts core.Options, maxExecs int) {
 	t.Helper()
 	const maxChoices, maxFanout = 16, 1 << 8
 	oi := core.NewEnumOracle(maxChoices, maxFanout)
 	oc := core.NewEnumOracle(maxChoices, maxFanout)
 	ob := core.NewEnumOracle(maxChoices, maxFanout)
 	for exec := 0; ; exec++ {
-		if exec > 1<<14 {
+		if exec > maxExecs {
 			// Undef-heavy functions can have more resolutions than worth
 			// sweeping (refine stops here too, via MaxExecs); every
 			// execution so far was compared, which is the point.
@@ -150,8 +152,16 @@ func diffOne(t *testing.T, label string, fn *ir.Func, ex, exB *core.Executor, ar
 }
 
 // diffFunc compiles fn once and lockstep-compares every input across
-// the interpreter, the closure engine, and the bytecode tier.
-func diffFunc(t *testing.T, label string, fn *ir.Func, opts core.Options) {
+// the interpreter, the closure engine, and the bytecode tier. It
+// returns the closure and bytecode executors' engine counters.
+func diffFunc(t *testing.T, label string, fn *ir.Func, opts core.Options) (closure, bytecode core.EngineMetrics) {
+	t.Helper()
+	return diffFuncExecs(t, label, fn, opts, 1<<14)
+}
+
+// diffFuncExecs is diffFunc comparing at most maxExecs oracle paths per
+// input.
+func diffFuncExecs(t *testing.T, label string, fn *ir.Func, opts core.Options, maxExecs int) (closure, bytecode core.EngineMetrics) {
 	t.Helper()
 	prog := core.Compile(fn, opts)
 	ex := core.NewExecutor(prog)
@@ -159,7 +169,7 @@ func diffFunc(t *testing.T, label string, fn *ir.Func, opts core.Options) {
 	exB.SetTier(core.TierPolicy{Mode: core.TierBytecode})
 	first := true
 	for _, args := range paramInputs(fn, opts.Mode) {
-		diffOne(t, label, fn, ex, exB, args, opts)
+		diffOne(t, label, fn, ex, exB, args, opts, maxExecs)
 		if first {
 			// A silent fallback to the closure engine would make the
 			// three-way comparison vacuous; every test function must
@@ -170,6 +180,7 @@ func diffFunc(t *testing.T, label string, fn *ir.Func, opts core.Options) {
 			first = false
 		}
 	}
+	return *ex.Metrics(), *exB.Metrics()
 }
 
 // compiledCorpus is hand-written IR hitting the constructs the
@@ -180,6 +191,12 @@ var compiledCorpus = []struct {
 	name       string
 	src        string
 	legacyOnly bool // uses undef, which the freeze dialect rejects
+	fuel       int  // execution fuel; 0 keeps the default
+	// exit, for a case that never returns, says how both compiled
+	// engines must end it: "cycle" (proven divergent and stopped
+	// early) or "fuel" (run to the fuel limit). The interpreter always
+	// runs to the limit, so the lockstep shows the early exit exact.
+	exit string
 }{
 	{name: "phi-merge", src: `define i2 @f(i2 %a, i2 %b) {
 entry:
@@ -386,12 +403,237 @@ t:
 e:
   ret i2 3
 }`},
-	{name: "infinite-loop-fuel", src: `define void @f() {
+	{name: "infinite-loop-fuel", fuel: 500, exit: "cycle", src: `define void @f() {
 entry:
   br label %loop
 loop:
   br label %loop
 }`},
+	{name: "i2-counter-wraps", fuel: 500, exit: "cycle", src: `define i2 @f(i2 %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi i2 [ %n, %entry ], [ %i1, %loop ]
+  %i1 = add i2 %i, 1
+  %c = icmp ugt i2 %i1, 3
+  br i1 %c, label %done, label %loop
+done:
+  ret i2 %i1
+}`},
+	{name: "phi-swap-forever", fuel: 500, exit: "cycle", src: `define i2 @f(i2 %x) {
+entry:
+  br label %loop
+loop:
+  %a = phi i2 [ %x, %entry ], [ %b, %loop ]
+  %b = phi i2 [ 1, %entry ], [ %a, %loop ]
+  br label %loop
+}`},
+	{name: "i16-counter-no-repeat", fuel: 500, exit: "fuel", src: `define i2 @f(i2 %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi i16 [ 0, %entry ], [ %i1, %loop ]
+  %i1 = add i16 %i, 1
+  %c = icmp eq i16 %i1, 0
+  br i1 %c, label %done, label %loop
+done:
+  ret i2 %n
+}`},
+	// Chooses on every iteration until MaxChoices overflows, then
+	// repeats with the oracle pinned at its limit.
+	{name: "freeze-poison-loop", fuel: 500, exit: "cycle", src: `define i2 @f(i2 %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi i2 [ %n, %entry ], [ %i1, %loop ]
+  %x = freeze i1 poison
+  %i1 = add i2 %i, 1
+  br i1 %x, label %done, label %loop
+done:
+  ret i2 %i
+}`},
+	// Chooses on every fourth backward jump only, so snapshots are
+	// taken long before MaxChoices overflows, at states whose
+	// registers recur four jumps later with the oracle one choice on.
+	{name: "freeze-every-fourth-jump", fuel: 500, exit: "cycle", src: `define i2 @f(i2 %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi i2 [ %n, %entry ], [ %i1, %loop ], [ %i1, %pick ]
+  %i1 = add i2 %i, 1
+  %c = icmp eq i2 %i1, 0
+  br i1 %c, label %pick, label %loop
+pick:
+  %x = freeze i1 poison
+  br i1 %x, label %done, label %loop
+done:
+  ret i2 %i
+}`},
+	{name: "undef-branch-loop", legacyOnly: true, fuel: 500, exit: "cycle", src: `define i2 @f(i2 %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi i2 [ %n, %entry ], [ %i1, %loop ]
+  %i1 = xor i2 %i, 1
+  br i1 undef, label %done, label %loop
+done:
+  ret i2 %i
+}`},
+	// Registers repeat every four iterations, but memory is not part
+	// of the detector's state, so no early exit.
+	{name: "store-loop-forever", fuel: 500, exit: "fuel", src: `define i2 @f(i2 %n) {
+entry:
+  %a = alloca i2, i32 1
+  br label %loop
+loop:
+  %i = phi i2 [ %n, %entry ], [ %i1, %loop ]
+  store i2 %i, ptr %a
+  %i1 = add i2 %i, 1
+  br label %loop
+}`},
+	// The caller's registers repeat on every jump while the counter in
+	// memory climbs to the exit: only the memory rule keeps the run
+	// going.
+	{name: "memory-counter-loop", src: `define i1 @tick(ptr %p) {
+entry:
+  %v = load i8, ptr %p
+  %v1 = add i8 %v, 1
+  store i8 %v1, ptr %p
+  %c = icmp eq i8 %v1, 20
+  ret i1 %c
+}
+define i2 @f(i2 %n) {
+entry:
+  %p = alloca i8, i32 1
+  store i8 0, ptr %p
+  br label %loop
+loop:
+  %d = call i1 @tick(ptr %p)
+  br i1 %d, label %done, label %loop
+done:
+  ret i2 %n
+}`},
+	{name: "callee-spins", fuel: 500, exit: "cycle", src: `define i2 @spin(i2 %x) {
+entry:
+  br label %loop
+loop:
+  %i = phi i2 [ %x, %entry ], [ %i1, %loop ]
+  %i1 = mul i2 %i, 3
+  br label %loop
+}
+define i2 @f(i2 %a) {
+entry:
+  %b = add i2 %a, 1
+  %r = call i2 @spin(i2 %b)
+  ret i2 %r
+}`},
+	// Each call makes one backward jump, the first call's is snapshot,
+	// and the second call's reaches the same state at the same depth:
+	// only dropping the snapshot when its activation returns keeps the
+	// second call from being taken for a cycle.
+	{name: "callee-loop-called-twice", src: `define i2 @two() {
+entry:
+  br label %loop
+loop:
+  %i = phi i2 [ 0, %entry ], [ %i1, %loop ]
+  %i1 = add i2 %i, 1
+  %c = icmp ult i2 %i1, 2
+  br i1 %c, label %loop, label %done
+done:
+  ret i2 %i1
+}
+define i2 @f(i2 %a) {
+entry:
+  %x = call i2 @two()
+  %y = call i2 @two()
+  %s = add i2 %x, %y
+  %r = add i2 %s, %a
+  ret i2 %r
+}`},
+	// @f's loop and @g's have the same block index and registers; @g's
+	// jump, one call deeper, must not match the snapshot @f's took.
+	{name: "caller-and-callee-same-loop", src: `define i2 @g(i2 %a) {
+entry:
+  br label %loop
+loop:
+  %i = phi i2 [ 0, %entry ], [ %i1, %loop ]
+  %i1 = add i2 %i, 1
+  %c = icmp ult i2 %i1, 2
+  br i1 %c, label %loop, label %done
+done:
+  %r = add i2 %i1, %a
+  ret i2 %r
+}
+define i2 @f(i2 %a) {
+entry:
+  br label %loop
+loop:
+  %i = phi i2 [ 0, %entry ], [ %i1, %loop ]
+  %i1 = add i2 %i, 1
+  %c = icmp ult i2 %i1, 2
+  br i1 %c, label %loop, label %done
+done:
+  %r = call i2 @g(i2 %a)
+  ret i2 %r
+}`},
+}
+
+// TestEnvRunCycleExit covers what the lockstep sweep cannot: an Env
+// carries its fuel from run to run, so a cycle exit must leave it as
+// empty as the fuel limit would, and a traced env must see every step
+// the interpreter steps, so it never exits early.
+func TestEnvRunCycleExit(t *testing.T) {
+	m, err := ir.ParseModule(`define i2 @spin(i2 %a) {
+entry:
+  br label %loop
+loop:
+  %i = phi i2 [ %a, %entry ], [ %i1, %loop ]
+  %i1 = add i2 %i, 1
+  br label %loop
+}
+define i2 @one() {
+entry:
+  ret i2 1
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spin, one := m.Funcs[0], m.Funcs[1]
+	opts := core.FreezeOptions()
+	opts.Fuel = 500
+	for _, traced := range []bool{false, true} {
+		var envs [2]*core.Env // interpreter, closure engine
+		var events [2]int
+		for i := range envs {
+			if envs[i], err = core.NewEnv(m, core.ZeroOracle{}, opts); err != nil {
+				t.Fatal(err)
+			}
+			if traced {
+				n := &events[i]
+				envs[i].Trace = func(int, *ir.Instr, core.Value) { *n++ }
+			}
+		}
+		// The second run finds the fuel the first one left: none.
+		for _, run := range []struct {
+			fn   *ir.Func
+			args []core.Value
+		}{{spin, []core.Value{core.VC(ir.I2, 1)}}, {one, nil}} {
+			want, got := envs[0].RunInterp(run.fn, run.args), envs[1].Run(run.fn, run.args)
+			if want.String() != got.String() {
+				t.Errorf("traced=%t @%s: closure engine %s, interpreter %s", traced, run.fn.Name(), got, want)
+			}
+		}
+		if events[0] != events[1] {
+			t.Errorf("traced=%t: closure engine traced %d steps, interpreter %d", traced, events[1], events[0])
+		}
+		wantExits := uint64(1)
+		if traced {
+			wantExits = 0
+		}
+		if got := envs[1].Metrics.CycleExits; got != wantExits {
+			t.Errorf("traced=%t: %d cycle exits, want %d", traced, got, wantExits)
+		}
+	}
 }
 
 // TestCompiledMatchesInterpreter is the engine-parity property test
@@ -411,10 +653,20 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 					continue
 				}
 				opts := v.opts
-				if tc.name == "infinite-loop-fuel" {
-					opts.Fuel = 500 // exercise identical fuel accounting
+				opts.Fuel = tc.fuel
+				label := tc.name + "/" + v.name
+				mc, mb := diffFunc(t, label, fn, opts)
+				for _, m := range []struct {
+					tier string
+					m    core.EngineMetrics
+				}{{"closure", mc}, {"bytecode", mb}} {
+					switch {
+					case tc.exit == "cycle" && m.m.CycleExits == 0:
+						t.Errorf("%s: %s engine never stopped the divergent loop early", label, m.tier)
+					case tc.exit == "fuel" && (m.m.CycleExits != 0 || m.m.FuelExits == 0):
+						t.Errorf("%s: %s engine: %d cycle exits, %d fuel exits; want none and some", label, m.tier, m.m.CycleExits, m.m.FuelExits)
+					}
 				}
-				diffFunc(t, tc.name+"/"+v.name, fn, opts)
 			}
 		}
 	})
@@ -465,6 +717,79 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 			diffFunc(t, fmt.Sprintf("random-freeze[%d]", i), fn, core.FreezeOptions())
 		}
 	})
+
+	t.Run("mutant-cfg", func(t *testing.T) {
+		// CFG mutants (loops, diamonds, phis) in both dialects, at a fuel
+		// low enough that looping mutants soon reach the fuel limit or a
+		// proven cycle. Legacy mutants loop over undef, which multiplies
+		// the oracle paths per input, so they compare fewer of them. The
+		// exit counters must come out positive on both tiers, or the
+		// lockstep never compared an early exit.
+		var exits [2]uint64
+		for _, d := range []struct {
+			mode     ir.VerifyMode
+			opts     core.Options
+			maxExecs int
+		}{
+			{ir.VerifyFreeze, core.FreezeOptions(), 1 << 14},
+			{ir.VerifyLegacy, core.LegacyOptions(core.BranchPoisonNondet), 256},
+		} {
+			opts := d.opts
+			opts.Fuel = 200
+			for i, fn := range mutantCFGs(d.mode, 40) {
+				mc, mb := diffFuncExecs(t, fmt.Sprintf("mutant-%s[%d]", opts.Mode, i), fn, opts, d.maxExecs)
+				exits[0] += mc.CycleExits
+				exits[1] += mb.CycleExits
+			}
+		}
+		if exits[0] == 0 || exits[1] == 0 {
+			t.Fatalf("cycle exits: closure %d, bytecode %d; the mutants never exercised the early exit", exits[0], exits[1])
+		}
+	})
+}
+
+// mutantCFGs returns the mutants of epochs 1-3 of one
+// optfuzz.MutationSource lineage in the given dialect, perEpoch each.
+// The source advances on feedback derived from each mutant's text
+// alone, so the mutants do not depend on any engine under test. freeze
+// is left out of the opcode menu, as in the benchmark's mutant corpus:
+// a freeze inside a long loop makes one input enumerate thousands of
+// oracle paths.
+func mutantCFGs(mode ir.VerifyMode, perEpoch int) []*ir.Func {
+	gen := optfuzz.DefaultConfig(3)
+	gen.AllowUndef = mode == ir.VerifyLegacy
+	gen.AllowPoison = true
+	gen.Opcodes = []ir.Op{
+		ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpUDiv, ir.OpSDiv, ir.OpURem, ir.OpSRem,
+		ir.OpShl, ir.OpLShr, ir.OpAShr, ir.OpAnd, ir.OpOr, ir.OpXor,
+		ir.OpICmp, ir.OpSelect,
+	}
+	mcfg := optfuzz.DefaultMutationConfig(13)
+	mcfg.Gen = gen
+	mcfg.Mode = mode
+	mcfg.Epochs = 4
+	mcfg.PerEpoch = perEpoch
+	src := optfuzz.NewMutationSource(mcfg)
+	var out []*ir.Func
+	for epoch := 0; epoch < mcfg.Epochs; epoch++ {
+		var fb []optfuzz.Feedback
+		for s := 0; s < src.Shards(); s++ {
+			idx := 0
+			src.Enumerate(s, 0, func(f *ir.Func) bool {
+				text := f.String()
+				if epoch > 0 {
+					out = append(out, f)
+				}
+				h := fnv.New64a()
+				h.Write([]byte(text))
+				fb = append(fb, optfuzz.Feedback{Shard: s, Index: idx, Src: text, Behavior: h.Sum64()})
+				idx++
+				return true
+			})
+		}
+		src.Advance(epoch, fb)
+	}
+	return out
 }
 
 // TestProgramSharedAcrossGoroutines exercises the frame and executor

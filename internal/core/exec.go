@@ -83,6 +83,8 @@ type Env struct {
 	// copies the pointed-to Outcome out by value before any other step
 	// can run, so one slot per env serves every ret at every depth.
 	retOut Outcome
+	// cyc detects proven divergence on the closure engine.
+	cyc Cycles
 	// Steps counts executed instructions (exposed for the evaluation
 	// harness's "run time" proxy when not using the VX64 simulator).
 	Steps int
@@ -119,6 +121,13 @@ type EngineMetrics struct {
 	ClosureExecs  uint64
 	BytecodeExecs uint64
 	Promotions    uint64
+
+	// Timed-out executions on the compiled engines, by cause:
+	// CycleExits were proven divergent and stopped early (cycle.go),
+	// FuelExits ran out of fuel. Call-depth timeouts and interpreter
+	// runs count in neither.
+	CycleExits uint64
+	FuelExits  uint64
 }
 
 // Add folds o into m.
@@ -131,6 +140,8 @@ func (m *EngineMetrics) Add(o EngineMetrics) {
 	m.ClosureExecs += o.ClosureExecs
 	m.BytecodeExecs += o.BytecodeExecs
 	m.Promotions += o.Promotions
+	m.CycleExits += o.CycleExits
+	m.FuelExits += o.FuelExits
 }
 
 // NewEnv prepares an execution environment: it allocates and
@@ -204,6 +215,7 @@ func (env *Env) Run(fn *ir.Func, args []Value) Outcome {
 		return *out
 	}
 	steps0 := env.Steps
+	env.cyc.Arm(env.Oracle, !p.needsMem && !p.opts.EmitTrace)
 	out := p.invoke(env, args)
 	env.Metrics.Execs++
 	env.Metrics.ClosureExecs++

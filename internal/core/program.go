@@ -962,11 +962,14 @@ func (p *Program) invoke(env *Env, args []Value) Outcome {
 	clear(fr.regs)
 	p.framePool.Put(fr)
 	env.depth--
+	env.cyc.Return(env.depth)
 	return out
 }
 
 // execFrame is the dispatch loop: fuel is charged per step exactly as
-// the interpreter charges it per non-phi instruction.
+// the interpreter charges it per non-phi instruction. Every backward
+// jump goes to the env's cycle detector, which ends a run that provably
+// never terminates with the timeout the fuel limit would give it.
 func (p *Program) execFrame(env *Env, fr *cframe, args []Value) Outcome {
 	regs := fr.regs
 	for i := range p.fn.Params {
@@ -981,6 +984,7 @@ func (p *Program) execFrame(env *Env, fr *cframe, args []Value) Outcome {
 		jumped := false
 		for _, step := range b.steps {
 			if env.fuel <= 0 {
+				env.Metrics.FuelExits++
 				return Outcome{Kind: OutTimeout}
 			}
 			env.fuel--
@@ -990,6 +994,9 @@ func (p *Program) execFrame(env *Env, fr *cframe, args []Value) Outcome {
 				return *out
 			}
 			if next >= 0 {
+				if next <= bi && env.cyc.Repeats(env.Oracle, env.depth, next, nil, regs) {
+					return env.cyc.Exit(&env.fuel, &env.Metrics)
+				}
 				bi = next
 				jumped = true
 				break
@@ -1136,6 +1143,7 @@ func (e *Executor) Run(args []Value, o Oracle) Outcome {
 	}
 	env := &e.env
 	env.Oracle = o
+	env.cyc.Arm(o, !p.needsMem && !p.opts.EmitTrace)
 	env.fuel = p.opts.Fuel
 	env.depth = 0
 	env.Steps = 0
