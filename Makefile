@@ -33,7 +33,8 @@ check: build vet test race
 # concurrency-bearing surfaces — the worker-pool packages, the shared
 # cross-shard memo, the three-way engine lockstep (interpreter vs
 # closures vs bytecode) with the shared program cache and frame pool,
-# the bytecode lowering/fold/promotion tests, and the telemetry
+# the bytecode lowering/fold/promotion tests, one program enumerated
+# with state merging from several goroutines, and the telemetry
 # registry's lock-free hot paths — then a quick E12 smoke across all
 # three tiers and both worker counts (exits nonzero if any engine
 # row's behaviour hash diverges from the interpreted baseline; its
@@ -45,8 +46,9 @@ check: build vet test race
 # the bytecode VM actually fired (the legacy campaign: its undef
 # resolution drives enough executions per program to trip the
 # auto-promotion threshold, where the memoized freeze sweep does
-# not). The JSON twin of that snapshot lands in metrics-snapshot.json
-# for the workflow artifact.
+# not) and that state merging ended runs early, so a change that
+# silently turns merging off fails here. The JSON twin of that
+# snapshot lands in metrics-snapshot.json for the workflow artifact.
 #
 # The poison-analysis guards run after that: tame-lint over the
 # freeze-elim corpus (verifier + SSA + dataflow diagnostics must be
@@ -61,12 +63,12 @@ check: build vet test race
 # -verify-each so the battery covers the legacy dialect too.
 ci: vet test
 	$(GO) test -race ./internal/passes ./internal/optfuzz
-	$(GO) test -race -run 'Memo|Compiled|ProgramShared|ExecTwins|Lowering|Fold|Superblock|TierPromotion' ./internal/refine ./internal/core ./internal/core/bytecode ./internal/bench
+	$(GO) test -race -run 'Memo|Compiled|ProgramShared|ExecTwins|Lowering|Fold|Superblock|TierPromotion|MergingShared' ./internal/refine ./internal/core ./internal/core/bytecode ./internal/bench
 	$(GO) test -race -run 'TelemetryRaceStress' ./internal/telemetry
 	mkdir -p ci-bench
 	$(GO) run ./cmd/tame-bench -exp exec -quick -json ci-bench/BENCH_exec.quick.json
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics - \
-	  | $(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total,campaign_verified_total,check_checks_total,check_inputs_total,check_set_size,engine_steps_total,engine_execs_bytecode_total>0,engine_promotions_total>0,progcache_hits_total,memo_lookups_total,pool_tasks_total,pass_runs_total,opt_funcs_total,analysis_computes_total,span_wall_ns,verify_each_checks_total>0,verify_each_failures_total=0'
+	  | $(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total,campaign_verified_total,check_checks_total,check_inputs_total,check_set_size,engine_steps_total,engine_execs_bytecode_total>0,engine_promotions_total>0,engine_merge_exits_total>0,progcache_hits_total,memo_lookups_total,pool_tasks_total,pass_runs_total,opt_funcs_total,analysis_computes_total,span_wall_ns,verify_each_checks_total>0,verify_each_failures_total=0'
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics metrics-snapshot.json
 	$(GO) run ./cmd/tame-lint -q internal/passes/testdata/freeze-elim-loop.ll
 	$(GO) run ./cmd/tame-opt -sem freeze -verify-each -metrics metrics-verify-each.txt internal/passes/testdata/freeze-elim-loop.ll > /dev/null

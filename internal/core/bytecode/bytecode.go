@@ -159,9 +159,10 @@ type bedge struct {
 	moves  []bmove
 }
 
-// fnProg is one lowered function.
+// fnProg is one lowered function. It keeps nothing of the IR it was
+// lowered from: a shared lowering (core's lowering cache) serves every
+// function with the same text and must not pin the first one.
 type fnProg struct {
-	fn   *ir.Func
 	nS   int // scalar slot-plane size
 	nV   int // vector slot-plane size
 	code []uint64
@@ -179,15 +180,29 @@ type fnProg struct {
 	vslotIdent []string
 
 	params []pslot
+
+	// For core's liveness, which numbers slots and instructions as the
+	// closure engine does: planes maps each closure slot (params, then
+	// every non-void instruction) to its scalar-plane index, or ^index
+	// on the vector plane; ords maps each pc to the ordinal of its
+	// instruction among the non-phi instructions (a fused body's first
+	// µop).
+	planes []int32
+	ords   []int32
 }
 
+// pslot is one parameter: its slot and plane, and its type for the
+// argument check.
 type pslot struct {
 	slot int32
 	vec  bool
+	ty   ir.Type
 }
 
 // Prog is a whole lowered call graph: the core.TierProgram the
-// backend hands the tiering controller. Immutable after lowering.
+// backend hands the tiering controller. Immutable after lowering. mod
+// is kept only when the program touches memory, whose globals the
+// runner lays out.
 type Prog struct {
 	root     *fnProg
 	opts     core.Options
@@ -210,7 +225,9 @@ type LowerStats struct {
 func (p *Prog) Stats() LowerStats { return p.stats }
 
 // NewRunner implements core.TierProgram.
-func (p *Prog) NewRunner() core.TierRunner { return &Runner{p: p, opts: p.opts} }
+func (p *Prog) NewRunner(src *core.Program) core.TierRunner {
+	return &Runner{p: p, opts: p.opts, src: src}
+}
 
 // tooLarge guards the 16-bit instruction fields; functions this big do
 // not occur in the fuzz campaigns, and the backend declines them
@@ -229,13 +246,11 @@ func lower(fn *ir.Func, opts core.Options) (p *Prog, ok bool) {
 		}
 	}()
 	root := lk.lowerFn(fn)
-	return &Prog{
-		root:     root,
-		opts:     opts,
-		mod:      fn.Parent(),
-		needsMem: lk.needsMem,
-		stats:    lk.stats,
-	}, true
+	p = &Prog{root: root, opts: opts, needsMem: lk.needsMem, stats: lk.stats}
+	if lk.needsMem {
+		p.mod = fn.Parent()
+	}
+	return p, true
 }
 
 var (
@@ -260,9 +275,9 @@ func (lk *linker) lowerFn(fn *ir.Func) *fnProg {
 	if p := lk.fns[fn]; p != nil {
 		return p
 	}
-	p := &fnProg{fn: fn}
+	p := &fnProg{}
 	lk.fns[fn] = p
-	lw := &fnLower{lk: lk, p: p, opts: lk.opts, slotOf: map[ir.Value]slotInfo{}}
+	lw := &fnLower{lk: lk, fn: fn, p: p, opts: lk.opts, slotOf: map[ir.Value]slotInfo{}}
 	lw.lower()
 	lk.stats.Funcs++
 	return p
@@ -275,6 +290,7 @@ type slotInfo struct {
 
 type fnLower struct {
 	lk     *linker
+	fn     *ir.Func
 	p      *fnProg
 	opts   core.Options
 	slotOf map[ir.Value]slotInfo
@@ -296,7 +312,7 @@ type fnLower struct {
 }
 
 func (lw *fnLower) lower() {
-	fn := lw.p.fn
+	fn := lw.fn
 
 	// Slot layout mirrors the closure engine — params first, then
 	// every non-void instruction in block order — but split into two
@@ -309,10 +325,12 @@ func (lw *fnLower) lower() {
 		if ty.IsVec() {
 			lw.slotOf[v] = slotInfo{slot: int32(lw.p.nV), vec: true}
 			lw.p.vslotIdent = append(lw.p.vslotIdent, ident)
+			lw.p.planes = append(lw.p.planes, ^int32(lw.p.nV))
 			lw.p.nV++
 		} else {
 			lw.slotOf[v] = slotInfo{slot: int32(lw.p.nS), vec: false}
 			lw.p.slotIdent = append(lw.p.slotIdent, ident)
+			lw.p.planes = append(lw.p.planes, int32(lw.p.nS))
 			lw.p.nS++
 		}
 	}
@@ -327,7 +345,7 @@ func (lw *fnLower) lower() {
 	lw.p.params = make([]pslot, len(fn.Params))
 	for i, prm := range fn.Params {
 		si := lw.slotOf[prm]
-		lw.p.params[i] = pslot{slot: si.slot, vec: si.vec}
+		lw.p.params[i] = pslot{slot: si.slot, vec: si.vec, ty: prm.Ty}
 	}
 
 	lw.blockPC = make([]int32, len(fn.Blocks))
@@ -339,6 +357,19 @@ func (lw *fnLower) lower() {
 	for i := range lw.p.edges {
 		lw.p.edges[i].target = lw.blockPC[lw.edgeBlock[i]]
 	}
+	// Every charged op is one instruction, a fused body one per µop.
+	lw.p.ords = make([]int32, len(lw.p.code))
+	n := int32(0)
+	for pc, ins := range lw.p.code {
+		lw.p.ords[pc] = n
+		switch ins & 0xff {
+		case opFail:
+		case opFuse:
+			n += int32(lw.p.fused[uint16(ins>>8)].fuel)
+		default:
+			n++
+		}
+	}
 	if len(lw.p.code) >= tableMax || len(lw.p.sconsts) >= 1<<15 ||
 		len(lw.p.gops) >= tableMax || len(lw.p.edges) >= tableMax ||
 		len(lw.p.opds) >= tableMax || len(lw.p.fused) >= tableMax {
@@ -347,7 +378,7 @@ func (lw *fnLower) lower() {
 }
 
 func (lw *fnLower) blockIndex(b *ir.Block) int {
-	for i, bb := range lw.p.fn.Blocks {
+	for i, bb := range lw.fn.Blocks {
 		if bb == b {
 			return i
 		}

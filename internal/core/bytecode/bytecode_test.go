@@ -3,7 +3,9 @@ package bytecode_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"weak"
 
 	"tameir/internal/core"
 	"tameir/internal/core/bytecode"
@@ -293,4 +295,41 @@ entry:
 	if met.Execs != 10 {
 		t.Fatalf("execs = %d, want 10", met.Execs)
 	}
+}
+
+// TestSharedLoweringDoesNotPinSource lowers a function through the
+// process-wide lowering cache and drops it: the cached lowering, which
+// serves every function with the same text, must keep nothing of the
+// IR it was lowered from, so the function becomes collectable.
+func TestSharedLoweringDoesNotPinSource(t *testing.T) {
+	w := lowerAndDrop(t)
+	for i := 0; i < 4 && w.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if w.Value() != nil {
+		t.Fatal("the lowering cache keeps the function it lowered reachable")
+	}
+}
+
+// lowerAndDrop promotes a freshly parsed function to the bytecode tier
+// through the shared cache and returns a weak pointer to it, leaving no
+// strong reference behind.
+//
+//go:noinline
+func lowerAndDrop(t *testing.T) weak.Pointer[ir.Func] {
+	fn := ir.MustParseFunc(`define i2 @lowered_then_dropped(i2 %a) {
+entry:
+  %x = mul i2 %a, 3
+  ret i2 %x
+}`)
+	misses := core.LowerCacheStats().Misses
+	ex := core.NewExecutor(core.Compile(fn, core.FreezeOptions()))
+	ex.SetTier(core.TierPolicy{Mode: core.TierBytecode})
+	if out := ex.Run([]core.Value{core.VC(ir.I2, 1)}, core.ZeroOracle{}); out.Kind != core.OutRet || out.Val.Uint() != 3 {
+		t.Fatalf("unexpected outcome %s", outcomeKey(out))
+	}
+	if ex.ActiveTier() != "bytecode" || core.LowerCacheStats().Misses != misses+1 {
+		t.Fatal("the function was not lowered through the shared cache")
+	}
+	return weak.Make(fn)
 }

@@ -37,6 +37,7 @@ func (fr *frame) reset() {
 type Runner struct {
 	p    *Prog
 	opts core.Options
+	src  *core.Program // the executor's program, for liveness
 
 	o     core.Oracle
 	m     *core.EngineMetrics
@@ -63,7 +64,11 @@ type Runner struct {
 
 	// cyc is the divergence detector the closure engine uses too. It
 	// sees the same backward jumps, so both tiers exit at the same step.
+	// mrg is the merging handle; it sees the same instruction
+	// boundaries the closure engine checks, so both tiers merge at the
+	// same steps.
 	cyc core.Cycles
+	mrg core.Merges
 }
 
 // Run implements core.TierRunner, mirroring core.Executor.Run step for
@@ -71,13 +76,15 @@ type Runner struct {
 // outgoing lanes that may live in the arena until the next Run.
 func (r *Runner) Run(args []core.Value, o core.Oracle, m *core.EngineMetrics) core.Outcome {
 	p := r.p.root
-	if out := checkArgs(p.fn, args); out != nil {
+	if out := checkArgs(p.params, args); out != nil {
 		return *out
 	}
 	r.o = o
 	r.m = m
 	r.opts = r.p.opts
-	r.cyc.Arm(o, !r.p.needsMem && !r.opts.EmitTrace)
+	exact := !r.p.needsMem && !r.opts.EmitTrace
+	r.cyc.Arm(o, exact)
+	r.mrg.Arm(o, exact, r.src)
 	r.fuel = r.p.opts.Fuel
 	r.depth = 0
 	r.steps = 0
@@ -109,13 +116,13 @@ func (r *Runner) Run(args []core.Value, o core.Oracle, m *core.EngineMetrics) co
 	return out
 }
 
-func checkArgs(fn *ir.Func, args []core.Value) *core.Outcome {
-	if len(args) != len(fn.Params) {
-		return &core.Outcome{Kind: core.OutError, Msg: fmt.Sprintf("arity: got %d args, want %d", len(args), len(fn.Params))}
+func checkArgs(params []pslot, args []core.Value) *core.Outcome {
+	if len(args) != len(params) {
+		return &core.Outcome{Kind: core.OutError, Msg: fmt.Sprintf("arity: got %d args, want %d", len(args), len(params))}
 	}
 	for i, a := range args {
-		if !a.Ty.Equal(fn.Params[i].Ty) {
-			return &core.Outcome{Kind: core.OutError, Msg: fmt.Sprintf("arg %d type %s, want %s", i, a.Ty, fn.Params[i].Ty)}
+		if !a.Ty.Equal(params[i].ty) {
+			return &core.Outcome{Kind: core.OutError, Msg: fmt.Sprintf("arg %d type %s, want %s", i, a.Ty, params[i].ty)}
 		}
 	}
 	return nil
@@ -208,7 +215,10 @@ func (r *Runner) outOfFuel() core.Outcome {
 // moves or pre/fall errors; fused bodies charge in bulk when covered
 // and refund the unexecuted tail on abort. Backward jumps (to a pc at
 // or before the branch) go to the cycle detector, as in the closure
-// engine.
+// engine. In the entry activation, every instruction boundary after a
+// new oracle choice — before each dispatch op and between the µops of
+// a fused body — goes to the merging handle, as every step boundary
+// does in the closure engine.
 func (r *Runner) exec(p *fnProg, fr *frame, args []core.Value) core.Outcome {
 	for i, ps := range p.params {
 		if ps.vec {
@@ -217,6 +227,7 @@ func (r *Runner) exec(p *fnProg, fr *frame, args []core.Value) core.Outcome {
 			fr.s[ps.slot] = args[i].Scalar()
 		}
 	}
+	top := r.depth == 1
 	code := p.code
 	pc := int32(0)
 	for {
@@ -225,6 +236,9 @@ func (r *Runner) exec(p *fnProg, fr *frame, args []core.Value) core.Outcome {
 		a := int(uint16(ins >> 8))
 		if op == opFail {
 			return p.outs[a]
+		}
+		if top && r.mrg.Due() && r.mrg.Bytecode(pc, 0, int(p.ords[pc]), r.fuel, p.planes, fr.s, fr.v) {
+			return r.mrg.Exit(r.m)
 		}
 		if op != opFuse {
 			if r.fuel <= 0 {
@@ -244,6 +258,13 @@ func (r *Runner) exec(p *fnProg, fr *frame, args []core.Value) core.Outcome {
 				r.fuel -= n
 				r.steps += n
 				for i := range body.uops {
+					if i > 0 && top && r.mrg.Due() {
+						unrun := n - i
+						if r.mrg.Bytecode(pc, int32(i), int(p.ords[pc])+i, r.fuel+unrun, p.planes, fr.s, fr.v) {
+							r.steps -= unrun
+							return r.mrg.Exit(r.m)
+						}
+					}
 					if out := r.stepUop(p, fr, &body.uops[i]); out != nil {
 						unrun := n - (i + 1)
 						r.fuel += unrun
@@ -253,6 +274,9 @@ func (r *Runner) exec(p *fnProg, fr *frame, args []core.Value) core.Outcome {
 				}
 			} else {
 				for i := range body.uops {
+					if i > 0 && top && r.mrg.Due() && r.mrg.Bytecode(pc, int32(i), int(p.ords[pc])+i, r.fuel, p.planes, fr.s, fr.v) {
+						return r.mrg.Exit(r.m)
+					}
 					if r.fuel <= 0 {
 						return r.outOfFuel()
 					}
@@ -429,7 +453,8 @@ func (r *Runner) evalValue(p *fnProg, fr *frame, g *gopd) (core.Value, *core.Out
 }
 
 // evalStrict additionally resolves undef lanes per use through the
-// oracle, in lane order — the same draws opd.evalStrict makes.
+// oracle, in lane order — the same draws opd.evalStrict makes, into
+// lanes carved from the run arena.
 func (r *Runner) evalStrict(p *fnProg, fr *frame, g *gopd) (core.Value, *core.Outcome) {
 	v, out := r.evalValue(p, fr, g)
 	if out != nil {
@@ -437,7 +462,12 @@ func (r *Runner) evalStrict(p *fnProg, fr *frame, g *gopd) (core.Value, *core.Ou
 	}
 	for i := range v.Lanes {
 		if v.Lanes[i].Kind == core.UndefVal {
-			return core.ResolveUndef(v, r.o), nil
+			w := v.Ty.ElemType().Bits
+			lanes := r.newLanes(len(v.Lanes))
+			for j, l := range v.Lanes {
+				lanes[j] = core.ResolveLane(l, w, r.o)
+			}
+			return core.Value{Ty: v.Ty, Lanes: lanes}, nil
 		}
 	}
 	return v, nil

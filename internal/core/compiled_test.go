@@ -636,6 +636,45 @@ entry:
 	}
 }
 
+// TestUndefResolutionAllocatesNothing enumerates the 16 paths of a
+// legacy function on an undef argument, whose every use resolves the
+// undef afresh: the closure engine carves the resolved lanes from the
+// run's arena, so a warmed-up executor allocates nothing, with merging
+// off and on.
+func TestUndefResolutionAllocatesNothing(t *testing.T) {
+	fn := ir.MustParseFunc(`define i2 @f(i2 %p0) {
+entry:
+  %v = add i2 %p0, 1
+  %w = mul i2 %v, %p0
+  ret i2 %w
+}`)
+	ex := core.NewExecutor(core.Compile(fn, core.LegacyOptions(core.BranchPoisonNondet)))
+	o := core.NewEnumOracle(16, 1<<8)
+	args := []core.Value{core.VUndef(ir.I2)}
+	for _, merging := range []bool{false, true} {
+		enumerate := func() (paths int) {
+			o.Clear(16, 1<<8)
+			if merging {
+				o.EnableMerging()
+			}
+			for {
+				o.Reset()
+				ex.Run(args, o)
+				paths += o.LastPaths()
+				if !o.Next() {
+					return paths
+				}
+			}
+		}
+		if n := enumerate(); n != 16 {
+			t.Fatalf("merging=%t: %d paths, want 16", merging, n)
+		}
+		if a := testing.AllocsPerRun(20, func() { enumerate() }); a != 0 {
+			t.Errorf("merging=%t: %v allocations per enumeration, want 0", merging, a)
+		}
+	}
+}
+
 // TestCompiledMatchesInterpreter is the engine-parity property test
 // demanded by the compile/run split: compiled execution must be
 // observationally identical to interpretation, outcome for outcome and

@@ -20,6 +20,11 @@ const (
 	// OutError: an internal error (malformed IR reached the
 	// interpreter); always a bug in the caller.
 	OutError
+	// OutMerged: a compiled engine stopped the run at a state an
+	// earlier choice path of the same enumeration reached (merge.go);
+	// the outcomes below that state are already known. Only runs on an
+	// EnumOracle with merging on end this way.
+	OutMerged
 )
 
 // Outcome is the observable result of one execution.
@@ -41,6 +46,8 @@ func (o Outcome) String() string {
 		return "UB"
 	case OutTimeout:
 		return "timeout"
+	case OutMerged:
+		return "merged"
 	}
 	return "error: " + o.Msg
 }
@@ -83,8 +90,10 @@ type Env struct {
 	// copies the pointed-to Outcome out by value before any other step
 	// can run, so one slot per env serves every ret at every depth.
 	retOut Outcome
-	// cyc detects proven divergence on the closure engine.
+	// cyc detects proven divergence on the closure engine; mrg merges
+	// its runs into earlier choice paths' states.
 	cyc Cycles
+	mrg Merges
 	// Steps counts executed instructions (exposed for the evaluation
 	// harness's "run time" proxy when not using the VX64 simulator).
 	Steps int
@@ -128,6 +137,11 @@ type EngineMetrics struct {
 	// runs count in neither.
 	CycleExits uint64
 	FuelExits  uint64
+
+	// MergeExits counts executions stopped at a state an earlier
+	// choice path reached (merge.go). Execs counts them too: it counts
+	// engine runs, not the choice paths they stand for.
+	MergeExits uint64
 }
 
 // Add folds o into m.
@@ -142,6 +156,7 @@ func (m *EngineMetrics) Add(o EngineMetrics) {
 	m.Promotions += o.Promotions
 	m.CycleExits += o.CycleExits
 	m.FuelExits += o.FuelExits
+	m.MergeExits += o.MergeExits
 }
 
 // NewEnv prepares an execution environment: it allocates and
@@ -215,7 +230,9 @@ func (env *Env) Run(fn *ir.Func, args []Value) Outcome {
 		return *out
 	}
 	steps0 := env.Steps
-	env.cyc.Arm(env.Oracle, !p.needsMem && !p.opts.EmitTrace)
+	exact := !p.needsMem && !p.opts.EmitTrace
+	env.cyc.Arm(env.Oracle, exact)
+	env.mrg.Arm(env.Oracle, exact, p)
 	out := p.invoke(env, args)
 	env.Metrics.Execs++
 	env.Metrics.ClosureExecs++
@@ -244,7 +261,7 @@ func (env *Env) tierRunnerFor(p *Program) TierRunner {
 		return nil
 	}
 	env.tierProgOf = p
-	env.tierRunner = tp.NewRunner()
+	env.tierRunner = tp.NewRunner(p)
 	return env.tierRunner
 }
 

@@ -49,10 +49,26 @@ func (o *RandOracle) Choose(n uint64) uint64 {
 // Each execution replays the recorded prefix of choices and extends it
 // with zeroes; Next advances the last choice with carry, like an
 // odometer whose digit bases are the recorded Choose bounds.
+//
+// An enumeration that calls EnableMerging lets the compiled engines end
+// a run at a state an earlier path reached (merge.go); such a run ends
+// in OutMerged and stands for LastPaths choice paths.
 type EnumOracle struct {
 	path   []uint64
 	limits []uint64
 	pos    int
+	// adv is the position the last Next advanced (0 before the first):
+	// a run replays the positions before it. mark is the position up to
+	// which the current run's boundaries are replays or already checked
+	// for merging.
+	adv, mark int
+	// merging is set by EnableMerging until the next Clear; merge holds
+	// the records, made at the first check and kept across enumerations
+	// for its storage. leaves is the number of choice paths the current
+	// run stands for.
+	merging bool
+	merge   *mergeTable
+	leaves  uint64
 	// Overflowed is set if an execution requested more than MaxChoices
 	// choice points; enumeration is then incomplete and the caller must
 	// treat results as inconclusive.
@@ -70,7 +86,22 @@ func NewEnumOracle(maxChoices int, maxFanout uint64) *EnumOracle {
 }
 
 // Reset rewinds the oracle to replay mode for the next execution.
-func (o *EnumOracle) Reset() { o.pos = 0 }
+func (o *EnumOracle) Reset() { o.pos, o.mark, o.leaves = 0, o.adv, 1 }
+
+// EnableMerging turns state merging on for the enumeration the last
+// Clear (or NewEnumOracle) started: compiled runs on o may then end in
+// OutMerged. The caller counts each run as LastPaths choice paths.
+func (o *EnumOracle) EnableMerging() {
+	if o.merge != nil {
+		o.merge.reset()
+	}
+	o.merging = true
+}
+
+// LastPaths reports how many choice paths the last execution stands
+// for: 1, or, when it ended in OutMerged, the number of paths below
+// the state it merged into, whose outcomes an earlier run produced.
+func (o *EnumOracle) LastPaths() int { return int(o.leaves) }
 
 // Clear reinitializes the oracle for a fresh enumeration with the
 // given bounds, reusing the recorded-path storage. It lets a worker
@@ -79,7 +110,8 @@ func (o *EnumOracle) Reset() { o.pos = 0 }
 func (o *EnumOracle) Clear(maxChoices int, maxFanout uint64) {
 	o.path = o.path[:0]
 	o.limits = o.limits[:0]
-	o.pos = 0
+	o.pos, o.adv = 0, 0
+	o.merging = false
 	o.Overflowed = false
 	o.MaxChoices = maxChoices
 	o.MaxFanout = maxFanout
@@ -118,6 +150,10 @@ func (o *EnumOracle) Next() bool {
 		if o.path[i] < o.limits[i] {
 			o.path = o.path[:i+1]
 			o.limits = o.limits[:i+1]
+			o.adv = i
+			if o.merging && o.merge != nil {
+				o.merge.advance(o.leaves, i)
+			}
 			return true
 		}
 		o.path = o.path[:i]

@@ -54,6 +54,10 @@ type Program struct {
 	// canonical text and options) promoted last run; TierAuto then
 	// promotes on the first execution instead of after the threshold.
 	preHot bool
+
+	// live is the function's register liveness, computed the first
+	// time a run of it checks a state for merging (merge.go).
+	live atomic.Pointer[liveness]
 }
 
 // tierProgram returns the program's tier-2 lowering, resolving it on
@@ -203,9 +207,10 @@ func (o *opd) eval(env *Env, fr *cframe) (Value, *Outcome) {
 }
 
 // evalStrict additionally resolves undef lanes per use, mirroring
-// Env.strictOperand. The common all-defined case skips the resolve
-// allocation; when a lane is undef it takes the same ResolveUndef path
-// (and thus the same oracle choices) as the interpreter.
+// Env.strictOperand. The common all-defined case returns the operand
+// as it is; when a lane is undef it resolves every lane in order, as
+// ResolveUndef does (and thus makes the interpreter's oracle choices),
+// into lanes carved from the run's arena.
 func (o *opd) evalStrict(env *Env, fr *cframe) (Value, *Outcome) {
 	v, out := o.eval(env, fr)
 	if out != nil {
@@ -216,7 +221,12 @@ func (o *opd) evalStrict(env *Env, fr *cframe) (Value, *Outcome) {
 	}
 	for i := range v.Lanes {
 		if v.Lanes[i].Kind == UndefVal {
-			return ResolveUndef(v, env.Oracle), nil
+			w := v.Ty.ElemType().Bits
+			lanes := env.newLanes(len(v.Lanes))
+			for j, l := range v.Lanes {
+				lanes[j] = ResolveLane(l, w, env.Oracle)
+			}
+			return Value{Ty: v.Ty, Lanes: lanes}, nil
 		}
 	}
 	return v, nil
@@ -969,12 +979,16 @@ func (p *Program) invoke(env *Env, args []Value) Outcome {
 // execFrame is the dispatch loop: fuel is charged per step exactly as
 // the interpreter charges it per non-phi instruction. Every backward
 // jump goes to the env's cycle detector, which ends a run that provably
-// never terminates with the timeout the fuel limit would give it.
+// never terminates with the timeout the fuel limit would give it. In
+// the entry activation, whose frame is then the whole state, every
+// step boundary after a new oracle choice goes to the env's merging
+// handle, which ends the run at a state an earlier path reached.
 func (p *Program) execFrame(env *Env, fr *cframe, args []Value) Outcome {
 	regs := fr.regs
 	for i := range p.fn.Params {
 		regs[i] = args[i]
 	}
+	top := env.depth == 1
 	bi := int32(0)
 	for {
 		b := &p.blocks[bi]
@@ -982,7 +996,10 @@ func (p *Program) execFrame(env *Env, fr *cframe, args []Value) Outcome {
 			return *b.preErr
 		}
 		jumped := false
-		for _, step := range b.steps {
+		for j, step := range b.steps {
+			if top && env.mrg.Due() && env.mrg.closure(bi, int32(j), env.fuel, regs) {
+				return env.mrg.Exit(&env.Metrics)
+			}
 			if env.fuel <= 0 {
 				env.Metrics.FuelExits++
 				return Outcome{Kind: OutTimeout}
@@ -1091,7 +1108,7 @@ func (e *Executor) tryPromote() {
 	switch e.tier.Mode {
 	case TierBytecode:
 		if tp := p.tierProgram(&e.env.Metrics); tp != nil {
-			e.runner = tp.NewRunner()
+			e.runner = tp.NewRunner(p)
 			e.promoted("bytecode")
 		} else {
 			e.tier.Mode = TierClosure // backend declined; stop asking
@@ -1101,7 +1118,7 @@ func (e *Executor) tryPromote() {
 			return
 		}
 		if tp := p.tierProgram(&e.env.Metrics); tp != nil {
-			e.runner = tp.NewRunner()
+			e.runner = tp.NewRunner(p)
 			e.promoted("auto")
 		} else {
 			e.tier.Mode = TierClosure
@@ -1143,7 +1160,9 @@ func (e *Executor) Run(args []Value, o Oracle) Outcome {
 	}
 	env := &e.env
 	env.Oracle = o
-	env.cyc.Arm(o, !p.needsMem && !p.opts.EmitTrace)
+	exact := !p.needsMem && !p.opts.EmitTrace
+	env.cyc.Arm(o, exact)
+	env.mrg.Arm(o, exact, p)
 	env.fuel = p.opts.Fuel
 	env.depth = 0
 	env.Steps = 0

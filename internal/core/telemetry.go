@@ -19,6 +19,7 @@ func (m EngineMetrics) Publish(reg *telemetry.Registry, class telemetry.Class) {
 	reg.Counter("engine_steps_total", class, "instructions stepped").Add(m.Steps)
 	reg.Counter("engine_cycle_exits_total", class, "executions stopped early as provably divergent").Add(m.CycleExits)
 	reg.Counter("engine_fuel_exits_total", class, "executions that ran out of fuel").Add(m.FuelExits)
+	reg.Counter("engine_merge_exits_total", class, "executions stopped at a state an earlier choice path reached").Add(m.MergeExits)
 	reg.Counter("pool_frames_pooled_total", class, "inner-call frames served from the pool").Add(m.FramesPooled)
 	reg.Counter("pool_frames_allocated_total", class, "inner-call frames freshly allocated").Add(m.FramesAllocated)
 	reg.Counter("engine_execs_interp_total", class, "executions on the tree-walking interpreter").Add(m.InterpExecs)

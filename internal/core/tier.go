@@ -88,14 +88,20 @@ type TierRunner interface {
 	// same fuel accounting — and update m exactly as the closure
 	// engine would (plus its own per-tier exec counter). Like
 	// Executor.Run, the outcome's lanes are valid until the next Run.
+	// A run may end in OutMerged only when o is an EnumOracle whose
+	// enumeration has merging on (merge.go), and then only at a state
+	// an earlier run of the same enumeration on this tier reached.
 	Run(args []Value, o Oracle, m *EngineMetrics) Outcome
 }
 
 // TierProgram is a lowered, immutable form of one function, shareable
 // across goroutines the way Program is.
 type TierProgram interface {
-	// NewRunner returns a fresh single-goroutine execution context.
-	NewRunner() TierRunner
+	// NewRunner returns a fresh single-goroutine execution context
+	// for src, the compiled program the executor runs (a shared
+	// lowering serves every program with the same text); the runner
+	// reads src's liveness to merge states.
+	NewRunner(src *Program) TierRunner
 }
 
 // TierBackend lowers compiled programs to an alternative tier. The

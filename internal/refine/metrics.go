@@ -23,9 +23,10 @@ type CheckMetrics struct {
 	SetsComputed uint64
 	SetsMemoHit  uint64
 
-	// Execs counts engine executions actually performed (memo hits
-	// contribute nothing — so this is scheduling-dependent whenever the
-	// memo is shared).
+	// Execs counts the choice paths enumerated (Config.ExecCount's
+	// count; memo hits contribute nothing — so this is
+	// scheduling-dependent whenever the memo is shared). Engine.Execs
+	// counts the engine runs that covered them.
 	Execs uint64
 
 	// SetSize is the |behaviour set| distribution over every set
@@ -100,6 +101,6 @@ func (m *CheckMetrics) Publish(reg *telemetry.Registry, memoClass telemetry.Clas
 	}
 	reg.Counter("check_sets_computed_total", memoClass, "behaviour sets enumerated").Add(m.SetsComputed)
 	reg.Counter("check_sets_memo_hits_total", memoClass, "behaviour sets served by the memo").Add(m.SetsMemoHit)
-	reg.Counter("check_execs_total", memoClass, "engine executions performed").Add(m.Execs)
+	reg.Counter("check_execs_total", memoClass, "choice paths enumerated, merged ones included").Add(m.Execs)
 	m.Engine.Publish(reg, memoClass)
 }

@@ -96,7 +96,8 @@ type Config struct {
 	MaxChoices int
 	// MaxFanout bounds a single nondeterministic choice.
 	MaxFanout uint64
-	// MaxExecs bounds executions per (function, input).
+	// MaxExecs bounds the choice paths enumerated per (function,
+	// input), merged ones included (see ExecCount).
 	MaxExecs int
 	// MaxInputs bounds the number of input tuples tried.
 	MaxInputs int
@@ -153,8 +154,11 @@ type Config struct {
 	// When nil, Check still compiles each side exactly once per call.
 	Programs *core.ProgramCache
 
-	// ExecCount, when non-nil, is incremented by the number of
-	// executions actually performed (memo hits contribute nothing).
+	// ExecCount, when non-nil, is incremented by the number of choice
+	// paths enumerated: executions, where a run the compiled engines
+	// stopped at an earlier path's state counts every path below it
+	// (memo hits contribute nothing). The engines' own run count is
+	// EngineMetrics.Execs.
 	ExecCount *uint64
 
 	// Metrics, when non-nil, accumulates validator counters (checks,
@@ -279,16 +283,20 @@ func behaviorsAt(fn *ir.Func, ex *core.Executor, args []core.Value, ordinal int,
 	} else {
 		o.Clear(cfg.MaxChoices, cfg.MaxFanout)
 	}
+	if ex != nil {
+		// A compiled run may stop at a state an earlier path reached;
+		// it then stands for every path below that state.
+		o.EnableMerging()
+	}
 	if cfg.Fuel > 0 {
 		opts.Fuel = cfg.Fuel
 	}
-	execs := 0
+	paths := 0 // choice paths enumerated, merged ones included
 	for {
-		if execs >= cfg.MaxExecs {
+		if paths >= cfg.MaxExecs {
 			set.Incomplete = true
 			break
 		}
-		execs++
 		o.Reset()
 		// A compiled outcome's lanes are valid only until ex's next Run;
 		// the set reads them below and keeps no reference.
@@ -317,7 +325,19 @@ func behaviorsAt(fn *ir.Func, ex *core.Executor, args []core.Value, ordinal int,
 			default:
 				set.Rets.Add(out.Val)
 			}
+		case core.OutMerged:
+			// Every outcome below the merged state is in the set already.
 		}
+		n := o.LastPaths()
+		if paths+n > cfg.MaxExecs {
+			// Only a merged run stands for more than one path. A loop
+			// running each of them would stop inside them, with this
+			// same set.
+			paths = cfg.MaxExecs
+			set.Incomplete = true
+			break
+		}
+		paths += n
 		if !o.Next() {
 			break
 		}
@@ -326,9 +346,9 @@ func behaviorsAt(fn *ir.Func, ex *core.Executor, args []core.Value, ordinal int,
 		set.Incomplete = true
 	}
 	if cfg.ExecCount != nil {
-		*cfg.ExecCount += uint64(execs)
+		*cfg.ExecCount += uint64(paths)
 	}
-	cfg.Metrics.observe(set, false, uint64(execs))
+	cfg.Metrics.observe(set, false, uint64(paths))
 	if cfg.Session != nil {
 		cfg.Session.store(memoRef, set)
 	}

@@ -100,7 +100,10 @@ func (w *Watchdog) Done(track int) {
 	w.stalled[track].Store(false)
 }
 
-// Stalls reports how many stall episodes fired.
+// Stalls reports how many stall episodes completed: an episode counts
+// once fire has written the stack dump and the snapshot and OnStall
+// has returned, so a caller that sees the count rise can read all
+// three.
 func (w *Watchdog) Stalls() uint64 {
 	if w == nil {
 		return 0
@@ -145,8 +148,8 @@ func (w *Watchdog) check(now time.Time) {
 			continue
 		}
 		w.stalled[t].Store(true)
-		w.stalls.Add(1)
 		w.fire(t, age)
+		w.stalls.Add(1)
 	}
 }
 
