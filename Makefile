@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build vet test race bench check ci
 
@@ -7,10 +8,13 @@ all: check
 build:
 	$(GO) build ./...
 
-# staticcheck is optional: run it when the host has it, skip quietly
-# when not (the CI image installs it; a bare container need not).
+# Every tracked .go file must be gofmt-clean. staticcheck is optional:
+# run it when the host has it, skip quietly when not (the CI image
+# installs it; a bare container need not).
 vet: build
 	$(GO) vet ./...
+	@unformatted=$$(git ls-files -z '*.go' | xargs -0 -r $(GOFMT) -l 2>&1); \
+	if [ -n "$$unformatted" ]; then echo "vet: not gofmt-clean:"; echo "$$unformatted"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "vet: staticcheck not installed, skipping"; fi
 
 test: vet
@@ -31,24 +35,22 @@ check: build vet test race
 
 # CI entry point: full vet + test, then the race detector on the
 # concurrency-bearing surfaces — the worker-pool packages, the shared
-# cross-shard memo, the three-way engine lockstep (interpreter vs
-# closures vs bytecode) with the shared program cache and frame pool,
-# the bytecode lowering/fold/promotion tests, one program enumerated
-# with state merging from several goroutines, and the telemetry
-# registry's lock-free hot paths — then a quick E12 smoke across all
-# three tiers and both worker counts (exits nonzero if any engine
-# row's behaviour hash diverges from the interpreted baseline; its
-# -quick smoke rows land in the git-ignored ci-bench/ for the workflow
-# artifact, never in the committed BENCH_exec.json), and
-# finally a quick campaign that must export a parseable metric
+# cross-shard memo, the two-way engine lockstep (interpreter vs
+# compiled closures) with the shared program cache and frame pool,
+# one program enumerated with state merging from several goroutines,
+# and the telemetry registry's lock-free hot paths — then a quick E12
+# smoke across both engines and both worker counts (exits nonzero if
+# the compiled row's behaviour hash diverges from the interpreted
+# baseline; its -quick smoke rows land in the git-ignored ci-bench/
+# for the workflow artifact, never in the committed BENCH_exec.json),
+# and finally a quick campaign that must export a parseable metric
 # snapshot carrying the counters the telemetry layer promises —
-# including, via the ">0" assertions, proof that tier promotion to
-# the bytecode VM actually fired (the legacy campaign: its undef
-# resolution drives enough executions per program to trip the
-# auto-promotion threshold, where the memoized freeze sweep does
-# not) and that state merging ended runs early, so a change that
-# silently turns merging off fails here. The JSON twin of that
-# snapshot lands in metrics-snapshot.json for the workflow artifact.
+# including, via the ">0" assertions, proof that the campaign ran on
+# the compiled engine and that state merging ended runs early (the
+# legacy campaign: its undef resolution makes the choice paths that
+# merge), so a change that silently turns merging off fails here.
+# The JSON twin of that snapshot lands in metrics-snapshot.json for
+# the workflow artifact.
 #
 # The poison-analysis guards run after that: tame-lint over the
 # freeze-elim corpus (verifier + SSA + dataflow diagnostics must be
@@ -63,12 +65,12 @@ check: build vet test race
 # -verify-each so the battery covers the legacy dialect too.
 ci: vet test
 	$(GO) test -race ./internal/passes ./internal/optfuzz
-	$(GO) test -race -run 'Memo|Compiled|ProgramShared|ExecTwins|Lowering|Fold|Superblock|TierPromotion|MergingShared' ./internal/refine ./internal/core ./internal/core/bytecode ./internal/bench
+	$(GO) test -race -run 'Memo|Compiled|ProgramShared|ExecTwins|Fold|MergingShared' ./internal/refine ./internal/core ./internal/bench
 	$(GO) test -race -run 'TelemetryRaceStress' ./internal/telemetry
 	mkdir -p ci-bench
 	$(GO) run ./cmd/tame-bench -exp exec -quick -json ci-bench/BENCH_exec.quick.json
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics - \
-	  | $(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total,campaign_verified_total,check_checks_total,check_inputs_total,check_set_size,engine_steps_total,engine_execs_bytecode_total>0,engine_promotions_total>0,engine_merge_exits_total>0,progcache_hits_total,memo_lookups_total,pool_tasks_total,pass_runs_total,opt_funcs_total,analysis_computes_total,span_wall_ns,verify_each_checks_total>0,verify_each_failures_total=0'
+	  | $(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total,campaign_verified_total,check_checks_total,check_inputs_total,check_set_size,engine_steps_total,engine_execs_closure_total>0,engine_merge_exits_total>0,progcache_hits_total,memo_lookups_total,pool_tasks_total,pass_runs_total,opt_funcs_total,analysis_computes_total,span_wall_ns,verify_each_checks_total>0,verify_each_failures_total=0'
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics metrics-snapshot.json
 	$(GO) run ./cmd/tame-lint -q internal/passes/testdata/freeze-elim-loop.ll
 	$(GO) run ./cmd/tame-opt -sem freeze -verify-each -metrics metrics-verify-each.txt internal/passes/testdata/freeze-elim-loop.ll > /dev/null
@@ -109,12 +111,15 @@ ci-cache:
 # same cmp across workers 1 vs 4, proving the Source refactor did not
 # perturb the original stream. Liveness: the mutation run's metric
 # snapshot must show a populated corpus, novel coverage keys, a
-# reducer that actually shrank findings, and executions the engines
+# reducer that actually shrank findings, and executions the engine
 # stopped early as provably divergent (looping mutants would otherwise
 # run to the fuel limit, which costs no verdict but most of the run's
-# time). The ci-workload/ dir — both
-# findings files, the corpus, and the metric snapshot — is kept for the
-# workflow's fuzz-corpus artifact.
+# time). Engine parity: the unsound legacy -O2 campaign (two
+# refutations) runs once on the compiled engine and once on the
+# tree-walking interpreter (-interp), and cmp enforces byte-identical
+# findings. The ci-workload/ dir — the findings files, the corpus, and
+# the metric snapshot — is kept for the workflow's fuzz-corpus
+# artifact.
 .PHONY: ci-workload
 ci-workload:
 	rm -rf ci-workload && mkdir -p ci-workload
@@ -128,6 +133,9 @@ ci-workload:
 	$(GO) run ./cmd/tame-fuzz -validate -n 300 -workers 1 -sem freeze > ci-workload/exhaustive-w1.txt
 	$(GO) run ./cmd/tame-fuzz -validate -source exhaustive -n 300 -workers 4 -sem freeze > ci-workload/exhaustive-w4.txt
 	cmp ci-workload/exhaustive-w1.txt ci-workload/exhaustive-w4.txt
+	$(GO) run ./cmd/tame-fuzz -validate -sem legacy -unsound -instrs 2 -n 2000 -workers 2 > ci-workload/parity-compiled.txt || true
+	$(GO) run ./cmd/tame-fuzz -validate -sem legacy -unsound -instrs 2 -n 2000 -workers 2 -interp > ci-workload/parity-interp.txt || true
+	cmp ci-workload/parity-compiled.txt ci-workload/parity-interp.txt
 
 # The flight-recorder gate: the seeded mutation campaign (the same one
 # ci-workload's determinism half runs — it reliably produces findings)

@@ -8,7 +8,7 @@
 //	-exp runtime      E7: §7.2 run time (Figure 6)
 //	-exp ablation     freeze-aware vs freeze-blind optimizations
 //	-exp pipeline     E11: parallel fuzz-and-validate throughput
-//	-exp exec         E12: execution tiers (interpreter/closures/bytecode) × workers
+//	-exp exec         E12: execution engines (interpreter/compiled) × workers
 //	-exp workload     E13: pluggable workloads (exhaustive / mutate / wide8)
 //	-exp all          everything
 //
@@ -42,7 +42,6 @@ func main() {
 	execInstrs := flag.Int("exec-instrs", 3, "instructions per generated function (E12)")
 	execMax := flag.Int("exec-max", 300, "max generated functions per semantics (E12)")
 	execWorkers := flag.String("workers", "1,2", "comma-separated worker counts for the E12 engine×pool rows")
-	execTier := flag.String("tier", "", "highest execution tier to measure in E12: off, closure, auto or bytecode (default bytecode)")
 	workloadSeed := flag.Int64("workload-seed", 1, "mutation RNG seed for the E13 workload rows")
 	workloadWorkers := flag.Int("workload-workers", 2, "worker count for the E13 workload rows")
 	quick := flag.Bool("quick", false, "shrink the exec experiment for CI smoke runs")
@@ -213,16 +212,12 @@ func main() {
 
 	if wantExec {
 		sp := expScope("exec")
-		fmt.Println("# E12: execution tiers (interpreted vs compiled vs bytecode) by worker count")
+		fmt.Println("# E12: execution engines (interpreted vs compiled) by worker count")
 		instrs, max := *execInstrs, *execMax
 		if *quick {
 			instrs, max = 2, 60
 		}
-		engines, err := bench.ExecEnginesForTier(*execTier)
-		if err != nil {
-			fatal(err)
-		}
-		rows := bench.MeasureExec(instrs, max, splitInts(*execWorkers), engines)
+		rows := bench.MeasureExec(instrs, max, splitInts(*execWorkers))
 		bench.ReportExec(os.Stdout, rows)
 		for _, r := range rows {
 			if !r.TwinOK {
@@ -261,9 +256,9 @@ func main() {
 
 	if *metricsPath != "" {
 		// The experiments labeled their campaign telemetry into reg as
-		// they ran; fold in the process-wide collectors (shared program
-		// cache, lowering cache) last — their traffic is scheduling-class
-		// because the parallel experiments interleave their compiles.
+		// they ran; fold in the process-wide shared program cache last —
+		// its traffic is scheduling-class because the parallel
+		// experiments interleave their compiles.
 		bench.PublishProcessMetrics(reg)
 		if err := reg.Snapshot().WriteFile(*metricsPath); err != nil {
 			fatal(err)

@@ -7,7 +7,7 @@
 //
 //	tame-fuzz [-mode exhaustive|random] [-instrs N] [-n MAX] [-seed S] [-width W]
 //	tame-fuzz -validate [-source exhaustive|mutate|wide] [-passes p1,p2|o2]
-//	          [-sem legacy|freeze] [-unsound] [-verify-each]
+//	          [-sem legacy|freeze] [-unsound] [-verify-each] [-interp]
 //	          [-workers N] [-no-memo] [-stats] [-instrs N] [-n MAX]
 //	          [-width W] [-seed S] [-epochs N] [-corpus FILE] [-reduce]
 //	          [-trace-phases]
@@ -21,6 +21,8 @@
 // are byte-identical for every worker count. -verify-each additionally
 // runs the full checker battery (IR verifier, SSA dominance, analysis
 // cache coherence) between every pass step of the campaign pipeline.
+// -interp checks on the tree-walking interpreter instead of the
+// compiled engine; the findings are byte-identical either way.
 //
 // -source selects the candidate workload:
 //
@@ -64,11 +66,10 @@
 //	-stall-deadline D   arm the stall watchdog: a shard silent for
 //	                    longer than D dumps goroutine stacks and an
 //	                    emergency trace snapshot instead of hanging
-//	-cache-dir DIR      warm-start from DIR's persistent snapshots
-//	                    (behaviour-set memo + lowering metadata) and
-//	                    refresh them after the run; stale snapshots are
-//	                    rejected wholesale, so findings are always
-//	                    byte-identical to a cold run
+//	-cache-dir DIR      warm-start the behaviour-set memo from DIR's
+//	                    persistent snapshot and refresh it after the
+//	                    run; stale snapshots are rejected wholesale, so
+//	                    findings are always byte-identical to a cold run
 package main
 
 import (
@@ -109,7 +110,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address during the run")
 	debugSnapEvery := flag.Duration("debug-snapshot-interval", 0, "debug-server history snapshot interval (0 = 5s default)")
 	debugSnapRing := flag.Int("debug-snapshot-ring", 0, "debug-server history ring depth (0 = default)")
-	tier := flag.String("tier", "", "execution tier for -validate: off (interpreter), closure, auto or bytecode (default auto)")
+	interp := flag.Bool("interp", false, "check on the tree-walking interpreter instead of the compiled engine (-validate)")
 	cacheDir := flag.String("cache-dir", "", "persistent cache directory for -validate warm starts (loaded before, refreshed after the run)")
 	source := flag.String("source", "exhaustive", "candidate workload for -validate: exhaustive, mutate or wide")
 	epochs := flag.Int("epochs", 0, "mutation epochs for -source mutate (0 = default)")
@@ -137,7 +138,7 @@ func main() {
 			workers:    *workers, noMemo: *noMemo, optStats: *optStats,
 			metricsPath: *metricsPath, progress: *progress, debugAddr: *debugAddr,
 			debugSnapEvery: *debugSnapEvery, debugSnapRing: *debugSnapRing,
-			tier: *tier, cacheDir: *cacheDir,
+			interp: *interp, cacheDir: *cacheDir,
 			source: *source, seed: *seed, epochs: *epochs, corpus: *corpus,
 			reduce: *reduce, tracePhases: *tracePhases,
 			tracePath: *tracePath, traceBuf: *traceBuf,
@@ -182,7 +183,7 @@ type campaignFlags struct {
 	debugAddr        string
 	debugSnapEvery   time.Duration
 	debugSnapRing    int
-	tier             string
+	interp           bool
 	cacheDir         string
 	source           string
 	seed             int64
@@ -243,14 +244,7 @@ func runCampaign(fl campaignFlags) {
 		memoEntries = -1
 	}
 	rcfg := refine.DefaultConfig(opts, opts)
-	if fl.tier != "" {
-		policy, off, err := core.ParseTier(fl.tier)
-		if err != nil {
-			fatal(err)
-		}
-		rcfg.Tier = policy
-		rcfg.Interpret = off
-	}
+	rcfg.Interpret = fl.interp
 	verifyMode := ir.VerifyFreeze
 	if opts.Mode == core.Legacy {
 		verifyMode = ir.VerifyLegacy

@@ -11,9 +11,9 @@
 // With -check, exit status 1 if any required series is missing; a
 // required name also matches its labelled or histogram-suffixed
 // children (check_set_size matches check_set_size_bucket{le="1"}).
-// A name suffixed with ">0" (engine_promotions_total>0) additionally
+// A name suffixed with ">0" (engine_merge_exits_total>0) additionally
 // requires some matching sample to be positive — how CI asserts that
-// tier promotion actually happened, not just that the counter was
+// state merging actually happened, not just that the counter was
 // registered. A name suffixed with "=0" (verify_each_failures_total=0)
 // requires the series to be present AND every matching sample to be
 // zero — how CI asserts a failure counter was exported and stayed

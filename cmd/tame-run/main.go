@@ -3,7 +3,8 @@
 //
 // Usage:
 //
-//	tame-run [-sem legacy|freeze] [-fn main] [-seed N] [-enumerate] file [args...]
+//	tame-run [-sem legacy|freeze] [-fn main] [-seed N] [-interp]
+//	         [-enumerate [-cache-dir DIR]] file [args...]
 //
 // Arguments are decimal integers (or the words "poison"/"undef") bound
 // to the function's parameters. With -enumerate, all resolutions of
@@ -29,12 +30,14 @@ func main() {
 	enumerate := flag.Bool("enumerate", false, "enumerate all behaviours (small types only)")
 	trace := flag.Bool("trace", false, "print every executed instruction")
 	interp := flag.Bool("interp", false, "force the tree-walking interpreter instead of the compiled engine")
-	tier := flag.String("tier", "", "execution tier: off (interpreter), closure, auto or bytecode (default closure; -interp implies off)")
 	metricsPath := flag.String("metrics", "", "write engine metrics after the run ('-' = text on stdout, *.json = JSON)")
-	cacheDir := flag.String("cache-dir", "", "persistent cache directory: warm-start lowering metadata (and, with -enumerate, the behaviour-set memo) and refresh it after the run")
+	cacheDir := flag.String("cache-dir", "", "persistent cache directory for -enumerate: warm-start the behaviour-set memo from it and refresh it after the run")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		fatal(fmt.Errorf("usage: tame-run [flags] file [args...]"))
+	}
+	if *cacheDir != "" && !*enumerate {
+		fatal(fmt.Errorf("usage: -cache-dir needs -enumerate (a single run has no behaviour-set memo to warm-start)"))
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -57,17 +60,6 @@ func main() {
 		opts = core.LegacyOptions(core.BranchPoisonNondet)
 	default:
 		fatal(fmt.Errorf("unknown semantics %q", *sem))
-	}
-
-	policy := core.TierPolicy{}
-	runInterp := *interp
-	if *tier != "" {
-		p, off, err := core.ParseTier(*tier)
-		if err != nil {
-			fatal(err)
-		}
-		policy = p
-		runInterp = runInterp || off
 	}
 
 	rest := flag.Args()[1:]
@@ -93,24 +85,11 @@ func main() {
 		}
 	}
 
-	// -cache-dir warm-starts the process caches: pre-hot lowering
-	// metadata for the tiering controller, and — on the -enumerate
-	// path, which runs the behaviour-set machinery — the memo too.
-	var disk *refine.DiskCache
-	saveDisk := func() {
-		if disk == nil {
-			return
-		}
-		if err := disk.Save(); err != nil {
-			fmt.Fprintf(os.Stderr, "tame-run: warning: cache-dir: %v\n", err)
-		}
-	}
-
 	if *enumerate {
+		// -cache-dir warm-starts the behaviour-set memo.
 		cfg := refine.DefaultConfig(opts, opts)
-		cfg.Interpret = runInterp
-		cfg.Tier = policy
-		cfg.CacheDir = *cacheDir
+		cfg.Interpret = *interp
+		var disk *refine.DiskCache
 		if *cacheDir != "" {
 			cfg.Memo = refine.NewMemo(0)
 			disk = refine.OpenDiskCache(*cacheDir, cfg.Memo)
@@ -120,15 +99,10 @@ func main() {
 		}
 		set := refine.Behaviors(fn, args, opts, cfg)
 		fmt.Printf("behaviours: %s\n", set)
-		saveDisk()
-		return
-	}
-	if *cacheDir != "" {
-		disk = refine.OpenDiskCache(*cacheDir, nil)
-		if _, err := disk.Load(); err != nil {
+		if err := disk.Save(); err != nil {
 			fmt.Fprintf(os.Stderr, "tame-run: warning: cache-dir: %v\n", err)
 		}
-		defer saveDisk()
+		return
 	}
 	env, err := core.NewEnv(mod, core.NewRandOracle(*seed), opts)
 	if err != nil {
@@ -147,9 +121,8 @@ func main() {
 			}
 		}
 	}
-	env.Tier = policy
 	var out core.Outcome
-	if runInterp {
+	if *interp {
 		out = env.RunInterp(fn, args)
 	} else {
 		out = env.Run(fn, args)

@@ -40,7 +40,6 @@ func main() {
 	unsound := flag.Bool("unsound", false, "use the historical pass variants")
 	workers := flag.Int("workers", 1, "worker pool size (0 = one per CPU, 1 = serial)")
 	interp := flag.Bool("interp", false, "force the tree-walking interpreter instead of the compiled engine")
-	tier := flag.String("tier", "", "execution tier: off (interpreter), closure, auto or bytecode (default auto; -interp implies off)")
 	metricsPath := flag.String("metrics", "", "write the checker metric snapshot to this file ('-' = text on stdout, *.json = JSON)")
 	cacheDir := flag.String("cache-dir", "", "persistent cache directory: warm-start the behaviour-set memo from it and refresh it after the run")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON flight recording to this file (open in Perfetto or tame-trace)")
@@ -67,20 +66,11 @@ func main() {
 	}
 	rcfg := refine.DefaultConfig(opts, opts)
 	rcfg.Interpret = *interp
-	if *tier != "" {
-		policy, off, err := core.ParseTier(*tier)
-		if err != nil {
-			fatal(err)
-		}
-		rcfg.Tier = policy
-		rcfg.Interpret = rcfg.Interpret || off
-	}
 
 	// -cache-dir: share one memo across all pairs, warm-started from
 	// the directory's snapshots (stale ones rejected wholesale — a warm
 	// run reports exactly what a cold one would) and written back after
 	// the reports print. Check creates a private session per call.
-	rcfg.CacheDir = *cacheDir
 	var disk *refine.DiskCache
 	if *cacheDir != "" {
 		memo := refine.NewMemo(0)

@@ -18,13 +18,13 @@ import (
 
 // ExecRow is one line of the execution-engine experiment: a §6
 // validation sweep run on one engine with one worker count. Rows come
-// in engine triplets (interpreted / compiled closures / bytecode VM)
-// over identical pre-built (src, tgt) pairs; a row is valid only if it
-// produces byte-identical behaviour sets and verdicts to the
-// interpreted single-worker baseline, which BehaviorHash certifies.
+// in engine pairs (interpreted / compiled) over identical pre-built
+// (src, tgt) pairs; a row is valid only if it produces byte-identical
+// behaviour sets and verdicts to the interpreted single-worker
+// baseline, which BehaviorHash certifies.
 type ExecRow struct {
 	Mode    string // "freeze" or "legacy"
-	Engine  string // "interpreted", "compiled" or "bytecode"
+	Engine  string // "interpreted" or "compiled"
 	Workers int
 
 	Funcs        int
@@ -33,9 +33,10 @@ type ExecRow struct {
 	Refuted      int
 	Inconclusive int
 
-	// Execs counts individual function executions (each one oracle
-	// resolution of one input), the unit the engines actually compete
-	// on.
+	// Execs counts choice paths (each one oracle resolution of one
+	// input), the unit the engines compete on. The compiled engine
+	// merges paths that reach a state an earlier path reached, so it
+	// runs fewer executions than it counts here.
 	Execs        uint64
 	Elapsed      time.Duration
 	ChecksPerSec float64
@@ -48,15 +49,12 @@ type ExecRow struct {
 	// so every row of a mode must agree exactly.
 	BehaviorHash string
 
-	// Speedup (non-interpreted rows) is the interpreted same-workers
-	// row's elapsed time over this row's. SpeedupVsClosure (bytecode
-	// rows) is this row's ExecsPerSec over the compiled same-workers
-	// row's — the tier-2 payoff in isolation. TwinOK is whether the
-	// hash and verdict counters match the interpreted workers=1
-	// baseline (trivially true on the baseline itself).
-	Speedup          float64 `json:",omitempty"`
-	SpeedupVsClosure float64 `json:",omitempty"`
-	TwinOK           bool
+	// Speedup (compiled rows) is the interpreted same-workers row's
+	// elapsed time over this row's. TwinOK is whether the hash and
+	// verdict counters match the interpreted workers=1 baseline
+	// (trivially true on the baseline itself).
+	Speedup float64 `json:",omitempty"`
+	TwinOK  bool
 }
 
 // execPair is one pre-built validation problem. Building pairs happens
@@ -95,22 +93,6 @@ func buildExecPairs(fixed bool, numInstrs, maxFuncs int) ([]execPair, core.Optio
 	return pairs, sem
 }
 
-// execEngineCfg maps an engine row name onto a refine.Config: the
-// interpreter, the closure engine (tiering pinned off), or the
-// bytecode VM (promoted immediately).
-func execEngineCfg(cfg *refine.Config, engine string) {
-	switch engine {
-	case "interpreted":
-		cfg.Interpret = true
-	case "compiled":
-		cfg.Tier = core.TierPolicy{Mode: core.TierClosure}
-	case "bytecode":
-		cfg.Tier = core.TierPolicy{Mode: core.TierBytecode}
-	default:
-		panic("bench: unknown exec engine " + engine)
-	}
-}
-
 // measureExecEngine sweeps every pair through refine.Check on one
 // engine over a pool of `workers` goroutines, memoization off, and
 // digests everything observable. Pairs are split into contiguous
@@ -127,7 +109,7 @@ func execEngineCfg(cfg *refine.Config, engine string) {
 func measureExecEngine(pairs []execPair, sem core.Options, mode, engine string, workers, reps int) ExecRow {
 	row := ExecRow{Mode: mode, Engine: engine, Workers: workers, Funcs: len(pairs)}
 	cfg := refine.DefaultConfig(sem, sem)
-	execEngineCfg(&cfg, engine)
+	cfg.Interpret = engine == "interpreted"
 	h := fnv.New64a()
 	digests := make([]uint64, len(pairs))
 	statuses := make([]refine.Status, len(pairs))
@@ -252,36 +234,17 @@ func digestBehaviorSet(set refine.BehaviorSet) uint64 {
 
 // ExecEngines lists the E12 engine rows in measurement order. The
 // interpreted row doubles as the behaviour baseline.
-var ExecEngines = []string{"interpreted", "compiled", "bytecode"}
+var ExecEngines = []string{"interpreted", "compiled"}
 
-// ExecEnginesForTier maps a -tier setting onto the E12 engine rows to
-// measure: lower tiers drop the rows above them, and the interpreted
-// baseline always stays (it anchors TwinOK).
-func ExecEnginesForTier(tier string) ([]string, error) {
-	switch tier {
-	case "off":
-		return ExecEngines[:1], nil
-	case "closure":
-		return ExecEngines[:2], nil
-	case "", "auto", "bytecode":
-		return ExecEngines, nil
-	}
-	return nil, fmt.Errorf("bad tier %q (want off, closure, auto or bytecode)", tier)
-}
-
-// MeasureExec runs the engine-tier experiment over both semantics,
-// crossed with every worker count in workersList (nil or empty means
-// single-threaded only) and every engine in engines (nil means
-// ExecEngines). Rows are grouped mode-major, then workers, then
-// engine; every row's hash and verdict counters are checked against
-// the mode's interpreted workers=1 baseline, so the table certifies
-// engine equivalence and pool determinism at once.
-func MeasureExec(numInstrs, maxFuncs int, workersList []int, engines []string) []ExecRow {
+// MeasureExec runs the engine experiment over both semantics, crossed
+// with every worker count in workersList (nil or empty means
+// single-threaded only) and both engines. Rows are grouped mode-major,
+// then workers, then engine; every row's hash and verdict counters are
+// checked against the mode's interpreted workers=1 baseline, so the
+// table certifies engine equivalence and pool determinism at once.
+func MeasureExec(numInstrs, maxFuncs int, workersList []int) []ExecRow {
 	if len(workersList) == 0 {
 		workersList = []int{1}
-	}
-	if len(engines) == 0 {
-		engines = ExecEngines
 	}
 	var rows []ExecRow
 	for _, m := range []struct {
@@ -290,25 +253,14 @@ func MeasureExec(numInstrs, maxFuncs int, workersList []int, engines []string) [
 		reps  int
 	}{{true, "freeze", 5}, {false, "legacy", 1}} {
 		pairs, sem := buildExecPairs(m.fixed, numInstrs, maxFuncs)
-		modeRows := make([]ExecRow, 0, len(workersList)*len(engines))
+		modeRows := make([]ExecRow, 0, len(workersList)*len(ExecEngines))
 		for _, w := range workersList {
-			interp, closure := -1, -1
-			for _, engine := range engines {
-				modeRows = append(modeRows, measureExecEngine(pairs, sem, m.name, engine, w, m.reps))
-				r := &modeRows[len(modeRows)-1]
-				switch engine {
-				case "interpreted":
-					interp = len(modeRows) - 1
-				case "compiled":
-					closure = len(modeRows) - 1
-				}
-				if engine != "interpreted" && interp >= 0 && r.Elapsed > 0 {
-					r.Speedup = float64(modeRows[interp].Elapsed) / float64(r.Elapsed)
-				}
-				if engine == "bytecode" && closure >= 0 && modeRows[closure].ExecsPerSec > 0 {
-					r.SpeedupVsClosure = r.ExecsPerSec / modeRows[closure].ExecsPerSec
-				}
+			interp := measureExecEngine(pairs, sem, m.name, "interpreted", w, m.reps)
+			compiled := measureExecEngine(pairs, sem, m.name, "compiled", w, m.reps)
+			if compiled.Elapsed > 0 {
+				compiled.Speedup = float64(interp.Elapsed) / float64(compiled.Elapsed)
 			}
+			modeRows = append(modeRows, interp, compiled)
 		}
 		baseline := modeRows[0]
 		for i := range modeRows {
@@ -326,26 +278,24 @@ func MeasureExec(numInstrs, maxFuncs int, workersList []int, engines []string) [
 
 // ReportExec renders the engine×workers table.
 func ReportExec(w io.Writer, rows []ExecRow) {
-	fmt.Fprintln(w, "== E12: execution engine (interpreted vs compiled vs bytecode, by worker count) ==")
-	fmt.Fprintf(w, "%-7s %-12s %3s %7s %8s %9s %10s %12s %17s %8s %8s %5s\n",
-		"mode", "engine", "wrk", "funcs", "checks", "refuted", "execs", "elapsed", "behavior-hash", "speedup", "vs-clos", "twin")
+	fmt.Fprintln(w, "== E12: execution engine (interpreted vs compiled, by worker count) ==")
+	fmt.Fprintf(w, "%-7s %-12s %3s %7s %8s %9s %10s %12s %17s %8s %5s\n",
+		"mode", "engine", "wrk", "funcs", "checks", "refuted", "execs", "elapsed", "behavior-hash", "speedup", "twin")
 	for _, r := range rows {
-		speedup, vsClosure := "", ""
+		speedup := ""
 		if r.Engine != "interpreted" {
 			speedup = fmt.Sprintf("%.2fx", r.Speedup)
-		}
-		if r.Engine == "bytecode" {
-			vsClosure = fmt.Sprintf("%.2fx", r.SpeedupVsClosure)
 		}
 		twin := "FAIL"
 		if r.TwinOK {
 			twin = "ok"
 		}
-		fmt.Fprintf(w, "%-7s %-12s %3d %7d %8d %9d %10d %12s %17s %8s %8s %5s\n",
+		fmt.Fprintf(w, "%-7s %-12s %3d %7d %8d %9d %10d %12s %17s %8s %5s\n",
 			r.Mode, r.Engine, r.Workers, r.Funcs, r.Checks, r.Refuted, r.Execs,
-			r.Elapsed.Round(time.Millisecond), r.BehaviorHash, speedup, vsClosure, twin)
+			r.Elapsed.Round(time.Millisecond), r.BehaviorHash, speedup, twin)
 	}
-	fmt.Fprintf(w, "execs are identical across rows because every engine drives the same oracle enumeration;\n")
-	fmt.Fprintf(w, "behavior-hash folds per-pair digests in pair order, so equal hashes mean byte-identical results\n")
-	fmt.Fprintf(w, "regardless of worker count; vs-clos is the bytecode tier's throughput over the closure engine.\n")
+	fmt.Fprintf(w, "execs count choice paths, identical across rows because every engine drives the same oracle\n")
+	fmt.Fprintf(w, "enumeration (the compiled engine merges paths that reach an earlier path's state, so it runs\n")
+	fmt.Fprintf(w, "fewer of them); behavior-hash folds per-pair digests in pair order, so equal hashes mean\n")
+	fmt.Fprintf(w, "byte-identical results regardless of worker count.\n")
 }

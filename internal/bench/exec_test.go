@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// TestExecTwinsAgree is the quick version of the E12 experiment: all
-// three engines, serial and pooled, must produce byte-identical
-// behaviour digests and verdicts over the same pre-built pairs, in
-// both semantics.
+// TestExecTwinsAgree is the quick version of the E12 experiment: both
+// engines, serial and pooled, must produce byte-identical behaviour
+// digests and verdicts over the same pre-built pairs, in both
+// semantics.
 func TestExecTwinsAgree(t *testing.T) {
 	workers := []int{1, 2}
-	rows := MeasureExec(2, 40, workers, nil)
+	rows := MeasureExec(2, 40, workers)
 	wantRows := 2 * len(workers) * len(ExecEngines)
 	if len(rows) != wantRows {
 		t.Fatalf("got %d rows, want %d", len(rows), wantRows)
@@ -45,7 +45,7 @@ func TestExecTwinsAgree(t *testing.T) {
 
 	var sb strings.Builder
 	ReportExec(&sb, rows)
-	for _, want := range []string{"behavior-hash", "compiled", "interpreted", "bytecode"} {
+	for _, want := range []string{"behavior-hash", "compiled", "interpreted"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, sb.String())
 		}
@@ -53,7 +53,7 @@ func TestExecTwinsAgree(t *testing.T) {
 }
 
 // BenchmarkExecEngines reports per-engine throughput on the §6
-// workload; the ratios are the compile-once and tier-2 speedups.
+// workload; the ratio is the compiled engine's speedup.
 func BenchmarkExecEngines(b *testing.B) {
 	for _, engine := range ExecEngines {
 		b.Run(engine, func(b *testing.B) {

@@ -258,10 +258,10 @@ func MeasureFreezeElim(numInstrs, maxFuncs, workers int, reg *telemetry.Registry
 
 // MeasureWarmStart is the persistent-cache ablation: the same -O2
 // freeze-dialect campaign run twice against one cache directory. The
-// first (cold) run starts from an empty dir and writes its memo and
-// lowering snapshots on exit; the second (warm) run loads them, so
-// every source-side behaviour derivation the cold run performed is
-// served from disk. The two rows come back as "o2-cold-cache" /
+// first (cold) run starts from an empty dir and writes its memo
+// snapshot on exit; the second (warm) run loads it, so every
+// source-side behaviour derivation the cold run performed is served
+// from disk. The two rows come back as "o2-cold-cache" /
 // "o2-warm-cache" with the disk counters filled in; by the snapshot
 // soundness contract (stale files rejected wholesale, hits keyed on
 // the full canonical text) the warm row's verdict counts are

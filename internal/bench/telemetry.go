@@ -5,13 +5,11 @@ import (
 	"tameir/internal/telemetry"
 )
 
-// PublishProcessMetrics folds the process-wide collectors the bench
-// experiments feed — the shared verified-run program cache and the
-// bytecode lowering cache — into reg. Everything is scheduling-class:
-// the experiments interleave their compiles through one cache, so the
-// hit/miss split depends on which experiment (and which of its
-// workers) got there first.
+// PublishProcessMetrics folds the process-wide collector the bench
+// experiments feed — the shared verified-run program cache — into reg.
+// It is scheduling-class: the experiments interleave their compiles
+// through one cache, so the hit/miss split depends on which experiment
+// (and which of its workers) got there first.
 func PublishProcessMetrics(reg *telemetry.Registry) {
 	core.SharedProgramCache().Stats().Publish(reg, telemetry.Scheduling)
-	core.LowerCacheStats().Publish(reg, telemetry.Scheduling, "lowercache")
 }

@@ -1,8 +1,8 @@
 // Package cache is the repo's generic concurrency-safe cache layer:
 // the lock-sharded bounded table, second-chance clock eviction, and
-// lock-striped get-or-create map that core.ProgramCache, refine.Memo
-// and the bytecode lowering cache all instantiate, plus the versioned
-// snapshot files behind -cache-dir warm starts (snapshot.go).
+// lock-striped get-or-create map that core.ProgramCache and
+// refine.Memo instantiate, plus the versioned snapshot files behind
+// -cache-dir warm starts (snapshot.go).
 //
 // The layer deliberately exposes mechanism, not policy. Each cache in
 // the repo has its own keying discipline (full canonical strings so a
@@ -202,8 +202,7 @@ func (s *StringMap[V]) Range(f func(key string, v V)) {
 }
 
 // Table is a bounded, lock-sharded map with second-chance eviction —
-// the generic shape under core.ProgramCache and the bytecode lowering
-// cache. Values live behind per-entry cells so the onHit callback can
+// the generic shape under core.ProgramCache. Values live behind per-entry cells so the onHit callback can
 // mutate a hit in place under the shard lock (the ProgramCache
 // verified path recompiles stale programs that way). compute also runs
 // under the shard lock, which serializes duplicate misses on the same
@@ -324,21 +323,6 @@ func (t *Table[K, V]) Keys() []K {
 		sh.mu.Unlock()
 	}
 	return out
-}
-
-// Range visits every resident entry with its shard lock held, shard
-// by shard — the raw material for metadata snapshots. Visit order is
-// unspecified; callers that need deterministic output sort what they
-// collect. f must not call back into the table.
-func (t *Table[K, V]) Range(f func(k K, v V)) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for k, e := range sh.m {
-			f(k, e.v)
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // Len returns the number of resident entries (approximate while

@@ -14,9 +14,9 @@ import (
 )
 
 // Snapshot files are how -cache-dir warm starts work: a cache writes
-// its serializable content (memo behaviour sets, lowering-cache
-// metadata) to <dir>/<kind>.snap after a run and the next run loads it
-// before doing any work. The format is a gob stream: a header carrying
+// its serializable content (the memo's behaviour sets) to
+// <dir>/<kind>.snap after a run and the next run loads it before doing
+// any work. The format is a gob stream: a header carrying
 // a magic string, the format version, the snapshot kind and the
 // caller's semantics fingerprint, followed by the payload.
 //

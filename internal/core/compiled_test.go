@@ -1,14 +1,14 @@
 package core_test
 
-// Differential tests for the compiled execution engines: every
-// function must produce exactly the interpreter's outcomes — same
-// Outcome kind, same value, same UB message — under every semantics
-// variant, for every resolution of nondeterminism. The three engines
-// (tree-walking interpreter, closure engine, bytecode VM) run in
-// lockstep on triplet enumeration oracles, so a divergence in *which*
-// choice points are reached (not just in outcomes) also fails:
-// behaviour-set equality downstream is byte-identical by construction
-// only if the Choose-call sequences match.
+// Differential tests for the compiled execution engine: every function
+// must produce exactly the interpreter's outcomes — same Outcome kind,
+// same value, same UB message — under every semantics variant, for
+// every resolution of nondeterminism. The two engines (tree-walking
+// interpreter, closure engine) run in lockstep on paired enumeration
+// oracles, so a divergence in *which* choice points are reached (not
+// just in outcomes) also fails: behaviour-set equality downstream is
+// byte-identical by construction only if the Choose-call sequences
+// match.
 
 import (
 	"fmt"
@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"tameir/internal/core"
-	_ "tameir/internal/core/bytecode" // register the tier-2 backend
 	"tameir/internal/ir"
 	"tameir/internal/optfuzz"
 )
@@ -109,15 +108,14 @@ func outcomeKey(o core.Outcome) string {
 	return s
 }
 
-// diffOne sweeps all three engines through the oracle enumeration on
-// one (function, input), up to maxExecs executions, and fails on the
-// first divergence.
-func diffOne(t *testing.T, label string, fn *ir.Func, ex, exB *core.Executor, args []core.Value, opts core.Options, maxExecs int) {
+// diffOne sweeps both engines through the oracle enumeration on one
+// (function, input), up to maxExecs executions, and fails on the first
+// divergence.
+func diffOne(t *testing.T, label string, fn *ir.Func, ex *core.Executor, args []core.Value, opts core.Options, maxExecs int) {
 	t.Helper()
 	const maxChoices, maxFanout = 16, 1 << 8
 	oi := core.NewEnumOracle(maxChoices, maxFanout)
 	oc := core.NewEnumOracle(maxChoices, maxFanout)
-	ob := core.NewEnumOracle(maxChoices, maxFanout)
 	for exec := 0; ; exec++ {
 		if exec > maxExecs {
 			// Undef-heavy functions can have more resolutions than worth
@@ -127,60 +125,45 @@ func diffOne(t *testing.T, label string, fn *ir.Func, ex, exB *core.Executor, ar
 		}
 		oi.Reset()
 		oc.Reset()
-		ob.Reset()
 		outI := core.Interpret(fn, args, oi, opts)
 		outC := ex.Run(args, oc)
-		outB := exB.Run(args, ob)
-		ki, kc, kb := outcomeKey(outI), outcomeKey(outC), outcomeKey(outB)
-		if ki != kc || ki != kb {
-			t.Fatalf("%s: args %v exec %d:\ninterpreted: %s\ncompiled:    %s\nbytecode:    %s\n%s",
-				label, args, exec, ki, kc, kb, fn)
+		ki, kc := outcomeKey(outI), outcomeKey(outC)
+		if ki != kc {
+			t.Fatalf("%s: args %v exec %d:\ninterpreted: %s\ncompiled:    %s\n%s",
+				label, args, exec, ki, kc, fn)
 		}
-		ni, nc, nb := oi.Next(), oc.Next(), ob.Next()
-		if ni != nc || ni != nb {
-			t.Fatalf("%s: args %v exec %d: oracle enumeration diverged (interp next=%t, compiled next=%t, bytecode next=%t) — the engines take different Choose sequences\n%s",
-				label, args, exec, ni, nc, nb, fn)
+		ni, nc := oi.Next(), oc.Next()
+		if ni != nc {
+			t.Fatalf("%s: args %v exec %d: oracle enumeration diverged (interp next=%t, compiled next=%t) — the engines take different Choose sequences\n%s",
+				label, args, exec, ni, nc, fn)
 		}
 		if !ni {
 			break
 		}
 	}
-	if oi.Overflowed != oc.Overflowed || oi.Overflowed != ob.Overflowed {
-		t.Fatalf("%s: args %v: overflow flags diverge (interp %t, compiled %t, bytecode %t)\n%s",
-			label, args, oi.Overflowed, oc.Overflowed, ob.Overflowed, fn)
+	if oi.Overflowed != oc.Overflowed {
+		t.Fatalf("%s: args %v: overflow flags diverge (interp %t, compiled %t)\n%s",
+			label, args, oi.Overflowed, oc.Overflowed, fn)
 	}
 }
 
 // diffFunc compiles fn once and lockstep-compares every input across
-// the interpreter, the closure engine, and the bytecode tier. It
-// returns the closure and bytecode executors' engine counters.
-func diffFunc(t *testing.T, label string, fn *ir.Func, opts core.Options) (closure, bytecode core.EngineMetrics) {
+// the interpreter and the closure engine. It returns the closure
+// executor's engine counters.
+func diffFunc(t *testing.T, label string, fn *ir.Func, opts core.Options) core.EngineMetrics {
 	t.Helper()
 	return diffFuncExecs(t, label, fn, opts, 1<<14)
 }
 
 // diffFuncExecs is diffFunc comparing at most maxExecs oracle paths per
 // input.
-func diffFuncExecs(t *testing.T, label string, fn *ir.Func, opts core.Options, maxExecs int) (closure, bytecode core.EngineMetrics) {
+func diffFuncExecs(t *testing.T, label string, fn *ir.Func, opts core.Options, maxExecs int) core.EngineMetrics {
 	t.Helper()
-	prog := core.Compile(fn, opts)
-	ex := core.NewExecutor(prog)
-	exB := core.NewExecutor(prog)
-	exB.SetTier(core.TierPolicy{Mode: core.TierBytecode})
-	first := true
+	ex := core.NewExecutor(core.Compile(fn, opts))
 	for _, args := range paramInputs(fn, opts.Mode) {
-		diffOne(t, label, fn, ex, exB, args, opts, maxExecs)
-		if first {
-			// A silent fallback to the closure engine would make the
-			// three-way comparison vacuous; every test function must
-			// actually lower.
-			if got := exB.ActiveTier(); got != "bytecode" {
-				t.Fatalf("%s: tier executor runs on %q, want bytecode\n%s", label, got, fn)
-			}
-			first = false
-		}
+		diffOne(t, label, fn, ex, args, opts, maxExecs)
 	}
-	return *ex.Metrics(), *exB.Metrics()
+	return *ex.Metrics()
 }
 
 // compiledCorpus is hand-written IR hitting the constructs the
@@ -192,8 +175,8 @@ var compiledCorpus = []struct {
 	src        string
 	legacyOnly bool // uses undef, which the freeze dialect rejects
 	fuel       int  // execution fuel; 0 keeps the default
-	// exit, for a case that never returns, says how both compiled
-	// engines must end it: "cycle" (proven divergent and stopped
+	// exit, for a case that never returns, says how the compiled
+	// engine must end it: "cycle" (proven divergent and stopped
 	// early) or "fuel" (run to the fuel limit). The interpreter always
 	// runs to the limit, so the lockstep shows the early exit exact.
 	exit string
@@ -694,17 +677,12 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 				opts := v.opts
 				opts.Fuel = tc.fuel
 				label := tc.name + "/" + v.name
-				mc, mb := diffFunc(t, label, fn, opts)
-				for _, m := range []struct {
-					tier string
-					m    core.EngineMetrics
-				}{{"closure", mc}, {"bytecode", mb}} {
-					switch {
-					case tc.exit == "cycle" && m.m.CycleExits == 0:
-						t.Errorf("%s: %s engine never stopped the divergent loop early", label, m.tier)
-					case tc.exit == "fuel" && (m.m.CycleExits != 0 || m.m.FuelExits == 0):
-						t.Errorf("%s: %s engine: %d cycle exits, %d fuel exits; want none and some", label, m.tier, m.m.CycleExits, m.m.FuelExits)
-					}
+				m := diffFunc(t, label, fn, opts)
+				switch {
+				case tc.exit == "cycle" && m.CycleExits == 0:
+					t.Errorf("%s: the compiled engine never stopped the divergent loop early", label)
+				case tc.exit == "fuel" && (m.CycleExits != 0 || m.FuelExits == 0):
+					t.Errorf("%s: the compiled engine: %d cycle exits, %d fuel exits; want none and some", label, m.CycleExits, m.FuelExits)
 				}
 			}
 		}
@@ -762,9 +740,9 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 		// low enough that looping mutants soon reach the fuel limit or a
 		// proven cycle. Legacy mutants loop over undef, which multiplies
 		// the oracle paths per input, so they compare fewer of them. The
-		// exit counters must come out positive on both tiers, or the
-		// lockstep never compared an early exit.
-		var exits [2]uint64
+		// cycle-exit counter must come out positive, or the lockstep
+		// never compared an early exit.
+		var exits uint64
 		for _, d := range []struct {
 			mode     ir.VerifyMode
 			opts     core.Options
@@ -776,13 +754,11 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 			opts := d.opts
 			opts.Fuel = 200
 			for i, fn := range mutantCFGs(d.mode, 40) {
-				mc, mb := diffFuncExecs(t, fmt.Sprintf("mutant-%s[%d]", opts.Mode, i), fn, opts, d.maxExecs)
-				exits[0] += mc.CycleExits
-				exits[1] += mb.CycleExits
+				exits += diffFuncExecs(t, fmt.Sprintf("mutant-%s[%d]", opts.Mode, i), fn, opts, d.maxExecs).CycleExits
 			}
 		}
-		if exits[0] == 0 || exits[1] == 0 {
-			t.Fatalf("cycle exits: closure %d, bytecode %d; the mutants never exercised the early exit", exits[0], exits[1])
+		if exits == 0 {
+			t.Fatal("no cycle exits: the mutants never exercised the early exit")
 		}
 	})
 }

@@ -2,22 +2,21 @@ package core
 
 import "tameir/internal/ir"
 
-// Cycles stops executions that provably never terminate. Both compiled
-// engines (the closure engine's execFrame and the bytecode runner) arm
-// it at the start of every run and hand it every backward jump — a
-// branch to a block at or before the current one in layout order, which
-// every loop contains — together with the jump's target, the frame's
-// registers after the edge's phi moves, the call depth and the run's
-// oracle. It keeps one snapshot of that state and compares each later
-// jump against it, retaking the snapshot whenever the number of jumps
-// since the last one reaches a power of two (Brent's cycle detection),
-// so a cycle of λ jumps entered after μ jumps is found within about
-// 2·max(μ, λ)+λ jumps.
+// Cycles stops executions that provably never terminate. The compiled
+// engine arms it at the start of every run, and execFrame hands it
+// every backward jump — a branch to a block at or before the current
+// one in layout order, which every loop contains — together with the
+// jump's target, the frame's registers after the edge's phi moves, the
+// call depth and the run's oracle. It keeps one snapshot of that state
+// and compares each later jump against it, retaking the snapshot
+// whenever the number of jumps since the last one reaches a power of
+// two (Brent's cycle detection), so a cycle of λ jumps entered after μ
+// jumps is found within about 2·max(μ, λ)+λ jumps.
 //
 // A repeat proves divergence only when the jump's state is the whole
 // state the rest of the run depends on. Arm decides that once per run:
 //
-//   - the engine reports the run exact: the program touches no memory
+//   - the run is exact: the program touches no memory
 //     (needsMem is false for the whole call graph), so registers, the
 //     oracle and the call stack are everything, and Options.EmitTrace
 //     is off, so no tracer observes the steps the exit skips;
@@ -54,14 +53,13 @@ type cycleDetector struct {
 
 	// The snapshot.
 	depth int   // call depth of the snapshot's activation; 0: none
-	block int32 // jump target: block index or bytecode pc
+	block int32 // jump target block
 	pos   int   // oracle position
 	n     int   // jumps compared against the snapshot so far
 	power int   // jumps after which the snapshot is retaken
 
-	s     []Scalar   // scalar register plane
-	vals  []cycleVal // value registers: type and lane count
-	lanes []Scalar   // value registers' lanes, concatenated
+	vals  []cycleVal // registers: type and lane count
+	lanes []Scalar   // registers' lanes, concatenated
 }
 
 type cycleVal struct {
@@ -106,11 +104,11 @@ func (c *Cycles) rearm(o Oracle, exact bool) {
 }
 
 // Repeats records a backward jump to block at call depth depth, with
-// the frame's scalar registers s and value registers v (either may be
-// nil) and the run's oracle o, and reports whether the same activation
-// has been in exactly this state before in a run that can exit early:
-// then the run provably never terminates, and the engine returns Exit.
-func (c *Cycles) Repeats(o Oracle, depth int, block int32, s []Scalar, v []Value) bool {
+// the frame's registers v and the run's oracle o, and reports whether
+// the same activation has been in exactly this state before in a run
+// that can exit early: then the run provably never terminates, and the
+// engine returns Exit.
+func (c *Cycles) Repeats(o Oracle, depth int, block int32, v []Value) bool {
 	if c.d == nil {
 		c.rearm(o, true) // without a detector the run is exact (see Arm)
 	}
@@ -123,17 +121,17 @@ func (c *Cycles) Repeats(o Oracle, depth int, block int32, s []Scalar, v []Value
 		pos = d.enum.pos
 	}
 	if d.depth == 0 {
-		d.take(depth, block, pos, s, v)
+		d.take(depth, block, pos, v)
 		return false
 	}
-	if d.depth == depth && d.block == block && d.pos == pos && d.same(s, v) {
+	if d.depth == depth && d.block == block && d.pos == pos && d.same(v) {
 		return true
 	}
 	// Jumps in callees of the snapshot's activation count too: a callee
 	// that loops forever gets the snapshot once the window fills.
 	d.n++
 	if d.n == d.power {
-		d.take(depth, block, pos, s, v)
+		d.take(depth, block, pos, v)
 		d.power *= 2
 	}
 	return false
@@ -158,9 +156,8 @@ func (c *Cycles) Return(depth int) {
 	}
 }
 
-func (d *cycleDetector) take(depth int, block int32, pos int, s []Scalar, v []Value) {
+func (d *cycleDetector) take(depth int, block int32, pos int, v []Value) {
 	d.depth, d.block, d.pos, d.n = depth, block, pos, 0
-	d.s = append(d.s[:0], s...)
 	if cap(d.vals) < len(v) {
 		// One lane per register covers every scalar; vector lanes
 		// grow the buffer on demand.
@@ -181,16 +178,11 @@ func (d *cycleDetector) take(depth int, block int32, pos int, s []Scalar, v []Va
 	d.lanes = lanes
 }
 
-// same compares registers with the snapshot: scalars bit for bit,
-// values by type and lanes, unset registers only with unset ones.
-func (d *cycleDetector) same(s []Scalar, v []Value) bool {
-	if len(s) != len(d.s) || len(v) != len(d.vals) {
+// same compares registers with the snapshot by type and lanes, unset
+// registers only with unset ones.
+func (d *cycleDetector) same(v []Value) bool {
+	if len(v) != len(d.vals) {
 		return false
-	}
-	for i := range s {
-		if s[i] != d.s[i] {
-			return false
-		}
 	}
 	off := 0
 	for i := range v {

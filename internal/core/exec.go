@@ -20,7 +20,7 @@ const (
 	// OutError: an internal error (malformed IR reached the
 	// interpreter); always a bug in the caller.
 	OutError
-	// OutMerged: a compiled engine stopped the run at a state an
+	// OutMerged: the compiled engine stopped the run at a state an
 	// earlier choice path of the same enumeration reached (merge.go);
 	// the outcomes below that state are already known. Only runs on an
 	// EnumOracle with merging on end this way.
@@ -68,13 +68,6 @@ type Env struct {
 	// Trace, when non-nil, is invoked after each instruction.
 	Trace Tracer
 
-	// Tier selects the execution tier for Env.Run. Tiered execution is
-	// always a fresh run (the runner resets fuel, memory and globals
-	// like Executor.Run does), so the policy only applies when the env
-	// is untraced; a traced env stays on the closure engine, which is
-	// the only tier with trace support.
-	Tier TierPolicy
-
 	fuel       int
 	depth      int
 	globalAddr map[*ir.Global]uint32
@@ -103,12 +96,6 @@ type Env struct {
 	// the hot paths pay ordinary increments and a publisher folds the
 	// totals into a telemetry registry once per batch.
 	Metrics EngineMetrics
-
-	// tierRunner caches the tier-2 runner for the last program Env.Run
-	// promoted, keyed by tierProgOf (an Env usually runs one function
-	// over and over).
-	tierRunner TierRunner
-	tierProgOf *Program
 }
 
 // EngineMetrics counts what the execution engine did: top-level runs,
@@ -121,17 +108,12 @@ type EngineMetrics struct {
 	FramesPooled    uint64
 	FramesAllocated uint64
 
-	// Per-tier exec breakdown (Execs is the sum of whichever tiers
-	// ran) plus the number of program promotions to the tier-2
-	// backend. Promotions counts lowered programs, not executors: the
-	// lowering is shared, so only the executor that actually performs
-	// it counts one.
-	InterpExecs   uint64
-	ClosureExecs  uint64
-	BytecodeExecs uint64
-	Promotions    uint64
+	// Per-engine exec breakdown: Execs is the sum of whichever engines
+	// ran.
+	InterpExecs  uint64
+	ClosureExecs uint64
 
-	// Timed-out executions on the compiled engines, by cause:
+	// Timed-out executions on the compiled engine, by cause:
 	// CycleExits were proven divergent and stopped early (cycle.go),
 	// FuelExits ran out of fuel. Call-depth timeouts and interpreter
 	// runs count in neither.
@@ -152,8 +134,6 @@ func (m *EngineMetrics) Add(o EngineMetrics) {
 	m.FramesAllocated += o.FramesAllocated
 	m.InterpExecs += o.InterpExecs
 	m.ClosureExecs += o.ClosureExecs
-	m.BytecodeExecs += o.BytecodeExecs
-	m.Promotions += o.Promotions
 	m.CycleExits += o.CycleExits
 	m.FuelExits += o.FuelExits
 	m.MergeExits += o.MergeExits
@@ -216,16 +196,6 @@ func (env *Env) Run(fn *ir.Func, args []Value) Outcome {
 	opts := env.Opts
 	opts.EmitTrace = env.Trace != nil
 	p := sharedPrograms.getVerified(fn, opts)
-	if env.Tier.Mode != TierClosure && env.Trace == nil {
-		if r := env.tierRunnerFor(p); r != nil {
-			out := r.Run(args, env.Oracle, &env.Metrics)
-			// The runner's lanes are valid only until its next Run.
-			if out.Val.Lanes != nil {
-				out.Val.Lanes = append([]Scalar(nil), out.Val.Lanes...)
-			}
-			return out
-		}
-	}
 	if out := p.checkArgs(args); out != nil {
 		return *out
 	}
@@ -238,31 +208,6 @@ func (env *Env) Run(fn *ir.Func, args []Value) Outcome {
 	env.Metrics.ClosureExecs++
 	env.Metrics.Steps += uint64(env.Steps - steps0)
 	return out
-}
-
-// tierRunnerFor applies the env's tiering policy to p, returning the
-// tier-2 runner once promoted (nil while on the closure engine or when
-// the backend declines the function).
-func (env *Env) tierRunnerFor(p *Program) TierRunner {
-	if env.tierProgOf == p {
-		return env.tierRunner
-	}
-	var tp TierProgram
-	switch env.Tier.Mode {
-	case TierBytecode:
-		tp = p.tierProgram(&env.Metrics)
-	case TierAuto:
-		if p.tierExecs.Add(1) < env.Tier.threshold() && !p.preHot {
-			return nil
-		}
-		tp = p.tierProgram(&env.Metrics)
-	}
-	if tp == nil {
-		return nil
-	}
-	env.tierProgOf = p
-	env.tierRunner = tp.NewRunner(p)
-	return env.tierRunner
 }
 
 // RunInterp executes fn on the tree-walking interpreter. It is the

@@ -28,12 +28,11 @@ import (
 //     since the last check (EnumOracle.mark). Boundaries a run reaches
 //     by replaying the previous path's prefix are never recorded or
 //     matched.
-//   - The key is everything the rest of the run depends on: the engine
-//     (closure or bytecode, whose pcs differ), the pc (block and step,
-//     or bytecode pc and µop index inside a fused body), the remaining
-//     fuel, the oracle position, and every register not provably dead
-//     (liveness may over-approximate, never under-approximate; phi moves
-//     count as uses at the end of the predecessor).
+//   - The key is everything the rest of the run depends on: the pc
+//     (block and step), the remaining fuel, the oracle position, and
+//     every register not provably dead (liveness may over-approximate,
+//     never under-approximate; phi moves count as uses at the end of
+//     the predecessor).
 //   - Why a match may skip. The enumeration is depth-first in
 //     lexicographic order. Two keys with equal positions but different
 //     prefixes mean the earlier prefix is the smaller one, so its
@@ -53,8 +52,8 @@ import (
 //     on an EnumOracle whose enumeration turned merging on
 //     (EnableMerging). The tree-walking interpreter never merges.
 
-// Merges is a compiled engine's handle on state merging, armed once per
-// top-level run beside Cycles. The zero value never merges.
+// Merges is the compiled engine's handle on state merging, armed once
+// per top-level run beside Cycles. The zero value never merges.
 type Merges struct {
 	o    *EnumOracle // the run's oracle while the run may merge; nil otherwise
 	prog *Program    // the program whose liveness trims the keys
@@ -80,18 +79,12 @@ func (m *Merges) Exit(em *EngineMetrics) Outcome {
 	return Outcome{Kind: OutMerged}
 }
 
-// Key tags: the engines number their boundaries differently.
-const (
-	tagClosure  = 1
-	tagBytecode = 2
-)
-
-// closure checks the closure engine's depth-1 frame, about to run step
-// j of block bi with fuel left: it reports whether an earlier path
-// reached the same state, and records the state otherwise.
-func (m *Merges) closure(bi, j int32, fuel int, regs []Value) bool {
+// visitFrame checks the depth-1 frame, about to run step j of block bi
+// with fuel left: it reports whether an earlier path reached the same
+// state, and records the state otherwise.
+func (m *Merges) visitFrame(bi, j int32, fuel int, regs []Value) bool {
 	lv := m.prog.liveness()
-	k := m.o.table().begin(tagClosure, uint64(bi), uint64(j), fuel, m.o.pos)
+	k := m.o.table().begin(uint64(bi), uint64(j), fuel, m.o.pos)
 	for w, bits := range lv.at(int(lv.start[bi]) + int(j)) {
 		for ; bits != 0; bits &= bits - 1 {
 			k = appendValue(k, regs[w*64+mbits.TrailingZeros64(bits)])
@@ -100,29 +93,7 @@ func (m *Merges) closure(bi, j int32, fuel int, regs []Value) bool {
 	return m.o.visit(k)
 }
 
-// Bytecode is closure for the bytecode runner's depth-1 frame: pc and
-// uop locate the boundary (uop indexes a fused body's µops), ord is the
-// ordinal of the instruction there among the function's non-phi
-// instructions, fuel the fuel left before it, and s and v the frame's
-// scalar and vector planes. planes maps each closure slot to its index
-// on the scalar plane, or ^index on the vector plane.
-func (m *Merges) Bytecode(pc, uop int32, ord, fuel int, planes []int32, s []Scalar, v []Value) bool {
-	lv := m.prog.liveness()
-	k := m.o.table().begin(tagBytecode, uint64(pc), uint64(uop), fuel, m.o.pos)
-	for w, bits := range lv.at(ord) {
-		for ; bits != 0; bits &= bits - 1 {
-			if i := planes[w*64+mbits.TrailingZeros64(bits)]; i >= 0 {
-				k = appendScalar(k, s[i])
-			} else {
-				k = appendValue(k, v[^i])
-			}
-		}
-	}
-	return m.o.visit(k)
-}
-
 // appendScalar encodes one lane: its kind, then its bits when concrete.
-// The bytecode tier's unset-slot kind encodes as itself.
 func appendScalar(k []byte, s Scalar) []byte {
 	k = append(k, byte(s.Kind))
 	if s.Kind == Concrete {
@@ -184,10 +155,9 @@ func (t *mergeTable) reset() {
 }
 
 // begin starts a key in the scratch buffer.
-func (t *mergeTable) begin(tag byte, pc, sub uint64, fuel, pos int) []byte {
-	k := append(t.key[:0], tag)
-	k = binary.AppendUvarint(k, pc)
-	k = binary.AppendUvarint(k, sub)
+func (t *mergeTable) begin(block, step uint64, fuel, pos int) []byte {
+	k := binary.AppendUvarint(t.key[:0], block)
+	k = binary.AppendUvarint(k, step)
 	k = binary.AppendVarint(k, int64(fuel))
 	return binary.AppendUvarint(k, uint64(pos))
 }
@@ -284,11 +254,9 @@ func (t *mergeTable) advance(leaves uint64, i int) {
 	t.open = t.open[:n]
 }
 
-// liveness is the register liveness of one function over the closure
+// liveness is the register liveness of one function over the compiled
 // engine's slot numbering (params, then every non-void instruction in
-// block order), at the boundary before each non-phi instruction. The
-// bytecode tier numbers its instructions the same way and splits the
-// same slots into two planes, so one liveness serves both engines.
+// block order), at the boundary before each non-phi instruction.
 type liveness struct {
 	words int      // bitset words per boundary
 	sets  []uint64 // live slots before each non-phi instruction, by ordinal

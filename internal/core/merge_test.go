@@ -1,8 +1,8 @@
 package core_test
 
-// State merging (merge.go) lets the compiled engines end a run at a
+// State merging (merge.go) lets the compiled engine end a run at a
 // state an earlier choice path of the same enumeration reached. These
-// tests hold refine.Check on both compiled tiers, where the
+// tests hold refine.Check on the compiled engine, where the
 // enumeration loop turns merging on, to the tree-walking interpreter,
 // which never merges: the verdict, every behaviour set and the number
 // of choice paths must come out identical.
@@ -38,15 +38,8 @@ type mergeRun struct {
 	engine core.EngineMetrics
 }
 
-func checkOn(src, tgt *ir.Func, cfg refine.Config, engine string) mergeRun {
-	switch engine {
-	case "interpreter":
-		cfg.Interpret = true
-	case "closure":
-		cfg.Tier = core.TierPolicy{Mode: core.TierClosure}
-	case "bytecode":
-		cfg.Tier = core.TierPolicy{Mode: core.TierBytecode}
-	}
+func checkOn(src, tgt *ir.Func, cfg refine.Config, interpret bool) mergeRun {
+	cfg.Interpret = interpret
 	var run mergeRun
 	var m refine.CheckMetrics
 	cfg.Metrics = &m
@@ -58,39 +51,32 @@ func checkOn(src, tgt *ir.Func, cfg refine.Config, engine string) mergeRun {
 }
 
 // mergeCompare checks src against tgt under cfg on the interpreter and
-// on both compiled tiers, fails on any difference, and returns the two
-// tiers' engine counters.
-func mergeCompare(t *testing.T, label string, src, tgt *ir.Func, cfg refine.Config) (closure, bytecode core.EngineMetrics) {
+// on the compiled engine, fails on any difference, and returns the
+// compiled engine's counters.
+func mergeCompare(t *testing.T, label string, src, tgt *ir.Func, cfg refine.Config) core.EngineMetrics {
 	t.Helper()
-	ref := checkOn(src, tgt, cfg, "interpreter")
-	var ms [2]core.EngineMetrics
-	for i, engine := range []string{"closure", "bytecode"} {
-		got := checkOn(src, tgt, cfg, engine)
-		if got.result != ref.result {
-			t.Errorf("%s/%s: result %q, interpreter %q", label, engine, got.result, ref.result)
-		}
-		if len(got.sets) != len(ref.sets) {
-			t.Errorf("%s/%s: %d behaviour sets, interpreter %d", label, engine, len(got.sets), len(ref.sets))
-		} else {
-			for j := range got.sets {
-				if got.sets[j] != ref.sets[j] {
-					t.Errorf("%s/%s: behaviour set %d is %s, interpreter %s", label, engine, j, got.sets[j], ref.sets[j])
-					break
-				}
+	ref := checkOn(src, tgt, cfg, true)
+	got := checkOn(src, tgt, cfg, false)
+	if got.result != ref.result {
+		t.Errorf("%s: result %q, interpreter %q", label, got.result, ref.result)
+	}
+	if len(got.sets) != len(ref.sets) {
+		t.Errorf("%s: %d behaviour sets, interpreter %d", label, len(got.sets), len(ref.sets))
+	} else {
+		for j := range got.sets {
+			if got.sets[j] != ref.sets[j] {
+				t.Errorf("%s: behaviour set %d is %s, interpreter %s", label, j, got.sets[j], ref.sets[j])
+				break
 			}
 		}
-		if got.paths != ref.paths {
-			t.Errorf("%s/%s: %d choice paths, interpreter %d", label, engine, got.paths, ref.paths)
-		}
-		if engine == "bytecode" && !cfg.SrcOpts.EmitTrace && got.engine.BytecodeExecs != got.engine.Execs {
-			t.Errorf("%s: only %d of %d runs on the bytecode tier", label, got.engine.BytecodeExecs, got.engine.Execs)
-		}
-		ms[i] = got.engine
+	}
+	if got.paths != ref.paths {
+		t.Errorf("%s: %d choice paths, interpreter %d", label, got.paths, ref.paths)
 	}
 	if t.Failed() {
 		t.Logf("%s:\n%s", label, src)
 	}
-	return ms[0], ms[1]
+	return got.engine
 }
 
 func legacyOpts() core.Options { return core.LegacyOptions(core.BranchPoisonNondet) }
@@ -131,13 +117,12 @@ func twoInstrSample(undef bool, perRound int) []*ir.Func {
 // candidates, the loop corpus, CFG mutants, the bounds a merged subtree
 // can cross, and a case for each rule of the key and of where merging
 // may happen, and requires that merging happened at all: the legacy
-// cases' merge exits must sum to more than zero on both tiers.
+// cases' merge exits must sum to more than zero.
 func TestStateMergingIsExact(t *testing.T) {
-	var legacyExits [2]uint64
-	count := func(opts core.Options, c, b core.EngineMetrics) {
+	var legacyExits uint64
+	count := func(opts core.Options, m core.EngineMetrics) {
 		if opts.Mode == core.Legacy {
-			legacyExits[0] += c.MergeExits
-			legacyExits[1] += b.MergeExits
+			legacyExits += m.MergeExits
 		}
 	}
 
@@ -152,8 +137,7 @@ func TestStateMergingIsExact(t *testing.T) {
 			cfg := refine.DefaultConfig(opts, opts)
 			for i := range fns {
 				src, tgt := fns[i], fns[(i+1)%len(fns)]
-				c, b := mergeCompare(t, fmt.Sprintf("%s[%d]", opts.Mode, i), src, tgt, cfg)
-				count(opts, c, b)
+				count(opts, mergeCompare(t, fmt.Sprintf("%s[%d]", opts.Mode, i), src, tgt, cfg))
 			}
 		}
 	})
@@ -170,8 +154,7 @@ func TestStateMergingIsExact(t *testing.T) {
 				if tc.fuel > 0 {
 					cfg.Fuel = tc.fuel
 				}
-				c, b := mergeCompare(t, tc.name+"/"+v.name, f, f, cfg)
-				count(v.opts, c, b)
+				count(v.opts, mergeCompare(t, tc.name+"/"+v.name, f, f, cfg))
 			}
 		}
 	})
@@ -192,8 +175,7 @@ func TestStateMergingIsExact(t *testing.T) {
 			cfg.Fuel = 200
 			cfg.MaxExecs = d.maxExecs
 			for i, fn := range mutantCFGs(d.mode, 40) {
-				c, b := mergeCompare(t, fmt.Sprintf("mutant-%s[%d]", d.opts.Mode, i), fn, fn, cfg)
-				count(d.opts, c, b)
+				count(d.opts, mergeCompare(t, fmt.Sprintf("mutant-%s[%d]", d.opts.Mode, i), fn, fn, cfg))
 			}
 		}
 	})
@@ -205,13 +187,11 @@ func TestStateMergingIsExact(t *testing.T) {
 		// interpreter's partial sets.
 		cfg := refine.DefaultConfig(legacyOpts(), legacyOpts())
 		cfg.MaxExecs = 100
-		c, b := mergeCompare(t, "max-execs", fn, fn, cfg)
-		count(legacyOpts(), c, b)
+		count(legacyOpts(), mergeCompare(t, "max-execs", fn, fn, cfg))
 		// Six choices against a limit of four: paths overflow it.
 		cfg = refine.DefaultConfig(legacyOpts(), legacyOpts())
 		cfg.MaxChoices = 4
-		c, b = mergeCompare(t, "max-choices", fn, fn, cfg)
-		count(legacyOpts(), c, b)
+		count(legacyOpts(), mergeCompare(t, "max-choices", fn, fn, cfg))
 	})
 
 	t.Run("fuel", func(t *testing.T) {
@@ -235,8 +215,7 @@ join:
 }`)
 		cfg := refine.DefaultConfig(legacyOpts(), legacyOpts())
 		cfg.Fuel = 5
-		c, b := mergeCompare(t, "fuel", fn, fn, cfg)
-		count(legacyOpts(), c, b)
+		count(legacyOpts(), mergeCompare(t, "fuel", fn, fn, cfg))
 	})
 
 	t.Run("callee-chooses", func(t *testing.T) {
@@ -257,11 +236,11 @@ entry:
 }`)
 		fn := m.Funcs[1]
 		cfg := refine.DefaultConfig(legacyOpts(), legacyOpts())
-		c, b := mergeCompare(t, "callee-chooses", fn, fn, cfg)
-		if c.MergeExits == 0 || b.MergeExits == 0 {
-			t.Errorf("merge exits: closure %d, bytecode %d; want some after the call returns", c.MergeExits, b.MergeExits)
+		em := mergeCompare(t, "callee-chooses", fn, fn, cfg)
+		if em.MergeExits == 0 {
+			t.Error("no merge exits; want some after the call returns")
 		}
-		count(legacyOpts(), c, b)
+		count(legacyOpts(), em)
 	})
 
 	t.Run("never-merges", func(t *testing.T) {
@@ -295,74 +274,64 @@ done:
 			if tc.fuel > 0 {
 				cfg.Fuel = tc.fuel
 			}
-			c, b := mergeCompare(t, tc.name, tc.fn, tc.fn, cfg)
-			if c.MergeExits != 0 || b.MergeExits != 0 {
-				t.Errorf("%s: merge exits: closure %d, bytecode %d; want none", tc.name, c.MergeExits, b.MergeExits)
+			if m := mergeCompare(t, tc.name, tc.fn, tc.fn, cfg); m.MergeExits != 0 {
+				t.Errorf("%s: %d merge exits; want none", tc.name, m.MergeExits)
 			}
 		}
 	})
 
-	if legacyExits[0] == 0 || legacyExits[1] == 0 {
-		t.Fatalf("merge exits over the legacy cases: closure %d, bytecode %d; merging never happened", legacyExits[0], legacyExits[1])
+	if legacyExits == 0 {
+		t.Fatal("no merge exits over the legacy cases; merging never happened")
 	}
 }
 
 // TestMergingCollapsesUndefSweep runs the 4,096 paths of undefSweep on
-// two undef inputs through an enumeration with merging on: both tiers
-// must cover every path in a few dozen runs, merging at the same
-// points, and the run that takes the path count past 100 (the bound
-// TestStateMergingIsExact sets) must be a merged one.
+// two undef inputs through an enumeration with merging on: the compiled
+// engine must cover every path in a few dozen runs, and the run that
+// takes the path count past 100 (the bound TestStateMergingIsExact
+// sets) must be a merged one.
 func TestMergingCollapsesUndefSweep(t *testing.T) {
 	fn := ir.MustParseFunc(undefSweep)
 	args := []core.Value{core.VUndef(ir.I2), core.VUndef(ir.I2)}
-	var runs [2]uint64
-	for i, tier := range []core.TierMode{core.TierClosure, core.TierBytecode} {
-		ex := core.NewExecutor(core.Compile(fn, legacyOpts()))
-		ex.SetTier(core.TierPolicy{Mode: tier})
-		o := core.NewEnumOracle(16, 1<<8)
-		o.EnableMerging()
-		paths, crossing := 0, 0
-		for {
-			o.Reset()
-			out := ex.Run(args, o)
-			if out.Kind != core.OutMerged && o.LastPaths() != 1 {
-				t.Fatalf("%s: a %s run stands for %d paths", tier, out, o.LastPaths())
-			}
-			if paths <= 100 && paths+o.LastPaths() > 100 {
-				crossing = o.LastPaths()
-			}
-			paths += o.LastPaths()
-			if !o.Next() {
-				break
-			}
+	ex := core.NewExecutor(core.Compile(fn, legacyOpts()))
+	o := core.NewEnumOracle(16, 1<<8)
+	o.EnableMerging()
+	paths, crossing := 0, 0
+	for {
+		o.Reset()
+		out := ex.Run(args, o)
+		if out.Kind != core.OutMerged && o.LastPaths() != 1 {
+			t.Fatalf("a %s run stands for %d paths", out, o.LastPaths())
 		}
-		m := ex.Metrics()
-		if paths != 4096 {
-			t.Errorf("%s: %d choice paths, want 4096", tier, paths)
+		if paths <= 100 && paths+o.LastPaths() > 100 {
+			crossing = o.LastPaths()
 		}
-		if m.Execs > 64 || m.MergeExits == 0 {
-			t.Errorf("%s: %d runs, %d merge exits; want at most 64 runs, most of them merged", tier, m.Execs, m.MergeExits)
+		paths += o.LastPaths()
+		if !o.Next() {
+			break
 		}
-		if crossing < 2 {
-			t.Errorf("%s: the run crossing 100 paths stands for %d; want a merged subtree", tier, crossing)
-		}
-		runs[i] = m.Execs
 	}
-	if runs[0] != runs[1] {
-		t.Errorf("closure ran %d times, bytecode %d; the tiers must merge at the same points", runs[0], runs[1])
+	m := ex.Metrics()
+	if paths != 4096 {
+		t.Errorf("%d choice paths, want 4096", paths)
+	}
+	if m.Execs > 64 || m.MergeExits == 0 {
+		t.Errorf("%d runs, %d merge exits; want at most 64 runs, most of them merged", m.Execs, m.MergeExits)
+	}
+	if crossing < 2 {
+		t.Errorf("the run crossing 100 paths stands for %d; want a merged subtree", crossing)
 	}
 }
 
 // TestMergingSharedProgram enumerates one compiled Program from several
-// goroutines at once, on both tiers, so its lazily computed liveness is
-// reached concurrently (run under -race in CI): every goroutine must
-// cover the 4,096 paths of undefSweep in the runs a lone one takes.
+// goroutines at once, so its lazily computed liveness is reached
+// concurrently (run under -race in CI): every goroutine must cover the
+// 4,096 paths of undefSweep in the runs a lone one takes.
 func TestMergingSharedProgram(t *testing.T) {
 	fn := ir.MustParseFunc(undefSweep)
 	args := []core.Value{core.VUndef(ir.I2), core.VUndef(ir.I2)}
-	sweep := func(prog *core.Program, tier core.TierMode) (paths int, runs uint64) {
+	sweep := func(prog *core.Program) (paths int, runs uint64) {
 		ex := core.NewExecutor(prog)
-		ex.SetTier(core.TierPolicy{Mode: tier})
 		o := core.NewEnumOracle(16, 1<<8)
 		o.EnableMerging()
 		for {
@@ -374,18 +343,17 @@ func TestMergingSharedProgram(t *testing.T) {
 			}
 		}
 	}
-	_, want := sweep(core.Compile(fn, legacyOpts()), core.TierClosure)
+	_, want := sweep(core.Compile(fn, legacyOpts()))
 	shared := core.Compile(fn, legacyOpts()) // its liveness not yet computed
 	const workers = 4
 	var wg sync.WaitGroup
 	errs := make(chan string, workers)
 	for w := 0; w < workers; w++ {
-		tier := []core.TierMode{core.TierClosure, core.TierBytecode}[w%2]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if paths, runs := sweep(shared, tier); paths != 4096 || runs != want {
-				errs <- fmt.Sprintf("%s: %d paths in %d runs, want 4096 in %d", tier, paths, runs, want)
+			if paths, runs := sweep(shared); paths != 4096 || runs != want {
+				errs <- fmt.Sprintf("worker %d: %d paths in %d runs, want 4096 in %d", w, paths, runs, want)
 			}
 		}()
 	}

@@ -86,6 +86,13 @@ type Options struct {
 	EmitTrace bool
 }
 
+// SemanticsFingerprint names the engine's observable semantics for
+// persistent cache snapshots (-cache-dir). Bump it whenever a change
+// could alter any behaviour set, outcome, or Check's deterministic
+// input enumeration — stale snapshots are then rejected wholesale
+// instead of replaying last build's verdicts.
+const SemanticsFingerprint = "tameir-sem-1"
+
 // DefaultFuel is the default instruction budget per execution.
 const DefaultFuel = 1 << 20
 

@@ -50,7 +50,7 @@ func (o *RandOracle) Choose(n uint64) uint64 {
 // with zeroes; Next advances the last choice with carry, like an
 // odometer whose digit bases are the recorded Choose bounds.
 //
-// An enumeration that calls EnableMerging lets the compiled engines end
+// An enumeration that calls EnableMerging lets the compiled engine end
 // a run at a state an earlier path reached (merge.go); such a run ends
 // in OutMerged and stands for LastPaths choice paths.
 type EnumOracle struct {

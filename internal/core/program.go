@@ -41,58 +41,13 @@ type Program struct {
 	framePool sync.Pool // *cframe
 	execPool  sync.Pool // *Executor, for the Exec convenience wrapper
 
-	// Tier-2 state. tierExecs counts executions across every executor
-	// of this program; when a TierAuto executor sees it trip the
-	// promotion threshold, tierOnce lowers the program (at most once,
-	// shared by all executors — the lowered form is immutable like the
-	// Program itself). tierProg stays nil when the backend declines.
-	tierExecs atomic.Uint64
-	tierOnce  sync.Once
-	tierProg  TierProgram
-
-	// preHot records that a -cache-dir snapshot saw this program (by
-	// canonical text and options) promoted last run; TierAuto then
-	// promotes on the first execution instead of after the threshold.
-	preHot bool
-
 	// live is the function's register liveness, computed the first
 	// time a run of it checks a state for merging (merge.go).
 	live atomic.Pointer[liveness]
 }
 
-// tierProgram returns the program's tier-2 lowering, resolving it on
-// first use — through the shared lowering cache when the function is
-// shareable (see lowercache.go), by a private backend call otherwise.
-// Acquiring the lowering counts as one promotion on m either way (the
-// requesting executor's metrics; merged upward like every engine
-// counter): promotion is a per-Program event even when the bytecode
-// itself came from the cache. Returns nil when no backend is
-// registered or the backend declines the function.
-func (p *Program) tierProgram(m *EngineMetrics) TierProgram {
-	p.tierOnce.Do(func() {
-		if tierBackend == nil {
-			return
-		}
-		tp, cached := lowerCached(p.fn, p.opts)
-		if !cached {
-			if lowered, ok := tierBackend.Lower(p.fn, p.opts); ok {
-				tp = lowered
-			}
-		}
-		if tp != nil {
-			p.tierProg = tp
-			m.Promotions++
-		}
-	})
-	return p.tierProg
-}
-
 // Func returns the compiled function.
 func (p *Program) Func() *ir.Func { return p.fn }
-
-// Options returns the (normalized) semantics the program was compiled
-// under.
-func (p *Program) Options() Options { return p.opts }
 
 // stepFn executes one instruction. It returns the index of the block to
 // jump to (negative: fall through to the next step) and a non-nil
@@ -290,7 +245,6 @@ func Compile(fn *ir.Func, opts Options) *Program {
 			q.needsMem = true
 		}
 	}
-	p.preHot = warmPromoted(fn, opts)
 	return p
 }
 
@@ -997,7 +951,7 @@ func (p *Program) execFrame(env *Env, fr *cframe, args []Value) Outcome {
 		}
 		jumped := false
 		for j, step := range b.steps {
-			if top && env.mrg.Due() && env.mrg.closure(bi, int32(j), env.fuel, regs) {
+			if top && env.mrg.Due() && env.mrg.visitFrame(bi, int32(j), env.fuel, regs) {
 				return env.mrg.Exit(&env.Metrics)
 			}
 			if env.fuel <= 0 {
@@ -1011,7 +965,7 @@ func (p *Program) execFrame(env *Env, fr *cframe, args []Value) Outcome {
 				return *out
 			}
 			if next >= 0 {
-				if next <= bi && env.cyc.Repeats(env.Oracle, env.depth, next, nil, regs) {
+				if next <= bi && env.cyc.Repeats(env.Oracle, env.depth, next, regs) {
 					return env.cyc.Exit(&env.fuel, &env.Metrics)
 				}
 				bi = next
@@ -1067,70 +1021,6 @@ type Executor struct {
 	// goroutine, so the entry activation can skip the shared frame
 	// pool entirely (inner calls still use it).
 	fr *cframe
-
-	// tier is the executor's tiering policy; runner is non-nil once
-	// this executor has switched to the tier-2 program.
-	tier   TierPolicy
-	runner TierRunner
-
-	// Events, when non-nil, receives tracing notifications (currently
-	// "tier_promote" when the executor switches to the tier-2 runner)
-	// with flattened key/value pairs. It is consulted only on the
-	// promotion path, never per step.
-	Events func(name string, args ...string)
-}
-
-// SetTier installs the tiering policy. TierBytecode lowers on the next
-// Run; TierAuto promotes once the program's shared execution counter
-// trips the policy threshold. When the backend declines the function
-// the executor silently stays on the closure engine (ActiveTier
-// reports which engine actually runs).
-func (e *Executor) SetTier(p TierPolicy) {
-	e.tier = p
-	e.runner = nil
-}
-
-// ActiveTier reports the engine the next Run will use: "closure", or
-// the backend name (e.g. "bytecode") once promoted. Tests use this to
-// detect a silent fallback.
-func (e *Executor) ActiveTier() string {
-	if e.runner != nil && tierBackend != nil {
-		return tierBackend.Name()
-	}
-	return "closure"
-}
-
-// tryPromote implements the tiering controller for one Run: it decides
-// whether this execution goes to the tier-2 runner, lowering and
-// counting the promotion when the policy says so.
-func (e *Executor) tryPromote() {
-	p := e.prog
-	switch e.tier.Mode {
-	case TierBytecode:
-		if tp := p.tierProgram(&e.env.Metrics); tp != nil {
-			e.runner = tp.NewRunner(p)
-			e.promoted("bytecode")
-		} else {
-			e.tier.Mode = TierClosure // backend declined; stop asking
-		}
-	case TierAuto:
-		if p.tierExecs.Add(1) < e.tier.threshold() && !p.preHot {
-			return
-		}
-		if tp := p.tierProgram(&e.env.Metrics); tp != nil {
-			e.runner = tp.NewRunner(p)
-			e.promoted("auto")
-		} else {
-			e.tier.Mode = TierClosure
-		}
-	}
-}
-
-// promoted fires the Events hook for a successful tier switch.
-func (e *Executor) promoted(mode string) {
-	if e.Events != nil {
-		e.Events("tier_promote", "fn", e.prog.fn.Name(), "mode", mode)
-	}
 }
 
 // NewExecutor returns an executor for p.
@@ -1147,14 +1037,6 @@ func NewExecutor(p *Program) *Executor {
 // consumes it in place without allocating per execution.
 func (e *Executor) Run(args []Value, o Oracle) Outcome {
 	p := e.prog
-	if e.tier.Mode != TierClosure {
-		if e.runner == nil {
-			e.tryPromote()
-		}
-		if e.runner != nil {
-			return e.runner.Run(args, o, &e.env.Metrics)
-		}
-	}
 	if out := p.checkArgs(args); out != nil {
 		return *out
 	}

@@ -159,6 +159,10 @@ func TestEngineMetricsPublish(t *testing.T) {
 	if s, ok := snap.Get("engine_execs_total"); !ok || s.Value != runs {
 		t.Fatalf("engine_execs_total sample: %+v ok=%v", s, ok)
 	}
+	// Every compiled run goes through the closure engine.
+	if s, ok := snap.Get("engine_execs_closure_total"); !ok || s.Value != runs {
+		t.Fatalf("engine_execs_closure_total sample: %+v ok=%v", s, ok)
+	}
 	if _, ok := snap.Get("pool_frames_pooled_total"); !ok {
 		t.Fatal("pool counters missing")
 	}

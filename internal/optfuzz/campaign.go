@@ -65,10 +65,8 @@ type Campaign struct {
 	// Refine configures the checker. Its Memo, Session, Oracle and
 	// Programs fields are ignored: the campaign supplies one shared
 	// memo plus a private session, oracle and program cache per shard.
-	// Refine.Tier is the campaign's execution-tier knob: it flows into
-	// every shard's checker unchanged, so a campaign built on
-	// refine.DefaultConfig auto-promotes hot candidates to the
-	// bytecode VM (the promotions surface in the engine metrics).
+	// Refine.Interpret is the campaign's engine switch: it flows into
+	// every shard's checker unchanged.
 	Refine refine.Config
 
 	// Transform mutates a candidate in place; the campaign validates
@@ -104,14 +102,13 @@ type Campaign struct {
 	// means refine.DefaultMemoEntries; negative disables memoization.
 	MemoEntries int
 
-	// CacheDir, when non-empty, warm-starts the campaign from the
-	// persistent snapshots in that directory (behaviour-set memo +
-	// bytecode lowering metadata) and writes refreshed snapshots back
-	// after the run. Snapshots are versioned and fingerprinted
-	// (core.SemanticsFingerprint); stale or mismatched ones are
-	// rejected wholesale, so a warm campaign's verdict stream is
-	// byte-identical to a cold one (TestCacheDirWarmMatchesCold).
-	// Falls back to Refine.CacheDir when empty.
+	// CacheDir, when non-empty, warm-starts the campaign's behaviour-set
+	// memo from the persistent snapshot in that directory and writes a
+	// refreshed snapshot back after the run. Snapshots are versioned
+	// and fingerprinted (core.SemanticsFingerprint); stale or
+	// mismatched ones are rejected wholesale, so a warm campaign's
+	// verdict stream is byte-identical to a cold one
+	// (TestCacheDirWarmMatchesCold).
 	CacheDir string
 
 	// Reduce pushes every refuted finding through the automatic
@@ -137,7 +134,7 @@ type Campaign struct {
 	TracePhases bool
 
 	// Trace, when non-nil, is the flight recorder: shard spans, check
-	// phases, per-pass spans, tier promotions, program-cache hit/miss
+	// phases, per-pass spans, program-cache hit/miss
 	// instants, and one provenance-carrying "finding" instant per
 	// finding all land in it, on one track per shard (plus a "campaign"
 	// track for run-level events). Implies the TracePhases span sites
@@ -244,7 +241,7 @@ type Finding struct {
 	// Result carries the counterexample.
 	Result refine.Result
 	// Prov records where the finding came from beyond the positional
-	// fields above: workload, seed, tier, cache state at emission.
+	// fields above: workload, seed, engine, cache state at emission.
 	// Always populated by the campaign; mirrored into the flight
 	// recorder as a "finding" instant when Campaign.Trace is set, so a
 	// trace alone explains every counterexample.
@@ -262,7 +259,8 @@ type Provenance struct {
 	// Source names the workload; Seed is the campaign's RNG seed.
 	Source string
 	Seed   int64
-	// Tier is the execution-tier mode the checker ran under.
+	// Tier is the engine the checker ran on: "closure" for the
+	// compiled engine, "interp" for the tree-walking interpreter.
 	Tier string
 	// DiskWarm is whether the campaign warm-started from persistent
 	// cache snapshots.
@@ -606,11 +604,7 @@ func (c Campaign) Run() Stats {
 
 	// Warm start: install last run's snapshots before any shard runs.
 	// A nil disk (no CacheDir) is a no-op throughout.
-	cacheDir := c.CacheDir
-	if cacheDir == "" {
-		cacheDir = c.Refine.CacheDir
-	}
-	disk := refine.OpenDiskCache(cacheDir, memo)
+	disk := refine.OpenDiskCache(c.CacheDir, memo)
 	var diskErr error
 	if _, err := disk.Load(); err != nil {
 		diskErr = err
@@ -670,8 +664,11 @@ func (c Campaign) Run() Stats {
 	prov := Provenance{
 		Source:   src.Name(),
 		Seed:     c.Seed,
-		Tier:     c.Refine.Tier.Mode.String(),
+		Tier:     "closure",
 		DiskWarm: disk.Stats().Loads > 0,
+	}
+	if c.Refine.Interpret {
+		prov.Tier = "interp"
 	}
 
 	// The reducer re-verifies every shrunken candidate against the

@@ -208,7 +208,7 @@ func TestCampaignTraceProvenance(t *testing.T) {
 		if f.Prov == nil {
 			t.Fatalf("finding %d has no provenance", i)
 		}
-		if f.Prov.Seed != 7 || f.Prov.Source == "" || f.Prov.Tier == "" {
+		if f.Prov.Seed != 7 || f.Prov.Source == "" || f.Prov.Tier != "closure" {
 			t.Errorf("finding %d provenance incomplete: %+v", i, *f.Prov)
 		}
 	}
@@ -229,6 +229,9 @@ func TestCampaignTraceProvenance(t *testing.T) {
 			if ev.Arg(key) == "" {
 				t.Fatalf("finding instant lacks %q: %+v", key, ev)
 			}
+		}
+		if got := ev.Arg("tier"); got != "closure" {
+			t.Fatalf("finding instant names engine %q, want closure: %+v", got, ev)
 		}
 	}
 }

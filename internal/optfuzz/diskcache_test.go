@@ -89,25 +89,23 @@ func TestCacheDirStaleSnapshotRejectedWholesale(t *testing.T) {
 	if st := diskCampaign(dir).Run(); st.DiskErr != nil {
 		t.Fatalf("seed run disk error: %v", st.DiskErr)
 	}
-	// Rewrite both snapshots under a fingerprint this build does not
+	// Rewrite the memo snapshot under a fingerprint this build does not
 	// have, with junk contents that would visibly corrupt verdicts if a
 	// partial load ever happened.
 	junk := &refine.MemoSnapshot{Entries: []refine.MemoSnapshotEntry{{
 		FuncKey: "junk",
 		Args:    []refine.ArgSetSnapshot{{Key: "x", Set: refine.BehaviorSetSnapshot{UB: true}}},
 	}}}
-	for _, kind := range []string{"memo", "lowerings"} {
-		if err := cache.WriteFile(filepath.Join(dir, kind+".snap"), kind, "other-semantics", junk); err != nil {
-			t.Fatal(err)
-		}
+	if err := cache.WriteFile(filepath.Join(dir, "memo.snap"), "memo", "other-semantics", junk); err != nil {
+		t.Fatal(err)
 	}
 
 	st := diskCampaign(dir).Run()
 	if st.DiskErr != nil {
 		t.Fatalf("disk error on stale dir: %v", st.DiskErr)
 	}
-	if st.DiskStaleRejects != 2 {
-		t.Fatalf("stale rejects = %d, want 2 (both snapshots)", st.DiskStaleRejects)
+	if st.DiskStaleRejects != 1 {
+		t.Fatalf("stale rejects = %d, want 1 (the memo snapshot)", st.DiskStaleRejects)
 	}
 	if st.DiskHits != 0 {
 		t.Fatalf("%d disk hits served from a fully stale dir", st.DiskHits)

@@ -5,76 +5,54 @@ import (
 	"tameir/internal/core"
 )
 
-// DiskCache ties the process's warm-startable caches to one
-// -cache-dir: the behaviour-set memo (full snapshot) and the bytecode
-// lowering cache (metadata only — what to lower, not the bytes).
-// Drivers open it, Load before the run, Save after; everything in the
-// directory is stamped with core.SemanticsFingerprint so a build whose
-// semantics moved rejects old snapshots wholesale and runs cold.
+// DiskCache ties the behaviour-set memo to one -cache-dir as a full
+// snapshot. Drivers open it, Load before the run, Save after;
+// everything in the directory is stamped with core.SemanticsFingerprint
+// so a build whose semantics moved rejects old snapshots wholesale and
+// runs cold.
 type DiskCache struct {
 	dir  *cache.Dir
 	memo *Memo
 }
 
-// Snapshot kinds (file basenames within the cache dir).
-const (
-	memoSnapshotKind  = "memo"
-	lowerSnapshotKind = "lowerings"
-)
+// memoSnapshotKind is the memo snapshot's file basename within the
+// cache dir.
+const memoSnapshotKind = "memo"
 
-// OpenDiskCache returns a disk cache over path, warm-starting memo
-// (which may be nil to persist only lowering metadata). Returns nil
-// when path is empty, and a nil *DiskCache is a valid no-op — Load
-// and Save do nothing — so drivers need no flag branch.
+// OpenDiskCache returns a disk cache over path, warm-starting memo.
+// Returns nil when path is empty or memo is nil, and a nil *DiskCache
+// is a valid no-op — Load and Save do nothing — so drivers need no
+// flag branch.
 func OpenDiskCache(path string, memo *Memo) *DiskCache {
-	if path == "" {
+	if path == "" || memo == nil {
 		return nil
 	}
 	return &DiskCache{dir: cache.NewDir(path, core.SemanticsFingerprint), memo: memo}
 }
 
-// Load installs the directory's snapshots: memo behaviour sets into
-// the memo, lowering metadata into core's warm-promotion set. Missing,
-// stale or corrupt snapshots load nothing (stale ones count as
-// rejections); only unexpected I/O errors surface. Returns the number
-// of memo entries installed.
+// Load installs the directory's memo snapshot into the memo. A
+// missing, stale or corrupt snapshot loads nothing (a stale one counts
+// as a rejection); only unexpected I/O errors surface. Returns the
+// number of memo entries installed.
 func (d *DiskCache) Load() (memoEntries int, err error) {
 	if d == nil {
 		return 0, nil
 	}
-	if d.memo != nil {
-		var snap MemoSnapshot
-		ok, err := d.dir.Load(memoSnapshotKind, &snap)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			memoEntries = d.memo.LoadSnapshot(&snap)
-		}
+	var snap MemoSnapshot
+	ok, err := d.dir.Load(memoSnapshotKind, &snap)
+	if err != nil || !ok {
+		return 0, err
 	}
-	var lower core.LowerSnapshot
-	ok, err := d.dir.Load(lowerSnapshotKind, &lower)
-	if err != nil {
-		return memoEntries, err
-	}
-	if ok {
-		core.InstallLowerSnapshot(&lower)
-	}
-	return memoEntries, nil
+	return d.memo.LoadSnapshot(&snap), nil
 }
 
-// Save writes the current memo contents and lowering-cache metadata
-// back to the directory, creating it on first use.
+// Save writes the current memo contents back to the directory,
+// creating it on first use.
 func (d *DiskCache) Save() error {
 	if d == nil {
 		return nil
 	}
-	if d.memo != nil {
-		if err := d.dir.Save(memoSnapshotKind, d.memo.Snapshot()); err != nil {
-			return err
-		}
-	}
-	return d.dir.Save(lowerSnapshotKind, core.LowerSnapshotNow())
+	return d.dir.Save(memoSnapshotKind, d.memo.Snapshot())
 }
 
 // Stats returns the disk traffic counters: snapshot files loaded,
@@ -83,9 +61,5 @@ func (d *DiskCache) Stats() cache.DiskStats {
 	if d == nil {
 		return cache.DiskStats{}
 	}
-	s := cache.DiskStats{Loads: d.dir.Loads(), StaleRejects: d.dir.StaleRejects()}
-	if d.memo != nil {
-		s.Hits = d.memo.DiskHits()
-	}
-	return s
+	return cache.DiskStats{Loads: d.dir.Loads(), Hits: d.memo.DiskHits(), StaleRejects: d.dir.StaleRejects()}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tameir/internal/core"
-	_ "tameir/internal/core/bytecode" // register the tier-2 backend
 	"tameir/internal/ir"
 )
 
@@ -45,16 +44,9 @@ type divergenceRun struct {
 	engine core.EngineMetrics
 }
 
-func runDivergence(src, tgt *ir.Func, opts core.Options, engine string) divergenceRun {
+func runDivergence(src, tgt *ir.Func, opts core.Options, interpret bool) divergenceRun {
 	cfg := DefaultConfig(opts, opts)
-	switch engine {
-	case "interpreter":
-		cfg.Interpret = true
-	case "closure":
-		cfg.Tier = core.TierPolicy{Mode: core.TierClosure}
-	case "bytecode":
-		cfg.Tier = core.TierPolicy{Mode: core.TierBytecode}
-	}
+	cfg.Interpret = interpret
 	var run divergenceRun
 	var m CheckMetrics
 	cfg.Metrics = &m
@@ -66,10 +58,10 @@ func runDivergence(src, tgt *ir.Func, opts core.Options, engine string) divergen
 }
 
 // TestCycleExitIsExact checks that stopping a provably divergent loop
-// early changes nothing a Check reports: the compiled tiers must give
+// early changes nothing a Check reports: the compiled engine must give
 // the interpreter's verdict, behaviour sets and execution count (the
 // interpreter runs every execution to the fuel limit), while stepping
-// far less than the fuel, and equally on both tiers.
+// far less than the fuel.
 func TestCycleExitIsExact(t *testing.T) {
 	src, tgt := ir.MustParseFunc(spinI2), ir.MustParseFunc(spinI2Xor)
 	for _, sem := range []struct {
@@ -79,39 +71,29 @@ func TestCycleExitIsExact(t *testing.T) {
 		{"freeze", core.FreezeOptions()},
 		{"legacy", core.LegacyOptions(core.BranchPoisonNondet)},
 	} {
-		ref := runDivergence(src, tgt, sem.opts, "interpreter")
-		var steps [2]uint64
-		for i, engine := range []string{"closure", "bytecode"} {
-			got := runDivergence(src, tgt, sem.opts, engine)
-			if got.result != ref.result {
-				t.Errorf("%s/%s: result %q, interpreter %q", sem.name, engine, got.result, ref.result)
-			}
-			if len(got.sets) != len(ref.sets) {
-				t.Fatalf("%s/%s: %d behaviour sets, interpreter %d", sem.name, engine, len(got.sets), len(ref.sets))
-			}
-			for j := range got.sets {
-				if got.sets[j] != ref.sets[j] {
-					t.Errorf("%s/%s: behaviour set %d is %s, interpreter %s", sem.name, engine, j, got.sets[j], ref.sets[j])
-				}
-			}
-			if got.execs != ref.execs {
-				t.Errorf("%s/%s: %d executions, interpreter %d", sem.name, engine, got.execs, ref.execs)
-			}
-			e := got.engine
-			if e.CycleExits == 0 || e.FuelExits != 0 {
-				t.Errorf("%s/%s: %d cycle exits, %d fuel exits; want some and none", sem.name, engine, e.CycleExits, e.FuelExits)
-			}
-			if engine == "bytecode" && e.BytecodeExecs != e.Execs {
-				t.Errorf("%s: only %d of %d executions ran on the bytecode tier", sem.name, e.BytecodeExecs, e.Execs)
-			}
-			fuel := uint64(DefaultConfig(sem.opts, sem.opts).Fuel)
-			if e.Execs == 0 || e.Steps/e.Execs > fuel/16 {
-				t.Errorf("%s/%s: %d steps over %d executions; want far below the fuel of %d each", sem.name, engine, e.Steps, e.Execs, fuel)
-			}
-			steps[i] = e.Steps
+		ref := runDivergence(src, tgt, sem.opts, true)
+		got := runDivergence(src, tgt, sem.opts, false)
+		if got.result != ref.result {
+			t.Errorf("%s: result %q, interpreter %q", sem.name, got.result, ref.result)
 		}
-		if steps[0] != steps[1] {
-			t.Errorf("%s: closure stepped %d, bytecode %d; the tiers must exit at the same step", sem.name, steps[0], steps[1])
+		if len(got.sets) != len(ref.sets) {
+			t.Fatalf("%s: %d behaviour sets, interpreter %d", sem.name, len(got.sets), len(ref.sets))
+		}
+		for j := range got.sets {
+			if got.sets[j] != ref.sets[j] {
+				t.Errorf("%s: behaviour set %d is %s, interpreter %s", sem.name, j, got.sets[j], ref.sets[j])
+			}
+		}
+		if got.execs != ref.execs {
+			t.Errorf("%s: %d executions, interpreter %d", sem.name, got.execs, ref.execs)
+		}
+		e := got.engine
+		if e.CycleExits == 0 || e.FuelExits != 0 {
+			t.Errorf("%s: %d cycle exits, %d fuel exits; want some and none", sem.name, e.CycleExits, e.FuelExits)
+		}
+		fuel := uint64(DefaultConfig(sem.opts, sem.opts).Fuel)
+		if e.Execs == 0 || e.Steps/e.Execs > fuel/16 {
+			t.Errorf("%s: %d steps over %d executions; want far below the fuel of %d each", sem.name, e.Steps, e.Execs, fuel)
 		}
 	}
 }
@@ -134,12 +116,10 @@ loop:
 }`)
 		opts := core.FreezeOptions()
 		fuel := uint64(DefaultConfig(opts, opts).Fuel)
-		for _, engine := range []string{"closure", "bytecode"} {
-			e := runDivergence(fn, fn, opts, engine).engine
-			if e.CycleExits != 0 || e.FuelExits != e.Execs || e.Steps != e.Execs*fuel {
-				t.Errorf("%s: %d executions, %d steps, %d cycle exits, %d fuel exits; want every execution run to the fuel of %d",
-					engine, e.Execs, e.Steps, e.CycleExits, e.FuelExits, fuel)
-			}
+		e := runDivergence(fn, fn, opts, false).engine
+		if e.CycleExits != 0 || e.FuelExits != e.Execs || e.Steps != e.Execs*fuel {
+			t.Errorf("%d executions, %d steps, %d cycle exits, %d fuel exits; want every execution run to the fuel of %d",
+				e.Execs, e.Steps, e.CycleExits, e.FuelExits, fuel)
 		}
 	})
 

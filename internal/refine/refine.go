@@ -25,7 +25,6 @@ import (
 	"sync"
 
 	"tameir/internal/core"
-	_ "tameir/internal/core/bytecode" // link the bytecode tier backend
 	"tameir/internal/ir"
 	"tameir/internal/telemetry"
 )
@@ -139,14 +138,6 @@ type Config struct {
 	// tame-bench twin-row comparison and as an escape hatch.
 	Interpret bool
 
-	// Tier selects the execution tier policy for the compiled engine
-	// (ignored when Interpret is set). The zero value pins the closure
-	// engine; DefaultConfig uses TierAuto so hot candidates promote to
-	// the bytecode VM. All tiers are behaviourally identical
-	// (TestCompiledMatchesInterpreter runs three-way lockstep), so the
-	// policy never affects verdicts — only throughput.
-	Tier core.TierPolicy
-
 	// Programs, when non-nil, caches compiled programs across checks
 	// keyed by (*ir.Func, Options). The cache trusts function pointers
 	// (see core.ProgramCache's no-mutation contract): set it only when
@@ -155,9 +146,9 @@ type Config struct {
 	Programs *core.ProgramCache
 
 	// ExecCount, when non-nil, is incremented by the number of choice
-	// paths enumerated: executions, where a run the compiled engines
+	// paths enumerated: executions, where a run the compiled engine
 	// stopped at an earlier path's state counts every path below it
-	// (memo hits contribute nothing). The engines' own run count is
+	// (memo hits contribute nothing). The engine's own run count is
 	// EngineMetrics.Execs.
 	ExecCount *uint64
 
@@ -179,18 +170,8 @@ type Config struct {
 	// The spans cost a clock read per phase on the hot path, so
 	// campaigns leave this nil unless -trace-phases is set. A traced
 	// scope (Scope.WithTrace) additionally lands the spans in the
-	// flight recorder and emits "tier_promote" instants when an
-	// executor switches to the tier-2 runner.
+	// flight recorder.
 	Trace *telemetry.Scope
-
-	// CacheDir, when non-empty, names a directory of persistent cache
-	// snapshots (internal/cache) for warm starts across processes.
-	// Check itself never touches the directory — it is carried here so
-	// drivers that receive a Config (campaigns, CLIs) agree on one
-	// location; they open it via OpenDiskCache around their Memo's
-	// lifetime. Snapshots are fingerprinted and rejected wholesale on
-	// mismatch, so a warm start can never change a verdict.
-	CacheDir string
 }
 
 // DefaultConfig is tuned for the Section 6 experiment: 2-bit
@@ -204,7 +185,6 @@ func DefaultConfig(srcOpts, tgtOpts core.Options) Config {
 		MaxExecs:   1 << 14,
 		MaxInputs:  1 << 16,
 		Fuel:       4096,
-		Tier:       core.TierPolicy{Mode: core.TierAuto},
 	}
 }
 
@@ -243,13 +223,7 @@ func (cfg Config) executor(fn *ir.Func, opts core.Options) *core.Executor {
 	} else {
 		p = core.Compile(fn, opts)
 	}
-	ex := core.NewExecutor(p)
-	ex.SetTier(cfg.Tier)
-	if cfg.Trace.Traced() {
-		tr := cfg.Trace
-		ex.Events = func(name string, args ...string) { tr.Instant(name, args...) }
-	}
-	return ex
+	return core.NewExecutor(p)
 }
 
 // behaviorsAt is the enumeration core: it sweeps the oracle through

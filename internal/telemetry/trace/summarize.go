@@ -28,7 +28,7 @@ type TrackStat struct {
 // Summary is the aggregate view of a trace that tame-trace prints.
 type Summary struct {
 	Events   int
-	WallNS   int64 // max(ts+dur) - min(ts) over all events
+	WallNS   int64      // max(ts+dur) - min(ts) over all events
 	Spans    []SpanStat // sorted by TotalNS descending
 	Tracks   []TrackStat
 	Instants map[string]int
