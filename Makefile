@@ -36,9 +36,9 @@ check: build vet test race
 # CI entry point: full vet + test, then the race detector on the
 # concurrency-bearing surfaces — the worker-pool packages, the shared
 # cross-shard memo, the two-way engine lockstep (interpreter vs
-# compiled closures) with the shared program cache and frame pool,
-# one program enumerated with state merging from several goroutines,
-# and the telemetry registry's lock-free hot paths — then a quick E12
+# compiled closures) with the shared frame pool, one program
+# enumerated with state merging from several goroutines, and the
+# telemetry registry's lock-free hot paths — then a quick E12
 # smoke across both engines and both worker counts (exits nonzero if
 # the compiled row's behaviour hash diverges from the interpreted
 # baseline; its -quick smoke rows land in the git-ignored ci-bench/
@@ -70,39 +70,15 @@ ci: vet test
 	mkdir -p ci-bench
 	$(GO) run ./cmd/tame-bench -exp exec -quick -json ci-bench/BENCH_exec.quick.json
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics - \
-	  | $(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total,campaign_verified_total,check_checks_total,check_inputs_total,check_set_size,engine_steps_total,engine_execs_closure_total>0,engine_merge_exits_total>0,progcache_hits_total,memo_lookups_total,pool_tasks_total,pass_runs_total,opt_funcs_total,analysis_computes_total,span_wall_ns,verify_each_checks_total>0,verify_each_failures_total=0'
+	  | $(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total,campaign_verified_total,check_checks_total,check_inputs_total,check_set_size,engine_steps_total,engine_execs_closure_total>0,engine_merge_exits_total>0,memo_lookups_total,pool_tasks_total,pass_runs_total,opt_funcs_total,analysis_computes_total,span_wall_ns,verify_each_checks_total>0,verify_each_failures_total=0'
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics metrics-snapshot.json
 	$(GO) run ./cmd/tame-lint -q internal/passes/testdata/freeze-elim-loop.ll
 	$(GO) run ./cmd/tame-opt -sem freeze -verify-each -metrics metrics-verify-each.txt internal/passes/testdata/freeze-elim-loop.ll > /dev/null
 	$(GO) run ./cmd/tame-metrics -check 'analysis_poison_queries_total>0,passes_freeze_elim_removed_total>0,verify_each_checks_total>0,verify_each_failures_total=0' metrics-verify-each.txt
 	$(GO) run ./cmd/tame-fuzz -poison-oracle -instrs 1 -n 0 -sem freeze -workers 2 -metrics - \
 	  | $(GO) run ./cmd/tame-metrics -check 'poison_oracle_funcs_total>0,poison_oracle_claims_total>0,poison_oracle_execs_total>0,poison_oracle_violations_total=0'
-	$(MAKE) ci-cache
 	$(MAKE) ci-workload
 	$(MAKE) ci-trace
-
-# The persistent-cache gate: the same quick freeze campaign runs twice
-# against one -cache-dir. The cold run seeds the snapshots; the warm
-# run must actually serve memo lookups from them (cache_disk_hits_total
-# strictly positive, zero stale rejects) and — the soundness half —
-# produce byte-identical findings, which cmp enforces on the captured
-# stdout. The ratio floor comes from the target side. The memo admits
-# a function only when it comes back, so the cold run never snapshots
-# a source (each is seen once) and the warm run's source-side lookups
-# miss, except for sources -O2 left unchanged. Every Check looks up
-# one source and one target set per input, so target-side lookups are
-# half of all lookups, and the warm run must serve at least nine in ten
-# of them from the snapshot: 0.5 x 0.9 = 0.45 (measured: 0.51). The
-# ci-cache/ dir is kept — snapshots and both metric snapshots — for
-# the workflow's cache-snapshots artifact.
-.PHONY: ci-cache
-ci-cache:
-	rm -rf ci-cache && mkdir -p ci-cache
-	$(GO) run ./cmd/tame-fuzz -validate -n 300 -workers 2 -sem freeze -cache-dir ci-cache -metrics ci-cache/cold-metrics.json > ci-cache/cold-findings.txt
-	$(GO) run ./cmd/tame-fuzz -validate -n 300 -workers 2 -sem freeze -cache-dir ci-cache -metrics ci-cache/warm-metrics.json > ci-cache/warm-findings.txt
-	cmp ci-cache/cold-findings.txt ci-cache/warm-findings.txt
-	$(GO) run ./cmd/tame-metrics -check 'cache_disk_loads_total=0,cache_disk_hits_total=0,cache_disk_stale_rejects_total=0' ci-cache/cold-metrics.json
-	$(GO) run ./cmd/tame-metrics -check 'cache_disk_loads_total>0,cache_disk_hits_total>0,cache_disk_stale_rejects_total=0,memo_hits_total/memo_lookups_total>=0.45' ci-cache/warm-metrics.json
 
 # The workload-layer gate, in two halves. Determinism: the same seeded
 # mutation campaign (unsound legacy -O2, reducer on) runs at two worker

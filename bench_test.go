@@ -162,7 +162,7 @@ exit:
 	args := []core.Value{core.VC(ir.I32, 1000)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out := core.Exec(f, args, core.ZeroOracle{}, core.FreezeOptions())
+		out := core.Interpret(f, args, core.ZeroOracle{}, core.FreezeOptions())
 		if out.Kind != core.OutRet {
 			b.Fatal(out)
 		}

@@ -46,8 +46,7 @@ func main() {
 	workloadWorkers := flag.Int("workload-workers", 2, "worker count for the E13 workload rows")
 	quick := flag.Bool("quick", false, "shrink the exec experiment for CI smoke runs")
 	jsonPath := flag.String("json", "", "also write the experiment's rows as JSON to this file (E11, or E12 with -exp exec)")
-	metricsPath := flag.String("metrics", "", "write process engine/cache metrics after the experiments ('-' = text on stdout, *.json = JSON)")
-	cacheDir := flag.String("cache-dir", "", "persistent cache directory for the E11 warm-start ablation (default: a fresh temp dir, removed afterwards)")
+	metricsPath := flag.String("metrics", "", "write the experiments' campaign metrics after the run ('-' = text on stdout, *.json = JSON)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON flight recording with one span per experiment (open in Perfetto or tame-trace)")
 	flag.Parse()
 
@@ -160,26 +159,6 @@ func main() {
 		fe := bench.MeasureFreezeElim(*valInstrs, *valMax, 1, reg)
 		bench.ReportFreezeElim(os.Stdout, fe)
 		rows = append(rows, fe...)
-		fmt.Println()
-		// Cold-vs-warm persistent-cache pair: same campaign, one cache
-		// directory, run twice. -cache-dir points it at a durable dir
-		// (warm rows then benefit from previous invocations); the
-		// default is a throwaway temp dir so the cold row is honest.
-		dir := *cacheDir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "tame-bench-cache-")
-			if err != nil {
-				fatal(err)
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		}
-		ws, err := bench.MeasureWarmStart(*valInstrs, *valMax, 1, dir, reg)
-		if err != nil {
-			fatal(fmt.Errorf("warm-start ablation: %w", err))
-		}
-		bench.ReportWarmStart(os.Stdout, ws)
-		rows = append(rows, ws...)
 		pipeRows = append(pipeRows, rows...)
 		fmt.Println()
 		sp.End()
@@ -256,10 +235,7 @@ func main() {
 
 	if *metricsPath != "" {
 		// The experiments labeled their campaign telemetry into reg as
-		// they ran; fold in the process-wide shared program cache last —
-		// its traffic is scheduling-class because the parallel
-		// experiments interleave their compiles.
-		bench.PublishProcessMetrics(reg)
+		// they ran.
 		if err := reg.Snapshot().WriteFile(*metricsPath); err != nil {
 			fatal(err)
 		}

@@ -66,10 +66,6 @@
 //	-stall-deadline D   arm the stall watchdog: a shard silent for
 //	                    longer than D dumps goroutine stacks and an
 //	                    emergency trace snapshot instead of hanging
-//	-cache-dir DIR      warm-start the behaviour-set memo from DIR's
-//	                    persistent snapshot and refresh it after the
-//	                    run; stale snapshots are rejected wholesale, so
-//	                    findings are always byte-identical to a cold run
 package main
 
 import (
@@ -111,7 +107,6 @@ func main() {
 	debugSnapEvery := flag.Duration("debug-snapshot-interval", 0, "debug-server history snapshot interval (0 = 5s default)")
 	debugSnapRing := flag.Int("debug-snapshot-ring", 0, "debug-server history ring depth (0 = default)")
 	interp := flag.Bool("interp", false, "check on the tree-walking interpreter instead of the compiled engine (-validate)")
-	cacheDir := flag.String("cache-dir", "", "persistent cache directory for -validate warm starts (loaded before, refreshed after the run)")
 	source := flag.String("source", "exhaustive", "candidate workload for -validate: exhaustive, mutate or wide")
 	epochs := flag.Int("epochs", 0, "mutation epochs for -source mutate (0 = default)")
 	corpus := flag.String("corpus", "", "corpus file for -source mutate: seeds loaded before the run (if present), final corpus written after")
@@ -138,7 +133,7 @@ func main() {
 			workers:    *workers, noMemo: *noMemo, optStats: *optStats,
 			metricsPath: *metricsPath, progress: *progress, debugAddr: *debugAddr,
 			debugSnapEvery: *debugSnapEvery, debugSnapRing: *debugSnapRing,
-			interp: *interp, cacheDir: *cacheDir,
+			interp: *interp,
 			source: *source, seed: *seed, epochs: *epochs, corpus: *corpus,
 			reduce: *reduce, tracePhases: *tracePhases,
 			tracePath: *tracePath, traceBuf: *traceBuf,
@@ -184,7 +179,6 @@ type campaignFlags struct {
 	debugSnapEvery   time.Duration
 	debugSnapRing    int
 	interp           bool
-	cacheDir         string
 	source           string
 	seed             int64
 	epochs           int
@@ -310,7 +304,6 @@ func runCampaign(fl campaignFlags) {
 		PipelineCfg: pcfg,
 		Workers:     fl.workers,
 		MemoEntries: memoEntries,
-		CacheDir:    fl.cacheDir,
 		Reduce:      fl.reduce,
 		TracePhases: fl.tracePhases,
 		Seed:        fl.seed,
@@ -421,14 +414,6 @@ func runCampaign(fl campaignFlags) {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "tame-fuzz: corpus: %d functions written to %s\n", len(msrc.Corpus()), fl.corpus)
-	}
-	if fl.cacheDir != "" {
-		fmt.Fprintf(os.Stderr,
-			"tame-fuzz: cache-dir %s: %d snapshots loaded, %d disk hits, %d stale-rejected\n",
-			fl.cacheDir, st.DiskLoads, st.DiskHits, st.DiskStaleRejects)
-		if st.DiskErr != nil {
-			fmt.Fprintf(os.Stderr, "tame-fuzz: warning: cache-dir: %v\n", st.DiskErr)
-		}
 	}
 	if fl.optStats && !fl.noMemo {
 		// The memo is shared across all worker shards, so the hit rate

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	tame-fuzz -validate -metrics - | tame-metrics -check campaign_funcs_total,check_checks_total
-//	tame-metrics -check progcache_hits_total snapshot.json
+//	tame-metrics -check memo_lookups_total snapshot.json
 //
 // With -check, exit status 1 if any required series is missing; a
 // required name also matches its labelled or histogram-suffixed

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	tame-run [-sem legacy|freeze] [-fn main] [-seed N] [-interp]
-//	         [-enumerate [-cache-dir DIR]] file [args...]
+//	         [-enumerate] file [args...]
 //
 // Arguments are decimal integers (or the words "poison"/"undef") bound
 // to the function's parameters. With -enumerate, all resolutions of
@@ -31,13 +31,9 @@ func main() {
 	trace := flag.Bool("trace", false, "print every executed instruction")
 	interp := flag.Bool("interp", false, "force the tree-walking interpreter instead of the compiled engine")
 	metricsPath := flag.String("metrics", "", "write engine metrics after the run ('-' = text on stdout, *.json = JSON)")
-	cacheDir := flag.String("cache-dir", "", "persistent cache directory for -enumerate: warm-start the behaviour-set memo from it and refresh it after the run")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		fatal(fmt.Errorf("usage: tame-run [flags] file [args...]"))
-	}
-	if *cacheDir != "" && !*enumerate {
-		fatal(fmt.Errorf("usage: -cache-dir needs -enumerate (a single run has no behaviour-set memo to warm-start)"))
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -86,22 +82,10 @@ func main() {
 	}
 
 	if *enumerate {
-		// -cache-dir warm-starts the behaviour-set memo.
 		cfg := refine.DefaultConfig(opts, opts)
 		cfg.Interpret = *interp
-		var disk *refine.DiskCache
-		if *cacheDir != "" {
-			cfg.Memo = refine.NewMemo(0)
-			disk = refine.OpenDiskCache(*cacheDir, cfg.Memo)
-			if _, err := disk.Load(); err != nil {
-				fmt.Fprintf(os.Stderr, "tame-run: warning: cache-dir: %v\n", err)
-			}
-		}
 		set := refine.Behaviors(fn, args, opts, cfg)
 		fmt.Printf("behaviours: %s\n", set)
-		if err := disk.Save(); err != nil {
-			fmt.Fprintf(os.Stderr, "tame-run: warning: cache-dir: %v\n", err)
-		}
 		return
 	}
 	env, err := core.NewEnv(mod, core.NewRandOracle(*seed), opts)
@@ -129,11 +113,9 @@ func main() {
 	}
 	fmt.Println(out)
 	if *metricsPath != "" {
-		// One deterministic execution: steps, frames, and the process
-		// program-cache traffic it induced.
+		// One deterministic execution: steps and frames.
 		reg := telemetry.NewRegistry()
 		env.Metrics.Publish(reg, telemetry.Deterministic)
-		core.SharedProgramCache().Stats().Publish(reg, telemetry.Deterministic)
 		if err := reg.Snapshot().WriteFile(*metricsPath); err != nil {
 			fatal(err)
 		}

@@ -41,7 +41,6 @@ func main() {
 	workers := flag.Int("workers", 1, "worker pool size (0 = one per CPU, 1 = serial)")
 	interp := flag.Bool("interp", false, "force the tree-walking interpreter instead of the compiled engine")
 	metricsPath := flag.String("metrics", "", "write the checker metric snapshot to this file ('-' = text on stdout, *.json = JSON)")
-	cacheDir := flag.String("cache-dir", "", "persistent cache directory: warm-start the behaviour-set memo from it and refresh it after the run")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON flight recording to this file (open in Perfetto or tame-trace)")
 	flag.Parse()
 
@@ -66,20 +65,6 @@ func main() {
 	}
 	rcfg := refine.DefaultConfig(opts, opts)
 	rcfg.Interpret = *interp
-
-	// -cache-dir: share one memo across all pairs, warm-started from
-	// the directory's snapshots (stale ones rejected wholesale — a warm
-	// run reports exactly what a cold one would) and written back after
-	// the reports print. Check creates a private session per call.
-	var disk *refine.DiskCache
-	if *cacheDir != "" {
-		memo := refine.NewMemo(0)
-		rcfg.Memo = memo
-		disk = refine.OpenDiskCache(*cacheDir, memo)
-		if _, err := disk.Load(); err != nil {
-			fmt.Fprintf(os.Stderr, "tame-tv: warning: cache-dir: %v\n", err)
-		}
-	}
 
 	// check runs one src→tgt validation with worker-private checker
 	// state. Each call gets its own oracle (and metric collector) so
@@ -166,27 +151,11 @@ func main() {
 		}
 		met.Add(&r.met)
 	}
-	if disk != nil {
-		if err := disk.Save(); err != nil {
-			fmt.Fprintf(os.Stderr, "tame-tv: warning: cache-dir: %v\n", err)
-		}
-		ds := disk.Stats()
-		fmt.Fprintf(os.Stderr, "tame-tv: cache-dir %s: %d snapshots loaded, %d disk hits, %d stale-rejected\n",
-			*cacheDir, ds.Loads, ds.Hits, ds.StaleRejects)
-	}
 	if *metricsPath != "" {
-		// Without -cache-dir no memo is in play and every checker
-		// counter is a pure function of the input pair list; with one,
-		// the memo split depends on worker interleaving.
+		// No memo is in play, so every checker counter is a pure
+		// function of the input pair list.
 		reg := telemetry.NewRegistry()
-		class := telemetry.Deterministic
-		if disk != nil {
-			class = telemetry.Scheduling
-		}
-		met.Publish(reg, class)
-		if disk != nil {
-			disk.Stats().Publish(reg, telemetry.Scheduling)
-		}
+		met.Publish(reg, telemetry.Deterministic)
 		if err := reg.Snapshot().WriteFile(*metricsPath); err != nil {
 			fatal(err)
 		}

@@ -62,16 +62,6 @@ type PipelineResult struct {
 	CoverageKeys    int
 	ReduceSteps     uint64
 	ReducedFindings uint64
-
-	// DiskLoads / DiskHits / DiskStaleRejects describe the persistent
-	// cache directory's contribution for the warm-start ablation rows
-	// (zero for rows run without a cache directory). DiskHits counts
-	// memo lookups served by snapshot-loaded entries, so the
-	// cold-vs-warm pair shows how much of the campaign's derivation
-	// work the snapshot replaced.
-	DiskLoads        uint64
-	DiskHits         uint64
-	DiskStaleRejects uint64
 }
 
 // pipelineCampaign builds the §6 validation campaign: -O2 alone, or
@@ -254,74 +244,6 @@ func MeasureFreezeElim(numInstrs, maxFuncs, workers int, reg *telemetry.Registry
 		rows = append(rows, r)
 	}
 	return rows
-}
-
-// MeasureWarmStart is the persistent-cache ablation: the same -O2
-// freeze-dialect campaign run twice against one cache directory. The
-// first (cold) run starts from an empty dir and writes its memo
-// snapshot on exit; the second (warm) run loads it, so every
-// source-side behaviour derivation the cold run performed is served
-// from disk. The two rows come back as "o2-cold-cache" /
-// "o2-warm-cache" with the disk counters filled in; by the snapshot
-// soundness contract (stale files rejected wholesale, hits keyed on
-// the full canonical text) the warm row's verdict counts are
-// byte-identical to the cold row's — the ablation measures time, not
-// findings. The returned error is the first persistence failure, if
-// any; the rows are still valid as uncached measurements.
-func MeasureWarmStart(numInstrs, maxFuncs, workers int, dir string, reg *telemetry.Registry) ([]PipelineResult, error) {
-	var rows []PipelineResult
-	var firstErr error
-	for _, phase := range []string{"cold", "warm"} {
-		c := pipelineCampaign(true, numInstrs, maxFuncs, workers, true, false, true)
-		c.CacheDir = dir
-		start := time.Now()
-		st := runRow(&c, reg, "experiment", "warm-start", "phase", phase,
-			"workers", strconv.Itoa(workers))
-		elapsed := time.Since(start)
-		if st.DiskErr != nil && firstErr == nil {
-			firstErr = st.DiskErr
-		}
-		checks := st.Verified + st.Refuted + st.Inconclusive
-		r := PipelineResult{
-			Pipeline:         "o2-" + phase + "-cache",
-			Workers:          workers,
-			Memo:             true,
-			Passes:           1,
-			Funcs:            st.Funcs,
-			Checks:           checks,
-			Refuted:          st.Refuted,
-			Elapsed:          elapsed,
-			ChecksPerSec:     float64(checks) / elapsed.Seconds(),
-			MemoHits:         st.MemoHits,
-			MemoLookups:      st.MemoLookups,
-			HitRate:          st.HitRate(),
-			AnalysisCache:    true,
-			DiskLoads:        st.DiskLoads,
-			DiskHits:         st.DiskHits,
-			DiskStaleRejects: st.DiskStaleRejects,
-		}
-		if st.Opt != nil {
-			a := st.Opt.Analysis()
-			r.AnalysisComputes = a.Computes
-			r.AnalysisHits = a.Hits
-			r.FreezeElimRemoved = st.Opt.FreezeElimRemoved()
-		}
-		rows = append(rows, r)
-	}
-	return rows, firstErr
-}
-
-// ReportWarmStart renders the cold/warm persistent-cache pair.
-func ReportWarmStart(w io.Writer, rows []PipelineResult) {
-	fmt.Fprintf(w, "== warm start: persistent cache directory (-O2, freeze dialect) ==\n")
-	fmt.Fprintf(w, "%-16s %8s %8s %10s %11s %10s %10s %6s\n",
-		"pipeline", "funcs", "checks", "elapsed", "checks/sec", "disk-loads", "disk-hits", "stale")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-16s %8d %8d %10s %11.0f %10d %10d %6d\n",
-			r.Pipeline, r.Funcs, r.Checks,
-			r.Elapsed.Round(time.Millisecond), r.ChecksPerSec,
-			r.DiskLoads, r.DiskHits, r.DiskStaleRejects)
-	}
 }
 
 // ReportFreezeElim renders the ablation pair.

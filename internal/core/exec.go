@@ -184,18 +184,17 @@ func (env *Env) initGlobals() error {
 }
 
 // Run executes fn on the given arguments and returns the outcome. It
-// runs the compiled engine, compiling fn on first use and caching the
-// Program per (function, options); the env's fuel, memory and globals
-// are used as-is, exactly like the historical interpreter loop (see
-// RunInterp, which this is checked against).
+// compiles fn and runs the compiled engine; the env's fuel, memory and
+// globals are used as-is, exactly like the historical interpreter loop
+// (see RunInterp, which this is checked against). Callers that run one
+// function many times compile it once and reuse an Executor instead.
 func (env *Env) Run(fn *ir.Func, args []Value) Outcome {
 	// The trace knob is derived from the env, not trusted from Opts:
 	// a traced env gets the trace-enabled program variant, an untraced
-	// env the variant with no per-step trace branch at all. The two are
-	// distinct ProgramCache entries.
+	// env the variant with no per-step trace branch at all.
 	opts := env.Opts
 	opts.EmitTrace = env.Trace != nil
-	p := sharedPrograms.getVerified(fn, opts)
+	p := Compile(fn, opts)
 	if out := p.checkArgs(args); out != nil {
 		return *out
 	}
@@ -231,12 +230,10 @@ func (env *Env) RunInterp(fn *ir.Func, args []Value) Outcome {
 	return out
 }
 
-// Exec is a convenience wrapper: run fn once through the compiled
-// engine (compile-on-first-use, cached per (function, options)) with a
-// fresh execution state.
+// Exec is a convenience wrapper: compile fn and run it once through
+// the compiled engine with a fresh execution state.
 func Exec(fn *ir.Func, args []Value, o Oracle, opts Options) Outcome {
-	p := sharedPrograms.getVerified(fn, opts)
-	return p.Exec(args, o)
+	return Compile(fn, opts).Exec(args, o)
 }
 
 // Interpret is Exec on the historical tree-walking interpreter: build

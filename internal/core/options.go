@@ -80,18 +80,10 @@ type Options struct {
 	// resolves it into the step closures, so a program compiled without
 	// it pays no per-step trace check at all — but it is NOT semantics:
 	// traced and untraced programs make identical oracle choices and
-	// produce identical Outcomes. It participates in ProgramCache keys
-	// (the two variants are distinct programs) and is excluded from
-	// refine's memo fingerprint.
+	// produce identical Outcomes. The two variants are distinct
+	// programs, and the knob is excluded from refine's memo key.
 	EmitTrace bool
 }
-
-// SemanticsFingerprint names the engine's observable semantics for
-// persistent cache snapshots (-cache-dir). Bump it whenever a change
-// could alter any behaviour set, outcome, or Check's deterministic
-// input enumeration — stale snapshots are then rejected wholesale
-// instead of replaying last build's verdicts.
-const SemanticsFingerprint = "tameir-sem-1"
 
 // DefaultFuel is the default instruction budget per execution.
 const DefaultFuel = 1 << 20

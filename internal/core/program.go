@@ -22,8 +22,7 @@ import (
 // A Program is immutable after Compile and safe for concurrent use; its
 // frame pool is shared by all executors. It captures the function
 // structurally at compile time: mutating the function afterwards and
-// re-running the Program gives stale results (see ProgramCache for the
-// no-mutation contract).
+// re-running the Program gives stale results; compile it again.
 type Program struct {
 	fn   *ir.Func
 	opts Options // normalized

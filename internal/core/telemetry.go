@@ -40,30 +40,3 @@ func (m EngineMetrics) Publish(reg *telemetry.Registry, class telemetry.Class) {
 		}
 	}
 }
-
-// Add folds o into s (shard-order merge): counters and resident sizes
-// sum; Capacity keeps the largest.
-func (s *ProgramCacheStats) Add(o ProgramCacheStats) {
-	s.Size += o.Size
-	if o.Capacity > s.Capacity {
-		s.Capacity = o.Capacity
-	}
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Recompiles += o.Recompiles
-}
-
-// Publish folds the cache counters into reg. Same class rule as
-// EngineMetrics.Publish: per-shard caches are deterministic, the
-// process-shared cache is not.
-func (s ProgramCacheStats) Publish(reg *telemetry.Registry, class telemetry.Class) {
-	if reg == nil {
-		return
-	}
-	reg.Counter("progcache_hits_total", class, "program cache lookup hits").Add(s.Hits)
-	reg.Counter("progcache_misses_total", class, "program cache lookup misses (compiles)").Add(s.Misses)
-	reg.Counter("progcache_evictions_total", class, "programs evicted by the clock sweep").Add(s.Evictions)
-	reg.Counter("progcache_recompiles_total", class, "stale-text recompiles on the verified path").Add(s.Recompiles)
-	reg.Gauge("progcache_size", class, "resident compiled programs").Add(int64(s.Size))
-}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"tameir/internal/ir"
@@ -29,9 +28,8 @@ entry:
   ret i32 %d
 }`
 
-// TestTraceVariantsMatch: the traced and untraced program variants are
-// distinct cache entries but produce identical outcomes, and only a
-// traced env receives events.
+// TestTraceVariantsMatch: the traced and untraced program variants
+// produce identical outcomes, and only a traced env receives events.
 func TestTraceVariantsMatch(t *testing.T) {
 	fn := parseFn(t, traceSrc)
 	opts := FreezeOptions()
@@ -63,64 +61,6 @@ func TestTraceVariantsMatch(t *testing.T) {
 	}
 	if envPlain.Metrics.Execs != 1 || envPlain.Metrics.Steps == 0 {
 		t.Fatalf("engine metrics not flushed: %+v", envPlain.Metrics)
-	}
-
-	// The two variants occupy distinct ProgramCache slots.
-	c := NewProgramCache(8)
-	var traced Options = opts
-	traced.EmitTrace = true
-	p1 := c.Get(fn, opts)
-	p2 := c.Get(fn, traced)
-	if p1 == p2 {
-		t.Fatal("EmitTrace did not split the cache key")
-	}
-	if st := c.Stats(); st.Misses != 2 || st.Size != 2 {
-		t.Fatalf("cache stats after two variant compiles: %+v", st)
-	}
-}
-
-// TestProgramCacheClockEviction: the cache stays within its bound,
-// counts hits/misses/evictions, and the second-chance bit protects a
-// recently-referenced entry from the sweeping hand.
-func TestProgramCacheClockEviction(t *testing.T) {
-	mkFn := func(i int) *ir.Func {
-		return parseFn(t, fmt.Sprintf(`define i32 @f%d(i32 %%a) {
-entry:
-  %%r = add i32 %%a, %d
-  ret i32 %%r
-}`, i, i))
-	}
-	opts := FreezeOptions()
-	c := NewProgramCache(4)
-	fns := make([]*ir.Func, 8)
-	for i := range fns {
-		fns[i] = mkFn(i)
-	}
-	for i := 0; i < 4; i++ {
-		c.Get(fns[i], opts)
-	}
-	// Keep fn0 hot between insertions: the clock clears its ref bit
-	// each time the hand passes, but a re-reference before the next
-	// sweep renews the second chance, so fn0 outlives four evictions.
-	hot := c.Get(fns[0], opts)
-	for i := 4; i < 8; i++ {
-		c.Get(fns[0], opts)
-		c.Get(fns[i], opts)
-	}
-	st := c.Stats()
-	if st.Size != 4 || st.Capacity != 4 {
-		t.Fatalf("size %d cap %d, want 4/4", st.Size, st.Capacity)
-	}
-	if st.Misses != 8 || st.Hits != 5 || st.Evictions != 4 {
-		t.Fatalf("stats %+v, want misses=8 hits=5 evictions=4", st)
-	}
-	// fn0 survived every sweep: getting it again is a hit on the same
-	// Program, not a recompile.
-	if got := c.Get(fns[0], opts); got != hot {
-		t.Fatal("second-chance bit did not protect the hot entry")
-	}
-	if st := c.Stats(); st.Hits != 6 || st.Misses != 8 {
-		t.Fatalf("stats after re-get: %+v", st)
 	}
 }
 
@@ -165,13 +105,5 @@ func TestEngineMetricsPublish(t *testing.T) {
 	}
 	if _, ok := snap.Get("pool_frames_pooled_total"); !ok {
 		t.Fatal("pool counters missing")
-	}
-
-	cache := NewProgramCache(4)
-	cache.Get(fn, FreezeOptions())
-	cache.Get(fn, FreezeOptions())
-	cache.Stats().Publish(reg, telemetry.Scheduling)
-	if s, ok := reg.Snapshot().Get("progcache_hits_total"); !ok || s.Value != 1 {
-		t.Fatalf("progcache_hits_total sample: %+v ok=%v", s, ok)
 	}
 }

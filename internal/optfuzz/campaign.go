@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tameir/internal/cache"
 	"tameir/internal/core"
 	"tameir/internal/ir"
 	"tameir/internal/parallel"
@@ -28,13 +27,13 @@ import (
 // over Gen; the mutation fuzzer (NewMutationSource) and the sampled
 // wide-bitwidth sweep (NewWideSource) plug into the same engine. A
 // bounded worker pool runs the source's shards concurrently, each
-// worker with its own enumeration oracle, compiled-program cache, and
-// memo session, and results are merged in shard order. The
-// behaviour-set memo itself is ONE concurrency-safe cache shared by
-// all shards, so a candidate that collapses to a form some other shard
-// already explored is a lookup, not a re-enumeration — cross-shard
-// hits are a large fraction of the total on §6-style spaces, where
-// most shards funnel into the same few small forms.
+// worker with its own enumeration oracle and memo session, and results
+// are merged in shard order. The behaviour-set memo itself is ONE
+// concurrency-safe cache shared by all shards, so a candidate that
+// collapses to a form some other shard already explored is a lookup,
+// not a re-enumeration — cross-shard hits are a large fraction of the
+// total on §6-style spaces, where most shards funnel into the same few
+// small forms.
 //
 // Evolving sources run in epochs: every shard of epoch e completes,
 // the per-candidate feedback merges in (shard, index) order — a
@@ -62,9 +61,9 @@ type Campaign struct {
 	// to the pre-interface engine. When Source is set, Gen is ignored.
 	Source Source
 
-	// Refine configures the checker. Its Memo, Session, Oracle and
-	// Programs fields are ignored: the campaign supplies one shared
-	// memo plus a private session, oracle and program cache per shard.
+	// Refine configures the checker. Its Memo, Session and Oracle
+	// fields are ignored: the campaign supplies one shared memo plus a
+	// private session and oracle per shard.
 	// Refine.Interpret is the campaign's engine switch: it flows into
 	// every shard's checker unchanged.
 	Refine refine.Config
@@ -102,15 +101,6 @@ type Campaign struct {
 	// means refine.DefaultMemoEntries; negative disables memoization.
 	MemoEntries int
 
-	// CacheDir, when non-empty, warm-starts the campaign's behaviour-set
-	// memo from the persistent snapshot in that directory and writes a
-	// refreshed snapshot back after the run. Snapshots are versioned
-	// and fingerprinted (core.SemanticsFingerprint); stale or
-	// mismatched ones are rejected wholesale, so a warm campaign's
-	// verdict stream is byte-identical to a cold one
-	// (TestCacheDirWarmMatchesCold).
-	CacheDir string
-
 	// Reduce pushes every refuted finding through the automatic
 	// reducer before it is recorded or streamed: greedy instruction /
 	// branch / operand shrinking, re-checking the refinement verdict
@@ -134,9 +124,8 @@ type Campaign struct {
 	TracePhases bool
 
 	// Trace, when non-nil, is the flight recorder: shard spans, check
-	// phases, per-pass spans, program-cache hit/miss
-	// instants, and one provenance-carrying "finding" instant per
-	// finding all land in it, on one track per shard (plus a "campaign"
+	// phases, per-pass spans, and one provenance-carrying "finding"
+	// instant per finding all land in it, on one track per shard (plus a "campaign"
 	// track for run-level events). Implies the TracePhases span sites
 	// regardless of that flag. All trace data is scheduling-class: the
 	// timeline is never reproducible across runs.
@@ -167,8 +156,7 @@ type Campaign struct {
 	// Telemetry, when non-nil, receives the campaign's merged metric
 	// counters after the run: campaign_* verdicts, workload_* labelled
 	// twins, per-shard checker and engine counters (check_*, engine_*,
-	// pool_frames_*), per-shard program-cache traffic (progcache_*),
-	// shared-memo counters (memo_*), worker-pool utilization (pool_*),
+	// pool_frames_*), shared-memo counters (memo_*), worker-pool utilization (pool_*),
 	// corpus/reducer counters for evolving or reducing campaigns, and
 	// — for instrumented Pipeline campaigns — the merged pass-manager
 	// registry (pass_*, opt_*, analysis_*). Shard-local collectors
@@ -241,7 +229,7 @@ type Finding struct {
 	// Result carries the counterexample.
 	Result refine.Result
 	// Prov records where the finding came from beyond the positional
-	// fields above: workload, seed, engine, cache state at emission.
+	// fields above: workload, seed and engine.
 	// Always populated by the campaign; mirrored into the flight
 	// recorder as a "finding" instant when Campaign.Trace is set, so a
 	// trace alone explains every counterexample.
@@ -262,9 +250,6 @@ type Provenance struct {
 	// Tier is the engine the checker ran on: "closure" for the
 	// compiled engine, "interp" for the tree-walking interpreter.
 	Tier string
-	// DiskWarm is whether the campaign warm-started from persistent
-	// cache snapshots.
-	DiskWarm bool
 }
 
 // PassTally is one pass's slice of a multi-pass campaign.
@@ -330,19 +315,6 @@ type Stats struct {
 	MemoAdmissions   uint64
 	MemoSessionReuse uint64
 	MemoDoorkeeper   int
-
-	// DiskLoads / DiskHits / DiskStaleRejects are the persistent
-	// -cache-dir counters: snapshot files loaded in full, memo hits
-	// served by disk-loaded entries, snapshots rejected wholesale. All
-	// zero without CacheDir.
-	DiskLoads        uint64
-	DiskHits         uint64
-	DiskStaleRejects uint64
-	// DiskErr records a failed snapshot load or save (I/O, not
-	// staleness — staleness is a counted, non-error cold start). The
-	// campaign's verdicts are unaffected; drivers surface it as a
-	// warning.
-	DiskErr error
 
 	// Opt merges the per-shard pass-manager statistics in shard order
 	// (nil unless the campaign ran an instrumented Pipeline).
@@ -570,7 +542,6 @@ func mergeChanged(acc, more []string) []string {
 type shardStats struct {
 	Stats
 	Check refine.CheckMetrics
-	Prog  core.ProgramCacheStats
 	fb    []Feedback
 }
 
@@ -600,14 +571,6 @@ func (c Campaign) Run() Stats {
 	var memo *refine.Memo
 	if c.MemoEntries >= 0 {
 		memo = refine.NewMemo(c.MemoEntries)
-	}
-
-	// Warm start: install last run's snapshots before any shard runs.
-	// A nil disk (no CacheDir) is a no-op throughout.
-	disk := refine.OpenDiskCache(c.CacheDir, memo)
-	var diskErr error
-	if _, err := disk.Load(); err != nil {
-		diskErr = err
 	}
 
 	progress := newProgressSink(c.Progress, c.ProgressEvery, shards*epochs)
@@ -662,10 +625,9 @@ func (c Campaign) Run() Stats {
 	}
 
 	prov := Provenance{
-		Source:   src.Name(),
-		Seed:     c.Seed,
-		Tier:     "closure",
-		DiskWarm: disk.Stats().Loads > 0,
+		Source: src.Name(),
+		Seed:   c.Seed,
+		Tier:   "closure",
 	}
 	if c.Refine.Interpret {
 		prov.Tier = "interp"
@@ -686,7 +648,6 @@ func (c Campaign) Run() Stats {
 		}
 	}
 	var check refine.CheckMetrics
-	var prog core.ProgramCacheStats
 	var streamer *findingStreamer
 
 	for epoch := 0; epoch < epochs; epoch++ {
@@ -722,7 +683,6 @@ func (c Campaign) Run() Stats {
 				out.Opt.Merge(r.Opt)
 			}
 			check.Add(&r.Check)
-			prog.Add(r.Prog)
 		}
 		if evolving != nil {
 			// The feedback barrier: shard order, then index order within
@@ -744,14 +704,6 @@ func (c Campaign) Run() Stats {
 		out.MemoSessionReuse = memo.SessionReuse()
 		out.MemoDoorkeeper = memo.DoorkeeperEntries()
 	}
-	if disk != nil {
-		if err := disk.Save(); err != nil && diskErr == nil {
-			diskErr = err
-		}
-		ds := disk.Stats()
-		out.DiskLoads, out.DiskHits, out.DiskStaleRejects = ds.Loads, ds.Hits, ds.StaleRejects
-		out.DiskErr = diskErr
-	}
 	out.Source = src.Name()
 	out.Epochs = epochs
 	corpus := false
@@ -770,7 +722,7 @@ func (c Campaign) Run() Stats {
 		c.Trace.Counter(shards, "findings", int64(out.Refuted))
 		c.Trace.Counter(shards, "funcs", int64(out.Funcs))
 	}
-	c.publish(out, shards*epochs, &check, prog, poolPM, memo != nil, disk != nil, corpus)
+	c.publish(out, shards*epochs, &check, poolPM, memo != nil, corpus)
 	if c.Telemetry != nil {
 		if wd != nil {
 			c.Telemetry.Counter("watchdog_stalls_total", telemetry.Scheduling,
@@ -789,7 +741,7 @@ func (c Campaign) Run() Stats {
 
 // runShard enumerates one shard of one epoch, validating every
 // candidate against the campaign's transforms. It owns all its mutable
-// state (oracle, memo session, program cache, pass-manager clone), so
+// state (oracle, memo session, pass-manager clone), so
 // distinct shards run concurrently without sharing.
 func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max int,
 	memo *refine.Memo, verifyMode ir.VerifyMode, streamer *findingStreamer,
@@ -822,20 +774,6 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 	rcfg.Session = nil
 	if memo != nil {
 		rcfg.Session = memo.NewSession()
-	}
-	// Candidates and their transformed clones are built fresh and
-	// never mutated after compilation, so the pointer-trusting
-	// program cache is sound here; it pays off when one candidate is
-	// checked against several passes.
-	rcfg.Programs = core.NewProgramCache(0)
-	if rec := c.Trace; rec != nil {
-		rcfg.Programs.SetEvents(func(hit bool, fn string) {
-			name := "progcache_miss"
-			if hit {
-				name = "progcache_hit"
-			}
-			rec.Instant(s, name, "fn", fn)
-		})
 	}
 	if checkScope != nil {
 		rcfg.Trace = checkScope
@@ -979,7 +917,6 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 					"tier", p.Tier,
 					"memo_lookups", strconv.FormatUint(memoLookups, 10),
 					"memo_hits", strconv.FormatUint(memoHits, 10),
-					"disk_warm", strconv.FormatBool(p.DiskWarm),
 					"reduce_steps", strconv.Itoa(fd.ReduceSteps))
 				if streamer != nil {
 					streamer.emit(s, fd)
@@ -1018,18 +955,17 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 	if pm != nil {
 		st.Opt = pm.Stats
 	}
-	st.Prog = rcfg.Programs.Stats()
 	return st
 }
 
 // publish folds the campaign's merged collectors into c.Telemetry.
 // Verdict counters, the workload-labelled twins, the corpus/reducer
-// counters, and the per-shard checker/engine/program-cache counters
-// are Deterministic (pure functions of the shard partition); everything
+// counters, and the per-shard checker/engine counters are
+// Deterministic (pure functions of the shard partition); everything
 // touching the shared memo is Scheduling, because which worker computes
 // a shared behaviour set first is a race whenever more than one runs —
 // and the class must not depend on the worker count.
-func (c Campaign) publish(out Stats, shardRuns int, check *refine.CheckMetrics, prog core.ProgramCacheStats, poolPM *parallel.PoolMetrics, sharedMemo, diskCache, corpus bool) {
+func (c Campaign) publish(out Stats, shardRuns int, check *refine.CheckMetrics, poolPM *parallel.PoolMetrics, sharedMemo, corpus bool) {
 	reg := c.Telemetry
 	if reg == nil {
 		return
@@ -1069,7 +1005,6 @@ func (c Campaign) publish(out Stats, shardRuns int, check *refine.CheckMetrics, 
 		memoClass = telemetry.Scheduling
 	}
 	check.Publish(reg, memoClass)
-	prog.Publish(reg, det)
 	if sharedMemo {
 		reg.Counter("memo_lookups_total", telemetry.Scheduling, "shared-memo lookups").Add(out.MemoLookups)
 		reg.Counter("memo_hits_total", telemetry.Scheduling, "shared-memo hits").Add(out.MemoHits)
@@ -1078,16 +1013,6 @@ func (c Campaign) publish(out Stats, shardRuns int, check *refine.CheckMetrics, 
 		reg.Counter("memo_admissions_total", telemetry.Scheduling, "functions admitted to the shared memo on repeat").Add(out.MemoAdmissions)
 		reg.Counter("memo_session_reuse_total", telemetry.Scheduling, "memo hits answered from a worker session's own slots").Add(out.MemoSessionReuse)
 		reg.Gauge("memo_doorkeeper_entries", telemetry.Scheduling, "key hashes held by the memo's admission doorkeeper").Set(int64(out.MemoDoorkeeper))
-	}
-	if diskCache {
-		// Which lookups land on disk-loaded entries depends on worker
-		// interleaving (and residency on eviction), so the disk split is
-		// Scheduling like every shared-memo counter.
-		cache.DiskStats{
-			Loads:        out.DiskLoads,
-			Hits:         out.DiskHits,
-			StaleRejects: out.DiskStaleRejects,
-		}.Publish(reg, telemetry.Scheduling)
 	}
 	poolPM.Publish(reg)
 	if out.Opt != nil {

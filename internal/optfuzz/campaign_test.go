@@ -248,26 +248,29 @@ func TestCampaignPipelineDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestCampaignMemoInvariant: enabling or disabling the memo must not
-// change any verdict or finding, only the hit counters.
+// change any verdict or finding, only the hit counters — with one
+// worker, and with two sharing the memo across shards.
 func TestCampaignMemoInvariant(t *testing.T) {
 	sem := core.LegacyOptions(core.BranchPoisonNondet)
 	pcfg := passes.DefaultLegacyConfig()
 	pcfg.Unsound = true
 
-	with := o2Campaign(sem, pcfg, 1, 0).Run()
-	without := o2Campaign(sem, pcfg, 1, -1).Run()
+	for _, workers := range []int{1, 2} {
+		with := o2Campaign(sem, pcfg, workers, 0).Run()
+		without := o2Campaign(sem, pcfg, workers, -1).Run()
 
-	if without.MemoLookups != 0 {
-		t.Errorf("memo disabled but %d lookups recorded", without.MemoLookups)
-	}
-	if with.MemoLookups == 0 {
-		t.Errorf("memo enabled but no lookups recorded")
-	}
-	with, without = maskMemo(with), maskMemo(without)
-	with.MemoLookups, without.MemoLookups = 0, 0
-	if !reflect.DeepEqual(with, without) {
-		t.Errorf("memo changed campaign outcome:\nwith:    %+v\nwithout: %+v",
-			summarize(with), summarize(without))
+		if without.MemoLookups != 0 {
+			t.Errorf("workers=%d: memo disabled but %d lookups recorded", workers, without.MemoLookups)
+		}
+		if with.MemoLookups == 0 {
+			t.Errorf("workers=%d: memo enabled but no lookups recorded", workers)
+		}
+		with, without = maskMemo(with), maskMemo(without)
+		with.MemoLookups, without.MemoLookups = 0, 0
+		if !reflect.DeepEqual(with, without) {
+			t.Errorf("workers=%d: memo changed campaign outcome:\nwith:    %+v\nwithout: %+v",
+				workers, summarize(with), summarize(without))
+		}
 	}
 }
 

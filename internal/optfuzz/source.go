@@ -9,8 +9,8 @@ import (
 // functions for a validation campaign. The exhaustive §6 enumerator,
 // the coverage-guided mutation fuzzer and the sampled wide-bitwidth
 // sweep all implement it, so the campaign engine (sharding, budgets,
-// shared memo, disk cache, streaming, telemetry) is written once
-// against this contract.
+// shared memo, streaming, telemetry) is written once against this
+// contract.
 //
 // The contract that keeps campaigns reproducible:
 //

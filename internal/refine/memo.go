@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tameir/internal/cache"
 	"tameir/internal/core"
 	"tameir/internal/ir"
 )
@@ -52,31 +51,25 @@ import (
 // checking sources it never mutates and transforming private clones.
 //
 // A Memo IS safe for concurrent use: the function index is a
-// cache.StringMap split over memoShardCount lock stripes, and the
-// doorkeeper and counters are atomic, so one memo can back every
-// worker of a campaign and hits cross worker shards. Each goroutine
-// drives it through its own MemoSession (NewSession), which holds the
-// only unshared state. Bounded residency is a cache.Clock
-// (second-chance) sweep that evicts cold behaviour sets to admit new
-// ones; a function whose last set is evicted leaves the index, so the
-// index is bounded by the clock's capacity too. An eviction can cost a
-// recomputation but never changes a verdict
-// (TestMemoEvictionKeepsVerdicts).
-//
-// A memo can also be snapshotted to disk and reloaded by a later
-// process (Snapshot/LoadSnapshot in memosnap.go); entries that arrived
-// from a snapshot keep a provenance bit so warm-start hits are
-// countable as cache_disk_hits_total.
+// stringMap split over memoShardCount lock stripes, and the doorkeeper
+// and counters are atomic, so one memo can back every worker of a
+// campaign and hits cross worker shards. Each goroutine drives it
+// through its own MemoSession (NewSession), which holds the only
+// unshared state. Bounded residency is a second-chance clock sweep
+// that evicts cold behaviour sets to admit new ones; a function whose
+// last set is evicted leaves the index, so the index is bounded by the
+// clock's capacity too. An eviction can cost a recomputation but never
+// changes a verdict (TestMemoEvictionKeepsVerdicts).
 type Memo struct {
-	funcs *cache.StringMap[*memoFuncEntry]
-	clock *cache.Clock[evictRef]
+	funcs *stringMap[*memoFuncEntry]
+	clock *clock[evictRef]
 	door  doorkeeper
 	seed  maphash.Seed
 	// private recycles the sessions Check and Behaviors create for
 	// callers that bring none.
 	private sync.Pool
 
-	hits, lookups, diskHits, sessionReuse, admissions atomic.Uint64
+	hits, lookups, sessionReuse, admissions atomic.Uint64
 }
 
 // memoShardCount is the lock-striping factor. 64 keeps contention
@@ -101,16 +94,14 @@ type memoFuncEntry struct {
 }
 
 type idxSet struct {
-	set  BehaviorSet
-	ok   bool
-	ref  bool // clock reference bit, set on hit
-	disk bool // loaded from a -cache-dir snapshot
+	set BehaviorSet
+	ok  bool
+	ref bool // clock reference bit, set on hit
 }
 
 type strSet struct {
-	set  BehaviorSet
-	ref  bool
-	disk bool
+	set BehaviorSet
+	ref bool
 }
 
 // evictRef locates one admitted behaviour set for the clock sweep.
@@ -135,7 +126,7 @@ type MemoSession struct {
 	n     int    // the current Check's input count, which sizes arrays
 	buf   []byte // key scratch, swapped into the slot that takes the key
 
-	hits, lookups, diskHits, reuse uint64
+	hits, lookups, reuse uint64
 }
 
 // memoSlot is one identity slot: a function, its rendered key, and the
@@ -186,8 +177,8 @@ func NewMemo(max int) *Memo {
 		max = DefaultMemoEntries
 	}
 	m := &Memo{
-		funcs: cache.NewStringMap[*memoFuncEntry](memoShardCount),
-		clock: cache.NewClock[evictRef](max),
+		funcs: newStringMap[*memoFuncEntry](memoShardCount),
+		clock: newClock[evictRef](max),
 		seed:  maphash.MakeSeed(),
 	}
 	m.door.init(max)
@@ -206,10 +197,6 @@ func (m *Memo) Lookups() uint64 { return m.lookups.Load() }
 
 // Evictions returns the number of behaviour sets evicted by the clock.
 func (m *Memo) Evictions() uint64 { return m.clock.Evictions() }
-
-// DiskHits returns the number of hits served by entries that arrived
-// from a -cache-dir snapshot rather than this process's own work.
-func (m *Memo) DiskHits() uint64 { return m.diskHits.Load() }
 
 // SessionReuse returns the number of hits a session answered from its
 // own identity slots, without touching the shared index.
@@ -255,18 +242,16 @@ func (s *MemoSession) end() {
 	m.lookups.Add(s.lookups)
 	m.hits.Add(s.hits)
 	m.sessionReuse.Add(s.reuse)
-	m.diskHits.Add(s.diskHits)
-	s.hits, s.lookups, s.diskHits, s.reuse = 0, 0, 0, 0
+	s.hits, s.lookups, s.reuse = 0, 0, 0
 }
 
 // appendMemoFuncKey renders the first-level key: the semantics/bounds
 // fingerprint followed by the canonical function text. Everything the
 // behaviour set (and Check's ordinal enumeration) depends on is in
-// here, which is also what makes the key stable across processes —
-// the property the snapshot layer rides on. srcMode and inputBits must
-// be part of the rendered key, not just the slot's opts: they steer
-// Check's input enumeration, so the byIdx ordinal space is only stable
-// within one (srcMode, inputBits) regime.
+// here. srcMode and inputBits must be part of the rendered key, not
+// just the slot's opts: they steer Check's input enumeration, so the
+// byIdx ordinal space is only stable within one (srcMode, inputBits)
+// regime.
 func appendMemoFuncKey(b []byte, fn *ir.Func, mo memoOpts) []byte {
 	o := mo.opts
 	for _, u := range [...]uint64{uint64(o.Mode), uint64(o.BranchPoison), uint64(o.SelectPoisonCond)} {
@@ -390,7 +375,7 @@ func (s *MemoSession) keep(sl *memoSlot, ordinal int, set BehaviorSet) {
 func (s *MemoSession) publish(sl *memoSlot, ordinal int, set BehaviorSet) {
 	e := s.m.lockEntry(sl.entry, sl.key, s.n)
 	sl.entry = e
-	ok := e.putIdx(ordinal, set, false)
+	ok := e.putIdx(ordinal, set)
 	e.mu.Unlock()
 	if ok {
 		s.m.admit(evictRef{entry: e, ordinal: ordinal})
@@ -418,9 +403,9 @@ func (s *MemoSession) lookup(fn *ir.Func, args []core.Value, ordinal int, opts c
 			if !e.dead && ordinal < len(e.byIdx) && e.byIdx[ordinal].ok {
 				x := &e.byIdx[ordinal]
 				x.ref = true
-				set, disk := x.set, x.disk
+				set := x.set
 				e.mu.Unlock()
-				s.hit(disk)
+				s.hits++
 				s.keep(sl, ordinal, set)
 				return ref, set, true
 			}
@@ -436,21 +421,14 @@ func (s *MemoSession) lookup(fn *ir.Func, args []core.Value, ordinal int, opts c
 		e.mu.Lock()
 		if x := e.sets[ref.argsKey]; x != nil && !e.dead {
 			x.ref = true
-			set, disk := x.set, x.disk
+			set := x.set
 			e.mu.Unlock()
-			s.hit(disk)
+			s.hits++
 			return ref, set, true
 		}
 		e.mu.Unlock()
 	}
 	return ref, BehaviorSet{}, false
-}
-
-func (s *MemoSession) hit(disk bool) {
-	s.hits++
-	if disk {
-		s.diskHits++
-	}
 }
 
 // store caches a computed set under a ref obtained from lookup: in the
@@ -472,7 +450,7 @@ func (s *MemoSession) store(ref memoRef, set BehaviorSet) {
 	}
 	e := s.m.lockEntry(sl.entry, sl.key, s.n)
 	sl.entry = e
-	ok := e.putKey(ref.argsKey, set, false)
+	ok := e.putKey(ref.argsKey, set)
 	e.mu.Unlock()
 	if ok {
 		s.m.admit(evictRef{entry: e, key: ref.argsKey, ordinal: -1})
@@ -505,27 +483,27 @@ func (m *Memo) lockEntry(e *memoFuncEntry, key []byte, n int) *memoFuncEntry {
 // putIdx installs an ordinal-indexed set unless one is there already
 // (another session raced the same computation), reporting whether it
 // did. Caller holds the entry's stripe lock.
-func (e *memoFuncEntry) putIdx(ordinal int, set BehaviorSet, disk bool) bool {
+func (e *memoFuncEntry) putIdx(ordinal int, set BehaviorSet) bool {
 	if ordinal >= len(e.byIdx) {
 		e.byIdx = append(e.byIdx, make([]idxSet, ordinal+1-len(e.byIdx))...)
 	}
 	if e.byIdx[ordinal].ok {
 		return false
 	}
-	e.byIdx[ordinal] = idxSet{set: set, ok: true, disk: disk}
+	e.byIdx[ordinal] = idxSet{set: set, ok: true}
 	e.resident++
 	return true
 }
 
 // putKey is putIdx for the string-keyed level.
-func (e *memoFuncEntry) putKey(key string, set BehaviorSet, disk bool) bool {
+func (e *memoFuncEntry) putKey(key string, set BehaviorSet) bool {
 	if _, dup := e.sets[key]; dup {
 		return false
 	}
 	if e.sets == nil {
 		e.sets = make(map[string]*strSet)
 	}
-	e.sets[key] = &strSet{set: set, disk: disk}
+	e.sets[key] = &strSet{set: set}
 	e.resident++
 	return true
 }
@@ -585,6 +563,157 @@ func (e *memoFuncEntry) remove(v evictRef) {
 		delete(e.sets, v.key)
 		e.resident--
 	}
+}
+
+// clock is the memo's bounded second-chance eviction ring. Admit
+// appends until the cap is reached, then sweeps: the hand clears
+// reference bits (via recentlyUsed, which must report and clear in one
+// step) until a cold victim turns up, evicts it, and installs the
+// newcomer in its slot. A referenced set therefore survives one full
+// revolution after its last hit.
+//
+// The ring holds its own mutex across the whole sweep, and Memo.admit's
+// callbacks take stripe locks under it, so the memo's one compound lock
+// order is ring → stripe: nothing may call Admit while holding a stripe
+// lock.
+type clock[R any] struct {
+	mu        sync.Mutex
+	max       int
+	refs      []R
+	hand      int
+	evictions atomic.Uint64
+}
+
+// newClock returns a ring admitting at most max references (max must
+// be positive).
+func newClock[R any](max int) *clock[R] {
+	if max <= 0 {
+		panic("refine: newClock needs a positive capacity")
+	}
+	return &clock[R]{max: max}
+}
+
+// Len returns the number of admitted references (approximate while
+// concurrent admissions are in flight).
+func (c *clock[R]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.refs)
+}
+
+// Evictions returns the number of references evicted by the sweep.
+func (c *clock[R]) Evictions() uint64 { return c.evictions.Load() }
+
+// Admit registers r, evicting one cold reference first when the ring
+// is full. recentlyUsed reports whether the candidate victim was hit
+// since the hand last passed, clearing its reference bit either way;
+// evict removes the chosen victim from its owner. Both run with the
+// ring lock held. The sweep terminates within two revolutions: the
+// first lap clears every reference bit.
+func (c *clock[R]) Admit(r R, recentlyUsed func(R) bool, evict func(R)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.refs) < c.max {
+		c.refs = append(c.refs, r)
+		return
+	}
+	for {
+		v := c.refs[c.hand]
+		if recentlyUsed(v) {
+			c.hand = (c.hand + 1) % len(c.refs)
+			continue
+		}
+		evict(v)
+		c.refs[c.hand] = r
+		c.hand = (c.hand + 1) % len(c.refs)
+		c.evictions.Add(1)
+		return
+	}
+}
+
+// stringMap is the memo's function index: a lock-striped, string-keyed
+// get-or-create map for values that keep their stripe mutex and guard
+// their interior with it (memoFuncEntry.mu). The map never removes an
+// entry by itself: bounded residency is the clock's job, and the evict
+// callback deletes an entry whose last set it evicted from inside that
+// stripe's critical section (DeleteLocked).
+type stringMap[V any] struct {
+	stripes []mapStripe[V]
+}
+
+type mapStripe[V any] struct {
+	mu sync.Mutex
+	m  map[string]V
+}
+
+// newStringMap returns a map striped over n locks (n must be
+// positive).
+func newStringMap[V any](n int) *stringMap[V] {
+	if n <= 0 {
+		panic("refine: newStringMap needs a positive stripe count")
+	}
+	s := &stringMap[V]{stripes: make([]mapStripe[V], n)}
+	for i := range s.stripes {
+		s.stripes[i].m = make(map[string]V)
+	}
+	return s
+}
+
+func fnv32a[T string | []byte](key T) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return h
+}
+
+func (s *stringMap[V]) stripe(h uint32) *mapStripe[V] {
+	return &s.stripes[h%uint32(len(s.stripes))]
+}
+
+// GetOrCreate returns the value under key, calling mk under the stripe
+// lock to create it on first use. mk receives the stripe mutex that
+// will guard the entry from then on.
+func (s *stringMap[V]) GetOrCreate(key string, mk func(mu *sync.Mutex) V) V {
+	st := s.stripe(fnv32a(key))
+	st.mu.Lock()
+	v, ok := st.m[key]
+	if !ok {
+		v = mk(&st.mu)
+		st.m[key] = v
+	}
+	st.mu.Unlock()
+	return v
+}
+
+// Lookup returns the value under key, if present. Taking the key as
+// bytes lets a caller probe with a reused buffer without allocating a
+// string.
+func (s *stringMap[V]) Lookup(key []byte) (V, bool) {
+	st := s.stripe(fnv32a(key))
+	st.mu.Lock()
+	v, ok := st.m[string(key)]
+	st.mu.Unlock()
+	return v, ok
+}
+
+// DeleteLocked removes key. The caller must hold key's stripe lock —
+// the mutex mk received when the entry was created.
+func (s *stringMap[V]) DeleteLocked(key string) {
+	delete(s.stripe(fnv32a(key)).m, key)
+}
+
+// Len returns the number of entries.
+func (s *stringMap[V]) Len() int {
+	n := 0
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.mu.Lock()
+		n += len(st.m)
+		st.mu.Unlock()
+	}
+	return n
 }
 
 // doorkeeper remembers the key hashes of functions seen recently,

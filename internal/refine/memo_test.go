@@ -3,6 +3,7 @@ package refine
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"tameir/internal/core"
@@ -283,8 +284,7 @@ func TestMemoConcurrentSessions(t *testing.T) {
 }
 
 // TestMemoFuncKeyMatchesFormat: the strconv-built first-level key is
-// byte-identical to the fmt rendering it replaced, so snapshots keyed
-// by either stay interchangeable.
+// byte-identical to the fmt rendering it replaced.
 func TestMemoFuncKeyMatchesFormat(t *testing.T) {
 	fn := ir.MustParseFunc(memoPairs[0].src)
 	for _, opts := range []core.Options{core.FreezeOptions(), core.LegacyOptions(core.BranchPoisonNondet)} {
@@ -425,5 +425,97 @@ func TestMemoIndexBounded(t *testing.T) {
 	}
 	if n := cfg.Memo.Len(); n > capacity {
 		t.Errorf("Len = %d exceeds capacity %d", n, capacity)
+	}
+}
+
+// The clock must give a recently-used resident a second chance and
+// evict the first cold one past the hand.
+func TestClockSecondChance(t *testing.T) {
+	c := newClock[int](2)
+	used := map[int]bool{}
+	var evicted []int
+	recentlyUsed := func(r int) bool {
+		u := used[r]
+		used[r] = false
+		return u
+	}
+	evict := func(r int) { evicted = append(evicted, r) }
+
+	c.Admit(1, recentlyUsed, evict)
+	c.Admit(2, recentlyUsed, evict)
+	if c.Len() != 2 || len(evicted) != 0 {
+		t.Fatalf("fill: len=%d evicted=%v", c.Len(), evicted)
+	}
+
+	used[1] = true // 1 is hot, 2 is cold
+	c.Admit(3, recentlyUsed, evict)
+	if len(evicted) != 1 || evicted[0] != 2 {
+		t.Fatalf("expected the cold resident 2 evicted, got %v", evicted)
+	}
+	if used[1] {
+		t.Fatal("the sweep must clear the reference bit it spared")
+	}
+	if c.Len() != 2 || c.Evictions() != 1 {
+		t.Fatalf("len=%d evictions=%d, want 2/1", c.Len(), c.Evictions())
+	}
+
+	// Everything cold now: the next admission evicts exactly one more.
+	c.Admit(4, recentlyUsed, evict)
+	if len(evicted) != 2 || c.Len() != 2 || c.Evictions() != 2 {
+		t.Fatalf("second admission: evicted=%v len=%d", evicted, c.Len())
+	}
+}
+
+// A non-positive capacity is a programming error (NewMemo maps 0 to
+// DefaultMemoEntries before it builds the ring), and the ring rejects
+// it loudly rather than silently evicting everything.
+func TestClockRejectsNonPositiveCap(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("newClock(0) did not panic")
+		}
+	}()
+	newClock[int](0)
+}
+
+func TestStringMapGetOrCreate(t *testing.T) {
+	m := newStringMap[*int](16)
+	made := 0
+	mk := func(mu *sync.Mutex) *int {
+		if mu == nil {
+			t.Fatal("mk must receive the stripe mutex")
+		}
+		made++
+		return new(int)
+	}
+	p := m.GetOrCreate("k", mk)
+	if q := m.GetOrCreate("k", mk); q != p || made != 1 {
+		t.Fatalf("GetOrCreate not idempotent: made=%d", made)
+	}
+
+	var wg sync.WaitGroup
+	got := make([]*int, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = m.GetOrCreate("race", func(mu *sync.Mutex) *int { return new(int) })
+		}(i)
+	}
+	wg.Wait()
+	for _, g := range got[1:] {
+		if g != got[0] {
+			t.Fatal("concurrent GetOrCreate returned distinct values for one key")
+		}
+	}
+
+	if v, ok := m.Lookup([]byte("race")); !ok || v != got[0] {
+		t.Fatalf("Lookup(race) = %p, %v; want %p", v, ok, got[0])
+	}
+	if _, ok := m.Lookup([]byte("absent")); ok {
+		t.Fatal("Lookup found a key never created")
+	}
+	if n := m.Len(); n != 2 {
+		t.Fatalf("Len = %d, want 2", n)
 	}
 }

@@ -138,13 +138,6 @@ type Config struct {
 	// tame-bench twin-row comparison and as an escape hatch.
 	Interpret bool
 
-	// Programs, when non-nil, caches compiled programs across checks
-	// keyed by (*ir.Func, Options). The cache trusts function pointers
-	// (see core.ProgramCache's no-mutation contract): set it only when
-	// checked functions are never mutated after first compilation.
-	// When nil, Check still compiles each side exactly once per call.
-	Programs *core.ProgramCache
-
 	// ExecCount, when non-nil, is incremented by the number of choice
 	// paths enumerated: executions, where a run the compiled engine
 	// stopped at an earlier path's state counts every path below it
@@ -217,13 +210,7 @@ func (cfg Config) executor(fn *ir.Func, opts core.Options) *core.Executor {
 	if cfg.Fuel > 0 {
 		opts.Fuel = cfg.Fuel
 	}
-	var p *core.Program
-	if cfg.Programs != nil {
-		p = cfg.Programs.Get(fn, opts)
-	} else {
-		p = core.Compile(fn, opts)
-	}
-	return core.NewExecutor(p)
+	return core.NewExecutor(core.Compile(fn, opts))
 }
 
 // behaviorsAt is the enumeration core: it sweeps the oracle through
@@ -443,9 +430,9 @@ func (r Result) String() string {
 // wider types are sampled and the verdict degrades to Inconclusive if
 // no counterexample appears.
 //
-// Each side is compiled exactly once (or fetched from cfg.Programs)
-// and executed through a pooled frame across the entire input×oracle
-// sweep, so the per-execution cost is dispatch, not setup.
+// Each side is compiled exactly once per call and executed through a
+// pooled frame across the entire input×oracle sweep, so the
+// per-execution cost is dispatch, not setup.
 func Check(src, tgt *ir.Func, cfg Config) Result {
 	if len(src.Params) != len(tgt.Params) {
 		panic("refine: signature mismatch")

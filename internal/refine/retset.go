@@ -14,8 +14,8 @@ import (
 // maskBits bits — every return type of the §6 campaigns — are kept as
 // a bitmask over their values, so adding, comparing and copying them
 // allocates nothing and leaves the collector nothing to trace; every
-// other type falls back to a set of keys. Both forms count, render and
-// snapshot identically. The zero value is the empty set.
+// other type falls back to a set of keys. Both forms count and render
+// identically. The zero value is the empty set.
 type RetSet struct {
 	mask  [4]uint64           // bit v: the value v of an iW integer, W = width
 	width uint8               // W of the masked values; 0 while the mask is unused
@@ -34,15 +34,6 @@ func (s *RetSet) Add(v core.Value) {
 	}
 	var buf [64]byte
 	s.addKey(v.AppendTo(buf[:0]))
-}
-
-// AddKey inserts a value by its key, as Keys renders it.
-func (s *RetSet) AddKey(k string) {
-	if w, v, ok := parseMaskKey(k); ok && s.maskable(w) {
-		s.setBit(w, v)
-		return
-	}
-	s.addKey([]byte(k))
 }
 
 // maskable reports whether an iW value can join the mask.

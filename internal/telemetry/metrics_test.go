@@ -136,7 +136,7 @@ func TestTextExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("campaign_funcs_total", Deterministic, "functions generated").Add(128)
 	r.Counter(L("pass_runs_total", "pass", "gvn"), Deterministic, "").Add(12)
-	r.Gauge("progcache_size", Scheduling, "resident programs").Set(42)
+	r.Gauge("memo_sets", Scheduling, "resident behaviour sets").Set(42)
 	h := r.Histogram("check_set_size", Deterministic, "behavior-set sizes")
 	h.Observe(1)
 	h.Observe(3)
@@ -157,7 +157,7 @@ func TestTextExpositionRoundTrip(t *testing.T) {
 	checks := map[string]int64{
 		"campaign_funcs_total":             128,
 		`pass_runs_total{pass="gvn"}`:      12,
-		"progcache_size":                   42,
+		"memo_sets":                        42,
 		"check_set_size_count":             3,
 		"check_set_size_sum":               304,
 		`check_set_size_bucket{le="1"}`:    1,
