@@ -4,26 +4,26 @@ package ir
 // parameters, with all internal references remapped. Constants are
 // shared (they are immutable). The clone is detached from any module;
 // call instructions keep pointing at the original callees.
+//
+// Parameters are remapped by Idx and blocks by position, so the only
+// table a clone builds is the one for instructions.
 func CloneFunc(f *Func) *Func {
 	nf := &Func{Nam: f.Nam, RetTy: f.RetTy, nextID: f.nextID}
-	vmap := map[Value]Value{}
-	for _, p := range f.Params {
+	nf.Params = make([]*Param, len(f.Params))
+	for i, p := range f.Params {
 		np := NewParam(p.Nam, p.Ty)
 		np.Idx = p.Idx
-		nf.Params = append(nf.Params, np)
-		vmap[p] = np
+		nf.Params[i] = np
 	}
-	bmap := map[*Block]*Block{}
-	for _, b := range f.Blocks {
-		nb := &Block{Nam: b.Nam, parent: nf}
-		nf.Blocks = append(nf.Blocks, nb)
-		bmap[b] = nb
+	nf.Blocks = make([]*Block, len(f.Blocks))
+	for i, b := range f.Blocks {
+		nf.Blocks[i] = &Block{Nam: b.Nam, parent: nf, instrs: make([]*Instr, 0, len(b.instrs))}
 	}
 	// First create all instruction shells so forward references (phis)
 	// can be remapped.
-	imap := map[*Instr]*Instr{}
-	for _, b := range f.Blocks {
-		nb := bmap[b]
+	imap := make(map[*Instr]*Instr, f.NumInstrs())
+	for i, b := range f.Blocks {
+		nb := nf.Blocks[i]
 		for _, in := range b.instrs {
 			ni := &Instr{
 				Op:      in.Op,
@@ -37,28 +37,50 @@ func CloneFunc(f *Func) *Func {
 			}
 			nb.instrs = append(nb.instrs, ni)
 			imap[in] = ni
-			if !in.Ty.IsVoid() {
-				vmap[in] = ni
-			}
 		}
 	}
 	// Now wire operands.
 	for _, b := range f.Blocks {
 		for _, in := range b.instrs {
 			ni := imap[in]
-			for _, a := range in.Args() {
-				if nv, ok := vmap[a]; ok {
-					ni.AddArg(nv)
-				} else {
-					ni.AddArg(a) // constant leaf, shared
-				}
+			if len(in.args) > 0 {
+				ni.args = make([]Value, 0, len(in.args))
 			}
-			for i := 0; i < in.NumBlocks(); i++ {
-				ni.AddBlockArg(bmap[in.BlockArg(i)])
+			for _, a := range in.args {
+				// Constant leaves, and values from outside f, are shared.
+				switch x := a.(type) {
+				case *Instr:
+					if c, ok := imap[x]; ok {
+						a = c
+					}
+				case *Param:
+					if x.Idx < len(f.Params) && f.Params[x.Idx] == x {
+						a = nf.Params[x.Idx]
+					}
+				}
+				ni.AddArg(a)
+			}
+			if len(in.blocks) > 0 {
+				ni.blocks = make([]*Block, len(in.blocks))
+				for i, bb := range in.blocks {
+					ni.blocks[i] = cloneOf(f, nf, bb)
+				}
 			}
 		}
 	}
 	return nf
+}
+
+// cloneOf maps a block of f to its clone in nf by position (nil for a
+// block outside f). The scan is cheap at the sizes functions have
+// here, and it spares every clone a block table.
+func cloneOf(f, nf *Func, b *Block) *Block {
+	for i, x := range f.Blocks {
+		if x == b {
+			return nf.Blocks[i]
+		}
+	}
+	return nil
 }
 
 // CloneModule deep-copies a module. Call instructions are retargeted to

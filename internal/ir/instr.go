@@ -411,23 +411,9 @@ func (in *Instr) ReplaceAllUsesWith(v Value) {
 	if in == v {
 		return
 	}
-	for _, u := range in.Users() {
-		for i, a := range u.args {
-			if a == Value(in) {
-				u.SetArg(i, v)
-			}
-		}
-	}
+	in.replaceUses(in, v)
 }
 
 // ReplaceParamUses rewrites every use of parameter p with v (used by
 // inlining and by test harnesses).
-func ReplaceParamUses(p *Param, v Value) {
-	for _, u := range p.Users() {
-		for i, a := range u.args {
-			if a == Value(p) {
-				u.SetArg(i, v)
-			}
-		}
-	}
-}
+func ReplaceParamUses(p *Param, v Value) { p.replaceUses(p, v) }

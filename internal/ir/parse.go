@@ -514,14 +514,7 @@ func (p *parser) parseFunc() error {
 			}
 			p.vals[in.Nam] = in
 			if r, ok := p.fwd[in.Nam]; ok {
-				// Patch forward references.
-				for _, u := range r.Users() {
-					for i, a := range u.args {
-						if a == Value(r) {
-							u.SetArg(i, in)
-						}
-					}
-				}
+				r.replaceUses(r, in) // patch forward references
 				delete(p.fwd, in.Nam)
 			}
 		}

@@ -1,6 +1,9 @@
 package ir
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+)
 
 // Value is anything that can appear as an instruction operand: an
 // instruction result, a function parameter, or one of the constant
@@ -17,47 +20,52 @@ type Value interface {
 	delUse(u *Instr)
 }
 
-// userTracker records, for a definition, how many times each
-// instruction uses it. The multiplicity matters: Section 3.1 of the
+// userTracker records, for a definition, one entry per operand slot
+// that references it. The multiplicity matters: Section 3.1 of the
 // paper is precisely about transformations that change the number of
-// syntactic uses of a value.
+// syntactic uses of a value. It is a slice because nearly every value
+// has one or two uses, so an append is the whole cost of a use.
 type userTracker struct {
-	users map[*Instr]int
+	uses []*Instr
 }
 
-func (t *userTracker) addUse(u *Instr) {
-	if t.users == nil {
-		t.users = make(map[*Instr]int)
-	}
-	t.users[u]++
-}
+func (t *userTracker) addUse(u *Instr) { t.uses = append(t.uses, u) }
 
 func (t *userTracker) delUse(u *Instr) {
-	if t.users[u] <= 1 {
-		delete(t.users, u)
-	} else {
-		t.users[u]--
+	if i := slices.Index(t.uses, u); i >= 0 {
+		t.uses = slices.Delete(t.uses, i, i+1)
 	}
 }
 
 // NumUses returns the total number of operand slots that reference this
 // definition.
-func (t *userTracker) NumUses() int {
-	n := 0
-	for _, c := range t.users {
-		n += c
-	}
-	return n
-}
+func (t *userTracker) NumUses() int { return len(t.uses) }
 
 // Users returns each distinct instruction that uses this definition.
 // The order is unspecified.
 func (t *userTracker) Users() []*Instr {
-	us := make([]*Instr, 0, len(t.users))
-	for u := range t.users {
-		us = append(us, u)
+	us := make([]*Instr, 0, len(t.uses))
+	for _, u := range t.uses {
+		if !slices.Contains(us, u) {
+			us = append(us, u)
+		}
 	}
 	return us
+}
+
+// replaceUses rewrites every operand slot that references old, whose
+// use list t is, to v. Each entry of t names one such slot, so taking
+// the list whole and rewriting one slot per entry stays linear in the
+// number of uses (SetArg would search the list once per slot).
+func (t *userTracker) replaceUses(old, v Value) {
+	uses := t.uses
+	t.uses = nil
+	for _, u := range uses {
+		if i := slices.Index(u.args, old); i >= 0 {
+			u.args[i] = v
+			v.addUse(u)
+		}
+	}
 }
 
 // Const is an integer (or pointer-typed null/int) constant. Bits holds

@@ -24,6 +24,11 @@ import (
 // CHECK-NEXT on the immediately following line; CHECK-NOT asserts the
 // substring is absent from the whole output.
 
+// fileCheckRuns is how many times each file's pipeline runs from a
+// fresh parse. Every run must print the same module, so each case also
+// checks that its passes are deterministic (no map-order output).
+const fileCheckRuns = 10
+
 type checkDirective struct {
 	kind string // CHECK, CHECK-NEXT, CHECK-NOT
 	text string
@@ -76,10 +81,6 @@ func runFileCheck(t *testing.T, path string) {
 		t.Fatalf("%s: no CHECK directives", path)
 	}
 
-	mod, err := ir.ParseModule(src)
-	if err != nil {
-		t.Fatalf("%s: parse: %v", path, err)
-	}
 	cfg := &Config{Unsound: unsound, VerifyAfterEach: true}
 	switch sem {
 	case "freeze":
@@ -90,16 +91,27 @@ func runFileCheck(t *testing.T, path string) {
 	default:
 		t.Fatalf("%s: unknown sem %q", path, sem)
 	}
-	for _, name := range passNames {
-		p := PassByName(name)
-		if p == nil {
-			t.Fatalf("%s: unknown pass %q", path, name)
+	var out string
+	for run := 0; run < fileCheckRuns; run++ {
+		mod, err := ir.ParseModule(src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", path, err)
 		}
-		for _, fn := range mod.Funcs {
-			RunPass(p, fn, cfg)
+		for _, name := range passNames {
+			p := PassByName(name)
+			if p == nil {
+				t.Fatalf("%s: unknown pass %q", path, name)
+			}
+			for _, fn := range mod.Funcs {
+				RunPass(p, fn, cfg)
+			}
+		}
+		if got := mod.String(); run == 0 {
+			out = got
+		} else if got != out {
+			t.Fatalf("%s: run %d printed a different module than run 1:\n%s\nvs\n%s", path, run+1, got, out)
 		}
 	}
-	out := mod.String()
 	outLines := strings.Split(out, "\n")
 
 	cursor := -1 // index of the line of the last positive match

@@ -1,8 +1,9 @@
 package passes
 
 import (
-	"fmt"
-	"strings"
+	"bytes"
+	"strconv"
+	"sync"
 
 	"tameir/internal/analysis"
 	"tameir/internal/core"
@@ -43,82 +44,128 @@ func init() {
 
 // Run implements Pass.
 func (GVN) Run(f *ir.Func, cfg *Config, am *AnalysisManager) bool {
-	dt := am.DomTree()
-	g := &gvnState{
-		f:          f,
-		dt:         dt,
-		leaders:    map[string]*ir.Instr{},
-		foldFreeze: cfg.GVNFoldFreeze,
-	}
+	g := gvnPool.Get().(*gvnState)
+	g.f, g.dt, g.foldFreeze = f, am.DomTree(), cfg.GVNFoldFreeze
+	defer g.release()
 	propagate := cfg.Sem.BranchPoison == core.BranchPoisonIsUB || cfg.Unsound
-	return g.walk(f.Entry(), map[ir.Value]ir.Value{}, propagate)
+	return g.walk(f.Entry(), nil, propagate)
 }
 
+// gvnState is one run's state. Everything but the function and its
+// dominator tree is scratch the next run reuses (from gvnPool): the
+// leader table, the copy of the block being numbered, and the buffers
+// expression keys are rendered into.
 type gvnState struct {
 	f          *ir.Func
 	dt         *analysis.DomTree
-	leaders    map[string]*ir.Instr
 	foldFreeze bool
+
+	leaders map[string]*ir.Instr
+	instrs  []*ir.Instr
+	key     []byte
+	opnds   []byte // operand keys, back to back
+	ends    []int  // where each operand key ends in opnds
 }
 
-// exprKey builds a structural key for a pure instruction under the
-// current equality substitution, or "" if the instruction must not be
-// numbered.
-func (g *gvnState) exprKey(in *ir.Instr, subst map[ir.Value]ir.Value) string {
+var gvnPool = sync.Pool{New: func() any {
+	return &gvnState{leaders: map[string]*ir.Instr{}}
+}}
+
+// release clears every reference to the function and returns g to the
+// pool.
+func (g *gvnState) release() {
+	g.f, g.dt = nil, nil
+	clear(g.leaders)
+	clear(g.instrs[:cap(g.instrs)])
+	g.instrs = g.instrs[:0]
+	gvnPool.Put(g)
+}
+
+// exprKey renders a structural key for a pure instruction under the
+// current equality substitution into g.key, or returns nil if the
+// instruction must not be numbered. The key is valid until the next
+// call.
+func (g *gvnState) exprKey(in *ir.Instr, subst map[ir.Value]ir.Value) []byte {
 	switch in.Op {
 	case ir.OpFreeze:
 		if !g.foldFreeze {
-			return ""
+			return nil
 		}
 		// Freeze numbering is keyed on the operand like any other
 		// unary op; replacement redirects every use of the duplicate,
 		// satisfying the §6 all-uses caveat.
 	case ir.OpPhi, ir.OpLoad, ir.OpStore, ir.OpCall, ir.OpAlloca:
-		return ""
+		return nil
 	}
 	if in.Op.IsTerminator() {
-		return ""
+		return nil
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d:%d:%d:%s:", in.Op, in.Attrs, in.Pred, in.Ty)
-	args := make([]string, in.NumArgs())
+	g.opnds, g.ends = g.opnds[:0], g.ends[:0]
 	for i := 0; i < in.NumArgs(); i++ {
-		args[i] = operandKey(resolve(in.Arg(i), subst))
-		if args[i] == "" {
-			return ""
+		var ok bool
+		if g.opnds, ok = appendOperandKey(g.opnds, resolve(in.Arg(i), subst)); !ok {
+			return nil
+		}
+		g.ends = append(g.ends, len(g.opnds))
+	}
+	b := strconv.AppendUint(g.key[:0], uint64(in.Op), 10)
+	b = strconv.AppendUint(append(b, ':'), uint64(in.Attrs), 10)
+	b = strconv.AppendUint(append(b, ':'), uint64(in.Pred), 10)
+	b = in.Ty.AppendTo(append(b, ':'))
+	b = append(b, ':')
+	first := 0
+	if len(g.ends) == 2 && bytes.Compare(g.operand(1), g.operand(0)) < 0 {
+		// Canonical operand order for commutative ops; swapping an
+		// icmp's operands requires swapping the predicate.
+		switch {
+		case in.Op.IsCommutative():
+			first = 1
+		case in.Op == ir.OpICmp:
+			b = strconv.AppendUint(append(b, "swapped:"...), uint64(in.Pred.Swapped()), 10)
+			b = append(b, ':')
+			first = 1
 		}
 	}
-	// Canonical operand order for commutative ops.
-	if in.Op.IsCommutative() && len(args) == 2 && args[1] < args[0] {
-		args[0], args[1] = args[1], args[0]
+	for i := range g.ends {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, g.operand(i^first)...)
 	}
-	if in.Op == ir.OpICmp && len(args) == 2 && args[1] < args[0] {
-		// icmp: swapping operands requires swapping the predicate.
-		fmt.Fprintf(&b, "swapped:%d:", in.Pred.Swapped())
-		args[0], args[1] = args[1], args[0]
-	}
-	b.WriteString(strings.Join(args, ","))
-	return b.String()
+	g.key = b
+	return b
 }
 
-func operandKey(v ir.Value) string {
+// operand returns the i'th operand key exprKey rendered.
+func (g *gvnState) operand(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = g.ends[i-1]
+	}
+	return g.opnds[start:g.ends[i]]
+}
+
+// appendOperandKey appends v's part of an expression key, or reports
+// false for an operand that must not be numbered.
+func appendOperandKey(b []byte, v ir.Value) ([]byte, bool) {
 	switch x := v.(type) {
 	case *ir.Const:
-		return fmt.Sprintf("c%s:%d", x.Ty, x.Bits)
+		b = x.Ty.AppendTo(append(b, 'c'))
+		return strconv.AppendUint(append(b, ':'), x.Bits, 10), true
 	case *ir.Poison:
-		return "poison:" + x.Ty.String()
+		return x.Ty.AppendTo(append(b, "poison:"...)), true
 	case *ir.Undef:
-		return "" // undef never equals undef
+		return b, false // undef never equals undef
 	case *ir.Global:
-		return "g:" + x.Nam
+		return append(append(b, "g:"...), x.Nam...), true
 	case *ir.Param:
-		return fmt.Sprintf("p%d", x.Idx)
+		return strconv.AppendInt(append(b, 'p'), int64(x.Idx), 10), true
 	case *ir.Instr:
-		return "i:" + x.Nam
+		return append(append(b, "i:"...), x.Nam...), true
 	case *ir.VecConst:
-		return "v:" + x.Ident()
+		return append(append(b, "v:"...), x.Ident()...), true
 	}
-	return ""
+	return b, false
 }
 
 func resolve(v ir.Value, subst map[ir.Value]ir.Value) ir.Value {
@@ -136,7 +183,10 @@ func resolve(v ir.Value, subst map[ir.Value]ir.Value) ir.Value {
 // branch-implied equality substitution.
 func (g *gvnState) walk(b *ir.Block, subst map[ir.Value]ir.Value, propagate bool) bool {
 	changed := false
-	for _, in := range append([]*ir.Instr(nil), b.Instrs()...) {
+	// The copy is reused by the walk below this block, which starts
+	// only after the loop is done with it.
+	g.instrs = append(g.instrs[:0], b.Instrs()...)
+	for _, in := range g.instrs {
 		if in.Parent() == nil {
 			continue
 		}
@@ -156,15 +206,15 @@ func (g *gvnState) walk(b *ir.Block, subst map[ir.Value]ir.Value, propagate bool
 			}
 		}
 		key := g.exprKey(in, subst)
-		if key == "" {
+		if key == nil {
 			continue
 		}
-		if leader, ok := g.leaders[key]; ok && leader.Parent() != nil && g.dt.InstrDominates(leader, in) {
+		if leader, ok := g.leaders[string(key)]; ok && leader.Parent() != nil && g.dt.InstrDominates(leader, in) {
 			replaceAndErase(in, leader)
 			changed = true
 			continue
 		}
-		g.leaders[key] = in
+		g.leaders[string(key)] = in
 	}
 
 	// Learn equalities from this block's conditional branch for

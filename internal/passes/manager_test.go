@@ -1,11 +1,17 @@
 package passes_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tameir/internal/analysis"
+	"tameir/internal/bench"
 	"tameir/internal/ir"
+	"tameir/internal/minc"
 	"tameir/internal/optfuzz"
 	"tameir/internal/passes"
 )
@@ -29,8 +35,8 @@ func corpus(t *testing.T, numInstrs, maxFuncs int) []*ir.Func {
 	return out
 }
 
-// TestO2Fixpoint: when the pipeline reports convergence (a full round
-// with no change, rather than the MaxIters cap), the function is a true
+// TestO2Fixpoint: when the pipeline reports convergence (a round with
+// no change, rather than the MaxIters cap), the function is a true
 // fixed point — a second full run changes nothing. A minority of
 // candidates legitimately hit the cap (reassociate and instcombine can
 // trade canonical forms indefinitely); the cap is exactly what bounds
@@ -202,6 +208,166 @@ func TestStatsMerge(t *testing.T) {
 		if ms[i].Name != ws[i].Name || ms[i].Runs != ws[i].Runs ||
 			ms[i].Changed != ws[i].Changed || ms[i].InstrsRemoved != ws[i].InstrsRemoved {
 			t.Errorf("pass %d: merged %+v vs whole %+v", i, ms[i], ws[i])
+		}
+	}
+}
+
+// fullRounds is the fixpoint loop without the early exit: every round
+// runs the whole pipeline, so the round after a change confirms the
+// fixpoint by running every pass again. RunFuncChanged is held to it.
+func fullRounds(pm *passes.PassManager, f *ir.Func, cfg *passes.Config) (fired []string, rounds int, converged bool) {
+	max := pm.MaxIters
+	if max == 0 {
+		max = 3
+	}
+	am := analysis.NewManager(f)
+	for rounds < max {
+		rounds++
+		changed := false
+		for _, p := range pm.Passes {
+			if passes.RunPassWithManager(p, f, cfg, am) {
+				changed = true
+				if !slices.Contains(fired, p.Name()) {
+					fired = append(fired, p.Name())
+				}
+			}
+		}
+		if !changed {
+			return fired, rounds, true
+		}
+	}
+	return fired, rounds, false
+}
+
+// sampleSpace is a seeded sample of the numInstrs-instruction i2 space
+// of gen: from every shard (one per first-instruction template), about
+// one candidate in 32 of its first perShard*32, so the sample reaches
+// every opcode at the head of the function.
+func sampleSpace(gen optfuzz.Config, seed uint64, perShard int) []*ir.Func {
+	var out []*ir.Func
+	for s := 0; s < optfuzz.NumShards(gen); s++ {
+		kept := 0
+		var i uint64
+		optfuzz.ExhaustiveShard(gen, s, func(f *ir.Func) bool {
+			i++
+			h := (seed ^ uint64(s)<<32 ^ i) * 0x9e3779b97f4a7c15
+			if (h^h>>29)%32 != 0 {
+				return true
+			}
+			out = append(out, f)
+			kept++
+			return kept < perShard
+		})
+	}
+	return out
+}
+
+// TestFixpointEarlyExitMatchesFullRounds: a round that reaches the pass
+// after the previous round's last change without a change of its own
+// stops there. The passes it skips already ran on that same IR and
+// reported no change, so the output text, the fired passes, the round
+// count and convergence must all equal the full-rounds reference, on a
+// sample of the §6 space in both dialects (the unsound legacy config
+// included) and on every MinC benchmark function under both variants,
+// where many functions reach MaxIters.
+func TestFixpointEarlyExitMatchesFullRounds(t *testing.T) {
+	check := func(label string, got, want *ir.Func, cfg *passes.Config) (capped bool) {
+		f := got.String()
+		pm := passes.O2().Instrument()
+		_, fired := pm.RunFuncChanged(got, cfg)
+		refFired, refRounds, refConverged := fullRounds(passes.O2(), want, cfg)
+		if got.String() != want.String() || !slices.Equal(fired, refFired) ||
+			pm.Stats.FixpointIters() != refRounds || (pm.Stats.Converged() == 1) != refConverged {
+			t.Errorf("%s: early exit diverges from full rounds on\n%s\ngot (fired %v, rounds %d, converged %d):\n%s\nwant (fired %v, rounds %d, converged %v):\n%s",
+				label, f, fired, pm.Stats.FixpointIters(), pm.Stats.Converged(), got,
+				refFired, refRounds, refConverged, want)
+		}
+		return !refConverged
+	}
+
+	freezeGen := optfuzz.DefaultConfig(3)
+	freezeGen.AllowUndef, freezeGen.AllowPoison = false, true
+	legacyGen := optfuzz.DefaultConfig(3)
+	legacySound := passes.DefaultLegacyConfig()
+	legacySound.Unsound = false
+	for _, d := range []struct {
+		name string
+		gen  optfuzz.Config
+		cfg  *passes.Config
+	}{
+		{"freeze", freezeGen, passes.DefaultFreezeConfig()},
+		{"legacy", legacyGen, legacySound},
+		{"legacy-unsound", legacyGen, passes.DefaultLegacyConfig()},
+	} {
+		sample := sampleSpace(d.gen, 19, 12)
+		for i, f := range sample {
+			check(fmt.Sprintf("%s #%d", d.name, i), ir.CloneFunc(f), ir.CloneFunc(f), d.cfg)
+		}
+		t.Logf("%s: %d sampled candidates", d.name, len(sample))
+	}
+
+	funcs, capped := 0, 0
+	for _, p := range bench.Programs {
+		for _, v := range []bench.Variant{bench.Baseline(), bench.Prototype()} {
+			mod, err := minc.CompileString(p.Src, v.MincCfg)
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+			// Module order, as the -O2 compile runs it: the inliner
+			// sees callees the same loop already optimized.
+			got, want := ir.CloneModule(mod), ir.CloneModule(mod)
+			for i, f := range got.Funcs {
+				funcs++
+				if check(fmt.Sprintf("%s/%s @%s", p.Name, v.Name, f.Name()), f, want.Funcs[i], v.PassCfg) {
+					capped++
+				}
+			}
+		}
+	}
+	t.Logf("%d MinC functions, %d reach MaxIters", funcs, capped)
+	if capped == 0 {
+		t.Errorf("none of %d MinC functions reached MaxIters; the test no longer covers a capped fixpoint", funcs)
+	}
+}
+
+// TestO2ConcurrentMatchesSerial: -O2 run over one candidate stream from
+// several goroutines at once, which share the passes' pooled scratch,
+// prints exactly what a serial run prints for every candidate.
+func TestO2ConcurrentMatchesSerial(t *testing.T) {
+	cfg := passes.DefaultFreezeConfig()
+	funcs := corpus(t, 3, 1200)
+	serial := make([]string, len(funcs))
+	pm := passes.O2()
+	for i, f := range funcs {
+		g := ir.CloneFunc(f)
+		pm.RunFunc(g, cfg)
+		serial[i] = g.String()
+	}
+
+	const workers = 4
+	got := make([]string, len(funcs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pm := passes.O2().Instrument()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(funcs) {
+					return
+				}
+				g := ir.CloneFunc(funcs[i])
+				pm.RunFunc(g, cfg)
+				got[i] = g.String()
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range funcs {
+		if got[i] != serial[i] {
+			t.Fatalf("candidate %d: concurrent -O2 printed\n%s\nserial printed\n%s", i, got[i], serial[i])
 		}
 	}
 }

@@ -109,11 +109,15 @@ func promote(f *ir.Func, a *ir.Instr, dt *analysis.DomTree, df map[*ir.Block][]*
 		}
 	}
 
-	// Iterated dominance frontier: phi placement.
+	// Iterated dominance frontier: phi placement. The worklist is
+	// seeded in block order, not map order: the order phis are created
+	// in fixes their names and their order within a block.
 	phiAt := map[*ir.Block]*ir.Instr{}
 	work := make([]*ir.Block, 0, len(storeBlocks))
-	for b := range storeBlocks {
-		work = append(work, b)
+	for _, b := range f.Blocks {
+		if storeBlocks[b] {
+			work = append(work, b)
+		}
 	}
 	inWork := map[*ir.Block]bool{}
 	for len(work) > 0 {

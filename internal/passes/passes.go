@@ -169,9 +169,14 @@ type PassManager struct {
 	// Trace, when non-nil, records one span per pass step (named
 	// "<scope path>/<pass name>") — with a traced scope that lands
 	// every step in the flight recorder's timeline. Campaigns set it
-	// on their per-shard clone; it costs one clock read per step, the
-	// same as Stats.
+	// on their per-shard clone; it costs two clock reads per step.
 	Trace *telemetry.Scope
+
+	// handles holds Stats' instruments for each position of Passes,
+	// resolved once per collector (handlesFor) instead of by name on
+	// every step.
+	handles    []*passHandles
+	handlesFor *Stats
 }
 
 // NewPassManager resolves names through the registry into a pass
@@ -238,25 +243,36 @@ func (pm *PassManager) runFixpoint(f *ir.Func, cfg *Config, fired *[]string) boo
 		iters = 3
 	}
 	am := analysis.NewManager(f)
+	mark := pm.startSteps(f)
 	any := false
 	converged := false
 	rounds := 0
+	// stop is one past the last position that changed f in the
+	// previous round. Every pass from there on has already run on the
+	// IR the previous round ended with and reported no change, so a
+	// round that reaches stop without a change has confirmed the
+	// fixpoint.
+	stop := len(pm.Passes)
 	for i := 0; i < iters; i++ {
 		rounds++
-		changed := false
-		for _, p := range pm.Passes {
-			if pm.runStep(p, f, cfg, am) {
-				changed = true
+		last := -1
+		for j, p := range pm.Passes {
+			if last < 0 && j == stop {
+				break
+			}
+			if pm.runStep(j, p, f, cfg, am, &mark) {
+				last = j
 				any = true
 				if fired != nil && !contains(*fired, p.Name()) {
 					*fired = append(*fired, p.Name())
 				}
 			}
 		}
-		if !changed {
+		if last < 0 {
 			converged = true
 			break
 		}
+		stop = last + 1
 	}
 	if pm.Stats != nil {
 		pm.Stats.noteFunc(rounds, converged)
@@ -274,9 +290,12 @@ func (pm *PassManager) RunOnce(m *ir.Module, cfg *Config) bool {
 		ams[f] = analysis.NewManager(f)
 	}
 	changed := false
-	for _, p := range pm.Passes {
+	for j, p := range pm.Passes {
 		for _, f := range m.Funcs {
-			if pm.runStep(p, f, cfg, ams[f]) {
+			// Consecutive steps here run on different functions, so
+			// each one starts its own mark.
+			mark := pm.startSteps(f)
+			if pm.runStep(j, p, f, cfg, ams[f], &mark) {
 				changed = true
 			}
 		}
@@ -290,22 +309,38 @@ func (pm *PassManager) RunOnce(m *ir.Module, cfg *Config) bool {
 	return changed
 }
 
-// runStep runs one pass over one function: time it, run it, verify,
-// dump if changed, and evict whatever the pass's preserved-set doesn't
-// cover from the analysis cache.
-func (pm *PassManager) runStep(p Pass, f *ir.Func, cfg *Config, am *AnalysisManager) bool {
-	var before int
-	var start time.Time
-	if pm.Stats != nil {
-		before = f.NumInstrs()
-		start = time.Now()
+// stepMark is where the previous pass step on a function ended: the
+// time and the function's instruction count. The end of one step is
+// the start of the next, so an instrumented step reads the clock once.
+type stepMark struct {
+	at     time.Time
+	instrs int
+}
+
+// startSteps marks the start of the first pass step on f and resolves
+// the per-position instruments (only when Stats is set).
+func (pm *PassManager) startSteps(f *ir.Func) stepMark {
+	if pm.Stats == nil {
+		return stepMark{}
 	}
+	if pm.handlesFor != pm.Stats || len(pm.handles) != len(pm.Passes) {
+		pm.handles = make([]*passHandles, len(pm.Passes))
+		for i, p := range pm.Passes {
+			pm.handles[i] = pm.Stats.handles(p.Name())
+		}
+		pm.handlesFor = pm.Stats
+	}
+	return stepMark{at: time.Now(), instrs: f.NumInstrs()}
+}
+
+// runStep runs the pass at position pos over one function: run it,
+// verify, dump if changed, evict whatever the pass's preserved-set
+// doesn't cover from the analysis cache, and (with Stats) record the
+// step's wall time and instruction delta since mark.
+func (pm *PassManager) runStep(pos int, p Pass, f *ir.Func, cfg *Config, am *AnalysisManager, mark *stepMark) bool {
 	sp := pm.Trace.Start(p.Name())
 	changed := p.Run(f, cfg, am)
 	sp.End()
-	if pm.Stats != nil {
-		pm.Stats.record(p.Name(), changed, time.Since(start), before-f.NumInstrs())
-	}
 	if cfg.VerifyAfterEach && !pm.VerifyEach {
 		verifyAfter(p.Name(), f, cfg)
 	}
@@ -326,6 +361,11 @@ func (pm *PassManager) runStep(p Pass, f *ir.Func, cfg *Config, am *AnalysisMana
 		// exactly what the pass claimed to preserve, so the coherence
 		// check tests the preserved-set declaration itself.
 		pm.verifyEachStep(p.Name(), f, cfg, am)
+	}
+	if pm.Stats != nil {
+		now, n := time.Now(), f.NumInstrs()
+		pm.Stats.record(pm.handles[pos], changed, now.Sub(mark.at), mark.instrs-n)
+		mark.at, mark.instrs = now, n
 	}
 	return changed
 }

@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"sync"
+
 	"tameir/internal/core"
 	"tameir/internal/ir"
 )
@@ -62,12 +64,8 @@ func (a latVal) meet(b latVal) latVal {
 
 // Run implements Pass.
 func (SCCP) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
-	s := &sccpState{
-		f:     f,
-		vals:  map[ir.Value]latVal{},
-		edges: map[[2]*ir.Block]bool{},
-		alive: map[*ir.Block]bool{},
-	}
+	s := sccpPool.Get().(*sccpState)
+	defer s.release()
 	s.markAlive(f.Entry())
 	for len(s.workI) > 0 || len(s.workB) > 0 {
 		for len(s.workI) > 0 {
@@ -91,7 +89,8 @@ func (SCCP) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
 		if !s.alive[b] {
 			continue
 		}
-		for _, in := range append([]*ir.Instr(nil), b.Instrs()...) {
+		s.instrs = append(s.instrs[:0], b.Instrs()...)
+		for _, in := range s.instrs {
 			if in.Parent() == nil || in.Ty.IsVoid() || !in.Ty.IsInt() {
 				continue
 			}
@@ -111,13 +110,38 @@ func (SCCP) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
 	return changed
 }
 
+// sccpState is one run's lattice, feasible edges, live blocks and
+// worklists. It is scratch the next run reuses (from sccpPool), cleared
+// when the run ends.
 type sccpState struct {
-	f     *ir.Func
-	vals  map[ir.Value]latVal
-	edges map[[2]*ir.Block]bool
-	alive map[*ir.Block]bool
-	workI []*ir.Instr
-	workB []*ir.Block
+	vals   map[ir.Value]latVal
+	edges  map[[2]*ir.Block]bool
+	alive  map[*ir.Block]bool
+	workI  []*ir.Instr
+	workB  []*ir.Block
+	instrs []*ir.Instr // the rewrite's copy of one block
+	args   []latVal    // visit's operand lattice values
+}
+
+var sccpPool = sync.Pool{New: func() any {
+	return &sccpState{
+		vals:  map[ir.Value]latVal{},
+		edges: map[[2]*ir.Block]bool{},
+		alive: map[*ir.Block]bool{},
+	}
+}}
+
+// release clears every reference to the function and returns s to the
+// pool.
+func (s *sccpState) release() {
+	clear(s.vals)
+	clear(s.edges)
+	clear(s.alive)
+	clear(s.workI[:cap(s.workI)])
+	clear(s.workB[:cap(s.workB)])
+	clear(s.instrs[:cap(s.instrs)])
+	s.workI, s.workB, s.instrs = s.workI[:0], s.workB[:0], s.instrs[:0]
+	sccpPool.Put(s)
 }
 
 func (s *sccpState) markAlive(b *ir.Block) {
@@ -214,7 +238,10 @@ func (s *sccpState) visit(in *ir.Instr) {
 	}
 
 	// Pure scalar instructions: evaluate over the lattice.
-	args := make([]latVal, in.NumArgs())
+	if cap(s.args) < in.NumArgs() {
+		s.args = make([]latVal, in.NumArgs())
+	}
+	args := s.args[:in.NumArgs()]
 	anyTop := false
 	for i := range args {
 		args[i] = s.lattice(in.Arg(i))

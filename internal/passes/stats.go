@@ -60,6 +60,9 @@ type passHandles struct {
 	changed telemetry.Counter
 	wall    telemetry.Counter
 	removed telemetry.Gauge
+	// freezeElim: the pass is freeze-elim, whose instruction delta
+	// counts the freezes it removed.
+	freezeElim bool
 }
 
 // NewStats returns an empty collector.
@@ -97,6 +100,9 @@ func (s *Stats) handles(name string) *passHandles {
 			changed: s.reg.Counter(telemetry.L("pass_changed_total", "pass", name), telemetry.Deterministic, "pass executions that changed the function"),
 			wall:    s.reg.Counter(telemetry.L("pass_wall_ns_total", "pass", name), telemetry.Scheduling, "pass wall time in nanoseconds"),
 			removed: s.reg.Gauge(telemetry.L("pass_instrs_removed", "pass", name), telemetry.Deterministic, "net instructions removed"),
+			// freeze-elim only ever deletes freezes, so its instruction
+			// delta IS the number of freezes removed.
+			freezeElim: name == "freeze-elim",
 		}
 		s.byName[name] = h
 		s.order = append(s.order, name)
@@ -104,16 +110,13 @@ func (s *Stats) handles(name string) *passHandles {
 	return h
 }
 
-func (s *Stats) record(name string, changed bool, wall time.Duration, instrDelta int) {
-	h := s.handles(name)
+func (s *Stats) record(h *passHandles, changed bool, wall time.Duration, instrDelta int) {
 	h.runs.Inc()
 	h.wall.Add(uint64(wall))
 	if changed {
 		h.changed.Inc()
 		h.removed.Add(int64(instrDelta))
-		// freeze-elim only ever deletes freezes, so its instruction
-		// delta IS the number of freezes removed.
-		if name == "freeze-elim" && instrDelta > 0 {
+		if h.freezeElim && instrDelta > 0 {
 			s.freezeRemoved.Add(uint64(instrDelta))
 		}
 	}

@@ -402,6 +402,47 @@ func TestMemoThirdSightingHits(t *testing.T) {
 	}
 }
 
+// TestMemoHitSkipsCompile: a side whose behaviour sets are all in the
+// memo is never compiled, so a Check against a memoized target compiles
+// only its source, and a Check of two memoized sides compiles nothing.
+func TestMemoHitSkipsCompile(t *testing.T) {
+	opts := core.FreezeOptions()
+	cfg := DefaultConfig(opts, opts)
+	var plain CheckMetrics
+	cfg.Metrics = &plain
+	src := ir.MustParseFunc(memoPairs[0].src)
+	tgt := memoPairs[0].tgt
+	Check(src, ir.MustParseFunc(tgt), cfg)
+	if plain.Compiles != 2 {
+		t.Fatalf("memo-less Check compiled %d programs, want 2", plain.Compiles)
+	}
+
+	cfg.Memo = NewMemo(0)
+	cfg.Metrics = nil
+	Check(src, ir.MustParseFunc(tgt), cfg)
+	Check(src, ir.MustParseFunc(tgt), cfg) // both sides came back: admitted
+
+	// A source the memo has never seen, against a target text it holds.
+	fresh := ir.MustParseFunc("define i1 @f(i2 %a, i2 %b) {\nentry:\n  %add = add nsw i2 %b, %a\n  %cmp = icmp sgt i2 %add, %a\n  ret i1 %cmp\n}")
+	var m CheckMetrics
+	cfg.Metrics = &m
+	if r := Check(fresh, ir.MustParseFunc(tgt), cfg); r.Status != Verified {
+		t.Fatalf("fresh source: %s", r)
+	}
+	if m.Compiles != 1 || m.SetsMemoHit != m.Inputs {
+		t.Errorf("memoized target: %d compiles and %d of %d target sets from the memo, want 1 compile (the source) and all",
+			m.Compiles, m.SetsMemoHit, m.Inputs)
+	}
+
+	m = CheckMetrics{}
+	if r := Check(src, ir.MustParseFunc(tgt), cfg); r.Status != Verified {
+		t.Fatalf("memoized pair: %s", r)
+	}
+	if m.Compiles != 0 || m.Engine != (core.EngineMetrics{}) {
+		t.Errorf("both sides memoized: %d compiles, engine counters %+v; want none", m.Compiles, m.Engine)
+	}
+}
+
 // TestMemoIndexBounded: functions whose sets the clock has evicted
 // leave the index, so many more repeated functions than the memo's
 // capacity leave at most that capacity resident in it.

@@ -34,6 +34,12 @@ type CheckMetrics struct {
 	// void flag.
 	SetSize telemetry.LocalHist
 
+	// Compiles counts the programs Check and Behaviors compiled: a side
+	// is compiled on its first memo miss, so this is scheduling-
+	// dependent whenever the memo is shared, like the computed/memo-hit
+	// split.
+	Compiles uint64
+
 	// Engine accumulates the executors' counters (steps, frames).
 	Engine core.EngineMetrics
 }
@@ -70,6 +76,7 @@ func (m *CheckMetrics) Add(o *CheckMetrics) {
 	m.SetsComputed += o.SetsComputed
 	m.SetsMemoHit += o.SetsMemoHit
 	m.Execs += o.Execs
+	m.Compiles += o.Compiles
 	for i, c := range o.SetSize.Buckets {
 		m.SetSize.Buckets[i] += c
 	}
@@ -79,8 +86,8 @@ func (m *CheckMetrics) Add(o *CheckMetrics) {
 
 // Publish folds the counters into reg. Checks, Inputs, and the
 // set-size distribution are Deterministic unconditionally; the
-// computed/memo-hit split, the exec count, and the engine counters
-// take memoClass — pass Deterministic when no memo (or a private
+// computed/memo-hit split, the exec and compile counts, and the engine
+// counters take memoClass — pass Deterministic when no memo (or a private
 // per-shard memo) is in play and Scheduling when a shared cross-shard
 // memo makes the split a race.
 func (m *CheckMetrics) Publish(reg *telemetry.Registry, memoClass telemetry.Class) {
@@ -102,5 +109,6 @@ func (m *CheckMetrics) Publish(reg *telemetry.Registry, memoClass telemetry.Clas
 	reg.Counter("check_sets_computed_total", memoClass, "behaviour sets enumerated").Add(m.SetsComputed)
 	reg.Counter("check_sets_memo_hits_total", memoClass, "behaviour sets served by the memo").Add(m.SetsMemoHit)
 	reg.Counter("check_execs_total", memoClass, "choice paths enumerated, merged ones included").Add(m.Execs)
+	reg.Counter("check_compiles_total", memoClass, "programs compiled for behaviour enumeration").Add(m.Compiles)
 	m.Engine.Publish(reg, memoClass)
 }

@@ -182,9 +182,9 @@ func DefaultConfig(srcOpts, tgtOpts core.Options) Config {
 }
 
 // Behaviors computes the behaviour set of fn on args by exhaustive
-// oracle enumeration, consulting cfg.Memo first when one is set. The
-// function is compiled once (core.Compile) and the resulting program's
-// frame and memory are reused across the whole sweep; set
+// oracle enumeration, consulting cfg.Memo first when one is set. On a
+// miss the function is compiled once (core.Compile) and the resulting
+// program's frame and memory are reused across the whole sweep; set
 // cfg.Interpret to force the legacy interpreter instead.
 func Behaviors(fn *ir.Func, args []core.Value, opts core.Options, cfg Config) BehaviorSet {
 	if cfg.Memo != nil && cfg.Session == nil {
@@ -195,32 +195,62 @@ func Behaviors(fn *ir.Func, args []core.Value, opts core.Options, cfg Config) Be
 		s.begin(0)
 		defer s.end()
 	}
-	var ex *core.Executor
-	if !cfg.Interpret {
-		ex = cfg.executor(fn, opts)
-	}
-	return behaviorsAt(fn, ex, args, -1, opts, cfg)
+	sd := side{fn: fn, opts: opts}
+	set := behaviorsAt(&sd, args, -1, cfg, "")
+	sd.foldEngine(cfg.Metrics)
+	return set
 }
 
-// executor compiles fn under opts (with cfg.Fuel applied, matching the
-// override the enumeration loop applies on the interpreted path) and
-// wraps the program in an Executor whose frame pool and memory are
+// side is one function of a check and the executor it runs on, which
+// is compiled on the side's first memo miss: a side whose sets all
+// come from the memo is never compiled.
+type side struct {
+	fn   *ir.Func
+	opts core.Options
+	ex   *core.Executor
+}
+
+// compile builds sd's executor: fn compiled under its options, with
+// cfg.Fuel applied (matching the override the enumeration loop applies
+// on the interpreted path). The executor's frame pool and memory are
 // reused across every execution of the sweep.
-func (cfg Config) executor(fn *ir.Func, opts core.Options) *core.Executor {
+func (sd *side) compile(cfg Config) {
+	sp := cfg.Trace.Start("compile")
+	opts := sd.opts
 	if cfg.Fuel > 0 {
 		opts.Fuel = cfg.Fuel
 	}
-	return core.NewExecutor(core.Compile(fn, opts))
+	sd.ex = core.NewExecutor(core.Compile(sd.fn, opts))
+	sp.End()
+	if cfg.Metrics != nil {
+		cfg.Metrics.Compiles++
+	}
+}
+
+// foldEngine adds the engine counters sd's executor accumulated, if it
+// was compiled, to m.
+func (sd *side) foldEngine(m *CheckMetrics) {
+	if m != nil && sd.ex != nil {
+		m.Engine.Add(*sd.ex.Metrics())
+	}
 }
 
 // behaviorsAt is the enumeration core: it sweeps the oracle through
-// every resolution of nondeterminism, executing on ex when non-nil and
-// on the tree-walking interpreter otherwise. ordinal, when
-// non-negative, is the input vector's position in Check's
-// deterministic enumeration, unlocking the memo's string-free fast
-// path; -1 means "unknown". Memo traffic goes through cfg.Session
-// (the public entry points create one from cfg.Memo when needed).
-func behaviorsAt(fn *ir.Func, ex *core.Executor, args []core.Value, ordinal int, opts core.Options, cfg Config) BehaviorSet {
+// every resolution of nondeterminism, executing on sd's executor
+// (compiled here on the side's first miss) unless cfg.Interpret
+// selects the tree-walking interpreter. ordinal, when non-negative, is
+// the input vector's position in Check's deterministic enumeration,
+// unlocking the memo's string-free fast path; -1 means "unknown". Memo
+// traffic goes through cfg.Session (the public entry points create one
+// from cfg.Memo when needed). phase, when not empty, names the span
+// that times the call on cfg.Trace; a compile gets its own span,
+// outside it, so the two never overlap.
+func behaviorsAt(sd *side, args []core.Value, ordinal int, cfg Config, phase string) BehaviorSet {
+	var sp *telemetry.Span
+	if phase != "" {
+		sp = cfg.Trace.Start(phase)
+	}
+	fn, opts := sd.fn, sd.opts
 	var memoRef memoRef
 	if cfg.Session != nil {
 		var set BehaviorSet
@@ -231,9 +261,18 @@ func behaviorsAt(fn *ir.Func, ex *core.Executor, args []core.Value, ordinal int,
 			if cfg.BehaviorHook != nil {
 				cfg.BehaviorHook(set)
 			}
+			sp.End()
 			return set
 		}
 	}
+	if sd.ex == nil && !cfg.Interpret {
+		sp.End()
+		sd.compile(cfg)
+		if phase != "" {
+			sp = cfg.Trace.Start(phase)
+		}
+	}
+	ex := sd.ex
 	var set BehaviorSet
 	if !fn.RetTy.IsVoid() && fn.RetTy.Bitwidth() <= 20 {
 		set.RetBits = fn.RetTy.Bitwidth()
@@ -316,6 +355,7 @@ func behaviorsAt(fn *ir.Func, ex *core.Executor, args []core.Value, ordinal int,
 	if cfg.BehaviorHook != nil {
 		cfg.BehaviorHook(set)
 	}
+	sp.End()
 	return set
 }
 
@@ -430,9 +470,10 @@ func (r Result) String() string {
 // wider types are sampled and the verdict degrades to Inconclusive if
 // no counterexample appears.
 //
-// Each side is compiled exactly once per call and executed through a
-// pooled frame across the entire input×oracle sweep, so the
-// per-execution cost is dispatch, not setup.
+// Each side is compiled at most once per call, on its first memo miss,
+// and executed through a pooled frame across the entire input×oracle
+// sweep, so the per-execution cost is dispatch, not setup. A side whose
+// sets all come from the memo is never compiled.
 func Check(src, tgt *ir.Func, cfg Config) Result {
 	if len(src.Params) != len(tgt.Params) {
 		panic("refine: signature mismatch")
@@ -459,23 +500,16 @@ func Check(src, tgt *ir.Func, cfg Config) Result {
 		s.begin(n)
 		defer s.end()
 	}
-	var srcEx, tgtEx *core.Executor
-	if !cfg.Interpret {
-		sp := cfg.Trace.Start("compile")
-		srcEx = cfg.executor(src, cfg.SrcOpts)
-		tgtEx = cfg.executor(tgt, cfg.TgtOpts)
-		sp.End()
-	}
+	srcSide := side{fn: src, opts: cfg.SrcOpts}
+	tgtSide := side{fn: tgt, opts: cfg.TgtOpts}
 	if cfg.Metrics != nil {
 		cfg.Metrics.Checks++
-		if !cfg.Interpret {
-			// Executors accumulate engine counters across the whole
-			// sweep; fold them in however Check exits.
-			defer func() {
-				cfg.Metrics.Engine.Add(*srcEx.Metrics())
-				cfg.Metrics.Engine.Add(*tgtEx.Metrics())
-			}()
-		}
+		// Executors accumulate engine counters across the whole sweep;
+		// fold in those of the sides that ran, however Check exits.
+		defer func() {
+			srcSide.foldEngine(cfg.Metrics)
+			tgtSide.foldEngine(cfg.Metrics)
+		}()
 	}
 
 	res := Result{Exhaustive: exhaustive}
@@ -494,12 +528,8 @@ func Check(src, tgt *ir.Func, cfg Config) Result {
 			res.Exhaustive = false
 			break
 		}
-		sp := cfg.Trace.Start("behaviors_src")
-		sb := behaviorsAt(src, srcEx, args, res.Inputs-1, cfg.SrcOpts, cfg)
-		sp.End()
-		sp = cfg.Trace.Start("behaviors_tgt")
-		tb := behaviorsAt(tgt, tgtEx, args, res.Inputs-1, cfg.TgtOpts, cfg)
-		sp.End()
+		sb := behaviorsAt(&srcSide, args, res.Inputs-1, cfg, "behaviors_src")
+		tb := behaviorsAt(&tgtSide, args, res.Inputs-1, cfg, "behaviors_tgt")
 		ok, reason := Refines(sb, tb)
 		if !ok {
 			if strings.HasPrefix(reason, "inconclusive") {
