@@ -53,7 +53,12 @@ check: build vet test race
 # whose sets are all in the memo is never compiled, so a change that
 # compiles both sides of every check again (2 per check) fails too.
 # The JSON twin of that snapshot lands in metrics-snapshot.json for
-# the workflow artifact.
+# the workflow artifact, and a negative control reads it back with a
+# clause that must fail (a failure counter above zero), so an
+# assertion evaluator that passes everything fails make ci. The
+# unsound legacy -O2 campaign (two refutations) then exports its
+# snapshot on stdout too: its findings must move to stderr, or the
+# exposition would not parse.
 #
 # The poison-analysis guards run after that: tame-lint over the
 # freeze-elim corpus (verifier + SSA + dataflow diagnostics must be
@@ -75,6 +80,9 @@ ci: vet test
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics - \
 	  | $(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total,campaign_verified_total,check_checks_total,check_inputs_total,check_set_size,engine_steps_total,engine_execs_closure_total>0,engine_merge_exits_total>0,memo_lookups_total,check_compiles_total/check_checks_total<=1.5,pool_tasks_total,pass_runs_total,opt_funcs_total,analysis_computes_total,span_wall_ns,verify_each_checks_total>0,verify_each_failures_total=0'
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics metrics-snapshot.json
+	! $(GO) run ./cmd/tame-metrics -check 'verify_each_failures_total>0' metrics-snapshot.json
+	$(GO) run ./cmd/tame-fuzz -validate -sem legacy -unsound -instrs 2 -n 2000 -workers 2 -metrics - \
+	  | $(GO) run ./cmd/tame-metrics -check 'campaign_refuted_total>0'
 	$(GO) run ./cmd/tame-lint -q internal/passes/testdata/freeze-elim-loop.ll
 	$(GO) run ./cmd/tame-opt -sem freeze -verify-each -metrics metrics-verify-each.txt internal/passes/testdata/freeze-elim-loop.ll > /dev/null
 	$(GO) run ./cmd/tame-metrics -check 'analysis_poison_queries_total>0,passes_freeze_elim_removed_total>0,verify_each_checks_total>0,verify_each_failures_total=0' metrics-verify-each.txt
@@ -124,15 +132,18 @@ ci-workload:
 # finding (instants(finding)==counter(findings) — the pinned region is
 # what makes this immune to ring wrap), and zero watchdog stalls; the
 # metric twin re-checks the stall count and the event volume from the
-# registry side. The human-readable summary (top spans, per-shard
-# utilization, outliers) and the trace itself land in ci-trace/ for
-# the workflow's flight-recorder artifact — download trace.json and
-# drop it into ui.perfetto.dev to see the campaign timeline.
+# registry side. A negative control asserts instants(finding)==0,
+# which the same trace must refute. The human-readable summary (top
+# spans, per-shard utilization, outliers) and the trace itself land in
+# ci-trace/ for the workflow's flight-recorder artifact — download
+# trace.json and drop it into ui.perfetto.dev to see the campaign
+# timeline.
 .PHONY: ci-trace
 ci-trace:
 	rm -rf ci-trace && mkdir -p ci-trace
 	$(GO) run ./cmd/tame-fuzz -validate -source mutate -seed 7 -epochs 3 -n 60 -sem legacy -unsound -reduce -workers 2 \
 	  -trace ci-trace/trace.json -stall-deadline 120s -metrics ci-trace/trace-metrics.json > ci-trace/findings.txt || true
 	$(GO) run ./cmd/tame-trace -assert 'spans(campaign/s)>0,spans(check/)>0,spans(pass/)>0,instants(finding)==counter(findings),instants(finding)>0,instants(watchdog_stall)==0' ci-trace/trace.json
+	! $(GO) run ./cmd/tame-trace -assert 'instants(finding)==0' ci-trace/trace.json
 	$(GO) run ./cmd/tame-trace summarize ci-trace/trace.json > ci-trace/summary.txt
 	$(GO) run ./cmd/tame-metrics -check 'watchdog_stalls_total=0,trace_events_total>0,campaign_refuted_total>0' ci-trace/trace-metrics.json

@@ -10,7 +10,6 @@
 //	          [-sem legacy|freeze] [-unsound] [-verify-each] [-interp]
 //	          [-workers N] [-no-memo] [-stats] [-instrs N] [-n MAX]
 //	          [-width W] [-seed S] [-epochs N] [-corpus FILE] [-reduce]
-//	          [-trace-phases]
 //	tame-fuzz -poison-oracle [-sem legacy|freeze] [-workers N]
 //	          [-instrs N] [-n MAX] [-width W] [-metrics file|-]
 //
@@ -18,9 +17,11 @@
 // separated by blank lines — pipe into tame-opt or tame-tv. With
 // -validate the campaign runs on a worker pool (-workers 0 = one per
 // CPU, 1 = serial) and reports findings plus throughput; the findings
-// are byte-identical for every worker count. -verify-each additionally
-// runs the full checker battery (IR verifier, SSA dominance, analysis
-// cache coherence) between every pass step of the campaign pipeline.
+// are byte-identical for every worker count. -passes o2 (or O2) is the
+// -O2 pipeline; any list of passes runs to fixpoint too. -verify-each
+// additionally runs the full checker battery (IR verifier, SSA
+// dominance, analysis cache coherence) between every pass step of the
+// campaign pipeline.
 // -interp checks on the tree-walking interpreter instead of the
 // compiled engine; the findings are byte-identical either way.
 //
@@ -38,9 +39,7 @@
 // -reduce pushes every finding through the automatic reducer: a
 // greedy, deterministic shrink loop that deletes instructions, drops
 // branch arms and zeroes operands while re-checking the refinement
-// verdict after every step. -trace-phases adds per-shard and
-// per-check-phase telemetry spans to the -metrics snapshot (off by
-// default; spans measure wall time, so they are scheduling-dependent).
+// verdict after every step.
 //
 // With -poison-oracle the same exhaustive function space is swept by
 // the poison-analysis soundness oracle instead: every value the
@@ -51,10 +50,12 @@
 // Observability flags (with -validate):
 //
 //	-metrics <file|->   write the campaign's metric snapshot: "-" is
-//	                    the Prometheus-style text exposition on stdout,
-//	                    *.json the JSON snapshot, else text to the file
+//	                    the Prometheus-style text exposition on stdout
+//	                    (the campaign header and findings then go to
+//	                    stderr), *.json the JSON snapshot, else text to
+//	                    the file
 //	-progress           live progress line on stderr; findings stream
-//	                    to stdout the moment their shard's turn comes,
+//	                    out the moment their shard's turn comes,
 //	                    instead of being buffered until the end
 //	-debug-addr ADDR    serve /metrics, /metrics.json, /metrics/history
 //	                    and /debug/pprof on ADDR while the run lasts
@@ -62,7 +63,9 @@
 //	-trace FILE         record the campaign into the flight recorder
 //	                    and write a Chrome trace-event JSON timeline to
 //	                    FILE — load it in Perfetto or chrome://tracing,
-//	                    or feed it to tame-trace summarize/diff/-assert
+//	                    or feed it to tame-trace summarize/diff/-assert;
+//	                    with -metrics, the shard and check-phase spans
+//	                    land in the snapshot's span_wall_ns too
 //	-stall-deadline D   arm the stall watchdog: a shard silent for
 //	                    longer than D dumps goroutine stacks and an
 //	                    emergency trace snapshot instead of hanging
@@ -71,6 +74,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -93,7 +97,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "RNG seed (random mode and -source mutate)")
 	width := flag.Uint("width", 2, "integer bitwidth")
 	validate := flag.Bool("validate", false, "optimize and refinement-check every function")
-	passList := flag.String("passes", "o2", "comma-separated passes to validate, or o2")
+	passList := flag.String("passes", "o2", "comma-separated passes to validate, or o2 (O2) for the -O2 pipeline")
 	sem := flag.String("sem", "freeze", "semantics: legacy or freeze")
 	unsound := flag.Bool("unsound", false, "use the historical (buggy) pass variants")
 	verifyEach := flag.Bool("verify-each", false, "run the full checker battery after every pass step of the campaign pipeline")
@@ -111,7 +115,6 @@ func main() {
 	epochs := flag.Int("epochs", 0, "mutation epochs for -source mutate (0 = default)")
 	corpus := flag.String("corpus", "", "corpus file for -source mutate: seeds loaded before the run (if present), final corpus written after")
 	reduce := flag.Bool("reduce", false, "shrink every finding with the automatic reducer before reporting it")
-	tracePhases := flag.Bool("trace-phases", false, "record per-shard and per-check-phase telemetry spans (wall-clock; scheduling-dependent)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline of the -validate run to this file")
 	traceBuf := flag.Int("trace-buf", 0, "flight-recorder capacity in events (0 = default 64Ki; oldest events are overwritten)")
 	stallDeadline := flag.Duration("stall-deadline", 0, "watchdog deadline: a shard silent this long dumps goroutine stacks and a trace snapshot (0 = off)")
@@ -135,8 +138,7 @@ func main() {
 			debugSnapEvery: *debugSnapEvery, debugSnapRing: *debugSnapRing,
 			interp: *interp,
 			source: *source, seed: *seed, epochs: *epochs, corpus: *corpus,
-			reduce: *reduce, tracePhases: *tracePhases,
-			tracePath: *tracePath, traceBuf: *traceBuf,
+			reduce: *reduce, tracePath: *tracePath, traceBuf: *traceBuf,
 			stallDeadline: *stallDeadline, stallSnapshot: *stallSnapshot,
 		})
 		return
@@ -184,7 +186,6 @@ type campaignFlags struct {
 	epochs           int
 	corpus           string
 	reduce           bool
-	tracePhases      bool
 	tracePath        string
 	traceBuf         int
 	stallDeadline    time.Duration
@@ -192,46 +193,24 @@ type campaignFlags struct {
 }
 
 func runCampaign(fl campaignFlags) {
-	var opts core.Options
-	pcfg := &passes.Config{}
-	switch fl.sem {
-	case "freeze":
-		opts = core.FreezeOptions()
-		pcfg = passes.DefaultFreezeConfig()
-	case "legacy":
-		opts = core.LegacyOptions(core.BranchPoisonNondet)
+	opts, err := core.SemanticsByName(fl.sem)
+	if err != nil {
+		fatal(err)
+	}
+	pcfg := passes.DefaultFreezeConfig()
+	if opts.Mode == core.Legacy {
 		pcfg = passes.DefaultLegacyConfig()
-		pcfg.Unsound = false
-	default:
-		fatal(fmt.Errorf("unknown semantics %q", fl.sem))
 	}
 	pcfg.Unsound = fl.unsound
-
-	pm := passes.O2()
-	if fl.passList != "o2" && fl.passList != "" {
-		var names []string
-		for _, name := range strings.Split(fl.passList, ",") {
-			names = append(names, strings.TrimSpace(name))
-		}
-		var err error
-		pm, err = passes.NewPassManager(names...)
-		if err != nil {
-			fatal(err)
-		}
+	pcfg.VerifyEach = fl.verifyEach
+	// Every list, -O2 or not, runs to fixpoint on each candidate.
+	pm, _, err := passes.ParsePipeline(fl.passList)
+	if err != nil {
+		fatal(err)
 	}
 	pm.Instrument()
-	// Clone preserves VerifyEach, so every per-shard pipeline copy runs
-	// the battery too.
-	pm.VerifyEach = fl.verifyEach
 
-	gen := optfuzz.DefaultConfig(fl.instrs)
-	gen.Width = fl.width
-	gen.MaxFuncs = fl.n
-	if opts.Mode == core.Freeze {
-		// Undef is not part of the freeze dialect.
-		gen.AllowUndef = false
-		gen.AllowPoison = true
-	}
+	gen := genConfig(fl.instrs, fl.n, fl.width, opts.Mode)
 
 	memoEntries := 0
 	if fl.noMemo {
@@ -239,19 +218,15 @@ func runCampaign(fl campaignFlags) {
 	}
 	rcfg := refine.DefaultConfig(opts, opts)
 	rcfg.Interpret = fl.interp
-	verifyMode := ir.VerifyFreeze
-	if opts.Mode == core.Legacy {
-		verifyMode = ir.VerifyLegacy
-	}
 	var src optfuzz.Source
 	var msrc *optfuzz.MutationSource
 	switch fl.source {
 	case "", "exhaustive":
-		// nil Source: the campaign builds the exhaustive stream from Gen.
+		src = optfuzz.NewExhaustiveSource(gen)
 	case "mutate":
 		mcfg := optfuzz.DefaultMutationConfig(fl.seed)
 		mcfg.Gen = gen
-		mcfg.Mode = verifyMode
+		mcfg.Mode = opts.Mode.VerifyMode()
 		if fl.epochs > 0 {
 			mcfg.Epochs = fl.epochs
 		}
@@ -291,13 +266,9 @@ func runCampaign(fl campaignFlags) {
 	default:
 		fatal(fmt.Errorf("unknown source %q (want exhaustive, mutate or wide)", fl.source))
 	}
-	srcName := "exhaustive"
-	if src != nil {
-		srcName = src.Name()
-	}
+	srcName := src.Name()
 
 	c := optfuzz.Campaign{
-		Gen:         gen,
 		Source:      src,
 		Refine:      rcfg,
 		Pipeline:    pm,
@@ -305,7 +276,6 @@ func runCampaign(fl campaignFlags) {
 		Workers:     fl.workers,
 		MemoEntries: memoEntries,
 		Reduce:      fl.reduce,
-		TracePhases: fl.tracePhases,
 		Seed:        fl.seed,
 	}
 
@@ -340,9 +310,20 @@ func runCampaign(fl campaignFlags) {
 		fmt.Fprintf(os.Stderr, "tame-fuzz: debug server on http://%s (%s)\n", ds.Addr, endpoints)
 	}
 
-	// With -progress, findings stream to stdout in deterministic order
-	// the moment every earlier shard has finished — the report-early
-	// path — and a live line tracks throughput on stderr.
+	// The campaign header carries the effective RNG seed so a finding
+	// can always be replayed; it deliberately omits the worker count,
+	// which never changes the stream (the CI determinism gate cmps
+	// stdout across worker counts). `-metrics -` reserves stdout for
+	// the metric exposition, so the header and the findings yield to
+	// stderr there.
+	out := io.Writer(os.Stdout)
+	if fl.metricsPath == "-" {
+		out = os.Stderr
+	}
+
+	// With -progress, findings stream out in deterministic order the
+	// moment every earlier shard has finished — the report-early path —
+	// and a live line tracks throughput on stderr.
 	var pl *telemetry.ProgressLine
 	var outMu sync.Mutex // serializes the live line against streamed findings
 	streamDone := make(chan struct{})
@@ -359,7 +340,7 @@ func runCampaign(fl campaignFlags) {
 				// repaint from racing into the middle of the finding.
 				outMu.Lock()
 				pl.Clear()
-				printFinding(f, srcName, fl.seed)
+				printFinding(out, f, srcName, fl.seed)
 				outMu.Unlock()
 			}
 		}()
@@ -375,16 +356,7 @@ func runCampaign(fl campaignFlags) {
 		close(streamDone)
 	}
 
-	// The campaign header carries the effective RNG seed so a finding
-	// can always be replayed; it deliberately omits the worker count,
-	// which never changes the stream (the CI determinism gate cmps
-	// stdout across worker counts). `-metrics -` reserves stdout for
-	// the metric exposition, so the header yields to stderr there.
-	headerOut := os.Stdout
-	if fl.metricsPath == "-" {
-		headerOut = os.Stderr
-	}
-	fmt.Fprintf(headerOut, "campaign: source=%s seed=%d sem=%s passes=%s\n", srcName, fl.seed, fl.sem, fl.passList)
+	fmt.Fprintf(out, "campaign: source=%s seed=%d sem=%s passes=%s\n", srcName, fl.seed, fl.sem, fl.passList)
 
 	start := time.Now()
 	st := c.Run()
@@ -393,7 +365,7 @@ func runCampaign(fl campaignFlags) {
 	pl.Finish()
 
 	for _, f := range st.Findings {
-		printFinding(f, srcName, fl.seed)
+		printFinding(out, f, srcName, fl.seed)
 	}
 	perSec := float64(st.Funcs) / elapsed.Seconds()
 	fmt.Fprintf(os.Stderr,
@@ -469,26 +441,12 @@ type poisonOracleFlags struct {
 // soundness oracle for the dataflow analysis itself, independent of any
 // optimization pipeline.
 func runPoisonOracle(fl poisonOracleFlags) {
-	var opts core.Options
-	switch fl.sem {
-	case "freeze":
-		opts = core.FreezeOptions()
-	case "legacy":
-		opts = core.LegacyOptions(core.BranchPoisonNondet)
-	default:
-		fatal(fmt.Errorf("unknown semantics %q", fl.sem))
+	opts, err := core.SemanticsByName(fl.sem)
+	if err != nil {
+		fatal(err)
 	}
-
-	gen := optfuzz.DefaultConfig(fl.instrs)
-	gen.Width = fl.width
-	gen.MaxFuncs = fl.n
-	if opts.Mode == core.Freeze {
-		// Undef is not part of the freeze dialect.
-		gen.AllowUndef = false
-		gen.AllowPoison = true
-	}
-
-	po := optfuzz.PoisonOracle{Gen: gen, Sem: opts, Workers: fl.workers}
+	gen := genConfig(fl.instrs, fl.n, fl.width, opts.Mode)
+	po := optfuzz.PoisonOracle{Source: optfuzz.NewExhaustiveSource(gen), Sem: opts, Workers: fl.workers}
 	var reg *telemetry.Registry
 	if fl.metricsPath != "" {
 		reg = telemetry.NewRegistry()
@@ -516,12 +474,26 @@ func runPoisonOracle(fl poisonOracleFlags) {
 	}
 }
 
-func printFinding(f optfuzz.Finding, source string, seed int64) {
+// genConfig is the exhaustive generator both -validate and
+// -poison-oracle sweep.
+func genConfig(instrs, n int, width uint, mode core.Mode) optfuzz.Config {
+	gen := optfuzz.DefaultConfig(instrs)
+	gen.Width = width
+	gen.MaxFuncs = n
+	if mode == core.Freeze {
+		// Undef is not part of the freeze dialect.
+		gen.AllowUndef = false
+		gen.AllowPoison = true
+	}
+	return gen
+}
+
+func printFinding(w io.Writer, f optfuzz.Finding, source string, seed int64) {
 	reduced := ""
 	if f.ReduceSteps > 0 {
 		reduced = fmt.Sprintf(" reduce-steps=%d", f.ReduceSteps)
 	}
-	fmt.Printf("REFUTED source=%s seed=%d epoch=%d shard=%d index=%d changed-by=%s%s\n%s\n→\n%s\n%s\n\n",
+	fmt.Fprintf(w, "REFUTED source=%s seed=%d epoch=%d shard=%d index=%d changed-by=%s%s\n%s\n→\n%s\n%s\n\n",
 		source, seed, f.Epoch, f.Shard, f.Index,
 		strings.Join(f.ChangedBy, ","), reduced, f.Src, f.Tgt, f.Result)
 }

@@ -3,13 +3,16 @@
 // Usage:
 //
 //	tame-opt [-sem legacy|freeze] [-passes p1,p2,...|O2] [-unsound]
-//	         [-verify-each] [-time-passes] [-stats] [-print-changed] [file]
+//	         [-verify-each=false] [-time-passes] [-stats] [-print-changed]
+//	         [-metrics file|-] [file]
 //
 // Reads the module from file (or stdin), runs the passes, prints the
-// transformed module. -passes O2 runs the standard pipeline to fixed
-// point; an explicit list runs each pass once, in order. Instrumentation
-// (-time-passes, -stats, -print-changed) goes to stderr so the IR on
-// stdout stays pipeable.
+// transformed module. -passes O2 (or o2) runs the standard pipeline to
+// fixed point; an explicit list runs each pass once, in order.
+// -verify-each, on by default, runs the checker battery after every
+// pass step: IR verifier, SSA dominance and analysis cache coherence.
+// Instrumentation (-time-passes, -stats, -print-changed) goes to
+// stderr so the IR on stdout stays pipeable.
 package main
 
 import (
@@ -17,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"tameir/internal/core"
 	"tameir/internal/ir"
@@ -26,10 +28,9 @@ import (
 
 func main() {
 	sem := flag.String("sem", "freeze", "semantics: legacy or freeze")
-	passList := flag.String("passes", "O2", "comma-separated pass names, or O2")
+	passList := flag.String("passes", "O2", "comma-separated pass names, or O2 (o2) for the -O2 fixpoint")
 	unsound := flag.Bool("unsound", false, "use the historical (pre-paper) pass variants")
-	verify := flag.Bool("verify", true, "verify IR after every pass")
-	verifyEach := flag.Bool("verify-each", false, "run the full checker battery after every pass: IR verifier, SSA dominance, analysis cache coherence")
+	verifyEach := flag.Bool("verify-each", true, "run the checker battery after every pass: IR verifier, SSA dominance, analysis cache coherence")
 	timePasses := flag.Bool("time-passes", false, "report per-pass wall time to stderr")
 	stats := flag.Bool("stats", false, "report per-pass change counts and analysis-cache counters to stderr")
 	printChanged := flag.Bool("print-changed", false, "dump IR to stderr after every pass that changed it")
@@ -51,37 +52,19 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := &passes.Config{Unsound: *unsound, VerifyAfterEach: *verify, FreezeAware: true}
-	switch *sem {
-	case "freeze":
-		cfg.Sem = core.FreezeOptions()
-	case "legacy":
-		cfg.Sem = core.LegacyOptions(core.BranchPoisonNondet)
-	default:
-		fatal(fmt.Errorf("unknown semantics %q", *sem))
+	cfg := &passes.Config{Unsound: *unsound, VerifyEach: *verifyEach, FreezeAware: true}
+	if cfg.Sem, err = core.SemanticsByName(*sem); err != nil {
+		fatal(err)
 	}
-	if err := ir.VerifyModule(mod, verifyMode(cfg)); err != nil {
+	if err := ir.VerifyModule(mod, cfg.Sem.Mode.VerifyMode()); err != nil {
 		fatal(err)
 	}
 
-	var pm *passes.PassManager
-	fixpoint := *passList == "O2"
-	if fixpoint {
-		pm = passes.O2()
-	} else {
-		var names []string
-		for _, name := range strings.Split(*passList, ",") {
-			names = append(names, strings.TrimSpace(name))
-		}
-		pm, err = passes.NewPassManager(names...)
-		if err != nil {
-			fatal(err)
-		}
+	pm, fixpoint, err := passes.ParsePipeline(*passList)
+	if err != nil {
+		fatal(err)
 	}
-	pm.VerifyEach = *verifyEach
-	if *timePasses || *stats || *metricsPath != "" || *verifyEach {
-		// -verify-each instruments too, so the checks/failures counters
-		// land in the snapshot even without -stats.
+	if *timePasses || *stats || *metricsPath != "" {
 		pm.Instrument()
 	}
 	if *printChanged {
@@ -103,13 +86,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-func verifyMode(cfg *passes.Config) ir.VerifyMode {
-	if cfg.Sem.Mode == core.Freeze {
-		return ir.VerifyFreeze
-	}
-	return ir.VerifyLegacy
 }
 
 func fatal(err error) {

@@ -48,14 +48,9 @@ func main() {
 		fatal(fmt.Errorf("no function @%s", *fnName))
 	}
 
-	var opts core.Options
-	switch *sem {
-	case "freeze":
-		opts = core.FreezeOptions()
-	case "legacy":
-		opts = core.LegacyOptions(core.BranchPoisonNondet)
-	default:
-		fatal(fmt.Errorf("unknown semantics %q", *sem))
+	opts, err := core.SemanticsByName(*sem)
+	if err != nil {
+		fatal(err)
 	}
 
 	rest := flag.Args()[1:]

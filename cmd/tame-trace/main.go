@@ -14,13 +14,15 @@
 // counter values. diff compares two traces span-by-span, largest
 // total-time change first — the before/after view for a perf PR.
 //
-// -assert evaluates comparisons for CI gates and exits 1 on the first
-// failure, mirroring tame-metrics -check:
+// -assert evaluates the assertion language tame-metrics -check shares
+// (internal/telemetry, CheckTrace) for CI gates and exits 1 if a
+// clause fails or is malformed. Over a trace it adds four functions,
+// and a bare series name reads the counter of that name:
 //
 //	spans(P)     complete events whose name starts with P
 //	instants(P)  instant events whose name starts with P
 //	dur(P)       total ns of complete events whose name starts with P
-//	counter(N)   final value of counter N (0 when absent)
+//	counter(N)   final value of counter N (an absent counter fails)
 //
 //	tame-trace -assert 'spans(campaign/s)>0,instants(finding)==counter(findings),instants(watchdog_stall)==0' trace.json
 package main
@@ -32,12 +34,13 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"tameir/internal/telemetry"
 	"tameir/internal/telemetry/trace"
 )
 
 func main() {
 	top := flag.Int("top", 15, "span names to show in summarize (by total time)")
-	assert := flag.String("assert", "", "comma-separated trace assertions; exit 1 on the first failure")
+	assert := flag.String("assert", "", "comma-separated trace assertion clauses; exit 1 if one fails")
 	outlier := flag.Float64("outlier", 1.5, "slow-shard threshold: busy time over this multiple of the median is flagged")
 	flag.Parse()
 	args := flag.Args()
@@ -50,7 +53,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := trace.Assert(evs, *assert); err != nil {
+		if err := telemetry.CheckTrace(*assert, evs); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("tame-trace: ok: %s\n", *assert)

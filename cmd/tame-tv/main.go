@@ -54,14 +54,9 @@ func main() {
 		checkScope = telemetry.NewScope(telemetry.NewRegistry(), "check")
 	}
 
-	var opts core.Options
-	switch *sem {
-	case "freeze":
-		opts = core.FreezeOptions()
-	case "legacy":
-		opts = core.LegacyOptions(core.BranchPoisonNondet)
-	default:
-		fatal(fmt.Errorf("unknown semantics %q", *sem))
+	opts, err := core.SemanticsByName(*sem)
+	if err != nil {
+		fatal(err)
 	}
 	rcfg := refine.DefaultConfig(opts, opts)
 	rcfg.Interpret = *interp

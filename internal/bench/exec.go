@@ -121,8 +121,8 @@ func measureExecEngine(pairs []execPair, sem core.Options, mode, engine string, 
 			hi := (shard + 1) * len(pairs) / workers
 			sc := cfg
 			sc.Oracle = core.NewEnumOracle(cfg.MaxChoices, cfg.MaxFanout)
-			var execs uint64
-			sc.ExecCount = &execs
+			var m refine.CheckMetrics
+			sc.Metrics = &m
 			// Digest the sets' components directly instead of
 			// rendering set.String(): the order-independent combine
 			// over Rets hashes the same information as the sorted
@@ -138,7 +138,7 @@ func measureExecEngine(pairs []execPair, sem core.Options, mode, engine string, 
 				digests[i] = fnvByte(ph, byte(r.Status))
 				statuses[i] = r.Status
 			}
-			return execs
+			return m.Execs
 		})
 		elapsed[rep] = time.Since(start)
 		for _, e := range shardExecs {

@@ -87,7 +87,7 @@ func pipelineCampaign(fixed bool, numInstrs, maxFuncs, workers int, memo, multiP
 		memoEntries = -1
 	}
 	c := optfuzz.Campaign{
-		Gen:         gen,
+		Source:      optfuzz.NewExhaustiveSource(gen),
 		Refine:      refine.DefaultConfig(sem, sem),
 		Workers:     workers,
 		MemoEntries: memoEntries,
@@ -210,7 +210,7 @@ func MeasureFreezeElim(numInstrs, maxFuncs, workers int, reg *telemetry.Registry
 		gen.AllowPoison = true
 		gen.MaxFuncs = maxFuncs
 		c := optfuzz.Campaign{
-			Gen:         gen,
+			Source:      optfuzz.NewExhaustiveSource(gen),
 			Refine:      refine.DefaultConfig(sem, sem),
 			Pipeline:    cc.pm.Instrument(),
 			PipelineCfg: passes.DefaultFreezeConfig(),

@@ -169,7 +169,7 @@ func ValidateParallel(fixed bool, numInstrs, maxFuncs, workers int, reg *telemet
 	}
 
 	c := optfuzz.Campaign{
-		Gen:        gen,
+		Source:     optfuzz.NewExhaustiveSource(gen),
 		Refine:     refine.DefaultConfig(sem, sem),
 		Transforms: transforms,
 		Workers:    workers,

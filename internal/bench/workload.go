@@ -34,10 +34,9 @@ import (
 func MeasureWorkloads(numInstrs, maxFuncs, workers int, seed int64, reg *telemetry.Registry) []PipelineResult {
 	var rows []PipelineResult
 
-	// Exhaustive baseline on the explicit adapter.
+	// Exhaustive baseline.
 	{
 		c := pipelineCampaign(true, numInstrs, maxFuncs, workers, true, false, true)
-		c.Source = optfuzz.NewExhaustiveSource(c.Gen)
 		rows = append(rows, runWorkloadRow(&c, workers, reg))
 	}
 
@@ -59,7 +58,6 @@ func MeasureWorkloads(numInstrs, maxFuncs, workers int, seed int64, reg *telemet
 			mcfg.PerEpoch = per
 		}
 		c := optfuzz.Campaign{
-			Gen:         mcfg.Gen,
 			Source:      optfuzz.NewMutationSource(mcfg),
 			Refine:      refine.DefaultConfig(sem, sem),
 			Pipeline:    passes.O2().Instrument(),

@@ -43,10 +43,9 @@ func checkOn(src, tgt *ir.Func, cfg refine.Config, interpret bool) mergeRun {
 	var run mergeRun
 	var m refine.CheckMetrics
 	cfg.Metrics = &m
-	cfg.ExecCount = &run.paths
 	cfg.BehaviorHook = func(b refine.BehaviorSet) { run.sets = append(run.sets, b.String()) }
 	run.result = refine.Check(src, tgt, cfg).String()
-	run.engine = m.Engine
+	run.paths, run.engine = m.Execs, m.Engine
 	return run
 }
 

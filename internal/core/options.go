@@ -1,5 +1,11 @@
 package core
 
+import (
+	"fmt"
+
+	"tameir/internal/ir"
+)
+
 // Mode selects which deferred-UB universe the semantics lives in.
 type Mode uint8
 
@@ -21,6 +27,14 @@ func (m Mode) String() string {
 		return "freeze"
 	}
 	return "legacy"
+}
+
+// VerifyMode is the IR verifier dialect of m.
+func (m Mode) VerifyMode() ir.VerifyMode {
+	if m == Freeze {
+		return ir.VerifyFreeze
+	}
+	return ir.VerifyLegacy
 }
 
 // BranchPoisonBehavior says what branching on a poison condition does.
@@ -105,6 +119,19 @@ func LegacyOptions(bp BranchPoisonBehavior) Options {
 // FreezeOptions returns the paper's proposed semantics (Section 4).
 func FreezeOptions() Options {
 	return Options{Mode: Freeze}
+}
+
+// SemanticsByName reads the tools' -sem value: "freeze" is
+// FreezeOptions, "legacy" LegacyOptions with branch on poison a
+// nondeterministic choice.
+func SemanticsByName(name string) (Options, error) {
+	switch name {
+	case "freeze":
+		return FreezeOptions(), nil
+	case "legacy":
+		return LegacyOptions(BranchPoisonNondet), nil
+	}
+	return Options{}, fmt.Errorf("unknown semantics %q", name)
 }
 
 // normalized returns o with mode-forced fields and defaults applied.

@@ -276,7 +276,7 @@ int main() {
 		t.Fatal(err)
 	}
 	cfg := passes.DefaultFreezeConfig()
-	cfg.VerifyAfterEach = true
+	cfg.VerifyEach = true
 	passes.O2().Run(mod, cfg)
 	// Optimized interpretation agrees.
 	out := core.Exec(mod.FuncByName("main"), nil, core.ZeroOracle{}, core.FreezeOptions())

@@ -2,7 +2,6 @@ package optfuzz
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,9 +22,9 @@ import (
 // candidate, and decide refinement of each transformation.
 //
 // The workload is a Source: a deterministic, shardable candidate
-// stream. The default (nil Source) is the exhaustive §6 enumerator
-// over Gen; the mutation fuzzer (NewMutationSource) and the sampled
-// wide-bitwidth sweep (NewWideSource) plug into the same engine. A
+// stream: the exhaustive §6 enumerator (NewExhaustiveSource), the
+// mutation fuzzer (NewMutationSource) and the sampled wide-bitwidth
+// sweep (NewWideSource) plug into the same engine. A
 // bounded worker pool runs the source's shards concurrently, each
 // worker with its own enumeration oracle and memo session, and results
 // are merged in shard order. The behaviour-set memo itself is ONE
@@ -49,16 +48,11 @@ import (
 // scheduling when Workers > 1, since which shard computes a shared set
 // first is a race.
 type Campaign struct {
-	// Gen bounds the default exhaustive generator (used when Source is
-	// nil). Gen.MaxFuncs is a campaign-wide budget split
+	// Source is the workload: NewExhaustiveSource(gen) for the §6
+	// enumerator, NewMutationSource or NewWideSource for the others.
+	// Required. A budgeted source (Budget > 0) is split
 	// deterministically across shards (by shard index, not by worker),
-	// so the checked candidate set does not depend on the worker
-	// count.
-	Gen Config
-
-	// Source selects the workload. Nil wraps Gen in an
-	// ExhaustiveSource — the legacy §6 configuration, byte-identical
-	// to the pre-interface engine. When Source is set, Gen is ignored.
+	// so the checked candidate set does not depend on the worker count.
 	Source Source
 
 	// Refine configures the checker. Its Memo, Session and Oracle
@@ -68,25 +62,22 @@ type Campaign struct {
 	// every shard's checker unchanged.
 	Refine refine.Config
 
-	// Transform mutates a candidate in place; the campaign validates
-	// original → transformed. The candidate passed in is already a
-	// private clone. A nil Transform checks self-refinement.
-	Transform func(*ir.Func)
-
-	// Transforms, when non-empty, overrides Transform: every candidate
-	// is validated against each named transform in order, §6-style
-	// ("both individual passes and -O2"). The passes share the shard's
-	// memo, so each candidate's source behaviour sets are derived once
-	// and looked up for every subsequent pass — this is where
-	// memoization pays, since an exhaustive generator never repeats a
-	// source within one pass.
+	// Transforms, when non-empty, validates every candidate against
+	// each named transform in order, §6-style ("both individual passes
+	// and -O2"). The passes share the shard's memo, so each
+	// candidate's source behaviour sets are derived once and looked up
+	// for every subsequent pass — this is where memoization pays,
+	// since an exhaustive generator never repeats a source within one
+	// pass.
 	Transforms []NamedTransform
 
-	// Pipeline, when non-nil (and Transforms is empty), overrides
-	// Transform: every candidate runs through a per-shard Clone of the
-	// pass manager, so findings carry the names of the passes that
-	// fired (Finding.ChangedBy) and, when the manager is instrumented,
+	// Pipeline, when non-nil (and Transforms is empty), runs every
+	// candidate through a per-shard Clone of the pass manager, so
+	// findings carry the names of the passes that fired
+	// (Finding.ChangedBy) and, when the manager is instrumented,
 	// per-shard Stats merge deterministically into the campaign's Opt.
+	// A campaign with neither Transforms nor Pipeline checks
+	// self-refinement.
 	Pipeline *passes.PassManager
 
 	// PipelineCfg is the pass configuration for Pipeline. Required when
@@ -118,9 +109,11 @@ type Campaign struct {
 	// TracePhases enables fine-grained span telemetry: one span per
 	// shard enumeration (span="campaign/s<shard>") plus the per-phase
 	// spans inside every refine.Check (compile and per-input behaviour
-	// sweeps). Off by default: the spans are cheap but still cost
-	// clock reads on the hot path, so benchmark rows (E11/E12) run
-	// without them. Requires Telemetry.
+	// sweeps), without a flight recorder. Off by default: the spans
+	// are cheap but still cost clock reads on the hot path, so
+	// benchmark rows (E11/E12) run without them. Requires Telemetry.
+	// Only the benchmark harness's traced reps set it; the CLIs turn
+	// the same span sites on through Trace.
 	TracePhases bool
 
 	// Trace, when non-nil, is the flight recorder: shard spans, check
@@ -138,16 +131,12 @@ type Campaign struct {
 
 	// StallDeadline arms the stall watchdog: a shard silent for longer
 	// than this (no candidate completed) dumps all goroutine stacks to
-	// StallOut, writes an emergency trace snapshot to StallSnapshot,
+	// stderr, writes an emergency trace snapshot to StallSnapshot,
 	// and records a "watchdog_stall" instant instead of hanging
 	// silently. Zero disables the watchdog. Heartbeat ages surface as
 	// watchdog_beat_age_ms{shard=N} gauges and stall episodes as
 	// watchdog_stalls_total in Telemetry.
 	StallDeadline time.Duration
-
-	// StallOut receives the watchdog's goroutine dumps (default
-	// os.Stderr).
-	StallOut io.Writer
 
 	// StallSnapshot, when non-empty, is where the watchdog writes the
 	// emergency Chrome-JSON trace snapshot on the first stall.
@@ -211,7 +200,8 @@ type Finding struct {
 	// Shard and Index locate the candidate deterministically: Index is
 	// its position within the shard's enumeration order for its epoch.
 	Shard, Index int
-	// Pass names the refuted transform (empty for a bare Transform).
+	// Pass names the refuted transform (empty for a Pipeline or
+	// self-refinement campaign).
 	Pass string
 	// ChangedBy lists the pipeline passes that reported a change on
 	// this candidate, deduplicated, in first-fire order (only set for
@@ -292,7 +282,7 @@ type Stats struct {
 	ReducedFindings     uint64
 
 	// Passes tallies per transform, in Transforms order (absent for a
-	// bare Transform campaign).
+	// Pipeline or self-refinement campaign).
 	Passes []PassTally
 
 	// Findings lists every refuted candidate in deterministic
@@ -549,9 +539,6 @@ type shardStats struct {
 // result.
 func (c Campaign) Run() Stats {
 	src := c.Source
-	if src == nil {
-		src = NewExhaustiveSource(c.Gen)
-	}
 	shards := src.Shards()
 	budget := src.Budget()
 	var caps []int
@@ -611,7 +598,6 @@ func (c Campaign) Run() Stats {
 			Tracks:       shards,
 			Deadline:     c.StallDeadline,
 			Rec:          c.Trace,
-			StacksTo:     c.StallOut,
 			SnapshotPath: c.StallSnapshot,
 			OnBeatAge: func(track int, age time.Duration) {
 				treg.Gauge(
@@ -635,10 +621,7 @@ func (c Campaign) Run() Stats {
 
 	// The reducer re-verifies every shrunken candidate against the
 	// dialect the campaign checks under.
-	verifyMode := ir.VerifyFreeze
-	if c.Refine.SrcOpts.Mode == core.Legacy {
-		verifyMode = ir.VerifyLegacy
-	}
+	verifyMode := c.Refine.SrcOpts.Mode.VerifyMode()
 
 	var out Stats
 	if len(c.Transforms) > 0 {
@@ -806,12 +789,7 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 			return fired
 		}}}
 	default:
-		transforms = []shardTransform{{fn: func(f *ir.Func) []string {
-			if c.Transform != nil {
-				c.Transform(f)
-			}
-			return nil
-		}}}
+		transforms = []shardTransform{{fn: func(*ir.Func) []string { return nil }}}
 	}
 
 	var st shardStats

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tameir/internal/core"
-	"tameir/internal/ir"
 	"tameir/internal/passes"
 	"tameir/internal/refine"
 	"tameir/internal/telemetry"
@@ -96,14 +95,10 @@ func TestCampaignStreamOrdering(t *testing.T) {
 		gen := DefaultConfig(2)
 		gen.MaxFuncs = 2000
 		return Campaign{
-			Gen:    gen,
-			Refine: refine.DefaultConfig(sem, sem),
-			Transform: func(f *ir.Func) {
-				m := ir.NewModule()
-				m.AddFunc(f)
-				passes.O2().Run(m, pcfg)
-			},
-			Workers: workers,
+			Source:     NewExhaustiveSource(gen),
+			Refine:     refine.DefaultConfig(sem, sem),
+			Transforms: o2Transforms(pcfg),
+			Workers:    workers,
 		}
 	}
 
@@ -188,16 +183,12 @@ func TestCampaignTraceProvenance(t *testing.T) {
 	gen.MaxFuncs = 2000
 	rec := trace.NewRecorder(0)
 	c := Campaign{
-		Gen:    gen,
-		Refine: refine.DefaultConfig(sem, sem),
-		Transform: func(f *ir.Func) {
-			m := ir.NewModule()
-			m.AddFunc(f)
-			passes.O2().Run(m, pcfg)
-		},
-		Workers: 4,
-		Trace:   rec,
-		Seed:    7,
+		Source:     NewExhaustiveSource(gen),
+		Refine:     refine.DefaultConfig(sem, sem),
+		Transforms: o2Transforms(pcfg),
+		Workers:    4,
+		Trace:      rec,
+		Seed:       7,
 	}
 	st := c.Run()
 	if st.Refuted == 0 {
@@ -213,7 +204,7 @@ func TestCampaignTraceProvenance(t *testing.T) {
 	}
 	expr := fmt.Sprintf("instants(finding)==%d, spans(campaign/s)>0, counter(findings)==%d",
 		st.Refuted, st.Refuted)
-	if err := trace.Assert(rec.Events(), expr); err != nil {
+	if err := telemetry.CheckTrace(expr, rec.Events()); err != nil {
 		t.Error(err)
 	}
 	// Each pinned finding instant must carry the coordinates needed to
@@ -222,9 +213,7 @@ func TestCampaignTraceProvenance(t *testing.T) {
 		if ev.Name != "finding" {
 			continue
 		}
-		// "pass" stays empty here: a bare Transform campaign has no
-		// named pass; the named-pipeline path is covered by ci-trace.
-		for _, key := range []string{"shard", "epoch", "seed", "source", "tier"} {
+		for _, key := range []string{"shard", "epoch", "pass", "seed", "source", "tier"} {
 			if ev.Arg(key) == "" {
 				t.Fatalf("finding instant lacks %q: %+v", key, ev)
 			}

@@ -126,12 +126,22 @@ func TestBudgetedShardingMatchesSerial(t *testing.T) {
 	}
 
 	st := Campaign{
-		Gen:    gen,
+		Source: NewExhaustiveSource(gen),
 		Refine: refine.DefaultConfig(core.FreezeOptions(), core.FreezeOptions()),
 	}.Run()
 	if st.Funcs != serial {
 		t.Fatalf("sharded budgeted campaign checked %d funcs, serial checks %d", st.Funcs, serial)
 	}
+}
+
+// o2Transforms validates candidates against one named transform: -O2
+// over a module holding just the candidate.
+func o2Transforms(pcfg *passes.Config) []NamedTransform {
+	return []NamedTransform{{Name: "o2", Fn: func(f *ir.Func) {
+		m := ir.NewModule()
+		m.AddFunc(f)
+		passes.O2().Run(m, pcfg)
+	}}}
 }
 
 func o2Campaign(sem core.Options, pcfg *passes.Config, workers, memoEntries int) Campaign {
@@ -140,13 +150,9 @@ func o2Campaign(sem core.Options, pcfg *passes.Config, workers, memoEntries int)
 	gen.AllowPoison = true
 	gen.MaxFuncs = 600
 	return Campaign{
-		Gen:    gen,
-		Refine: refine.DefaultConfig(sem, sem),
-		Transform: func(f *ir.Func) {
-			m := ir.NewModule()
-			m.AddFunc(f)
-			passes.O2().Run(m, pcfg)
-		},
+		Source:      NewExhaustiveSource(gen),
+		Refine:      refine.DefaultConfig(sem, sem),
+		Transforms:  o2Transforms(pcfg),
 		Workers:     workers,
 		MemoEntries: memoEntries,
 	}
@@ -204,7 +210,7 @@ func TestCampaignPipelineDeterministicAcrossWorkers(t *testing.T) {
 		gen.AllowPoison = true
 		gen.MaxFuncs = 600
 		return Campaign{
-			Gen:         gen,
+			Source:      NewExhaustiveSource(gen),
 			Refine:      refine.DefaultConfig(core.FreezeOptions(), core.FreezeOptions()),
 			Pipeline:    passes.O2().Instrument(),
 			PipelineCfg: passes.DefaultFreezeConfig(),
@@ -284,14 +290,10 @@ func TestCampaignCatchesUnsoundPipeline(t *testing.T) {
 	gen := DefaultConfig(2)
 	gen.MaxFuncs = 2000
 	c := Campaign{
-		Gen:    gen,
-		Refine: refine.DefaultConfig(sem, sem),
-		Transform: func(f *ir.Func) {
-			m := ir.NewModule()
-			m.AddFunc(f)
-			passes.O2().Run(m, pcfg)
-		},
-		Workers: 4,
+		Source:     NewExhaustiveSource(gen),
+		Refine:     refine.DefaultConfig(sem, sem),
+		Transforms: o2Transforms(pcfg),
+		Workers:    4,
 	}
 	st := c.Run()
 	if st.Refuted == 0 {
@@ -314,7 +316,7 @@ func TestCampaignNilTransform(t *testing.T) {
 	gen.MaxFuncs = 0 // unbounded: cover the whole 1-instruction space
 	want, _ := Exhaustive(gen, func(*ir.Func) bool { return true })
 	c := Campaign{
-		Gen:    gen,
+		Source: NewExhaustiveSource(gen),
 		Refine: refine.DefaultConfig(core.FreezeOptions(), core.FreezeOptions()),
 	}
 	st := c.Run()
@@ -323,5 +325,8 @@ func TestCampaignNilTransform(t *testing.T) {
 	}
 	if st.Funcs != want {
 		t.Fatalf("validated %d funcs, want the full space of %d", st.Funcs, want)
+	}
+	if st.Source != "exhaustive" || st.Epochs != 1 {
+		t.Fatalf("workload identity: Source=%q Epochs=%d, want exhaustive/1", st.Source, st.Epochs)
 	}
 }

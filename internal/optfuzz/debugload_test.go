@@ -99,7 +99,7 @@ func TestDebugServerUnderCampaignLoad(t *testing.T) {
 		t.Fatal("/debug/trace was never scraped during the campaign")
 	}
 	// The final recorder state must hold the campaign's shard spans.
-	if err := trace.Assert(rec.Events(), "spans(campaign/s)>0"); err != nil {
+	if err := telemetry.CheckTrace("spans(campaign/s)>0", rec.Events()); err != nil {
 		t.Errorf("post-campaign recorder: %v", err)
 	}
 }

@@ -112,7 +112,7 @@ func TestValidateFixedO2Random(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(42))
 	legacy := core.LegacyOptions(core.BranchPoisonNondet)
-	pcfg := &passes.Config{Sem: legacy, VerifyAfterEach: true}
+	pcfg := &passes.Config{Sem: legacy, VerifyEach: true}
 	rcfg := refine.DefaultConfig(legacy, legacy)
 	for i := 0; i < 300; i++ {
 		f := Random(rng, DefaultRandomConfig())

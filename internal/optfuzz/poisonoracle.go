@@ -29,23 +29,19 @@ import (
 // oracle enumerates exactly the candidate set the validation campaign
 // does — and any workload (exhaustive, mutation corpus, wide sample)
 // can be swept for analysis soundness.
+//
+// Each execution's nondeterminism oracle and the resolution sweep per
+// input tuple are bounded by refine.DefaultConfig's MaxChoices,
+// MaxFanout and MaxExecs.
 type PoisonOracle struct {
-	// Gen is the function-space generator config (sharded like Campaign:
-	// budgets split evenly with capacity reclaim).
-	Gen Config
-	// Source overrides the candidate stream; nil builds the exhaustive
-	// source from Gen, mirroring Campaign.
+	// Source is the candidate stream (NewExhaustiveSource(gen) for the
+	// §6 space), sharded and budgeted like Campaign's. Required.
 	Source Source
 	// Sem is the execution semantics claims are checked under.
 	Sem core.Options
-	// Workers bounds the shard worker pool (0 = serial).
+	// Workers bounds the shard worker pool: 1 is serial, below 1 means
+	// one per CPU.
 	Workers int
-	// MaxChoices/MaxFanout bound each execution's nondeterminism oracle;
-	// MaxExecs bounds the resolution sweep per input tuple. Zero values
-	// take the refine defaults.
-	MaxChoices int
-	MaxFanout  uint64
-	MaxExecs   int
 	// Telemetry, when non-nil, receives poison_oracle_* counters.
 	Telemetry *telemetry.Registry
 }
@@ -82,9 +78,6 @@ type PoisonOracleStats struct {
 // per-shard tallies merge in shard order.
 func (po PoisonOracle) Run() PoisonOracleStats {
 	src := po.Source
-	if src == nil {
-		src = NewExhaustiveSource(po.Gen)
-	}
 	shards := src.Shards()
 	budget := src.Budget()
 	var caps []int
@@ -93,16 +86,7 @@ func (po PoisonOracle) Run() PoisonOracleStats {
 	}
 	budgets := shardBudgets(budget, shards, caps)
 
-	maxChoices, maxFanout, maxExecs := po.MaxChoices, po.MaxFanout, po.MaxExecs
-	if maxChoices == 0 {
-		maxChoices = 16
-	}
-	if maxFanout == 0 {
-		maxFanout = 1 << 8
-	}
-	if maxExecs == 0 {
-		maxExecs = 1 << 14
-	}
+	lim := refine.DefaultConfig(po.Sem, po.Sem)
 
 	results := parallel.MapTimed(po.Workers, shards, func(s int) PoisonOracleStats {
 		if budget > 0 && budgets[s] == 0 {
@@ -111,7 +95,7 @@ func (po PoisonOracle) Run() PoisonOracleStats {
 		var st PoisonOracleStats
 		src.Enumerate(s, budgets[s], func(f *ir.Func) bool {
 			st.Funcs++
-			po.checkFunc(f, s, maxChoices, maxFanout, maxExecs, &st)
+			po.checkFunc(f, s, &lim, &st)
 			return true
 		})
 		return st
@@ -139,7 +123,7 @@ func (po PoisonOracle) Run() PoisonOracleStats {
 // checkFunc analyzes one function and, when the analysis makes any
 // claim, sweeps every input tuple × nondeterministic resolution with a
 // tracer watching the claimed instructions.
-func (po PoisonOracle) checkFunc(f *ir.Func, shard, maxChoices int, maxFanout uint64, maxExecs int, st *PoisonOracleStats) {
+func (po PoisonOracle) checkFunc(f *ir.Func, shard int, lim *refine.Config, st *PoisonOracleStats) {
 	facts := analysis.AnalyzePoison(f)
 	claimed := make(map[*ir.Instr]bool)
 	for _, b := range f.Blocks {
@@ -170,7 +154,7 @@ func (po PoisonOracle) checkFunc(f *ir.Func, shard, maxChoices int, maxFanout ui
 		for i, k := range idx {
 			args[i] = cands[i][k]
 		}
-		po.sweepArgs(f, shard, claimed, args, maxChoices, maxFanout, maxExecs, st)
+		po.sweepArgs(f, shard, claimed, args, lim, st)
 
 		carry := len(idx) - 1
 		for ; carry >= 0; carry-- {
@@ -189,11 +173,11 @@ func (po PoisonOracle) checkFunc(f *ir.Func, shard, maxChoices int, maxFanout ui
 // sweepArgs runs one input tuple under every nondeterministic
 // resolution the enumeration oracle can produce, recording the first
 // violated claim per execution.
-func (po PoisonOracle) sweepArgs(f *ir.Func, shard int, claimed map[*ir.Instr]bool, args []core.Value, maxChoices int, maxFanout uint64, maxExecs int, st *PoisonOracleStats) {
-	o := core.NewEnumOracle(maxChoices, maxFanout)
+func (po PoisonOracle) sweepArgs(f *ir.Func, shard int, claimed map[*ir.Instr]bool, args []core.Value, lim *refine.Config, st *PoisonOracleStats) {
+	o := core.NewEnumOracle(lim.MaxChoices, lim.MaxFanout)
 	execs := 0
 	for {
-		if execs >= maxExecs {
+		if execs >= lim.MaxExecs {
 			st.Incomplete++
 			return
 		}

@@ -23,7 +23,7 @@ func TestPoisonOracleSoundnessFreeze(t *testing.T) {
 	gen.MaxFuncs = 0 // unbounded: the whole 1-instruction space
 
 	reg := telemetry.NewRegistry()
-	st := PoisonOracle{Gen: gen, Sem: core.FreezeOptions(), Workers: 2, Telemetry: reg}.Run()
+	st := PoisonOracle{Source: NewExhaustiveSource(gen), Sem: core.FreezeOptions(), Workers: 2, Telemetry: reg}.Run()
 	if st.Funcs == 0 {
 		t.Fatal("oracle enumerated no functions")
 	}
@@ -56,7 +56,7 @@ func TestPoisonOracleSoundnessLegacy(t *testing.T) {
 	gen.AllowUndef = true
 	gen.MaxFuncs = 1500
 
-	st := PoisonOracle{Gen: gen, Sem: core.LegacyOptions(core.BranchPoisonNondet), Workers: 2}.Run()
+	st := PoisonOracle{Source: NewExhaustiveSource(gen), Sem: core.LegacyOptions(core.BranchPoisonNondet), Workers: 2}.Run()
 	if st.Funcs == 0 || st.Execs == 0 {
 		t.Fatalf("oracle swept %d funcs over %d execs, want both > 0", st.Funcs, st.Execs)
 	}
@@ -73,31 +73,13 @@ func TestPoisonOracleDeterministicAcrossWorkers(t *testing.T) {
 	gen.AllowPoison = true
 	gen.MaxFuncs = 200
 
-	po := PoisonOracle{Gen: gen, Sem: core.FreezeOptions()}
+	po := PoisonOracle{Source: NewExhaustiveSource(gen), Sem: core.FreezeOptions()}
 	serial := po.Run()
 	po.Workers = 4
 	parallel := po.Run()
 	if serial.Funcs != parallel.Funcs || serial.Claims != parallel.Claims ||
 		serial.Execs != parallel.Execs || len(serial.Violations) != len(parallel.Violations) {
 		t.Fatalf("worker count changed the sweep: serial %+v, parallel %+v", serial, parallel)
-	}
-}
-
-// TestPoisonOracleExplicitSourceMatchesNil: the oracle's nil-Source
-// default must be the exhaustive adapter, so an explicit
-// ExhaustiveSource sweeps the identical candidate set.
-func TestPoisonOracleExplicitSourceMatchesNil(t *testing.T) {
-	gen := DefaultConfig(1)
-	gen.AllowUndef = false
-	gen.AllowPoison = true
-	gen.MaxFuncs = 200
-
-	sem := core.FreezeOptions()
-	implicit := PoisonOracle{Gen: gen, Sem: sem, Workers: 2}.Run()
-	explicit := PoisonOracle{Gen: gen, Source: NewExhaustiveSource(gen), Sem: sem, Workers: 2}.Run()
-	if implicit.Funcs != explicit.Funcs || implicit.Claims != explicit.Claims ||
-		implicit.Execs != explicit.Execs || len(implicit.Violations) != len(explicit.Violations) {
-		t.Fatalf("explicit source changed the sweep: implicit %+v, explicit %+v", implicit, explicit)
 	}
 }
 
@@ -121,7 +103,7 @@ func TestFreezeElimCampaignTranslationValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := Campaign{
-		Gen:         gen,
+		Source:      NewExhaustiveSource(gen),
 		Refine:      refine.DefaultConfig(sem, sem),
 		Pipeline:    pm.Instrument(),
 		PipelineCfg: passes.DefaultFreezeConfig(),
@@ -152,13 +134,13 @@ func TestVerifyEachO2Campaign(t *testing.T) {
 	gen.MaxFuncs = 400
 
 	sem := core.FreezeOptions()
-	pm := passes.O2().Instrument()
-	pm.VerifyEach = true
+	pcfg := passes.DefaultFreezeConfig()
+	pcfg.VerifyEach = true
 	st := Campaign{
-		Gen:         gen,
+		Source:      NewExhaustiveSource(gen),
 		Refine:      refine.DefaultConfig(sem, sem),
-		Pipeline:    pm,
-		PipelineCfg: passes.DefaultFreezeConfig(),
+		Pipeline:    passes.O2().Instrument(),
+		PipelineCfg: pcfg,
 		Workers:     2,
 	}.Run()
 	if st.Funcs == 0 {
@@ -169,6 +151,9 @@ func TestVerifyEachO2Campaign(t *testing.T) {
 	}
 	if fails := st.Opt.VerifyEachFailures(); fails != 0 {
 		t.Fatalf("verify-each recorded %d failures", fails)
+	}
+	if s, _ := st.Opt.Registry().Snapshot().Get("verify_each_checks_total"); s.Value == 0 {
+		t.Fatal("verify-each ran no batteries")
 	}
 	if st.Refuted != 0 {
 		for _, f := range st.Findings {

@@ -33,7 +33,7 @@ func findRefuted(t *testing.T) *ir.Func {
 	gen := DefaultConfig(2)
 	gen.MaxFuncs = 2000
 	st := Campaign{
-		Gen:         gen,
+		Source:      NewExhaustiveSource(gen),
 		Refine:      refine.DefaultConfig(sem, sem),
 		Pipeline:    passes.O2(),
 		PipelineCfg: pcfg,

@@ -81,7 +81,7 @@ func runFileCheck(t *testing.T, path string) {
 		t.Fatalf("%s: no CHECK directives", path)
 	}
 
-	cfg := &Config{Unsound: unsound, VerifyAfterEach: true}
+	cfg := &Config{Unsound: unsound, VerifyEach: true}
 	switch sem {
 	case "freeze":
 		cfg.Sem = core.FreezeOptions()

@@ -62,8 +62,9 @@ entry:
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm.VerifyEach = true
-	if !pm.RunFunc(g, passes.DefaultFreezeConfig()) {
+	cfg := passes.DefaultFreezeConfig()
+	cfg.VerifyEach = true
+	if !pm.RunFunc(g, cfg) {
 		t.Fatalf("freeze-elim deleted nothing under -verify-each:\n%s", g)
 	}
 }

@@ -86,7 +86,7 @@ entry:
 			return
 		}
 		cfg := DefaultFreezeConfig()
-		cfg.VerifyAfterEach = true
+		cfg.VerifyEach = true
 		O2().Run(mod, cfg) // panics on any verifier violation
 	})
 }

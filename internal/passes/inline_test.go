@@ -23,7 +23,7 @@ entry:
 }`)
 	f := mod.FuncByName("f")
 	cfg := DefaultFreezeConfig()
-	cfg.VerifyAfterEach = true
+	cfg.VerifyEach = true
 	if !RunPass(Inliner{}, f, cfg) {
 		t.Fatal("inliner did nothing")
 	}
@@ -57,7 +57,7 @@ entry:
 }`)
 	f := mod.FuncByName("f")
 	cfg := DefaultFreezeConfig()
-	cfg.VerifyAfterEach = true
+	cfg.VerifyEach = true
 	RunPass(Inliner{}, f, cfg)
 	if countOp(f, ir.OpCall) != 0 {
 		t.Fatalf("calls not inlined:\n%s", f)
@@ -95,7 +95,7 @@ entry:
 	// original module function for execution.
 	f := mod.FuncByName("f")
 	cfg := DefaultFreezeConfig()
-	cfg.VerifyAfterEach = true
+	cfg.VerifyEach = true
 	RunPass(Inliner{}, f, cfg)
 	if countOp(f, ir.OpCall) != 0 {
 		t.Fatalf("call not inlined:\n%s", f)
@@ -127,7 +127,7 @@ rec:
 }`)
 	f := mod.FuncByName("fact")
 	cfg := DefaultFreezeConfig()
-	cfg.VerifyAfterEach = true
+	cfg.VerifyEach = true
 	RunPass(Inliner{}, f, cfg)
 	if countOp(f, ir.OpCall) != 1 {
 		t.Errorf("self-recursion must not inline:\n%s", f)

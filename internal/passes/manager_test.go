@@ -43,7 +43,7 @@ func corpus(t *testing.T, numInstrs, maxFuncs int) []*ir.Func {
 // them, so the test only insists convergence is the common case.
 func TestO2Fixpoint(t *testing.T) {
 	cfg := passes.DefaultFreezeConfig()
-	cfg.VerifyAfterEach = true
+	cfg.VerifyEach = true
 	funcs := corpus(t, 2, 400)
 	total := passes.NewStats()
 	capped := 0
@@ -74,7 +74,7 @@ func TestO2Fixpoint(t *testing.T) {
 // recompute-every-pass behaviour (NoAnalysisCache reproduces it).
 func TestCachedAnalysesDontChangeOutput(t *testing.T) {
 	cfg := passes.DefaultFreezeConfig()
-	cfg.VerifyAfterEach = true
+	cfg.VerifyEach = true
 	cached := passes.O2()
 	uncached := passes.O2()
 	uncached.NoAnalysisCache = true
@@ -103,7 +103,7 @@ e:
   ret i2 0
 }`)
 	cfg := passes.DefaultFreezeConfig()
-	cfg.VerifyAfterEach = true
+	cfg.VerifyEach = true
 	am := analysis.NewManager(f)
 	am.DomTree()
 
@@ -368,6 +368,51 @@ func TestO2ConcurrentMatchesSerial(t *testing.T) {
 	for i := range funcs {
 		if got[i] != serial[i] {
 			t.Fatalf("candidate %d: concurrent -O2 printed\n%s\nserial printed\n%s", i, got[i], serial[i])
+		}
+	}
+}
+
+// TestParsePipeline: "o2" and "O2" are the -O2 pipeline run to
+// fixpoint; anything else is a comma list of registered names, spaces
+// trimmed; an unknown name fails with the available list.
+func TestParsePipeline(t *testing.T) {
+	names := func(pm *passes.PassManager) []string {
+		var out []string
+		for _, p := range pm.Passes {
+			out = append(out, p.Name())
+		}
+		return out
+	}
+	o2 := names(passes.O2())
+	for _, tc := range []struct {
+		spec     string
+		want     []string
+		fixpoint bool
+		err      string
+	}{
+		{spec: "o2", want: o2, fixpoint: true},
+		{spec: "O2", want: o2, fixpoint: true},
+		{spec: "gvn", want: []string{"gvn"}},
+		{spec: "gvn,instcombine", want: []string{"gvn", "instcombine"}},
+		{spec: " sccp , dce ", want: []string{"sccp", "dce"}},
+		{spec: "instcombine,o2", err: `unknown pass "o2"`},
+		{spec: "Gvn", err: `unknown pass "Gvn"`},
+		{spec: "gvn,bogus", err: `unknown pass "bogus", available: adce`},
+		{spec: "", err: `unknown pass ""`},
+	} {
+		pm, fixpoint, err := passes.ParsePipeline(tc.spec)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("ParsePipeline(%q): err %v, want %q", tc.spec, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParsePipeline(%q): %v", tc.spec, err)
+			continue
+		}
+		if got := names(pm); !slices.Equal(got, tc.want) || fixpoint != tc.fixpoint {
+			t.Errorf("ParsePipeline(%q) = %v (fixpoint %v), want %v (fixpoint %v)", tc.spec, got, fixpoint, tc.want, tc.fixpoint)
 		}
 	}
 }

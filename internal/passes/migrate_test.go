@@ -64,7 +64,7 @@ m:
 }`
 	orig := ir.MustParseFunc(src)
 	work := ir.CloneFunc(orig)
-	cfg := &passes.Config{Sem: core.LegacyOptions(core.BranchPoisonIsUB), VerifyAfterEach: true}
+	cfg := &passes.Config{Sem: core.LegacyOptions(core.BranchPoisonIsUB), VerifyEach: true}
 	passes.RunPass(passes.MigrateUndef{}, work, cfg)
 	if err := ir.Verify(work, ir.VerifyFreeze); err != nil {
 		t.Fatalf("invalid after migration: %v\n%s", err, work)
@@ -88,7 +88,7 @@ func TestMigrateUndefCorpus(t *testing.T) {
 	}
 	legacy := core.LegacyOptions(core.BranchPoisonIsUB)
 	rcfg := refine.DefaultConfig(legacy, core.FreezeOptions())
-	pcfg := &passes.Config{Sem: legacy, VerifyAfterEach: false}
+	pcfg := &passes.Config{Sem: legacy, VerifyEach: false}
 	gen := optfuzz.DefaultConfig(2)
 	gen.MaxFuncs = 800
 	checked := 0

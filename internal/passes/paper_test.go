@@ -44,9 +44,9 @@ func runHistoricalUnswitchGVN(t *testing.T) (*ir.Func, *ir.Func) {
 	orig := ir.MustParseFunc(unswitchGVNSrc)
 	work := ir.CloneFunc(orig)
 	cfg := &Config{
-		Sem:             core.LegacyOptions(core.BranchPoisonNondet),
-		Unsound:         true,
-		VerifyAfterEach: true,
+		Sem:        core.LegacyOptions(core.BranchPoisonNondet),
+		Unsound:    true,
+		VerifyEach: true,
 	}
 	RunPass(GVN{}, work, cfg)
 	RunPass(LoopUnswitch{}, work, cfg)
@@ -89,7 +89,7 @@ func TestSection33FixedPipelineSound(t *testing.T) {
 	orig := ir.MustParseFunc(unswitchGVNSrc)
 	work := ir.CloneFunc(orig)
 	cfg := DefaultFreezeConfig()
-	cfg.VerifyAfterEach = true
+	cfg.VerifyEach = true
 	RunPass(GVN{}, work, cfg)
 	RunPass(LoopUnswitch{}, work, cfg)
 	if countOp(work, ir.OpFreeze) == 0 {
@@ -122,7 +122,7 @@ out:
 	orig := ir.MustParseFunc(src)
 	work := ir.CloneFunc(orig)
 	cfg := DefaultLegacyConfig()
-	cfg.VerifyAfterEach = true
+	cfg.VerifyEach = true
 	RunPass(LICM{}, work, cfg)
 
 	hoisted := false
@@ -227,7 +227,7 @@ exit:
 
 	fixed := ir.CloneFunc(orig)
 	cfg := DefaultFreezeConfig()
-	cfg.VerifyAfterEach = true
+	cfg.VerifyEach = true
 	RunPass(LoopUnswitch{}, fixed, cfg)
 	if countOp(fixed, ir.OpFreeze) != 1 {
 		t.Fatalf("expected exactly one freeze after unswitching:\n%s", fixed)
@@ -238,7 +238,7 @@ exit:
 	}
 
 	buggy := ir.CloneFunc(orig)
-	bcfg := &Config{Sem: core.FreezeOptions(), Unsound: true, VerifyAfterEach: true}
+	bcfg := &Config{Sem: core.FreezeOptions(), Unsound: true, VerifyEach: true}
 	RunPass(LoopUnswitch{}, buggy, bcfg)
 	if countOp(buggy, ir.OpFreeze) != 0 {
 		t.Fatalf("unsound unswitching must not freeze:\n%s", buggy)
@@ -295,7 +295,7 @@ exit:
 	orig := ir.MustParseFunc(src)
 	work := ir.CloneFunc(orig)
 	cfg := DefaultFreezeConfig()
-	cfg.VerifyAfterEach = true
+	cfg.VerifyEach = true
 	RunPass(LoopUnswitch{}, work, cfg)
 	if countOp(work, ir.OpFreeze) != 0 {
 		t.Errorf("do-while unswitching should not need a freeze:\n%s", work)

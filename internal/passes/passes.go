@@ -23,6 +23,7 @@ package passes
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"tameir/internal/analysis"
@@ -49,9 +50,15 @@ type Config struct {
 	// run-time regressions.
 	FreezeAware bool
 
-	// VerifyAfterEach re-runs the IR verifier after every pass and
-	// panics on failure (used by tests and fuzzing).
-	VerifyAfterEach bool
+	// VerifyEach runs the full checker battery after every pass step
+	// (-verify-each): the IR verifier for the configured semantics,
+	// the SSA dominance checker, and the analysis cache-coherence
+	// invariant (every still-cached analysis must match a fresh
+	// recomputation — a mismatch means a pass mutated the IR beyond
+	// its declared preserved-set). A failure panics. Under an
+	// instrumented PassManager, checks and failures are counted in
+	// verify_each_checks_total and verify_each_failures_total.
+	VerifyEach bool
 
 	// GVNFoldFreeze enables the §6 future-work extension: GVN merges
 	// two freezes of the same value when one dominates the other.
@@ -81,14 +88,6 @@ func DefaultFreezeConfig() *Config {
 	}
 }
 
-// verifyMode maps the semantics to the matching IR verifier mode.
-func (cfg *Config) verifyMode() ir.VerifyMode {
-	if cfg.Sem.Mode == core.Freeze {
-		return ir.VerifyFreeze
-	}
-	return ir.VerifyLegacy
-}
-
 // AnalysisManager is the per-function analysis cache passes query for
 // CFG, dominator-tree, and loop information. The alias keeps pass files
 // from importing internal/analysis just for the signature.
@@ -106,36 +105,28 @@ type Pass interface {
 }
 
 // RunPass runs a single pass with a throwaway analysis manager and
-// optionally verifies the result.
+// verifies the result if configured.
 func RunPass(p Pass, f *ir.Func, cfg *Config) bool {
 	return RunPassWithManager(p, f, cfg, analysis.NewManager(f))
 }
 
 // RunPassWithManager runs a single pass against a caller-owned analysis
-// manager, verifying afterwards if configured and applying the pass's
-// registered preserved-analyses declaration to the cache.
+// manager, applying the pass's registered preserved-analyses
+// declaration to the cache and then, if configured, the verify-each
+// battery.
 func RunPassWithManager(p Pass, f *ir.Func, cfg *Config, am *AnalysisManager) bool {
 	changed := p.Run(f, cfg, am)
 	// Always consume the pass's dynamic preserved-set claim, even when
 	// nothing changed: a leftover claim must never soften the next
 	// pass's invalidation.
 	extra := am.TakeRunPreserved()
-	if cfg.VerifyAfterEach {
-		verifyAfter(p.Name(), f, cfg)
-	}
 	if changed {
 		am.Invalidate(Preserved(p.Name()) | extra)
 	}
+	if cfg.VerifyEach {
+		verifyStep(p.Name(), f, cfg, am, nil)
+	}
 	return changed
-}
-
-func verifyAfter(pass string, f *ir.Func, cfg *Config) {
-	if err := ir.Verify(f, cfg.verifyMode()); err != nil {
-		panic(fmt.Sprintf("passes: %s broke @%s: %v\n%s", pass, f.Name(), err, f))
-	}
-	if err := analysis.VerifySSA(f); err != nil {
-		panic(fmt.Sprintf("passes: %s broke SSA dominance in @%s: %v\n%s", pass, f.Name(), err, f))
-	}
 }
 
 // PassManager runs an ordered list of passes over functions, caching
@@ -157,15 +148,6 @@ type PassManager struct {
 	// PrintChanged, when non-nil, receives an IR dump after every pass
 	// that reports a change.
 	PrintChanged io.Writer
-	// VerifyEach runs the full checker battery between every pass step:
-	// the IR verifier for the configured semantics, the SSA dominance
-	// checker, and the analysis cache-coherence invariant (every
-	// still-cached analysis must match a fresh recomputation — a
-	// mismatch means a pass mutated the IR beyond its declared
-	// preserved-set). Failures increment the verify_each_failures_total
-	// counter and panic; checks are counted in verify_each_checks_total.
-	// Subsumes Config.VerifyAfterEach when set.
-	VerifyEach bool
 	// Trace, when non-nil, records one span per pass step (named
 	// "<scope path>/<pass name>") — with a traced scope that lands
 	// every step in the flight recorder's timeline. Campaigns set it
@@ -191,6 +173,21 @@ func NewPassManager(names ...string) (*PassManager, error) {
 		pm.Passes = append(pm.Passes, p)
 	}
 	return pm, nil
+}
+
+// ParsePipeline reads a -passes value: "o2" or "O2" is the -O2
+// pipeline, reported by o2 so a caller can run it to fixpoint;
+// anything else is a comma-separated list of registered pass names.
+func ParsePipeline(spec string) (pm *PassManager, o2 bool, err error) {
+	if spec == "o2" || spec == "O2" {
+		return O2(), true, nil
+	}
+	names := strings.Split(spec, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+	}
+	pm, err = NewPassManager(names...)
+	return pm, false, err
 }
 
 // Instrument attaches a fresh Stats collector and returns pm.
@@ -334,16 +331,13 @@ func (pm *PassManager) startSteps(f *ir.Func) stepMark {
 }
 
 // runStep runs the pass at position pos over one function: run it,
-// verify, dump if changed, evict whatever the pass's preserved-set
-// doesn't cover from the analysis cache, and (with Stats) record the
-// step's wall time and instruction delta since mark.
+// dump if changed, evict whatever the pass's preserved-set doesn't
+// cover from the analysis cache, verify (Config.VerifyEach), and (with
+// Stats) record the step's wall time and instruction delta since mark.
 func (pm *PassManager) runStep(pos int, p Pass, f *ir.Func, cfg *Config, am *AnalysisManager, mark *stepMark) bool {
 	sp := pm.Trace.Start(p.Name())
 	changed := p.Run(f, cfg, am)
 	sp.End()
-	if cfg.VerifyAfterEach && !pm.VerifyEach {
-		verifyAfter(p.Name(), f, cfg)
-	}
 	if changed && pm.PrintChanged != nil {
 		fmt.Fprintf(pm.PrintChanged, "; IR Dump After %s on @%s\n%s\n", p.Name(), f.Name(), f)
 	}
@@ -356,11 +350,8 @@ func (pm *PassManager) runStep(pos int, p Pass, f *ir.Func, cfg *Config, am *Ana
 	} else if changed {
 		am.Invalidate(Preserved(p.Name()) | extra)
 	}
-	if pm.VerifyEach {
-		// After invalidation on purpose: what survives in the cache is
-		// exactly what the pass claimed to preserve, so the coherence
-		// check tests the preserved-set declaration itself.
-		pm.verifyEachStep(p.Name(), f, cfg, am)
+	if cfg.VerifyEach {
+		verifyStep(p.Name(), f, cfg, am, pm.Stats)
 	}
 	if pm.Stats != nil {
 		now, n := time.Now(), f.NumInstrs()
@@ -370,15 +361,17 @@ func (pm *PassManager) runStep(pos int, p Pass, f *ir.Func, cfg *Config, am *Ana
 	return changed
 }
 
-// verifyEachStep is the -verify-each battery for one pass step. It
-// panics on the first failure (like VerifyAfterEach) after bumping the
-// failure counter, so a metrics snapshot written by a recovering caller
-// still records the event.
-func (pm *PassManager) verifyEachStep(pass string, f *ir.Func, cfg *Config, am *AnalysisManager) {
-	if pm.Stats != nil {
-		pm.Stats.verifyChecks.Inc()
+// verifyStep is the -verify-each battery for one pass step. It runs
+// after invalidation on purpose: what survives in the cache is exactly
+// what the pass claimed to preserve, so the coherence check tests the
+// preserved-set declaration itself. It panics on the first failure
+// after bumping st's failure counter (st may be nil), so a metrics
+// snapshot written by a recovering caller still records the event.
+func verifyStep(pass string, f *ir.Func, cfg *Config, am *AnalysisManager, st *Stats) {
+	if st != nil {
+		st.verifyChecks.Inc()
 	}
-	err := ir.Verify(f, cfg.verifyMode())
+	err := ir.Verify(f, cfg.Sem.Mode.VerifyMode())
 	if err == nil {
 		err = analysis.VerifySSA(f)
 	}
@@ -386,8 +379,8 @@ func (pm *PassManager) verifyEachStep(pass string, f *ir.Func, cfg *Config, am *
 		err = am.CheckInvariants()
 	}
 	if err != nil {
-		if pm.Stats != nil {
-			pm.Stats.verifyFailures.Inc()
+		if st != nil {
+			st.verifyFailures.Inc()
 		}
 		panic(fmt.Sprintf("passes: -verify-each after %s on @%s: %v\n%s", pass, f.Name(), err, f))
 	}

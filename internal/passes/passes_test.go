@@ -18,7 +18,7 @@ func applyPass(t *testing.T, src string, p Pass, cfg *Config) (*ir.Func, *ir.Fun
 		t.Fatalf("parse: %v", err)
 	}
 	work := ir.CloneFunc(orig)
-	cfg.VerifyAfterEach = true
+	cfg.VerifyEach = true
 	RunPass(p, work, cfg)
 	return orig, work
 }
@@ -1030,7 +1030,7 @@ exit:
 }`
 	for _, cfg := range []*Config{DefaultFreezeConfig(), DefaultLegacyConfig()} {
 		f := ir.MustParseFunc(src)
-		cfg.VerifyAfterEach = true
+		cfg.VerifyEach = true
 		O2().RunFunc(f, cfg)
 		out := core.Exec(f, []core.Value{core.VC(ir.I8, 4), core.VC(ir.I8, 3)}, core.ZeroOracle{}, cfg.Sem)
 		if out.Kind != core.OutRet || out.Val.Uint() != 15 {
@@ -1080,7 +1080,7 @@ entry:
 	orig := ir.MustParseFunc(src)
 	work := ir.CloneFunc(orig)
 	cfg := DefaultFreezeConfig()
-	cfg.VerifyAfterEach = true
+	cfg.VerifyEach = true
 	O2().RunFunc(work, cfg)
 	fz := core.FreezeOptions()
 	r := refine.Check(orig, work, refine.DefaultConfig(fz, fz))

@@ -50,10 +50,9 @@ func runDivergence(src, tgt *ir.Func, opts core.Options, interpret bool) diverge
 	var run divergenceRun
 	var m CheckMetrics
 	cfg.Metrics = &m
-	cfg.ExecCount = &run.execs
 	cfg.BehaviorHook = func(b BehaviorSet) { run.sets = append(run.sets, b.String()) }
 	run.result = Check(src, tgt, cfg).String()
-	run.engine = m.Engine
+	run.execs, run.engine = m.Execs, m.Engine
 	return run
 }
 

@@ -318,10 +318,10 @@ func TestMemoSeenOnceNeverResident(t *testing.T) {
 
 // checkExecs runs Check and returns the executions it performed.
 func checkExecs(src, tgt *ir.Func, cfg Config) uint64 {
-	var n uint64
-	cfg.ExecCount = &n
+	var m CheckMetrics
+	cfg.Metrics = &m
 	Check(src, tgt, cfg)
-	return n
+	return m.Execs
 }
 
 // TestMemoSameTextSidesDeriveOnce: when the target's text equals the

@@ -23,9 +23,10 @@ type CheckMetrics struct {
 	SetsComputed uint64
 	SetsMemoHit  uint64
 
-	// Execs counts the choice paths enumerated (Config.ExecCount's
-	// count; memo hits contribute nothing — so this is
-	// scheduling-dependent whenever the memo is shared). Engine.Execs
+	// Execs counts the choice paths enumerated: executions, where a
+	// run the compiled engine stopped at an earlier path's state counts
+	// every path below it. Memo hits contribute nothing, so this is
+	// scheduling-dependent whenever the memo is shared. Engine.Execs
 	// counts the engine runs that covered them.
 	Execs uint64
 

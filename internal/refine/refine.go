@@ -96,7 +96,7 @@ type Config struct {
 	// MaxFanout bounds a single nondeterministic choice.
 	MaxFanout uint64
 	// MaxExecs bounds the choice paths enumerated per (function,
-	// input), merged ones included (see ExecCount).
+	// input), merged ones included (see CheckMetrics.Execs).
 	MaxExecs int
 	// MaxInputs bounds the number of input tuples tried.
 	MaxInputs int
@@ -138,13 +138,6 @@ type Config struct {
 	// tame-bench twin-row comparison and as an escape hatch.
 	Interpret bool
 
-	// ExecCount, when non-nil, is incremented by the number of choice
-	// paths enumerated: executions, where a run the compiled engine
-	// stopped at an earlier path's state counts every path below it
-	// (memo hits contribute nothing). The engine's own run count is
-	// EngineMetrics.Execs.
-	ExecCount *uint64
-
 	// Metrics, when non-nil, accumulates validator counters (checks,
 	// inputs, behaviour-set provenance and sizes, engine work). It is
 	// owned by the calling goroutine: campaigns carry one per shard and
@@ -161,9 +154,10 @@ type Config struct {
 	// "compile" around executor setup and "behaviors_src" /
 	// "behaviors_tgt" around each input's behaviour-set derivation.
 	// The spans cost a clock read per phase on the hot path, so
-	// campaigns leave this nil unless -trace-phases is set. A traced
-	// scope (Scope.WithTrace) additionally lands the spans in the
-	// flight recorder.
+	// campaigns leave this nil unless they record a trace (tame-fuzz
+	// -trace) or set Campaign.TracePhases. A traced scope
+	// (Scope.WithTrace) additionally lands the spans in the flight
+	// recorder.
 	Trace *telemetry.Scope
 }
 
@@ -344,9 +338,6 @@ func behaviorsAt(sd *side, args []core.Value, ordinal int, cfg Config, phase str
 	}
 	if o.Overflowed {
 		set.Incomplete = true
-	}
-	if cfg.ExecCount != nil {
-		*cfg.ExecCount += uint64(paths)
 	}
 	cfg.Metrics.observe(set, false, uint64(paths))
 	if cfg.Session != nil {

@@ -1,11 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "sort"
 
 // SpanStat aggregates all complete events sharing a name.
 type SpanStat struct {
@@ -197,138 +192,4 @@ func Diff(a, b Summary) []SpanDelta {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// --- assertions -----------------------------------------------------
-//
-// Assert evaluates a comma-separated list of comparisons over a
-// trace, mirroring tame-metrics' -check language so CI gates read the
-// same either way. Terms:
-//
-//	spans(P)     count of complete events whose name is P or starts
-//	             with P (prefix match, so spans(campaign/s) counts
-//	             every shard span)
-//	instants(P)  count of instant events, same prefix match
-//	counter(N)   final value of counter N (exact name; 0 if absent)
-//	dur(P)       total nanoseconds of matching complete events
-//	<integer>    a literal
-//
-// Operators: == (or =), !=, >=, <=, >, <.
-
-// Assert evaluates exprs against evs; the returned error names the
-// first failing clause.
-func Assert(evs []Event, exprs string) error {
-	s := Summarize(evs, nil)
-	for _, clause := range strings.Split(exprs, ",") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		if err := assertOne(evs, &s, clause); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func assertOne(evs []Event, s *Summary, clause string) error {
-	op, idx := findOp(clause)
-	if op == "" {
-		return fmt.Errorf("trace: assert %q: no comparison operator", clause)
-	}
-	lhs, err := evalTerm(evs, s, strings.TrimSpace(clause[:idx]))
-	if err != nil {
-		return fmt.Errorf("trace: assert %q: %w", clause, err)
-	}
-	rhs, err := evalTerm(evs, s, strings.TrimSpace(clause[idx+len(op):]))
-	if err != nil {
-		return fmt.Errorf("trace: assert %q: %w", clause, err)
-	}
-	ok := false
-	switch op {
-	case "==", "=":
-		ok = lhs == rhs
-	case "!=":
-		ok = lhs != rhs
-	case ">=":
-		ok = lhs >= rhs
-	case "<=":
-		ok = lhs <= rhs
-	case ">":
-		ok = lhs > rhs
-	case "<":
-		ok = lhs < rhs
-	}
-	if !ok {
-		return fmt.Errorf("trace: assert failed: %s (lhs=%d rhs=%d)", clause, lhs, rhs)
-	}
-	return nil
-}
-
-// findOp locates the comparison operator outside any parentheses,
-// longest operators first so ">=" is not read as ">".
-func findOp(s string) (string, int) {
-	depth := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-		case '=', '!', '<', '>':
-			if depth != 0 {
-				continue
-			}
-			for _, op := range []string{"==", "!=", ">=", "<=", "=", ">", "<"} {
-				if strings.HasPrefix(s[i:], op) {
-					return op, i
-				}
-			}
-		}
-	}
-	return "", -1
-}
-
-func evalTerm(evs []Event, s *Summary, term string) (int64, error) {
-	if term == "" {
-		return 0, fmt.Errorf("empty term")
-	}
-	if open := strings.IndexByte(term, '('); open >= 0 && strings.HasSuffix(term, ")") {
-		fn := term[:open]
-		arg := term[open+1 : len(term)-1]
-		switch fn {
-		case "spans":
-			var n int64
-			for i := range evs {
-				if evs[i].Phase == PhaseComplete && strings.HasPrefix(evs[i].Name, arg) {
-					n++
-				}
-			}
-			return n, nil
-		case "instants":
-			var n int64
-			for i := range evs {
-				if evs[i].Phase == PhaseInstant && strings.HasPrefix(evs[i].Name, arg) {
-					n++
-				}
-			}
-			return n, nil
-		case "dur":
-			var total int64
-			for i := range evs {
-				if evs[i].Phase == PhaseComplete && strings.HasPrefix(evs[i].Name, arg) {
-					total += evs[i].Dur
-				}
-			}
-			return total, nil
-		case "counter":
-			return s.Counters[arg], nil
-		}
-		return 0, fmt.Errorf("unknown function %q", fn)
-	}
-	v, err := strconv.ParseInt(term, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad term %q", term)
-	}
-	return v, nil
 }

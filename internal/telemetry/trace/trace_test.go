@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -213,41 +212,5 @@ func TestDiff(t *testing.T) {
 	}
 	if d[0].Name != "x" || d[0].TotalA != 100 || d[0].TotalB != 300 {
 		t.Fatalf("largest delta wrong: %+v", d[0])
-	}
-}
-
-func TestAssert(t *testing.T) {
-	evs := []Event{
-		mkSpan(0, "campaign/s0", 0, 100),
-		mkSpan(1, "campaign/s1", 0, 100),
-		{Name: "finding", Phase: PhaseInstant, TS: 1},
-		{Name: "finding", Phase: PhaseInstant, TS: 2},
-		{Name: "findings", Phase: PhaseCounter, TS: 3, Value: 2},
-	}
-	good := []string{
-		"spans(campaign/s)>0",
-		"spans(campaign/s)==2",
-		"instants(finding)==counter(findings)",
-		"instants(watchdog_stall)==0",
-		"dur(campaign/)>=200",
-		"spans(campaign/s)>0, instants(finding)=2",
-		"counter(absent)==0",
-	}
-	for _, expr := range good {
-		if err := Assert(evs, expr); err != nil {
-			t.Errorf("Assert(%q) failed: %v", expr, err)
-		}
-	}
-	if err := Assert(evs, "spans(campaign/s)==3"); err == nil {
-		t.Error("expected failure for spans==3")
-	}
-	if err := Assert(evs, "instants(finding)!=2"); err == nil {
-		t.Error("expected failure for !=2")
-	}
-	if err := Assert(evs, "bogus(x)>0"); err == nil || !strings.Contains(err.Error(), "unknown function") {
-		t.Errorf("expected unknown-function error, got %v", err)
-	}
-	if err := Assert(evs, "spans(campaign)"); err == nil {
-		t.Error("expected no-operator error")
 	}
 }
