@@ -25,26 +25,25 @@ test: vet
 race:
 	$(GO) test -race ./...
 
-# Micro-benchmarks for the fuzz-and-validate pipeline (E11) and the
-# execution engines (E12): refine.Check memo on/off, enumeration
-# serial vs sharded, campaign throughput, interpreted vs compiled.
+# The end-to-end benchmark: every workload BENCHMARK.json lists, in
+# repeated reps with spread and an environment stamp (benchmark/README.md
+# explains the workloads and metrics).
 bench:
-	$(GO) test -bench 'BenchmarkRefineCheck|BenchmarkExhaustive|BenchmarkCampaign|BenchmarkExecEngines' -benchtime 1x -run '^$$' ./internal/bench/
+	bash benchmark/run.sh
 
 check: build vet test race
 
-# CI entry point: full vet + test, then the race detector on the
+# CI entry point: full vet + test (engine parity included:
+# TestStateMergingIsExact holds the compiled engine to the interpreter
+# on candidates against their InstCombine output, and ci-workload cmps
+# a refuting campaign across the two), then the race detector on the
 # concurrency-bearing surfaces — the worker-pool packages, the shared
 # cross-shard memo, the two-way engine lockstep (interpreter vs
 # compiled closures) with the shared frame pool, one program
 # enumerated with state merging from several goroutines, and the
-# telemetry registry's lock-free hot paths — then a quick E12
-# smoke across both engines and both worker counts (exits nonzero if
-# the compiled row's behaviour hash diverges from the interpreted
-# baseline; its -quick smoke rows land in the git-ignored ci-bench/
-# for the workflow artifact, never in the committed BENCH_exec.json),
-# and finally a quick campaign that must export a parseable metric
-# snapshot carrying the counters the telemetry layer promises —
+# telemetry registry's lock-free hot paths — and finally a quick
+# campaign that must export a parseable metric snapshot carrying the
+# counters the telemetry layer promises —
 # including, via the ">0" assertions, proof that the campaign ran on
 # the compiled engine and that state merging ended runs early (the
 # legacy campaign: its undef resolution makes the choice paths that
@@ -52,8 +51,8 @@ check: build vet test race
 # The same check bounds the programs compiled per check at 1.5: a side
 # whose sets are all in the memo is never compiled, so a change that
 # compiles both sides of every check again (2 per check) fails too.
-# The JSON twin of that snapshot lands in metrics-snapshot.json for
-# the workflow artifact, and a negative control reads it back with a
+# The JSON twin of that snapshot lands in the git-ignored ci-bench/
+# for the workflow artifact, and a negative control reads it back with a
 # clause that must fail (a failure counter above zero), so an
 # assertion evaluator that passes everything fails make ci. The
 # unsound legacy -O2 campaign (two refutations) then exports its
@@ -73,19 +72,18 @@ check: build vet test race
 # -verify-each so the battery covers the legacy dialect too.
 ci: vet test
 	$(GO) test -race ./internal/passes ./internal/optfuzz
-	$(GO) test -race -run 'Memo|Compiled|ProgramShared|ExecTwins|Fold|MergingShared' ./internal/refine ./internal/core ./internal/bench
+	$(GO) test -race -run 'Memo|Compiled|ProgramShared|Fold|MergingShared' ./internal/refine ./internal/core
 	$(GO) test -race -run 'TelemetryRaceStress' ./internal/telemetry
 	mkdir -p ci-bench
-	$(GO) run ./cmd/tame-bench -exp exec -quick -json ci-bench/BENCH_exec.quick.json
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics - \
 	  | $(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total,campaign_verified_total,check_checks_total,check_inputs_total,check_set_size,engine_steps_total,engine_execs_closure_total>0,engine_merge_exits_total>0,memo_lookups_total,check_compiles_total/check_checks_total<=1.5,pool_tasks_total,pass_runs_total,opt_funcs_total,analysis_computes_total,span_wall_ns,verify_each_checks_total>0,verify_each_failures_total=0'
-	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics metrics-snapshot.json
-	! $(GO) run ./cmd/tame-metrics -check 'verify_each_failures_total>0' metrics-snapshot.json
+	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics ci-bench/metrics-snapshot.json
+	! $(GO) run ./cmd/tame-metrics -check 'verify_each_failures_total>0' ci-bench/metrics-snapshot.json
 	$(GO) run ./cmd/tame-fuzz -validate -sem legacy -unsound -instrs 2 -n 2000 -workers 2 -metrics - \
 	  | $(GO) run ./cmd/tame-metrics -check 'campaign_refuted_total>0'
 	$(GO) run ./cmd/tame-lint -q internal/passes/testdata/freeze-elim-loop.ll
-	$(GO) run ./cmd/tame-opt -sem freeze -verify-each -metrics metrics-verify-each.txt internal/passes/testdata/freeze-elim-loop.ll > /dev/null
-	$(GO) run ./cmd/tame-metrics -check 'analysis_poison_queries_total>0,passes_freeze_elim_removed_total>0,verify_each_checks_total>0,verify_each_failures_total=0' metrics-verify-each.txt
+	$(GO) run ./cmd/tame-opt -sem freeze -verify-each -metrics ci-bench/metrics-verify-each.txt internal/passes/testdata/freeze-elim-loop.ll > /dev/null
+	$(GO) run ./cmd/tame-metrics -check 'analysis_poison_queries_total>0,passes_freeze_elim_removed_total>0,verify_each_checks_total>0,verify_each_failures_total=0' ci-bench/metrics-verify-each.txt
 	$(GO) run ./cmd/tame-fuzz -poison-oracle -instrs 1 -n 0 -sem freeze -workers 2 -metrics - \
 	  | $(GO) run ./cmd/tame-metrics -check 'poison_oracle_funcs_total>0,poison_oracle_claims_total>0,poison_oracle_execs_total>0,poison_oracle_violations_total=0'
 	$(MAKE) ci-workload
@@ -116,7 +114,7 @@ ci-workload:
 	  -corpus ci-workload/corpus-w8.ll > ci-workload/mutate-w8.txt || true
 	cmp ci-workload/mutate-w2.txt ci-workload/mutate-w8.txt
 	cmp ci-workload/corpus-w2.ll ci-workload/corpus-w8.ll
-	$(GO) run ./cmd/tame-metrics -check 'workload_funcs_total>0,workload_epochs_total>0,corpus_size>0,coverage_keys>0,reduce_steps_total>0,reduce_findings_total>0,engine_cycle_exits_total>0' ci-workload/mutate-metrics.json
+	$(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total>0,campaign_epochs_total>0,corpus_size>0,coverage_keys>0,reduce_steps_total>0,reduce_findings_total>0,engine_cycle_exits_total>0' ci-workload/mutate-metrics.json
 	$(GO) run ./cmd/tame-fuzz -validate -n 300 -workers 1 -sem freeze > ci-workload/exhaustive-w1.txt
 	$(GO) run ./cmd/tame-fuzz -validate -source exhaustive -n 300 -workers 4 -sem freeze > ci-workload/exhaustive-w4.txt
 	cmp ci-workload/exhaustive-w1.txt ci-workload/exhaustive-w4.txt

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"tameir/internal/core"
@@ -140,12 +139,11 @@ func Validate(fixed bool, numInstrs, maxFuncs int, reg *telemetry.Registry) []Va
 // so counts may differ from Validate's prefix. Sharing one memo across
 // the five passes is what the memoization is for: each candidate's
 // source behaviour sets are derived once and hit four more times.
-func ValidateParallel(fixed bool, numInstrs, maxFuncs, workers int, reg *telemetry.Registry) ([]ValidationRow, optfuzz.Stats) {
+func ValidateParallel(fixed bool, numInstrs, maxFuncs, workers int) ([]ValidationRow, optfuzz.Stats) {
 	var sem core.Options
 	var pcfg *passes.Config
 	gen := optfuzz.DefaultConfig(numInstrs)
 	gen.EnumAttrs = true
-	dialect := "freeze"
 	if fixed {
 		sem = core.FreezeOptions()
 		pcfg = passes.DefaultFreezeConfig()
@@ -155,7 +153,6 @@ func ValidateParallel(fixed bool, numInstrs, maxFuncs, workers int, reg *telemet
 		sem = core.LegacyOptions(core.BranchPoisonNondet)
 		pcfg = passes.DefaultLegacyConfig()
 		gen.AllowUndef = true
-		dialect = "legacy"
 	}
 	gen.MaxFuncs = maxFuncs
 
@@ -168,14 +165,12 @@ func ValidateParallel(fixed bool, numInstrs, maxFuncs, workers int, reg *telemet
 		})
 	}
 
-	c := optfuzz.Campaign{
+	st := optfuzz.Campaign{
 		Source:     optfuzz.NewExhaustiveSource(gen),
 		Refine:     refine.DefaultConfig(sem, sem),
 		Transforms: transforms,
 		Workers:    workers,
-	}
-	st := runRow(&c, reg, "experiment", "validate-parallel", "dialect", dialect,
-		"workers", strconv.Itoa(workers))
+	}.Run()
 
 	rows := make([]ValidationRow, len(st.Passes))
 	for i, p := range st.Passes {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"tameir/internal/core"
@@ -10,32 +9,6 @@ import (
 	"tameir/internal/optfuzz"
 	"tameir/internal/refine"
 )
-
-// The parallel pipeline must agree with the serial §6 campaign: same
-// function count, same refuted count, independent of worker count.
-func TestPipelineMatchesSerial(t *testing.T) {
-	serial := MeasurePipeline(true, 1, 0, 1, true, false, true, nil)
-	if serial.Funcs == 0 {
-		t.Fatal("pipeline validated no functions")
-	}
-	if serial.Refuted != 0 {
-		t.Errorf("fixed passes refuted %d functions", serial.Refuted)
-	}
-	parallel := MeasurePipeline(true, 1, 0, 4, true, false, true, nil)
-	if parallel.Funcs != serial.Funcs || parallel.Refuted != serial.Refuted {
-		t.Errorf("workers=4 (%d funcs, %d refuted) diverges from serial (%d funcs, %d refuted)",
-			parallel.Funcs, parallel.Refuted, serial.Funcs, serial.Refuted)
-	}
-	if serial.MemoLookups == 0 || serial.HitRate <= 0 {
-		t.Errorf("memo ineffective: %d lookups, %.2f hit rate", serial.MemoLookups, serial.HitRate)
-	}
-
-	var sb strings.Builder
-	ReportPipeline(&sb, "test", []PipelineResult{serial, parallel})
-	if !strings.Contains(sb.String(), "checks/sec") {
-		t.Errorf("report incomplete:\n%s", sb.String())
-	}
-}
 
 // ValidateParallel over the full space must reproduce the serial E3
 // table exactly — rows, verdicts, and first counterexamples — while
@@ -46,7 +19,7 @@ func TestValidateParallelMatchesSerial(t *testing.T) {
 	}
 	for _, fixed := range []bool{true, false} {
 		serial := Validate(fixed, 1, 0, nil)
-		rows, st := ValidateParallel(fixed, 1, 0, 4, nil)
+		rows, st := ValidateParallel(fixed, 1, 0, 4)
 		if !reflect.DeepEqual(serial, rows) {
 			t.Errorf("fixed=%v: parallel rows diverge\nserial:   %+v\nparallel: %+v",
 				fixed, serial, rows)
@@ -111,28 +84,4 @@ func BenchmarkExhaustive(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkCampaign is the end-to-end number the tentpole targets:
-// checks per second through generate → transform → Check.
-func BenchmarkCampaign(b *testing.B) {
-	for _, tc := range []struct {
-		name      string
-		workers   int
-		memo      bool
-		multiPass bool
-	}{
-		{"o2/workers=1/memo=off", 1, false, false},
-		{"o2/workers=1/memo=on", 1, true, false},
-		{"5pass/workers=1/memo=off", 1, false, true},
-		{"5pass/workers=1/memo=on", 1, true, true},
-		{"5pass/workers=4/memo=on", 4, true, true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := MeasurePipeline(true, 1, 0, tc.workers, tc.memo, tc.multiPass, true, nil)
-				b.ReportMetric(r.ChecksPerSec, "checks/sec")
-			}
-		})
-	}
 }

@@ -16,6 +16,7 @@ import (
 	"tameir/internal/core"
 	"tameir/internal/ir"
 	"tameir/internal/optfuzz"
+	"tameir/internal/passes"
 	"tameir/internal/refine"
 )
 
@@ -113,10 +114,11 @@ func twoInstrSample(undef bool, perRound int) []*ir.Func {
 }
 
 // TestStateMergingIsExact runs the comparison over straight-line
-// candidates, the loop corpus, CFG mutants, the bounds a merged subtree
-// can cross, and a case for each rule of the key and of where merging
-// may happen, and requires that merging happened at all: the legacy
-// cases' merge exits must sum to more than zero.
+// candidates, candidates against their InstCombine output, the loop
+// corpus, CFG mutants, the bounds a merged subtree can cross, and a
+// case for each rule of the key and of where merging may happen, and
+// requires that merging happened at all: the legacy cases' merge exits
+// must sum to more than zero.
 func TestStateMergingIsExact(t *testing.T) {
 	var legacyExits uint64
 	count := func(opts core.Options, m core.EngineMetrics) {
@@ -138,6 +140,34 @@ func TestStateMergingIsExact(t *testing.T) {
 				src, tgt := fns[i], fns[(i+1)%len(fns)]
 				count(opts, mergeCompare(t, fmt.Sprintf("%s[%d]", opts.Mode, i), src, tgt, cfg))
 			}
+		}
+	})
+
+	t.Run("instcombine-i2", func(t *testing.T) {
+		// The pairs a §6 campaign checks: the same kind of sample, each
+		// candidate against its own InstCombine output, in both
+		// dialects. Legacy runs the historical rewrites, so some of its
+		// pairs are refuted and their counterexamples are compared too.
+		refuted := 0
+		for _, d := range []struct {
+			opts core.Options
+			pcfg *passes.Config
+		}{
+			{legacyOpts(), passes.DefaultLegacyConfig()},
+			{core.FreezeOptions(), passes.DefaultFreezeConfig()},
+		} {
+			cfg := refine.DefaultConfig(d.opts, d.opts)
+			for i, src := range twoInstrSample(d.opts.Mode == core.Legacy, 100) {
+				tgt := ir.CloneFunc(src)
+				passes.RunPass(passes.InstCombine{}, tgt, d.pcfg)
+				count(d.opts, mergeCompare(t, fmt.Sprintf("%s-instcombine[%d]", d.opts.Mode, i), src, tgt, cfg))
+				if refine.Check(src, tgt, cfg).Status == refine.Refuted {
+					refuted++
+				}
+			}
+		}
+		if refuted == 0 {
+			t.Error("no pair refuted; the sample no longer compares a counterexample")
 		}
 	})
 

@@ -16,7 +16,7 @@ type Options struct {
 
 // CompileModule runs the full backend pipeline over a module:
 // IR → SelectionDAG (build, combine) → MachineInstr (select, allocate,
-// peephole) → a VX64 program ready for the encoder and the simulator.
+// peephole) → a VX64 program ready for the size model and the simulator.
 func CompileModule(mod *ir.Module) (*target.Program, error) {
 	return CompileModuleOpts(mod, Options{})
 }

@@ -110,8 +110,8 @@ type Campaign struct {
 	// shard enumeration (span="campaign/s<shard>") plus the per-phase
 	// spans inside every refine.Check (compile and per-input behaviour
 	// sweeps), without a flight recorder. Off by default: the spans
-	// are cheap but still cost clock reads on the hot path, so
-	// benchmark rows (E11/E12) run without them. Requires Telemetry.
+	// are cheap but still cost clock reads on the hot path, so the
+	// benchmark's untraced reps run without them. Requires Telemetry.
 	// Only the benchmark harness's traced reps set it; the CLIs turn
 	// the same span sites on through Trace.
 	TracePhases bool
@@ -143,8 +143,8 @@ type Campaign struct {
 	StallSnapshot string
 
 	// Telemetry, when non-nil, receives the campaign's merged metric
-	// counters after the run: campaign_* verdicts, workload_* labelled
-	// twins, per-shard checker and engine counters (check_*, engine_*,
+	// counters after the run: campaign_* verdicts and epochs,
+	// per-shard checker and engine counters (check_*, engine_*,
 	// pool_frames_*), shared-memo counters (memo_*), worker-pool utilization (pool_*),
 	// corpus/reducer counters for evolving or reducing campaigns, and
 	// — for instrumented Pipeline campaigns — the merged pass-manager
@@ -937,8 +937,8 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 }
 
 // publish folds the campaign's merged collectors into c.Telemetry.
-// Verdict counters, the workload-labelled twins, the corpus/reducer
-// counters, and the per-shard checker/engine counters are
+// Verdict and epoch counters, the corpus/reducer counters, and the
+// per-shard checker/engine counters are
 // Deterministic (pure functions of the shard partition); everything
 // touching the shared memo is Scheduling, because which worker computes
 // a shared behaviour set first is a race whenever more than one runs —
@@ -959,14 +959,7 @@ func (c Campaign) publish(out Stats, shardRuns int, check *refine.CheckMetrics, 
 		trunc = 1
 	}
 	reg.Counter("campaign_truncated_total", det, "campaigns cut short by the budget").Add(trunc)
-
-	// Workload-labelled twins: the same verdict stream keyed by the
-	// Source's name, so multi-workload processes (tame-bench E13)
-	// stay separable in one snapshot.
-	wl := func(name string) string { return telemetry.L(name, "workload", out.Source) }
-	reg.Counter(wl("workload_funcs_total"), det, "candidates enumerated, by workload").Add(uint64(out.Funcs))
-	reg.Counter(wl("workload_refuted_total"), det, "refuted validations, by workload").Add(uint64(out.Refuted))
-	reg.Counter(wl("workload_epochs_total"), det, "source epochs run, by workload").Add(uint64(out.Epochs))
+	reg.Counter("campaign_epochs_total", det, "source epochs run").Add(uint64(out.Epochs))
 	if corpus {
 		reg.Gauge("corpus_size", det, "functions resident in the mutation corpus").Set(int64(out.CorpusSize))
 		reg.Gauge("coverage_keys", det, "distinct coverage keys observed").Set(int64(out.CoverageKeys))

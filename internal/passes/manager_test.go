@@ -68,27 +68,6 @@ func TestO2Fixpoint(t *testing.T) {
 	}
 }
 
-// TestCachedAnalysesDontChangeOutput is the refactor's load-bearing
-// guarantee: with cached analyses + preserved-set invalidation the
-// optimizer must produce byte-identical output to the historical
-// recompute-every-pass behaviour (NoAnalysisCache reproduces it).
-func TestCachedAnalysesDontChangeOutput(t *testing.T) {
-	cfg := passes.DefaultFreezeConfig()
-	cfg.VerifyEach = true
-	cached := passes.O2()
-	uncached := passes.O2()
-	uncached.NoAnalysisCache = true
-	for _, f := range corpus(t, 2, 600) {
-		a, b := ir.CloneFunc(f), ir.CloneFunc(f)
-		cached.RunFunc(a, cfg)
-		uncached.RunFunc(b, cfg)
-		if a.String() != b.String() {
-			t.Fatalf("cached analyses changed the output for\n%s\ncached:\n%s\nuncached:\n%s",
-				f, a, b)
-		}
-	}
-}
-
 // TestPreservedAnalysesInvalidation: a CFG-mutating pass (simplifycfg)
 // must evict the cached domtree, while a pass that only rewrites
 // instructions (instsimplify) must keep it.
@@ -212,31 +191,32 @@ func TestStatsMerge(t *testing.T) {
 	}
 }
 
-// fullRounds is the fixpoint loop without the early exit: every round
-// runs the whole pipeline, so the round after a change confirms the
-// fixpoint by running every pass again. RunFuncChanged is held to it.
-func fullRounds(pm *passes.PassManager, f *ir.Func, cfg *passes.Config) (fired []string, rounds int, converged bool) {
+// fullRounds is the fixpoint loop with neither the early exit nor the
+// analysis cache: every round runs the whole pipeline, so the round
+// after a change confirms the fixpoint by running every pass again,
+// and every pass step gets a fresh analysis manager, so each pass
+// recomputes what it queries. computes sums what those managers
+// computed. RunFuncChanged is held to it.
+func fullRounds(pm *passes.PassManager, f *ir.Func, cfg *passes.Config) (fired []string, rounds int, converged bool, computes uint64) {
 	max := pm.MaxIters
 	if max == 0 {
 		max = 3
 	}
-	am := analysis.NewManager(f)
-	for rounds < max {
+	for !converged && rounds < max {
 		rounds++
-		changed := false
+		converged = true
 		for _, p := range pm.Passes {
+			am := analysis.NewManager(f)
 			if passes.RunPassWithManager(p, f, cfg, am) {
-				changed = true
+				converged = false
 				if !slices.Contains(fired, p.Name()) {
 					fired = append(fired, p.Name())
 				}
 			}
-		}
-		if !changed {
-			return fired, rounds, true
+			computes += am.Stats().Computes
 		}
 	}
-	return fired, rounds, false
+	return fired, rounds, converged, computes
 }
 
 // sampleSpace is a seeded sample of the numInstrs-instruction i2 space
@@ -265,24 +245,44 @@ func sampleSpace(gen optfuzz.Config, seed uint64, perShard int) []*ir.Func {
 // TestFixpointEarlyExitMatchesFullRounds: a round that reaches the pass
 // after the previous round's last change without a change of its own
 // stops there. The passes it skips already ran on that same IR and
-// reported no change, so the output text, the fired passes, the round
-// count and convergence must all equal the full-rounds reference, on a
-// sample of the §6 space in both dialects (the unsound legacy config
-// included) and on every MinC benchmark function under both variants,
-// where many functions reach MaxIters.
+// reported no change, and a cached analysis is evicted whenever a pass
+// changes what it describes, so the output text, the fired passes, the
+// round count and convergence must all equal the uncached full-rounds
+// reference: on the first 600 candidates of the 2-instruction §6 space
+// under the verify-each battery, on a sample of the 3-instruction space
+// in both dialects (the unsound legacy config included) and on every
+// MinC benchmark function under both variants, where many functions
+// reach MaxIters.
 func TestFixpointEarlyExitMatchesFullRounds(t *testing.T) {
+	var computes, refComputes uint64
 	check := func(label string, got, want *ir.Func, cfg *passes.Config) (capped bool) {
 		f := got.String()
 		pm := passes.O2().Instrument()
 		_, fired := pm.RunFuncChanged(got, cfg)
-		refFired, refRounds, refConverged := fullRounds(passes.O2(), want, cfg)
+		refFired, refRounds, refConverged, ref := fullRounds(passes.O2(), want, cfg)
 		if got.String() != want.String() || !slices.Equal(fired, refFired) ||
 			pm.Stats.FixpointIters() != refRounds || (pm.Stats.Converged() == 1) != refConverged {
 			t.Errorf("%s: early exit diverges from full rounds on\n%s\ngot (fired %v, rounds %d, converged %d):\n%s\nwant (fired %v, rounds %d, converged %v):\n%s",
 				label, f, fired, pm.Stats.FixpointIters(), pm.Stats.Converged(), got,
 				refFired, refRounds, refConverged, want)
 		}
+		computes += pm.Stats.Analysis().Computes
+		refComputes += ref
 		return !refConverged
+	}
+
+	// What the cache saves on this corpus is fixed by the passes'
+	// queries and preserved-sets: a change to either moves these
+	// counts, and one that makes the cache recompute as often as the
+	// reference shows up here even when the output is right.
+	verified := passes.DefaultFreezeConfig()
+	verified.VerifyEach = true
+	for i, f := range corpus(t, 2, 600) {
+		check(fmt.Sprintf("corpus #%d", i), ir.CloneFunc(f), ir.CloneFunc(f), verified)
+	}
+	if computes != 1800 || refComputes != 13970 {
+		t.Errorf("corpus: %d analyses computed with the cache and %d by the reference, want 1800 and 13970",
+			computes, refComputes)
 	}
 
 	freezeGen := optfuzz.DefaultConfig(3)

@@ -138,10 +138,6 @@ type PassManager struct {
 	// MaxIters bounds the number of whole-pipeline repetitions (the
 	// pipeline repeats while passes report changes). Default 3.
 	MaxIters int
-	// NoAnalysisCache evicts every cached analysis after every pass,
-	// reproducing the historical recompute-per-pass behaviour. Exists
-	// for the cached-vs-uncached benchmark, not for production use.
-	NoAnalysisCache bool
 	// Stats, when non-nil, accumulates per-pass wall time, change
 	// counts, instruction deltas, and analysis cache counters.
 	Stats *Stats
@@ -342,12 +338,10 @@ func (pm *PassManager) runStep(pos int, p Pass, f *ir.Func, cfg *Config, am *Ana
 		fmt.Fprintf(pm.PrintChanged, "; IR Dump After %s on @%s\n%s\n", p.Name(), f.Name(), f)
 	}
 	// The dynamic preserved-set claim (Manager.PreserveDuringRun) is
-	// taken unconditionally — even on the no-change and no-cache paths
-	// — so it can never leak into a later pass's invalidation.
+	// taken unconditionally — even on the no-change path — so it can
+	// never leak into a later pass's invalidation.
 	extra := am.TakeRunPreserved()
-	if pm.NoAnalysisCache {
-		am.InvalidateAll()
-	} else if changed {
+	if changed {
 		am.Invalidate(Preserved(p.Name()) | extra)
 	}
 	if cfg.VerifyEach {
@@ -403,36 +397,13 @@ func contains(xs []string, s string) bool {
 // see through the freezes migrate/unswitch inserted) and again before
 // the dead-code sweeps; under freeze-blind configs both are no-ops.
 func O2() *PassManager {
-	return mustPassManager(o2Names(true))
-}
-
-// O2WithoutFreezeElim is the same pipeline minus the freeze-elim
-// cleanups — the ablation baseline for the BENCH_pipeline.json rows
-// that measure what deleting provably redundant freezes buys.
-func O2WithoutFreezeElim() *PassManager {
-	return mustPassManager(o2Names(false))
-}
-
-func o2Names(freezeElim bool) []string {
-	names := []string{
+	pm, err := NewPassManager(
 		"mem2reg", "inline", "instsimplify", "instcombine", "simplifycfg",
-		"sccp", "gvn", "reassociate", "instcombine",
-	}
-	if freezeElim {
-		names = append(names, "freeze-elim")
-	}
-	names = append(names,
+		"sccp", "gvn", "reassociate", "instcombine", "freeze-elim",
 		"licm", "loopunswitch", "indvars", "jumpthreading", "simplifycfg",
-		"instcombine",
+		"instcombine", "freeze-elim",
+		"adce", "dce", "codegenprepare", "dce",
 	)
-	if freezeElim {
-		names = append(names, "freeze-elim")
-	}
-	return append(names, "adce", "dce", "codegenprepare", "dce")
-}
-
-func mustPassManager(names []string) *PassManager {
-	pm, err := NewPassManager(names...)
 	if err != nil {
 		panic(err) // registry is populated by init; a miss is a programming error
 	}

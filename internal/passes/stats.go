@@ -138,7 +138,7 @@ func (s *Stats) addAnalysis(a analysis.Stats) {
 }
 
 // FreezeElimRemoved is the number of freeze instructions freeze-elim
-// deleted (the BENCH_pipeline.json ablation rows report it).
+// deleted (TestFreezeElimCampaignTranslationValidation pins it).
 func (s *Stats) FreezeElimRemoved() uint64 { return s.freezeRemoved.Value() }
 
 // VerifyEachFailures is the number of verify-each batteries that found

@@ -74,9 +74,11 @@ func (m *Machine) store(addr uint64, size uint8, v uint64) error {
 	return nil
 }
 
-// cost is the cycle model: ALU 1, multiply 3, divide 20, memory 3,
-// push/pop 2, taken control flow 2, and the Queens quirk — LEA with a
-// high register (R8+) in its address takes 3 cycles instead of 1.
+// cost is the cycle model (DESIGN.md, "VX64 size and cycle model"):
+// ALU, move, compare and LEA 1, multiply 3, divide and remainder 20,
+// load and store 3, push and pop 2, CALL and RET 2, and JMP and Jcc 1
+// whether or not the branch is taken. The Queens quirk: LEA with a high
+// register (R8–R13) in its address takes 3 cycles instead of 1.
 func cost(in Instr) uint64 {
 	switch in.Op {
 	case IMULrr:

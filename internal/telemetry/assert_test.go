@@ -24,9 +24,8 @@ func gateSnapshot() *Registry {
 		"passes_freeze_elim_removed_total": 2, "verify_each_checks_total": 4000, "verify_each_failures_total": 0,
 		"poison_oracle_funcs_total": 60, "poison_oracle_claims_total": 90, "poison_oracle_execs_total": 800,
 		"poison_oracle_violations_total": 0, "reduce_steps_total": 9, "reduce_findings_total": 4,
-		"watchdog_stalls_total": 0, "trace_events_total": 65536,
+		"watchdog_stalls_total": 0, "trace_events_total": 65536, "campaign_epochs_total": 3,
 		L("pass_runs_total", "pass", "gvn"): 70, L("pass_runs_total", "pass", "dce"): 100,
-		L("workload_funcs_total", "workload", "mutate"): 180, L("workload_epochs_total", "workload", "mutate"): 3,
 	} {
 		r.Counter(name, det, "").Add(v)
 	}
@@ -94,7 +93,7 @@ func TestGateClausesOnSnapshots(t *testing.T) {
 		"engine_execs_closure_total", "engine_merge_exits_total", "verify_each_checks_total",
 		"campaign_refuted_total", "analysis_poison_queries_total", "passes_freeze_elim_removed_total",
 		"poison_oracle_funcs_total", "poison_oracle_claims_total", "poison_oracle_execs_total",
-		"workload_funcs_total", "workload_epochs_total", "corpus_size", "coverage_keys",
+		"campaign_funcs_total", "campaign_epochs_total", "corpus_size", "coverage_keys",
 		"reduce_steps_total", "reduce_findings_total", "engine_cycle_exits_total", "trace_events_total",
 	}
 	zero := []string{"verify_each_failures_total", "poison_oracle_violations_total", "watchdog_stalls_total"}
