@@ -70,7 +70,14 @@ check: build vet test race
 # every static NeverPoison claim against concrete enumeration (exit 1
 # on any violation). The legacy quick campaign also runs under
 # -verify-each so the battery covers the legacy dialect too.
+#
+# benchmark/ is a module of its own (replace tameir => ../), so the root
+# go build/vet/test never compile it: the first two lines vet and test
+# it, or a deletion of an API it imports would pass CI and break
+# benchmark/run.sh. Both run offline in about two seconds.
 ci: vet test
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark .
 	$(GO) test -race ./internal/passes ./internal/optfuzz
 	$(GO) test -race -run 'Memo|Compiled|ProgramShared|Fold|MergingShared' ./internal/refine ./internal/core
 	$(GO) test -race -run 'TelemetryRaceStress' ./internal/telemetry

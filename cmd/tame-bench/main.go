@@ -89,17 +89,23 @@ func main() {
 		sp.End()
 	}
 
+	// The prototype is measured once and shared by E4–E7 and the
+	// ablation. The baseline goes first, so E4's compile-time
+	// comparison sees the same process warm-up whether or not the
+	// ablation runs too.
+	measure := func(v bench.Variant) []bench.Measurement {
+		ms, err := bench.MeasureAll(v, *reps)
+		if err != nil {
+			fatal(err)
+		}
+		return ms
+	}
+	var proto []bench.Measurement
 	if wantMeasure {
 		sp := expScope("measure")
 		fmt.Println("# Section 7 experiments: baseline vs freeze prototype")
-		base, err := bench.MeasureAll(bench.Baseline(), *reps)
-		if err != nil {
-			fatal(err)
-		}
-		proto, err := bench.MeasureAll(bench.Prototype(), *reps)
-		if err != nil {
-			fatal(err)
-		}
+		base := measure(bench.Baseline())
+		proto = measure(bench.Prototype())
 		bench.Report(os.Stdout, base, proto)
 		sp.End()
 	}
@@ -107,15 +113,10 @@ func main() {
 	if wantAblation {
 		sp := expScope("ablation")
 		fmt.Println("\n# Ablation: what the §6 freeze-awareness work buys")
-		proto, err := bench.MeasureAll(bench.Prototype(), *reps)
-		if err != nil {
-			fatal(err)
+		if proto == nil {
+			proto = measure(bench.Prototype())
 		}
-		blind, err := bench.MeasureAll(bench.FreezeBlindPrototype(), *reps)
-		if err != nil {
-			fatal(err)
-		}
-		bench.ReportAblation(os.Stdout, proto, blind)
+		bench.ReportAblation(os.Stdout, proto, measure(bench.FreezeBlindPrototype()))
 		sp.End()
 	}
 

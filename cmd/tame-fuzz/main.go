@@ -108,8 +108,6 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write the metric snapshot to this file ('-' = text on stdout, *.json = JSON)")
 	progress := flag.Bool("progress", false, "live progress line on stderr; stream findings as they are confirmed")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address during the run")
-	debugSnapEvery := flag.Duration("debug-snapshot-interval", 0, "debug-server history snapshot interval (0 = 5s default)")
-	debugSnapRing := flag.Int("debug-snapshot-ring", 0, "debug-server history ring depth (0 = default)")
 	interp := flag.Bool("interp", false, "check on the tree-walking interpreter instead of the compiled engine (-validate)")
 	source := flag.String("source", "exhaustive", "candidate workload for -validate: exhaustive, mutate or wide")
 	epochs := flag.Int("epochs", 0, "mutation epochs for -source mutate (0 = default)")
@@ -135,7 +133,6 @@ func main() {
 			verifyEach: *verifyEach,
 			workers:    *workers, noMemo: *noMemo, optStats: *optStats,
 			metricsPath: *metricsPath, progress: *progress, debugAddr: *debugAddr,
-			debugSnapEvery: *debugSnapEvery, debugSnapRing: *debugSnapRing,
 			interp: *interp,
 			source: *source, seed: *seed, epochs: *epochs, corpus: *corpus,
 			reduce: *reduce, tracePath: *tracePath, traceBuf: *traceBuf,
@@ -178,8 +175,6 @@ type campaignFlags struct {
 	metricsPath      string
 	progress         bool
 	debugAddr        string
-	debugSnapEvery   time.Duration
-	debugSnapRing    int
 	interp           bool
 	source           string
 	seed             int64
@@ -298,7 +293,8 @@ func runCampaign(fl campaignFlags) {
 		c.Telemetry = reg
 	}
 	if fl.debugAddr != "" {
-		ds, err := telemetry.StartDebugServer(fl.debugAddr, reg, fl.debugSnapEvery, fl.debugSnapRing, rec)
+		// 0, 0: the default history snapshot interval and ring depth.
+		ds, err := telemetry.StartDebugServer(fl.debugAddr, reg, 0, 0, rec)
 		if err != nil {
 			fatal(err)
 		}

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"tameir/internal/core"
 	"tameir/internal/ir"
@@ -129,69 +128,6 @@ func Validate(fixed bool, numInstrs, maxFuncs int, reg *telemetry.Registry) []Va
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// ValidateParallel is Validate on the sharded worker pool: one
-// multi-pass campaign instead of five serial sweeps. The candidate set
-// and all verdicts are identical to Validate's for any worker count
-// (workers 0 means one per CPU) when maxFuncs is 0; a positive
-// maxFuncs is split across shards rather than truncating serial order,
-// so counts may differ from Validate's prefix. Sharing one memo across
-// the five passes is what the memoization is for: each candidate's
-// source behaviour sets are derived once and hit four more times.
-func ValidateParallel(fixed bool, numInstrs, maxFuncs, workers int) ([]ValidationRow, optfuzz.Stats) {
-	var sem core.Options
-	var pcfg *passes.Config
-	gen := optfuzz.DefaultConfig(numInstrs)
-	gen.EnumAttrs = true
-	if fixed {
-		sem = core.FreezeOptions()
-		pcfg = passes.DefaultFreezeConfig()
-		gen.AllowUndef = false
-		gen.AllowPoison = true
-	} else {
-		sem = core.LegacyOptions(core.BranchPoisonNondet)
-		pcfg = passes.DefaultLegacyConfig()
-		gen.AllowUndef = true
-	}
-	gen.MaxFuncs = maxFuncs
-
-	var transforms []optfuzz.NamedTransform
-	for _, vp := range validationPasses() {
-		run := vp.run
-		transforms = append(transforms, optfuzz.NamedTransform{
-			Name: vp.name,
-			Fn:   func(f *ir.Func) { run(f, pcfg) },
-		})
-	}
-
-	st := optfuzz.Campaign{
-		Source:     optfuzz.NewExhaustiveSource(gen),
-		Refine:     refine.DefaultConfig(sem, sem),
-		Transforms: transforms,
-		Workers:    workers,
-	}.Run()
-
-	rows := make([]ValidationRow, len(st.Passes))
-	for i, p := range st.Passes {
-		rows[i] = ValidationRow{
-			Pass:         p.Pass,
-			Funcs:        p.Funcs,
-			Verified:     p.Verified,
-			Refuted:      p.Refuted,
-			Inconclusive: p.Inconclusive,
-		}
-	}
-	for _, f := range st.Findings {
-		for i := range rows {
-			if rows[i].Pass == f.Pass && rows[i].FirstCE == "" {
-				rows[i].FirstCE = fmt.Sprintf("%s→%s: %s",
-					strings.ReplaceAll(f.Src, "\n", " "),
-					strings.ReplaceAll(f.Tgt, "\n", " "), f.Result.CE)
-			}
-		}
-	}
-	return rows, st
 }
 
 func oneLine(f *ir.Func) string {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"reflect"
 	"testing"
 
 	"tameir/internal/core"
@@ -9,27 +8,6 @@ import (
 	"tameir/internal/optfuzz"
 	"tameir/internal/refine"
 )
-
-// ValidateParallel over the full space must reproduce the serial E3
-// table exactly — rows, verdicts, and first counterexamples — while
-// hitting the memo on the repeated source derivations.
-func TestValidateParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("validation is slow")
-	}
-	for _, fixed := range []bool{true, false} {
-		serial := Validate(fixed, 1, 0, nil)
-		rows, st := ValidateParallel(fixed, 1, 0, 4)
-		if !reflect.DeepEqual(serial, rows) {
-			t.Errorf("fixed=%v: parallel rows diverge\nserial:   %+v\nparallel: %+v",
-				fixed, serial, rows)
-		}
-		if st.HitRate() < 0.5 {
-			t.Errorf("fixed=%v: multi-pass hit rate %.1f%%, want >50%%: the five passes should share source sets",
-				fixed, 100*st.HitRate())
-		}
-	}
-}
 
 // benchPair is a representative Check workload: a real InstCombine
 // rewrite over i2 with full input-space enumeration.

@@ -563,8 +563,8 @@ done:
 
 // TestEnvRunCycleExit covers what the lockstep sweep cannot: an Env
 // carries its fuel from run to run, so a cycle exit must leave it as
-// empty as the fuel limit would, and a traced env must see every step
-// the interpreter steps, so it never exits early.
+// empty as the fuel limit would, and a traced env runs on the
+// interpreter, which sees every step and never exits early.
 func TestEnvRunCycleExit(t *testing.T) {
 	m, err := ir.ParseModule(`define i2 @spin(i2 %a) {
 entry:
@@ -807,9 +807,10 @@ func mutantCFGs(mode ir.VerifyMode, perEpoch int) []*ir.Func {
 	return out
 }
 
-// TestProgramSharedAcrossGoroutines exercises the frame and executor
-// pools: one compiled Program driven concurrently must give every
-// goroutine the serial answer. Run under -race in CI.
+// TestProgramSharedAcrossGoroutines exercises the shared frame pool:
+// one compiled Program driven concurrently, through one Executor per
+// goroutine, must give every goroutine the serial answer. Run under
+// -race in CI.
 func TestProgramSharedAcrossGoroutines(t *testing.T) {
 	m, err := ir.ParseModule(compiledCorpus[4].src) // loop-store-load: memory + phis
 	if err != nil {
@@ -832,9 +833,10 @@ func TestProgramSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			ex := core.NewExecutor(prog)
 			for r := 0; r < rounds; r++ {
 				i := (w + r) % len(inputs)
-				out := prog.Exec(inputs[i], core.ZeroOracle{})
+				out := ex.Run(inputs[i], core.ZeroOracle{})
 				if got := outcomeKey(out); got != want[i] {
 					errs <- fmt.Sprintf("worker %d round %d input %v: got %s, want %s", w, r, inputs[i], got, want[i])
 					return

@@ -18,8 +18,8 @@ import "tameir/internal/ir"
 //
 //   - the run is exact: the program touches no memory
 //     (needsMem is false for the whole call graph), so registers, the
-//     oracle and the call stack are everything, and Options.EmitTrace
-//     is off, so no tracer observes the steps the exit skips;
+//     oracle and the call stack are everything (no tracer observes the
+//     steps the exit skips: traced runs go to the interpreter);
 //   - the oracle is replayable: ZeroOracle, or an *EnumOracle, whose
 //     answer at each position is fixed for the execution, so its
 //     future answers depend on pos alone — and pos moves whenever a

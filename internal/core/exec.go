@@ -65,7 +65,8 @@ type Env struct {
 	Oracle Oracle
 	Opts   Options
 
-	// Trace, when non-nil, is invoked after each instruction.
+	// Trace, when non-nil, is invoked after each instruction. A traced
+	// env runs on the tree-walking interpreter (see Run).
 	Trace Tracer
 
 	fuel       int
@@ -186,20 +187,20 @@ func (env *Env) initGlobals() error {
 // Run executes fn on the given arguments and returns the outcome. It
 // compiles fn and runs the compiled engine; the env's fuel, memory and
 // globals are used as-is, exactly like the historical interpreter loop
-// (see RunInterp, which this is checked against). Callers that run one
-// function many times compile it once and reuse an Executor instead.
+// (see RunInterp, which this is checked against). A traced env (Trace
+// set) runs on RunInterp instead, so the compiled engine carries no
+// per-step trace hook. Callers that run one function many times
+// compile it once and reuse an Executor instead.
 func (env *Env) Run(fn *ir.Func, args []Value) Outcome {
-	// The trace knob is derived from the env, not trusted from Opts:
-	// a traced env gets the trace-enabled program variant, an untraced
-	// env the variant with no per-step trace branch at all.
-	opts := env.Opts
-	opts.EmitTrace = env.Trace != nil
-	p := Compile(fn, opts)
+	if env.Trace != nil {
+		return env.RunInterp(fn, args)
+	}
+	p := Compile(fn, env.Opts)
 	if out := p.checkArgs(args); out != nil {
 		return *out
 	}
 	steps0 := env.Steps
-	exact := !p.needsMem && !p.opts.EmitTrace
+	exact := !p.needsMem
 	env.cyc.Arm(env.Oracle, exact)
 	env.mrg.Arm(env.Oracle, exact, p)
 	out := p.invoke(env, args)
@@ -211,8 +212,8 @@ func (env *Env) Run(fn *ir.Func, args []Value) Outcome {
 
 // RunInterp executes fn on the tree-walking interpreter. It is the
 // reference semantics the compiled engine is differentially tested
-// against (TestCompiledMatchesInterpreter) and the baseline engine of
-// the tame-bench exec experiment.
+// against (TestCompiledMatchesInterpreter) and the engine of every
+// traced run.
 func (env *Env) RunInterp(fn *ir.Func, args []Value) Outcome {
 	if len(args) != len(fn.Params) {
 		return Outcome{Kind: OutError, Msg: fmt.Sprintf("arity: got %d args, want %d", len(args), len(fn.Params))}
@@ -231,9 +232,9 @@ func (env *Env) RunInterp(fn *ir.Func, args []Value) Outcome {
 }
 
 // Exec is a convenience wrapper: compile fn and run it once through
-// the compiled engine with a fresh execution state.
+// the compiled engine on a fresh executor.
 func Exec(fn *ir.Func, args []Value, o Oracle, opts Options) Outcome {
-	return Compile(fn, opts).Exec(args, o)
+	return NewExecutor(Compile(fn, opts)).Run(args, o)
 }
 
 // Interpret is Exec on the historical tree-walking interpreter: build

@@ -48,7 +48,7 @@ import (
 //     and cycle exits inside a skipped subtree were recorded the first
 //     time it ran.
 //   - Only where the frame is the whole state: at call depth 1, in runs
-//     Cycles.Arm would also treat as exact (no memory, no EmitTrace),
+//     Cycles.Arm would also treat as exact (no memory),
 //     on an EnumOracle whose enumeration turned merging on
 //     (EnableMerging). The tree-walking interpreter never merges.
 

@@ -273,8 +273,7 @@ entry:
 	})
 
 	t.Run("never-merges", func(t *testing.T) {
-		// Memory the key does not hold, and a run traced step by step:
-		// every path runs to its end.
+		// Memory the key does not hold: every path runs to its end.
 		store := ir.MustParseFunc(`define i2 @f(i2 %p) {
 entry:
   %a = alloca i2, i32 1
@@ -288,24 +287,10 @@ loop:
 done:
   ret i2 %i
 }`)
-		traced := legacyOpts()
-		traced.EmitTrace = true
-		for _, tc := range []struct {
-			name string
-			fn   *ir.Func
-			opts core.Options
-			fuel int
-		}{
-			{"storing-loop", store, legacyOpts(), 60},
-			{"emit-trace", ir.MustParseFunc(undefSweep), traced, 0},
-		} {
-			cfg := refine.DefaultConfig(tc.opts, tc.opts)
-			if tc.fuel > 0 {
-				cfg.Fuel = tc.fuel
-			}
-			if m := mergeCompare(t, tc.name, tc.fn, tc.fn, cfg); m.MergeExits != 0 {
-				t.Errorf("%s: %d merge exits; want none", tc.name, m.MergeExits)
-			}
+		cfg := refine.DefaultConfig(legacyOpts(), legacyOpts())
+		cfg.Fuel = 60
+		if m := mergeCompare(t, "storing-loop", store, store, cfg); m.MergeExits != 0 {
+			t.Errorf("storing-loop: %d merge exits; want none", m.MergeExits)
 		}
 	})
 

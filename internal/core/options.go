@@ -88,15 +88,6 @@ type Options struct {
 
 	// MaxCallDepth bounds recursion; 0 means DefaultMaxCallDepth.
 	MaxCallDepth int
-
-	// EmitTrace compiles per-step Tracer callbacks into the program.
-	// It is a compile-time knob like the semantics fields — Compile
-	// resolves it into the step closures, so a program compiled without
-	// it pays no per-step trace check at all — but it is NOT semantics:
-	// traced and untraced programs make identical oracle choices and
-	// produce identical Outcomes. The two variants are distinct
-	// programs, and the knob is excluded from refine's memo key.
-	EmitTrace bool
 }
 
 // DefaultFuel is the default instruction budget per execution.

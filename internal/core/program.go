@@ -38,7 +38,6 @@ type Program struct {
 	needsMem bool
 
 	framePool sync.Pool // *cframe
-	execPool  sync.Pool // *Executor, for the Exec convenience wrapper
 
 	// live is the function's register liveness, computed the first
 	// time a run of it checks a state for merging (merge.go).
@@ -434,26 +433,11 @@ func (c *compiler) operandRaw(v ir.Value) opd {
 	}
 }
 
-// valStep wraps an instruction's evaluator with the result write and —
-// only under Options.EmitTrace — the trace callback. The untraced
-// variant has no per-step trace branch at all: the knob is resolved
-// here, at compile time, exactly like the semantics options.
+// valStep wraps an instruction's evaluator with the result write.
 func (c *compiler) valStep(in *ir.Instr, eval evalFn) stepFn {
 	slot := int32(-1)
 	if s, ok := c.slotOfInstr(in); ok {
 		slot = s
-	}
-	if !c.opts.EmitTrace {
-		return func(env *Env, fr *cframe) (int32, *Outcome) {
-			v, out := eval(env, fr)
-			if out != nil {
-				return 0, out
-			}
-			if slot >= 0 {
-				fr.regs[slot] = v
-			}
-			return -1, nil
-		}
 	}
 	return func(env *Env, fr *cframe) (int32, *Outcome) {
 		v, out := eval(env, fr)
@@ -462,9 +446,6 @@ func (c *compiler) valStep(in *ir.Instr, eval evalFn) stepFn {
 		}
 		if slot >= 0 {
 			fr.regs[slot] = v
-		}
-		if env.Trace != nil {
-			env.Trace(env.depth, in, v)
 		}
 		return -1, nil
 	}
@@ -531,30 +512,6 @@ func (c *compiler) compileInstr(b *ir.Block, in *ir.Instr) stepFn {
 		if s, ok := c.slotOfInstr(in); ok {
 			slot = s
 		}
-		if !c.opts.EmitTrace {
-			return func(env *Env, fr *cframe) (int32, *Outcome) {
-				if cap(env.callBuf) < len(args) {
-					env.callBuf = make([]Value, len(args))
-				}
-				callArgs := env.callBuf[:len(args)]
-				for i := range args {
-					v, out := args[i].eval(env, fr)
-					if out != nil {
-						return 0, out
-					}
-					callArgs[i] = v
-				}
-				res := callee.invoke(env, callArgs)
-				if res.Kind != OutRet {
-					return 0, &res
-				}
-				if slot >= 0 {
-					fr.regs[slot] = res.Val
-				}
-				return -1, nil
-			}
-		}
-		instr := in
 		return func(env *Env, fr *cframe) (int32, *Outcome) {
 			if cap(env.callBuf) < len(args) {
 				env.callBuf = make([]Value, len(args))
@@ -573,9 +530,6 @@ func (c *compiler) compileInstr(b *ir.Block, in *ir.Instr) stepFn {
 			}
 			if slot >= 0 {
 				fr.regs[slot] = res.Val
-			}
-			if env.Trace != nil {
-				env.Trace(env.depth, instr, res.Val)
 			}
 			return -1, nil
 		}
@@ -991,28 +945,13 @@ func (p *Program) checkArgs(args []Value) *Outcome {
 	return nil
 }
 
-// Exec runs the program once on a pooled executor: the compiled
-// equivalent of the package-level Exec.
-func (p *Program) Exec(args []Value, o Oracle) Outcome {
-	e, _ := p.execPool.Get().(*Executor)
-	if e == nil {
-		e = NewExecutor(p)
-	}
-	out := e.Run(args, o)
-	// The lanes live in e's arena, which the executor's next user resets.
-	if out.Val.Lanes != nil {
-		out.Val.Lanes = append([]Scalar(nil), out.Val.Lanes...)
-	}
-	p.execPool.Put(e)
-	return out
-}
-
 // Executor is the run-many handle for a Program: it owns a reusable
 // environment (memory included) so back-to-back runs allocate nothing
 // on the fast path. Each Run is a fresh execution — fuel, step count,
-// memory and globals are reset — matching what Exec's env-per-call gave
-// the interpreter. An Executor is not safe for concurrent use; create
-// one per goroutine (Programs and their frame pools are shared safely).
+// memory and globals are reset — matching what Interpret's
+// env-per-call gives the interpreter. An Executor is not safe for
+// concurrent use; create one per goroutine (Programs and their frame
+// pools are shared safely).
 type Executor struct {
 	prog *Program
 	env  Env
@@ -1032,8 +971,8 @@ func NewExecutor(p *Program) *Executor {
 
 // Run executes the program on args, resolving nondeterminism through o.
 // The outcome's lanes are valid until the executor's next Run: callers
-// that keep a value copy it (Program.Exec does), and a behaviour sweep
-// consumes it in place without allocating per execution.
+// that keep a value across runs copy it, and a behaviour sweep consumes
+// it in place without allocating per execution.
 func (e *Executor) Run(args []Value, o Oracle) Outcome {
 	p := e.prog
 	if out := p.checkArgs(args); out != nil {
@@ -1041,7 +980,7 @@ func (e *Executor) Run(args []Value, o Oracle) Outcome {
 	}
 	env := &e.env
 	env.Oracle = o
-	exact := !p.needsMem && !p.opts.EmitTrace
+	exact := !p.needsMem
 	env.cyc.Arm(o, exact)
 	env.mrg.Arm(o, exact, p)
 	env.fuel = p.opts.Fuel

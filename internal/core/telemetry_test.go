@@ -28,8 +28,9 @@ entry:
   ret i32 %d
 }`
 
-// TestTraceVariantsMatch: the traced and untraced program variants
-// produce identical outcomes, and only a traced env receives events.
+// TestTraceVariantsMatch: a traced run (on the interpreter) and an
+// untraced one (on the compiled engine) produce identical outcomes,
+// and only a traced env receives events.
 func TestTraceVariantsMatch(t *testing.T) {
 	fn := parseFn(t, traceSrc)
 	opts := FreezeOptions()

@@ -413,7 +413,3 @@ func (in *Instr) ReplaceAllUsesWith(v Value) {
 	}
 	in.replaceUses(in, v)
 }
-
-// ReplaceParamUses rewrites every use of parameter p with v (used by
-// inlining and by test harnesses).
-func ReplaceParamUses(p *Param, v Value) { p.replaceUses(p, v) }

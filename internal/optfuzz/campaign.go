@@ -62,22 +62,12 @@ type Campaign struct {
 	// every shard's checker unchanged.
 	Refine refine.Config
 
-	// Transforms, when non-empty, validates every candidate against
-	// each named transform in order, §6-style ("both individual passes
-	// and -O2"). The passes share the shard's memo, so each
-	// candidate's source behaviour sets are derived once and looked up
-	// for every subsequent pass — this is where memoization pays,
-	// since an exhaustive generator never repeats a source within one
-	// pass.
-	Transforms []NamedTransform
-
-	// Pipeline, when non-nil (and Transforms is empty), runs every
-	// candidate through a per-shard Clone of the pass manager, so
-	// findings carry the names of the passes that fired
-	// (Finding.ChangedBy) and, when the manager is instrumented,
-	// per-shard Stats merge deterministically into the campaign's Opt.
-	// A campaign with neither Transforms nor Pipeline checks
-	// self-refinement.
+	// Pipeline, when non-nil, runs every candidate through a per-shard
+	// Clone of the pass manager, so findings carry the names of the
+	// passes that fired (Finding.ChangedBy) and, when the manager is
+	// instrumented, per-shard Stats merge deterministically into the
+	// campaign's Opt. A campaign without a Pipeline checks every
+	// candidate against itself (self-refinement).
 	Pipeline *passes.PassManager
 
 	// PipelineCfg is the pass configuration for Pipeline. Required when
@@ -154,7 +144,7 @@ type Campaign struct {
 	Telemetry *telemetry.Registry
 
 	// Stream, when non-nil, receives every Finding in deterministic
-	// (epoch, shard, index, pass) order while the campaign runs, and
+	// (epoch, shard, index) order while the campaign runs, and
 	// is closed by Run before it returns. Streamed findings are NOT
 	// retained in Stats.Findings, so a campaign with a draining
 	// consumer holds at most the out-of-turn shards' findings in
@@ -186,12 +176,6 @@ type CampaignProgress struct {
 	Inconclusive uint64
 }
 
-// NamedTransform is one pass (or pipeline) under validation.
-type NamedTransform struct {
-	Name string
-	Fn   func(*ir.Func)
-}
-
 // Finding is one refuted transformation.
 type Finding struct {
 	// Epoch is the source epoch that produced the candidate (always 0
@@ -200,9 +184,6 @@ type Finding struct {
 	// Shard and Index locate the candidate deterministically: Index is
 	// its position within the shard's enumeration order for its epoch.
 	Shard, Index int
-	// Pass names the refuted transform (empty for a Pipeline or
-	// self-refinement campaign).
-	Pass string
 	// ChangedBy lists the pipeline passes that reported a change on
 	// this candidate, deduplicated, in first-fire order (only set for
 	// Pipeline campaigns). The last CFG- or value-rewriting pass in the
@@ -227,8 +208,8 @@ type Finding struct {
 }
 
 // Provenance is the cross-cutting context attached to each Finding.
-// The positional coordinates (epoch, shard, index, pass, ChangedBy,
-// reduce steps) live on the Finding itself; Provenance carries the
+// The positional coordinates (epoch, shard, index, ChangedBy, reduce
+// steps) live on the Finding itself; Provenance carries the
 // campaign-level rest. Every field is deterministic — findings (and
 // so their provenance) must stay DeepEqual across worker counts. The
 // scheduling-dependent memo counters at sealing time appear only in
@@ -242,18 +223,8 @@ type Provenance struct {
 	Tier string
 }
 
-// PassTally is one pass's slice of a multi-pass campaign.
-type PassTally struct {
-	Pass         string
-	Funcs        int
-	Verified     int
-	Refuted      int
-	Inconclusive int
-}
-
-// Stats aggregates a campaign. Funcs counts candidate functions once
-// each; the verdict counters count (candidate, pass) validations, so
-// with N transforms they sum to N×Funcs.
+// Stats aggregates a campaign. Funcs counts candidate functions; each
+// gets one verdict, so Verified+Refuted+Inconclusive == Funcs.
 type Stats struct {
 	Funcs        int
 	Verified     int
@@ -281,12 +252,8 @@ type Stats struct {
 	ReduceRemovedInstrs uint64
 	ReducedFindings     uint64
 
-	// Passes tallies per transform, in Transforms order (absent for a
-	// Pipeline or self-refinement campaign).
-	Passes []PassTally
-
 	// Findings lists every refuted candidate in deterministic
-	// (epoch, shard, index, pass) order.
+	// (epoch, shard, index) order.
 	Findings []Finding
 
 	// MemoHits / MemoLookups / MemoEvictions are the shared memo's
@@ -384,13 +351,13 @@ func shardBudgets(total, shards int, caps []int) []int {
 }
 
 // findingStreamer reassembles concurrently produced findings into
-// deterministic (shard, index, pass) order within one epoch. The shard
+// deterministic (shard, index) order within one epoch. The shard
 // currently at the head of the order streams its findings straight
 // through; later shards buffer until every earlier shard has finished,
 // at which point their backlog flushes and they go live. With one
 // worker nothing ever buffers. Epochs run sequentially, so one
 // streamer per epoch over the same channel yields the global
-// (epoch, shard, index, pass) order.
+// (epoch, shard, index) order.
 type findingStreamer struct {
 	mu      sync.Mutex
 	ch      chan<- Finding
@@ -509,25 +476,6 @@ func (p *progressSink) tick(force bool) {
 	p.mu.Unlock()
 }
 
-// mergeChanged folds more into acc, deduplicating while preserving
-// first-fire order — the same discipline the pass manager uses for a
-// single run, applied across a candidate's transforms.
-func mergeChanged(acc, more []string) []string {
-	for _, m := range more {
-		dup := false
-		for _, a := range acc {
-			if a == m {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			acc = append(acc, m)
-		}
-	}
-	return acc
-}
-
 // shardStats is one shard's slice of one epoch.
 type shardStats struct {
 	Stats
@@ -624,12 +572,6 @@ func (c Campaign) Run() Stats {
 	verifyMode := c.Refine.SrcOpts.Mode.VerifyMode()
 
 	var out Stats
-	if len(c.Transforms) > 0 {
-		out.Passes = make([]PassTally, len(c.Transforms))
-		for i, tr := range c.Transforms {
-			out.Passes[i].Pass = tr.Name
-		}
-	}
 	var check refine.CheckMetrics
 	var streamer *findingStreamer
 
@@ -653,12 +595,6 @@ func (c Campaign) Run() Stats {
 			out.ReduceAttempts += r.ReduceAttempts
 			out.ReduceRemovedInstrs += r.ReduceRemovedInstrs
 			out.ReducedFindings += r.ReducedFindings
-			for i, p := range r.Passes {
-				out.Passes[i].Funcs += p.Funcs
-				out.Passes[i].Verified += p.Verified
-				out.Passes[i].Refuted += p.Refuted
-				out.Passes[i].Inconclusive += p.Inconclusive
-			}
 			if r.Opt != nil {
 				if out.Opt == nil {
 					out.Opt = passes.NewStats()
@@ -723,7 +659,7 @@ func (c Campaign) Run() Stats {
 }
 
 // runShard enumerates one shard of one epoch, validating every
-// candidate against the campaign's transforms. It owns all its mutable
+// candidate against the campaign's pipeline. It owns all its mutable
 // state (oracle, memo session, pass-manager clone), so
 // distinct shards run concurrently without sharing.
 func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max int,
@@ -762,34 +698,17 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 		rcfg.Trace = checkScope
 	}
 
-	// Each shard transform returns the pass names that changed the
-	// candidate (pipeline campaigns only; nil otherwise).
-	type shardTransform struct {
-		name string
-		fn   func(*ir.Func) []string
-	}
-	var transforms []shardTransform
+	// transform rewrites a candidate's clone and returns the names of
+	// the pipeline passes that changed it (nil for self-refinement).
+	transform := func(*ir.Func) []string { return nil }
 	var pm *passes.PassManager
-	switch {
-	case len(c.Transforms) > 0:
-		for _, tr := range c.Transforms {
-			fn := tr.Fn
-			transforms = append(transforms, shardTransform{name: tr.Name, fn: func(f *ir.Func) []string {
-				if fn != nil {
-					fn(f)
-				}
-				return nil
-			}})
-		}
-	case c.Pipeline != nil:
+	if c.Pipeline != nil {
 		pm = c.Pipeline.Clone() // private per-shard stats, shared pass list
 		pm.Trace = passScope    // per-pass spans ("pass/<name>") on this shard's track
-		transforms = []shardTransform{{fn: func(f *ir.Func) []string {
+		transform = func(f *ir.Func) []string {
 			_, fired := pm.RunFuncChanged(f, c.PipelineCfg)
 			return fired
-		}}}
-	default:
-		transforms = []shardTransform{{fn: func(*ir.Func) []string { return nil }}}
+		}
 	}
 
 	var st shardStats
@@ -814,110 +733,85 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 	rrcfg := rcfg
 	rrcfg.BehaviorHook = userHook
 
-	var scratch PassTally // tally sink for single-transform campaigns
-	if len(c.Transforms) > 0 {
-		st.Passes = make([]PassTally, len(transforms))
-		for i, tr := range transforms {
-			st.Passes[i].Pass = tr.name
-		}
-	}
 	idx := 0
 	_, truncated := src.Enumerate(s, max, func(f *ir.Func) bool {
 		st.Funcs++
 		digest = 0
-		var fbChanged []string
-		fbRefuted, fbInconclusive := false, false
-		for ti, tr := range transforms {
-			work := ir.CloneFunc(f)
-			changedBy := tr.fn(work)
-			r := refine.Check(f, work, rcfg)
-			tally := &scratch
-			if st.Passes != nil {
-				tally = &st.Passes[ti]
+		work := ir.CloneFunc(f)
+		changedBy := transform(work)
+		r := refine.Check(f, work, rcfg)
+		switch r.Status {
+		case refine.Verified:
+			st.Verified++
+			if progress != nil {
+				progress.verified.Add(1)
 			}
-			tally.Funcs++
-			switch r.Status {
-			case refine.Verified:
-				st.Verified++
-				tally.Verified++
-				if progress != nil {
-					progress.verified.Add(1)
-				}
-			case refine.Refuted:
-				st.Refuted++
-				tally.Refuted++
-				fbRefuted = true
-				if progress != nil {
-					progress.refuted.Add(1)
-				}
-				fd := Finding{
-					Epoch: epoch, Shard: s, Index: idx, Pass: tr.name,
-					ChangedBy: changedBy,
-					Src:       f.String(), Tgt: work.String(),
-					Result: r,
-				}
-				if c.Reduce {
-					rr := ReduceFinding(f, tr.fn, rrcfg, verifyMode, c.ReduceMaxSteps)
-					st.ReduceSteps += uint64(rr.Steps)
-					st.ReduceAttempts += uint64(rr.Attempts)
-					st.ReduceRemovedInstrs += uint64(rr.RemovedInstrs)
-					st.ReducedFindings++
-					if rr.Steps > 0 {
-						fd.OrigSrc = fd.Src
-						fd.ReduceSteps = rr.Steps
-						fd.Src, fd.Tgt = rr.Src, rr.Tgt
-						fd.ChangedBy = rr.ChangedBy
-						fd.Result = rr.Result
-					}
-				}
-				p := *prov
-				fd.Prov = &p
-				// The memo counters at sealing are scheduling-dependent
-				// (which worker derives a shared set first is a race), so
-				// they go into the trace record only — Finding.Prov stays
-				// deterministic, like every other field DeepEqual'd by the
-				// across-workers tests.
-				var memoLookups, memoHits uint64
-				if memo != nil {
-					memoLookups, memoHits = memo.Lookups(), memo.Hits()
-				}
-				// Pinned: provenance must survive ring wrap so the trace
-				// always explains every finding (and CI can assert
-				// instants(finding)==counter(findings)).
-				c.Trace.InstantPinned(s, "finding",
-					"epoch", strconv.Itoa(epoch),
-					"shard", strconv.Itoa(s),
-					"index", strconv.Itoa(idx),
-					"pass", fd.Pass,
-					"changed_by", strings.Join(fd.ChangedBy, ","),
-					"source", p.Source,
-					"seed", strconv.FormatInt(p.Seed, 10),
-					"tier", p.Tier,
-					"memo_lookups", strconv.FormatUint(memoLookups, 10),
-					"memo_hits", strconv.FormatUint(memoHits, 10),
-					"reduce_steps", strconv.Itoa(fd.ReduceSteps))
-				if streamer != nil {
-					streamer.emit(s, fd)
-				} else {
-					st.Findings = append(st.Findings, fd)
-				}
-			default:
-				st.Inconclusive++
-				tally.Inconclusive++
-				fbInconclusive = true
-				if progress != nil {
-					progress.inconclusive.Add(1)
+		case refine.Refuted:
+			st.Refuted++
+			if progress != nil {
+				progress.refuted.Add(1)
+			}
+			fd := Finding{
+				Epoch: epoch, Shard: s, Index: idx,
+				ChangedBy: changedBy,
+				Src:       f.String(), Tgt: work.String(),
+				Result: r,
+			}
+			if c.Reduce {
+				rr := ReduceFinding(f, transform, rrcfg, verifyMode, c.ReduceMaxSteps)
+				st.ReduceSteps += uint64(rr.Steps)
+				st.ReduceAttempts += uint64(rr.Attempts)
+				st.ReduceRemovedInstrs += uint64(rr.RemovedInstrs)
+				st.ReducedFindings++
+				if rr.Steps > 0 {
+					fd.OrigSrc = fd.Src
+					fd.ReduceSteps = rr.Steps
+					fd.Src, fd.Tgt = rr.Src, rr.Tgt
+					fd.ChangedBy = rr.ChangedBy
+					fd.Result = rr.Result
 				}
 			}
-			if evolving != nil {
-				fbChanged = mergeChanged(fbChanged, changedBy)
+			p := *prov
+			fd.Prov = &p
+			// The memo counters at sealing are scheduling-dependent
+			// (which worker derives a shared set first is a race), so
+			// they go into the trace record only — Finding.Prov stays
+			// deterministic, like every other field DeepEqual'd by the
+			// across-workers tests.
+			var memoLookups, memoHits uint64
+			if memo != nil {
+				memoLookups, memoHits = memo.Lookups(), memo.Hits()
+			}
+			// Pinned: provenance must survive ring wrap so the trace
+			// always explains every finding (and CI can assert
+			// instants(finding)==counter(findings)).
+			c.Trace.InstantPinned(s, "finding",
+				"epoch", strconv.Itoa(epoch),
+				"shard", strconv.Itoa(s),
+				"index", strconv.Itoa(idx),
+				"changed_by", strings.Join(fd.ChangedBy, ","),
+				"source", p.Source,
+				"seed", strconv.FormatInt(p.Seed, 10),
+				"tier", p.Tier,
+				"memo_lookups", strconv.FormatUint(memoLookups, 10),
+				"memo_hits", strconv.FormatUint(memoHits, 10),
+				"reduce_steps", strconv.Itoa(fd.ReduceSteps))
+			if streamer != nil {
+				streamer.emit(s, fd)
+			} else {
+				st.Findings = append(st.Findings, fd)
+			}
+		default:
+			st.Inconclusive++
+			if progress != nil {
+				progress.inconclusive.Add(1)
 			}
 		}
 		if evolving != nil {
 			st.fb = append(st.fb, Feedback{
 				Shard: s, Index: idx, Src: f.String(),
-				ChangedBy: fbChanged,
-				Refuted:   fbRefuted, Inconclusive: fbInconclusive,
+				ChangedBy: changedBy,
+				Refuted:   r.Status == refine.Refuted, Inconclusive: r.Status == refine.Inconclusive,
 				Behavior: digest,
 			})
 		}

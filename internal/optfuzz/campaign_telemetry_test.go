@@ -85,7 +85,7 @@ func TestCampaignTelemetryDeterministicAcrossWorkers(t *testing.T) {
 
 // TestCampaignStreamOrdering: findings streamed over Campaign.Stream
 // from a parallel run must arrive in exactly the deterministic
-// (shard, index, pass) order a serial unstreamed run reports — and the
+// (shard, index) order a serial unstreamed run reports — and the
 // streamed run must not also retain them in Stats.Findings.
 func TestCampaignStreamOrdering(t *testing.T) {
 	sem := core.LegacyOptions(core.BranchPoisonNondet)
@@ -95,10 +95,11 @@ func TestCampaignStreamOrdering(t *testing.T) {
 		gen := DefaultConfig(2)
 		gen.MaxFuncs = 2000
 		return Campaign{
-			Source:     NewExhaustiveSource(gen),
-			Refine:     refine.DefaultConfig(sem, sem),
-			Transforms: o2Transforms(pcfg),
-			Workers:    workers,
+			Source:      NewExhaustiveSource(gen),
+			Refine:      refine.DefaultConfig(sem, sem),
+			Pipeline:    passes.O2(),
+			PipelineCfg: pcfg,
+			Workers:     workers,
 		}
 	}
 
@@ -183,12 +184,13 @@ func TestCampaignTraceProvenance(t *testing.T) {
 	gen.MaxFuncs = 2000
 	rec := trace.NewRecorder(0)
 	c := Campaign{
-		Source:     NewExhaustiveSource(gen),
-		Refine:     refine.DefaultConfig(sem, sem),
-		Transforms: o2Transforms(pcfg),
-		Workers:    4,
-		Trace:      rec,
-		Seed:       7,
+		Source:      NewExhaustiveSource(gen),
+		Refine:      refine.DefaultConfig(sem, sem),
+		Pipeline:    passes.O2(),
+		PipelineCfg: pcfg,
+		Workers:     4,
+		Trace:       rec,
+		Seed:        7,
 	}
 	st := c.Run()
 	if st.Refuted == 0 {
@@ -208,12 +210,12 @@ func TestCampaignTraceProvenance(t *testing.T) {
 		t.Error(err)
 	}
 	// Each pinned finding instant must carry the coordinates needed to
-	// replay it: shard, epoch, pass, and the campaign seed.
+	// replay it: shard, epoch, and the campaign seed.
 	for _, ev := range rec.Events() {
 		if ev.Name != "finding" {
 			continue
 		}
-		for _, key := range []string{"shard", "epoch", "pass", "seed", "source", "tier"} {
+		for _, key := range []string{"shard", "epoch", "seed", "source", "tier"} {
 			if ev.Arg(key) == "" {
 				t.Fatalf("finding instant lacks %q: %+v", key, ev)
 			}

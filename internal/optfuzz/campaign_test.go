@@ -134,16 +134,6 @@ func TestBudgetedShardingMatchesSerial(t *testing.T) {
 	}
 }
 
-// o2Transforms validates candidates against one named transform: -O2
-// over a module holding just the candidate.
-func o2Transforms(pcfg *passes.Config) []NamedTransform {
-	return []NamedTransform{{Name: "o2", Fn: func(f *ir.Func) {
-		m := ir.NewModule()
-		m.AddFunc(f)
-		passes.O2().Run(m, pcfg)
-	}}}
-}
-
 func o2Campaign(sem core.Options, pcfg *passes.Config, workers, memoEntries int) Campaign {
 	gen := DefaultConfig(2)
 	gen.AllowUndef = false
@@ -152,7 +142,8 @@ func o2Campaign(sem core.Options, pcfg *passes.Config, workers, memoEntries int)
 	return Campaign{
 		Source:      NewExhaustiveSource(gen),
 		Refine:      refine.DefaultConfig(sem, sem),
-		Transforms:  o2Transforms(pcfg),
+		Pipeline:    passes.O2(),
+		PipelineCfg: pcfg,
 		Workers:     workers,
 		MemoEntries: memoEntries,
 	}
@@ -167,6 +158,9 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	ref := base.Run()
 	if ref.Funcs == 0 {
 		t.Fatal("campaign validated no functions")
+	}
+	if n := ref.Verified + ref.Refuted + ref.Inconclusive; n != ref.Funcs {
+		t.Fatalf("%d verdicts for %d candidates, want one each", n, ref.Funcs)
 	}
 
 	for _, workers := range []int{2, 8} {
@@ -290,10 +284,11 @@ func TestCampaignCatchesUnsoundPipeline(t *testing.T) {
 	gen := DefaultConfig(2)
 	gen.MaxFuncs = 2000
 	c := Campaign{
-		Source:     NewExhaustiveSource(gen),
-		Refine:     refine.DefaultConfig(sem, sem),
-		Transforms: o2Transforms(pcfg),
-		Workers:    4,
+		Source:      NewExhaustiveSource(gen),
+		Refine:      refine.DefaultConfig(sem, sem),
+		Pipeline:    passes.O2(),
+		PipelineCfg: pcfg,
+		Workers:     4,
 	}
 	st := c.Run()
 	if st.Refuted == 0 {

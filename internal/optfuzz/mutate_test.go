@@ -66,6 +66,9 @@ func TestMutationDeterministicAcrossWorkers(t *testing.T) {
 	if base.Source != "mutate" || base.Epochs != 2 {
 		t.Fatalf("workload identity: %q/%d", base.Source, base.Epochs)
 	}
+	if n := base.Verified + base.Refuted + base.Inconclusive; n != base.Funcs {
+		t.Fatalf("%d verdicts for %d candidates, want one each", n, base.Funcs)
+	}
 	if base.CorpusSize == 0 || base.CoverageKeys == 0 {
 		t.Fatalf("corpus never grew: size=%d coverage=%d", base.CorpusSize, base.CoverageKeys)
 	}

@@ -226,17 +226,6 @@ func newEnumerator(cfg Config) *enumerator {
 	return e
 }
 
-// arity returns the operand count of a template.
-func arity(tm instrTemplate) int {
-	if tm.op == ir.OpSelect {
-		return 3
-	}
-	if tm.op == ir.OpFreeze {
-		return 1
-	}
-	return 2 // binop or icmp
-}
-
 // prepare recomputes the operand digit layout and exact bounds for the
 // current template tuple, and reports whether the tuple can produce a
 // function at all (some instruction must have the wide result type —

@@ -27,7 +27,7 @@ import (
 // Emitted functions are owned by the source; the campaign treats them
 // as immutable and transforms private clones. A source must not mutate
 // or reuse a function object after emitting it within one shard pass
-// (the checker's program cache trusts pointer identity).
+// (the memo session's identity slots trust pointer identity).
 type Source interface {
 	// Name labels the workload in telemetry ("exhaustive", "mutate",
 	// "wide8", ...).
@@ -60,11 +60,11 @@ type Feedback struct {
 	// Src is the candidate's canonical text.
 	Src string
 	// ChangedBy lists the pipeline passes that fired on the candidate
-	// (deduplicated, first-fire order; nil for non-pipeline
-	// campaigns), aggregated over every transform the campaign ran.
+	// (deduplicated, first-fire order; nil for self-refinement
+	// campaigns).
 	ChangedBy []string
-	// Refuted / Inconclusive report the worst verdict across the
-	// campaign's transforms (both false means every check verified).
+	// Refuted / Inconclusive report the candidate's verdict (both false
+	// means it verified).
 	Refuted      bool
 	Inconclusive bool
 	// Behavior is an order-sensitive FNV-1a digest of every behaviour

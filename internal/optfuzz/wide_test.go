@@ -71,6 +71,9 @@ func TestWideCampaignClosesInputs(t *testing.T) {
 	if st.Funcs == 0 {
 		t.Fatal("wide campaign enumerated nothing")
 	}
+	if n := st.Verified + st.Refuted + st.Inconclusive; n != st.Funcs {
+		t.Fatalf("%d verdicts for %d candidates, want one each", n, st.Funcs)
+	}
 	if st.Refuted != 0 {
 		t.Fatalf("self-refinement refuted %d wide candidates", st.Refuted)
 	}

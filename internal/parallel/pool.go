@@ -90,20 +90,6 @@ type PoolMetrics struct {
 	QueueDepth telemetry.LocalHist
 }
 
-// Add folds o into m (for campaigns that run several pool phases).
-func (m *PoolMetrics) Add(o *PoolMetrics) {
-	if m.Workers < o.Workers {
-		m.Workers = o.Workers
-	}
-	m.Tasks += o.Tasks
-	m.BusyNS += o.BusyNS
-	m.WallNS += o.WallNS
-	for i, c := range o.QueueDepth.Buckets {
-		m.QueueDepth.Buckets[i] += c
-	}
-	m.QueueDepth.Sum += o.QueueDepth.Sum
-}
-
 // Publish folds the counters into reg. Tasks is deterministic (the
 // work partition is fixed); the rest is scheduling.
 func (m *PoolMetrics) Publish(reg *telemetry.Registry) {

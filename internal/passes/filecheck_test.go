@@ -98,9 +98,9 @@ func runFileCheck(t *testing.T, path string) {
 			t.Fatalf("%s: parse: %v", path, err)
 		}
 		for _, name := range passNames {
-			p := PassByName(name)
-			if p == nil {
-				t.Fatalf("%s: unknown pass %q", path, name)
+			p, err := LookupPass(name)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
 			}
 			for _, fn := range mod.Funcs {
 				RunPass(p, fn, cfg)

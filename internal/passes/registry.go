@@ -52,12 +52,6 @@ func Register(pi PassInfo) {
 	registry[pi.Name] = pi
 }
 
-// Lookup returns the registry entry for name.
-func Lookup(name string) (PassInfo, bool) {
-	pi, ok := registry[name]
-	return pi, ok
-}
-
 // Names returns every registered pass name, sorted.
 func Names() []string {
 	out := make([]string, 0, len(registry))
@@ -85,13 +79,4 @@ func LookupPass(name string) (Pass, error) {
 		return pi.New(), nil
 	}
 	return nil, fmt.Errorf("unknown pass %q, available: %s", name, strings.Join(Names(), ", "))
-}
-
-// PassByName returns the pass with the given name, or nil. Prefer
-// LookupPass, whose error names the available passes.
-func PassByName(name string) Pass {
-	if pi, ok := registry[name]; ok {
-		return pi.New()
-	}
-	return nil
 }

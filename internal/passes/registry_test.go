@@ -11,18 +11,18 @@ func TestRegistryComplete(t *testing.T) {
 		t.Errorf("registry holds %d passes, want 18: %v", len(names), names)
 	}
 	for _, n := range names {
-		pi, ok := Lookup(n)
-		if !ok {
-			t.Fatalf("Names lists %q but Lookup misses it", n)
+		p, err := LookupPass(n)
+		if err != nil {
+			t.Fatalf("Names lists %q but LookupPass misses it: %v", n, err)
 		}
-		if got := pi.New().Name(); got != n {
+		if got := p.Name(); got != n {
 			t.Errorf("constructor for %q builds pass named %q", n, got)
 		}
 	}
 	// Every O2 pipeline entry resolves.
 	for _, p := range O2().Passes {
-		if _, ok := Lookup(p.Name()); !ok {
-			t.Errorf("O2 pass %q not in registry", p.Name())
+		if _, err := LookupPass(p.Name()); err != nil {
+			t.Errorf("O2 pass %q not in registry: %v", p.Name(), err)
 		}
 	}
 }
@@ -41,11 +41,8 @@ func TestLookupPassUnknownError(t *testing.T) {
 			t.Errorf("error %q does not list available pass %q", msg, avail)
 		}
 	}
-	if PassByName("licn") != nil {
-		t.Error("PassByName returned a pass for an unknown name")
-	}
-	if PassByName("licm") == nil {
-		t.Error("PassByName misses a registered name")
+	if p, err := LookupPass("licm"); err != nil || p.Name() != "licm" {
+		t.Errorf("LookupPass(licm) = %v, %v", p, err)
 	}
 }
 
@@ -74,12 +71,11 @@ func TestPreservedDeclarations(t *testing.T) {
 		"inline":       false,
 		"loopunswitch": false,
 	} {
-		pi, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("missing %q", name)
+		if _, err := LookupPass(name); err != nil {
+			t.Fatalf("missing %q: %v", name, err)
 		}
-		if got := pi.Preserves == PreservesAll; got != wantAll {
-			t.Errorf("%s preserves %v, want all=%v", name, pi.Preserves, wantAll)
+		if got := Preserved(name) == PreservesAll; got != wantAll {
+			t.Errorf("%s preserves %v, want all=%v", name, Preserved(name), wantAll)
 		}
 	}
 }

@@ -137,9 +137,8 @@ loop:
 }`)
 		opts := core.FreezeOptions()
 		opts.Fuel = 3000
-		p := core.Compile(fn, opts)
 		src := &countingSource{Source: rand.NewSource(1)}
-		out := p.Exec([]core.Value{core.VC(ir.I2, 1)}, &core.RandOracle{Rng: rand.New(src)})
+		out := core.Exec(fn, []core.Value{core.VC(ir.I2, 1)}, &core.RandOracle{Rng: rand.New(src)}, opts)
 		// Entry takes one step, then three per iteration.
 		if want := (opts.Fuel - 1) / 3; out.Kind != core.OutTimeout || src.draws < want {
 			t.Errorf("outcome %s after %d oracle draws; want a timeout after %d", out, src.draws, want)

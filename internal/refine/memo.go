@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"hash/maphash"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -13,7 +12,8 @@ import (
 )
 
 // Memo caches behaviour sets across refinement checks, keyed by the
-// canonical (function, semantics, input vector) triple.
+// canonical (function, semantics) pair and the input vector's ordinal
+// in Check's deterministic input enumeration.
 //
 // The traffic it serves is lopsided. A campaign never repeats a
 // source: every candidate's text is new, so a source's sets can only
@@ -27,8 +27,8 @@ import (
 //     input), in per-slot arrays reused from check to check, and
 //     answers repeat lookups of a slot's function from there.
 //   - A function is published to the shared index only when it comes
-//     back: in a later Check of the same session (a candidate checked
-//     against several transforms), as the other side of the same Check
+//     back: in a later Check of the same session (one function checked
+//     against several targets), as the other side of the same Check
 //     (target text equal to source), or as a key whose hash the
 //     doorkeeper recorded at an earlier sighting anywhere in the
 //     process. Publishing copies what the slot already derived, so
@@ -65,8 +65,8 @@ type Memo struct {
 	clock *clock[evictRef]
 	door  doorkeeper
 	seed  maphash.Seed
-	// private recycles the sessions Check and Behaviors create for
-	// callers that bring none.
+	// private recycles the sessions Check creates for callers that
+	// bring none.
 	private sync.Pool
 
 	hits, lookups, sessionReuse, admissions atomic.Uint64
@@ -77,14 +77,12 @@ type Memo struct {
 const memoShardCount = 64
 
 type memoFuncEntry struct {
-	mu   *sync.Mutex // home stripe lock; guards all mutable state below
-	key  string      // the index key, for removal
-	sets map[string]*strSet
-	// byIdx is the level Check uses, keyed by the input vector's
-	// ordinal in Check's deterministic enumeration and sized from the
-	// Check's input count. Sound because the key pins everything the
-	// sequence depends on: the parameter types (via the function text)
-	// and the source mode.
+	mu  *sync.Mutex // home stripe lock; guards all mutable state below
+	key string      // the index key, for removal
+	// byIdx holds the sets by the input vector's ordinal in Check's
+	// deterministic enumeration, sized from the Check's input count.
+	// Sound because the key pins everything the sequence depends on:
+	// the parameter types (via the function text) and the source mode.
 	byIdx []idxSet
 	// resident counts the sets admitted to the clock and not yet
 	// evicted. When it drops to zero the entry leaves the index and
@@ -99,17 +97,10 @@ type idxSet struct {
 	ref bool // clock reference bit, set on hit
 }
 
-type strSet struct {
-	set BehaviorSet
-	ref bool
-}
-
-// evictRef locates one admitted behaviour set for the clock sweep.
-// ordinal < 0 means the string-keyed level addressed by key; otherwise
-// byIdx[ordinal].
+// evictRef locates one admitted behaviour set for the clock sweep:
+// entry.byIdx[ordinal].
 type evictRef struct {
 	entry   *memoFuncEntry
-	key     string
 	ordinal int
 }
 
@@ -157,11 +148,9 @@ type memoOpts struct {
 }
 
 // memoRef carries a resolved slot from lookup to store so the key work
-// is not repeated on the put path. ordinal < 0 means the string-keyed
-// level addressed by argsKey; otherwise the ordinal-indexed one.
+// is not repeated on the put path.
 type memoRef struct {
 	slot    *memoSlot
-	argsKey string
 	ordinal int
 }
 
@@ -230,7 +219,7 @@ func (m *Memo) release(s *MemoSession) {
 	m.private.Put(s)
 }
 
-// begin starts a Check (or a Behaviors call) over n inputs.
+// begin starts a Check over n inputs.
 func (s *MemoSession) begin(n int) {
 	s.check++
 	s.n = n
@@ -250,8 +239,7 @@ func (s *MemoSession) end() {
 // behaviour set (and Check's ordinal enumeration) depends on is in
 // here. srcMode and inputBits must be part of the rendered key, not
 // just the slot's opts: they steer Check's input enumeration, so the
-// byIdx ordinal space is only stable within one (srcMode, inputBits)
-// regime.
+// ordinal space is only stable within one (srcMode, inputBits) regime.
 func appendMemoFuncKey(b []byte, fn *ir.Func, mo memoOpts) []byte {
 	o := mo.opts
 	for _, u := range [...]uint64{uint64(o.Mode), uint64(o.BranchPoison), uint64(o.SelectPoisonCond)} {
@@ -279,16 +267,6 @@ func memoOptsOf(opts core.Options, cfg Config) memoOpts {
 		maxExecs:   cfg.MaxExecs,
 		fuel:       cfg.Fuel,
 	}
-}
-
-func argsKey(args []core.Value) string {
-	var b strings.Builder
-	b.Grow(len(args) * 8)
-	for _, a := range args {
-		b.WriteString(a.Key())
-		b.WriteByte('\x00')
-	}
-	return b.String()
 }
 
 // slotFor resolves fn's identity slot, taking over the least recently
@@ -382,48 +360,28 @@ func (s *MemoSession) publish(sl *memoSlot, ordinal int, set BehaviorSet) {
 	}
 }
 
-// lookup resolves (fn, args, opts, cfg); ok reports a hit. The
-// returned ref is passed to store to cache a freshly computed set.
-// ordinal, when non-negative, is the input vector's position in
-// Check's deterministic enumeration and selects the slice-indexed
-// level, whose hot path does no string work at all; pass -1 when no
-// such ordinal exists.
-func (s *MemoSession) lookup(fn *ir.Func, args []core.Value, ordinal int, opts core.Options, cfg Config) (memoRef, BehaviorSet, bool) {
+// lookup resolves fn's set for the input vector at ordinal, its
+// position in Check's deterministic enumeration, under (opts, cfg); ok
+// reports a hit. The hot path does no string work at all. The returned
+// ref is passed to store to cache a freshly computed set.
+func (s *MemoSession) lookup(fn *ir.Func, ordinal int, opts core.Options, cfg Config) (memoRef, BehaviorSet, bool) {
 	s.lookups++
 	sl := s.slotFor(fn, memoOptsOf(opts, cfg))
 	ref := memoRef{slot: sl, ordinal: ordinal}
-	if ordinal >= 0 {
-		if ordinal < len(sl.have) && sl.have[ordinal] {
-			s.hits++
-			s.reuse++
-			return ref, sl.sets[ordinal], true
-		}
-		if e := sl.entry; e != nil {
-			e.mu.Lock()
-			if !e.dead && ordinal < len(e.byIdx) && e.byIdx[ordinal].ok {
-				x := &e.byIdx[ordinal]
-				x.ref = true
-				set := x.set
-				e.mu.Unlock()
-				s.hits++
-				s.keep(sl, ordinal, set)
-				return ref, set, true
-			}
-			e.mu.Unlock()
-		}
-		return ref, BehaviorSet{}, false
+	if ordinal < len(sl.have) && sl.have[ordinal] {
+		s.hits++
+		s.reuse++
+		return ref, sl.sets[ordinal], true
 	}
-	if !sl.admitted {
-		return ref, BehaviorSet{}, false
-	}
-	ref.argsKey = argsKey(args)
 	if e := sl.entry; e != nil {
 		e.mu.Lock()
-		if x := e.sets[ref.argsKey]; x != nil && !e.dead {
+		if !e.dead && ordinal < len(e.byIdx) && e.byIdx[ordinal].ok {
+			x := &e.byIdx[ordinal]
 			x.ref = true
 			set := x.set
 			e.mu.Unlock()
 			s.hits++
+			s.keep(sl, ordinal, set)
 			return ref, set, true
 		}
 		e.mu.Unlock()
@@ -438,22 +396,9 @@ func (s *MemoSession) store(ref memoRef, set BehaviorSet) {
 		return
 	}
 	sl := ref.slot
-	if ref.ordinal >= 0 {
-		s.keep(sl, ref.ordinal, set)
-		if sl.admitted {
-			s.publish(sl, ref.ordinal, set)
-		}
-		return
-	}
-	if !sl.admitted {
-		return
-	}
-	e := s.m.lockEntry(sl.entry, sl.key, s.n)
-	sl.entry = e
-	ok := e.putKey(ref.argsKey, set)
-	e.mu.Unlock()
-	if ok {
-		s.m.admit(evictRef{entry: e, key: ref.argsKey, ordinal: -1})
+	s.keep(sl, ref.ordinal, set)
+	if sl.admitted {
+		s.publish(sl, ref.ordinal, set)
 	}
 }
 
@@ -480,9 +425,9 @@ func (m *Memo) lockEntry(e *memoFuncEntry, key []byte, n int) *memoFuncEntry {
 	}
 }
 
-// putIdx installs an ordinal-indexed set unless one is there already
-// (another session raced the same computation), reporting whether it
-// did. Caller holds the entry's stripe lock.
+// putIdx installs a set unless one is there already (another session
+// raced the same computation), reporting whether it did. Caller holds
+// the entry's stripe lock.
 func (e *memoFuncEntry) putIdx(ordinal int, set BehaviorSet) bool {
 	if ordinal >= len(e.byIdx) {
 		e.byIdx = append(e.byIdx, make([]idxSet, ordinal+1-len(e.byIdx))...)
@@ -491,19 +436,6 @@ func (e *memoFuncEntry) putIdx(ordinal int, set BehaviorSet) bool {
 		return false
 	}
 	e.byIdx[ordinal] = idxSet{set: set, ok: true}
-	e.resident++
-	return true
-}
-
-// putKey is putIdx for the string-keyed level.
-func (e *memoFuncEntry) putKey(key string, set BehaviorSet) bool {
-	if _, dup := e.sets[key]; dup {
-		return false
-	}
-	if e.sets == nil {
-		e.sets = make(map[string]*strSet)
-	}
-	e.sets[key] = &strSet{set: set}
 	e.resident++
 	return true
 }
@@ -534,33 +466,18 @@ func (m *Memo) admit(r evictRef) {
 // deref reports whether the referenced set was recently hit, clearing
 // the reference bit. Caller holds the entry's stripe lock.
 func (e *memoFuncEntry) deref(v evictRef) bool {
-	if v.ordinal >= 0 {
-		if v.ordinal >= len(e.byIdx) || !e.byIdx[v.ordinal].ref {
-			return false
-		}
-		e.byIdx[v.ordinal].ref = false
-		return true
-	}
-	s := e.sets[v.key]
-	if s == nil || !s.ref {
+	if v.ordinal >= len(e.byIdx) || !e.byIdx[v.ordinal].ref {
 		return false
 	}
-	s.ref = false
+	e.byIdx[v.ordinal].ref = false
 	return true
 }
 
 // remove drops the referenced set. Caller holds the entry's stripe
 // lock.
 func (e *memoFuncEntry) remove(v evictRef) {
-	if v.ordinal >= 0 {
-		if v.ordinal < len(e.byIdx) && e.byIdx[v.ordinal].ok {
-			e.byIdx[v.ordinal] = idxSet{}
-			e.resident--
-		}
-		return
-	}
-	if _, ok := e.sets[v.key]; ok {
-		delete(e.sets, v.key)
+	if v.ordinal < len(e.byIdx) && e.byIdx[v.ordinal].ok {
+		e.byIdx[v.ordinal] = idxSet{}
 		e.resident--
 	}
 }

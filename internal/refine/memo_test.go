@@ -121,7 +121,16 @@ func TestMemoHitsOnRepeatedCheck(t *testing.T) {
 // session admits it on its first lookup: the state the direct
 // lookup/store tests below start from.
 func prime(m *Memo, fn *ir.Func, opts core.Options, cfg Config) {
-	m.NewSession().lookup(fn, nil, -1, opts, cfg)
+	m.NewSession().lookup(fn, 0, opts, cfg)
+}
+
+// shared reports whether m's shared index answers fn's set at ordinal.
+// It probes through a fresh session, because a session's own slots
+// keep answering after the index evicts a set; a hit sets the set's
+// clock reference bit, as any hit does.
+func shared(m *Memo, fn *ir.Func, ordinal int, opts core.Options, cfg Config) bool {
+	_, _, ok := m.NewSession().lookup(fn, ordinal, opts, cfg)
+	return ok
 }
 
 // TestMemoEvictsWhenFull: a full memo admits new sets by evicting cold
@@ -134,22 +143,20 @@ func TestMemoEvictsWhenFull(t *testing.T) {
 	cfg := DefaultConfig(opts, opts)
 	prime(m, fn, opts, cfg)
 
-	a := []core.Value{core.VC(ir.Int(2), 0)}
-	b := []core.Value{core.VC(ir.Int(2), 1)}
-	refA, _, _ := s.lookup(fn, a, -1, opts, cfg)
-	s.store(refA, BehaviorSet{})
-	refB, _, _ := s.lookup(fn, b, -1, opts, cfg)
-	s.store(refB, BehaviorSet{})
+	for ordinal := 0; ordinal < 2; ordinal++ {
+		ref, _, _ := s.lookup(fn, ordinal, opts, cfg)
+		s.store(ref, BehaviorSet{})
+	}
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (capacity)", m.Len())
 	}
 	if m.Evictions() != 1 {
 		t.Errorf("Evictions = %d, want 1", m.Evictions())
 	}
-	if _, _, ok := s.lookup(fn, a, -1, opts, cfg); ok {
+	if shared(m, fn, 0, opts, cfg) {
 		t.Error("cold entry survived eviction")
 	}
-	if _, _, ok := s.lookup(fn, b, -1, opts, cfg); !ok {
+	if !shared(m, fn, 1, opts, cfg) {
 		t.Error("newly admitted entry missing")
 	}
 }
@@ -164,27 +171,25 @@ func TestMemoSecondChance(t *testing.T) {
 	cfg := DefaultConfig(opts, opts)
 	prime(m, fn, opts, cfg)
 
-	vals := [][]core.Value{
-		{core.VC(ir.Int(2), 0)},
-		{core.VC(ir.Int(2), 1)},
-		{core.VC(ir.Int(2), 2)},
-	}
-	for _, v := range vals[:2] {
-		ref, _, _ := s.lookup(fn, v, -1, opts, cfg)
+	for ordinal := 0; ordinal < 2; ordinal++ {
+		ref, _, _ := s.lookup(fn, ordinal, opts, cfg)
 		s.store(ref, BehaviorSet{})
 	}
 	// Touch the first set so its reference bit protects it.
-	if _, _, ok := s.lookup(fn, vals[0], -1, opts, cfg); !ok {
+	if !shared(m, fn, 0, opts, cfg) {
 		t.Fatal("warm entry missing before eviction")
 	}
-	ref, _, _ := s.lookup(fn, vals[2], -1, opts, cfg)
+	ref, _, _ := s.lookup(fn, 2, opts, cfg)
 	s.store(ref, BehaviorSet{})
 
-	if _, _, ok := s.lookup(fn, vals[0], -1, opts, cfg); !ok {
+	if !shared(m, fn, 0, opts, cfg) {
 		t.Error("recently hit set was evicted despite its second chance")
 	}
-	if _, _, ok := s.lookup(fn, vals[1], -1, opts, cfg); ok {
+	if shared(m, fn, 1, opts, cfg) {
 		t.Error("cold set survived; clock should have chosen it as victim")
+	}
+	if !shared(m, fn, 2, opts, cfg) {
+		t.Error("newly admitted set missing")
 	}
 }
 
@@ -197,7 +202,7 @@ func TestMemoSkipsIncomplete(t *testing.T) {
 	opts := core.FreezeOptions()
 	cfg := DefaultConfig(opts, opts)
 	prime(m, fn, opts, cfg)
-	ref, _, _ := s.lookup(fn, nil, -1, opts, cfg)
+	ref, _, _ := s.lookup(fn, 0, opts, cfg)
 	s.store(ref, BehaviorSet{Incomplete: true})
 	if m.Len() != 0 {
 		t.Error("incomplete set was cached")
@@ -316,6 +321,33 @@ func TestMemoSeenOnceNeverResident(t *testing.T) {
 	}
 }
 
+// TestBehaviorsIgnoresMemo: Behaviors never consults the memo, whose
+// sets are keyed by Check's input ordinals, and returns the set a
+// memo-free call returns, with or without a session.
+func TestBehaviorsIgnoresMemo(t *testing.T) {
+	fn := ir.MustParseFunc(memoPairs[2].src)
+	for _, opts := range []core.Options{
+		core.FreezeOptions(),
+		core.LegacyOptions(core.BranchPoisonNondet),
+	} {
+		cfg := DefaultConfig(opts, opts)
+		args := []core.Value{core.VPoison(ir.I2)}
+		want := Behaviors(fn, args, opts, cfg)
+		cfg.Memo = NewMemo(0)
+		for round := 0; round < 3; round++ {
+			if round == 2 {
+				cfg.Session = cfg.Memo.NewSession()
+			}
+			if got := Behaviors(fn, args, opts, cfg); !reflect.DeepEqual(got, want) {
+				t.Errorf("mode=%v round=%d: %s with a memo, %s without", opts.Mode, round, got, want)
+			}
+		}
+		if n := cfg.Memo.Lookups(); n != 0 {
+			t.Errorf("mode=%v: Behaviors made %d memo lookups, want 0", opts.Mode, n)
+		}
+	}
+}
+
 // checkExecs runs Check and returns the executions it performed.
 func checkExecs(src, tgt *ir.Func, cfg Config) uint64 {
 	var m CheckMetrics
@@ -342,7 +374,7 @@ func TestMemoSameTextSidesDeriveOnce(t *testing.T) {
 }
 
 // TestMemoFiveTransformsDeriveSourceOnce: a candidate checked against
-// five transforms through one session derives its source sets once.
+// five targets through one session derives its source sets once.
 // Every target verifies, so each Check sweeps every input.
 func TestMemoFiveTransformsDeriveSourceOnce(t *testing.T) {
 	opts := core.FreezeOptions()

@@ -35,8 +35,8 @@ type CheckMetrics struct {
 	// void flag.
 	SetSize telemetry.LocalHist
 
-	// Compiles counts the programs Check and Behaviors compiled: a side
-	// is compiled on its first memo miss, so this is scheduling-
+	// Compiles counts the programs Check and Behaviors compiled. Check
+	// compiles a side on its first memo miss, so this is scheduling-
 	// dependent whenever the memo is shared, like the computed/memo-hit
 	// split.
 	Compiles uint64

@@ -112,12 +112,13 @@ type Config struct {
 	// ordinals depend on the input enumeration this governs.
 	ExhaustiveInputBits uint
 
-	// Memo, when non-nil, caches behaviour sets by canonical
-	// (function, semantics, input) key so structurally identical
-	// candidates skip re-computation. A memo hit never changes a
-	// verdict (keys are full canonical strings, not hashes). One Memo
-	// may be shared by every worker of a campaign; each goroutine must
-	// then also carry its own Session.
+	// Memo, when non-nil, lets Check cache behaviour sets by canonical
+	// (function, semantics) key and input ordinal, so structurally
+	// identical candidates skip re-computation. A memo hit never
+	// changes a verdict (keys are full canonical strings, not hashes).
+	// One Memo may be shared by every worker of a campaign; each
+	// goroutine must then also carry its own Session. Behaviors
+	// ignores it.
 	Memo *Memo
 
 	// Session is this goroutine's handle on Memo. Check creates a
@@ -135,7 +136,9 @@ type Config struct {
 	// Interpret forces the legacy tree-walking interpreter instead of
 	// the compiled engine. The two are behaviourally identical
 	// (TestCompiledMatchesInterpreter); the switch exists for the
-	// tame-bench twin-row comparison and as an escape hatch.
+	// tools' -interp parity runs (make ci-workload cmps a campaign
+	// across the two engines) and for replaying a counterexample on
+	// the reference semantics.
 	Interpret bool
 
 	// Metrics, when non-nil, accumulates validator counters (checks,
@@ -176,21 +179,15 @@ func DefaultConfig(srcOpts, tgtOpts core.Options) Config {
 }
 
 // Behaviors computes the behaviour set of fn on args by exhaustive
-// oracle enumeration, consulting cfg.Memo first when one is set. On a
-// miss the function is compiled once (core.Compile) and the resulting
-// program's frame and memory are reused across the whole sweep; set
-// cfg.Interpret to force the legacy interpreter instead.
+// oracle enumeration. The function is compiled once (core.Compile) and
+// the resulting program's frame and memory are reused across the whole
+// sweep; set cfg.Interpret to force the legacy interpreter instead.
+// It never consults cfg.Memo, which keys sets by an input's ordinal in
+// Check's enumeration: a lone input vector has none.
 func Behaviors(fn *ir.Func, args []core.Value, opts core.Options, cfg Config) BehaviorSet {
-	if cfg.Memo != nil && cfg.Session == nil {
-		cfg.Session = cfg.Memo.acquire()
-		defer cfg.Memo.release(cfg.Session)
-	}
-	if s := cfg.Session; s != nil {
-		s.begin(0)
-		defer s.end()
-	}
+	cfg.Memo, cfg.Session = nil, nil // so the ordinal below is unused
 	sd := side{fn: fn, opts: opts}
-	set := behaviorsAt(&sd, args, -1, cfg, "")
+	set := behaviorsAt(&sd, args, 0, cfg, "")
 	sd.foldEngine(cfg.Metrics)
 	return set
 }
@@ -232,10 +229,9 @@ func (sd *side) foldEngine(m *CheckMetrics) {
 // behaviorsAt is the enumeration core: it sweeps the oracle through
 // every resolution of nondeterminism, executing on sd's executor
 // (compiled here on the side's first miss) unless cfg.Interpret
-// selects the tree-walking interpreter. ordinal, when non-negative, is
-// the input vector's position in Check's deterministic enumeration,
-// unlocking the memo's string-free fast path; -1 means "unknown". Memo
-// traffic goes through cfg.Session (the public entry points create one
+// selects the tree-walking interpreter. ordinal is the input vector's
+// position in Check's deterministic enumeration, which keys the set in
+// the memo. Memo traffic goes through cfg.Session (Check creates one
 // from cfg.Memo when needed). phase, when not empty, names the span
 // that times the call on cfg.Trace; a compile gets its own span,
 // outside it, so the two never overlap.
@@ -249,7 +245,7 @@ func behaviorsAt(sd *side, args []core.Value, ordinal int, cfg Config, phase str
 	if cfg.Session != nil {
 		var set BehaviorSet
 		var ok bool
-		memoRef, set, ok = cfg.Session.lookup(fn, args, ordinal, opts, cfg)
+		memoRef, set, ok = cfg.Session.lookup(fn, ordinal, opts, cfg)
 		if ok {
 			cfg.Metrics.observe(set, true, 0)
 			if cfg.BehaviorHook != nil {

@@ -119,15 +119,6 @@ func NewRecorder(capacity int) *Recorder {
 	return r
 }
 
-// Now returns the current time as nanoseconds since the recorder's
-// epoch — the TS an event emitted now would carry.
-func (r *Recorder) Now() int64 {
-	if r == nil {
-		return 0
-	}
-	return time.Since(r.epoch).Nanoseconds()
-}
-
 // SetTrackName labels a track; exported as a thread_name metadata
 // record so Perfetto shows "shard 3" instead of a bare tid.
 func (r *Recorder) SetTrackName(track int, name string) {
