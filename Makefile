@@ -51,6 +51,9 @@ check: build vet test race
 # The same check bounds the programs compiled per check at 1.5: a side
 # whose sets are all in the memo is never compiled, so a change that
 # compiles both sides of every check again (2 per check) fails too.
+# It also bounds memo lookups at one per input: sources never repeat,
+# so only the target consults the memo, and a change that looks
+# sources up again (2 per input) fails.
 # The JSON twin of that snapshot lands in the git-ignored ci-bench/
 # for the workflow artifact, and a negative control reads it back with a
 # clause that must fail (a failure counter above zero), so an
@@ -83,7 +86,7 @@ ci: vet test
 	$(GO) test -race -run 'TelemetryRaceStress' ./internal/telemetry
 	mkdir -p ci-bench
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics - \
-	  | $(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total,campaign_verified_total,check_checks_total,check_inputs_total,check_set_size,engine_steps_total,engine_execs_closure_total>0,engine_merge_exits_total>0,memo_lookups_total,check_compiles_total/check_checks_total<=1.5,pool_tasks_total,pass_runs_total,opt_funcs_total,analysis_computes_total,span_wall_ns,verify_each_checks_total>0,verify_each_failures_total=0'
+	  | $(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total,campaign_verified_total,check_checks_total,check_inputs_total,check_set_size,engine_steps_total,engine_execs_closure_total>0,engine_merge_exits_total>0,memo_lookups_total,memo_lookups_total/check_inputs_total<=1,check_compiles_total/check_checks_total<=1.5,pool_tasks_total,pass_runs_total,opt_funcs_total,analysis_computes_total,span_wall_ns,verify_each_checks_total>0,verify_each_failures_total=0'
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics ci-bench/metrics-snapshot.json
 	! $(GO) run ./cmd/tame-metrics -check 'verify_each_failures_total>0' ci-bench/metrics-snapshot.json
 	$(GO) run ./cmd/tame-fuzz -validate -sem legacy -unsound -instrs 2 -n 2000 -workers 2 -metrics - \

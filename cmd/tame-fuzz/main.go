@@ -207,10 +207,6 @@ func runCampaign(fl campaignFlags) {
 
 	gen := genConfig(fl.instrs, fl.n, fl.width, opts.Mode)
 
-	memoEntries := 0
-	if fl.noMemo {
-		memoEntries = -1
-	}
 	rcfg := refine.DefaultConfig(opts, opts)
 	rcfg.Interpret = fl.interp
 	var src optfuzz.Source
@@ -269,7 +265,7 @@ func runCampaign(fl campaignFlags) {
 		Pipeline:    pm,
 		PipelineCfg: pcfg,
 		Workers:     fl.workers,
-		MemoEntries: memoEntries,
+		NoMemo:      fl.noMemo,
 		Reduce:      fl.reduce,
 		Seed:        fl.seed,
 	}
@@ -388,8 +384,8 @@ func runCampaign(fl campaignFlags) {
 		// above includes cross-shard hits: one worker's derivation
 		// serves every other worker's structurally identical candidate.
 		fmt.Fprintf(os.Stderr,
-			"tame-fuzz: shared memo across %d workers: %d sets resident, %d evictions (second-chance clock); admission on repeat: %d functions admitted, %d session-slot hits, %d doorkeeper entries\n",
-			fl.workers, st.MemoSets, st.MemoEvictions, st.MemoAdmissions, st.MemoSessionReuse, st.MemoDoorkeeper)
+			"tame-fuzz: shared memo across %d workers: %d sets resident, %d evictions (second-chance clock); admission on repeat: %d functions admitted, %d doorkeeper entries\n",
+			fl.workers, st.MemoSets, st.MemoEvictions, st.MemoAdmissions, st.MemoDoorkeeper)
 	}
 	if fl.optStats {
 		st.Opt.Emit(os.Stderr, true, true)

@@ -22,6 +22,9 @@ func FuzzParseModule(f *testing.F) {
 		"; comment\ndefine i64 @f(i64 %x) {\nentry:\n  %s = sext i64...", // malformed on purpose
 		"define i32 @f() { entry:\n %x = phi i32 [ 1, %entry ]\n ret i32 %x }",
 	}
+	for _, tc := range parseErrorCases {
+		seeds = append(seeds, tc.src)
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}

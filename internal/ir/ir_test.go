@@ -220,25 +220,148 @@ ok:
 	}
 }
 
+// parseErrorCases are malformed modules and the exact error each must
+// produce: the offending token's line:col, and for a name that is used
+// but never defined, its first use in source order. FuzzParseModule
+// seeds from them too.
+var parseErrorCases = []struct {
+	name, src, wantErr string
+}{
+	{
+		name:    "missing operand",
+		src:     "define i32 @f() {\nentry:\n  %x = add i32 1\n}",
+		wantErr: `ir: line 4:1: expected ",", got "}"`,
+	},
+	{
+		name:    "undefined value",
+		src:     "define i32 @f() {\nentry:\n  ret i32 %nosuch\n}",
+		wantErr: "ir: line 3:11: undefined value %nosuch in @f",
+	},
+	{
+		name:    "first of three undefined values",
+		src:     "define i2 @f(i2 %a) {\nentry:\n  %x = add i2 %u, %v\n  %y = add i2 %x, %w\n  ret i2 %y\n}",
+		wantErr: "ir: line 3:15: undefined value %u in @f",
+	},
+	{
+		name:    "undefined block",
+		src:     "define void @f() {\nentry:\n  br label %nosuch\n}",
+		wantErr: "ir: line 3:12: undefined block %nosuch in @f",
+	},
+	{
+		name:    "first of two undefined blocks",
+		src:     "define void @f(i1 %c) {\nentry:\n  br i1 %c, label %b2, label %b1\n}",
+		wantErr: "ir: line 3:19: undefined block %b2 in @f",
+	},
+	{
+		name:    "unnamed undefined block",
+		src:     "define void @f() {\nentry:\n  br label %\n}",
+		wantErr: "ir: line 3:12: undefined block % in @f",
+	},
+	{
+		name:    "branch target without %",
+		src:     "define void @f(i1 %c) {\nentry:\n  br i1 %c, label a, label %a\na:\n  ret void\n}",
+		wantErr: `ir: line 3:19: expected block label, got "a"`,
+	},
+	{
+		name:    "unknown opcode",
+		src:     "define i32 @f() {\nentry:\n  %x = bogus i32 1\n  ret i32 %x\n}",
+		wantErr: `ir: line 3:8: unknown opcode "bogus"`,
+	},
+	{
+		name:    "unknown icmp predicate",
+		src:     "define i1 @f() {\nentry:\n  %x = icmp zz i32 1, 2\n  ret i1 %x\n}",
+		wantErr: `ir: line 3:13: unknown icmp predicate "zz"`,
+	},
+	{
+		name:    "init bytes exceed global size",
+		src:     "@g = global 2 init 1 2 3",
+		wantErr: "ir: line 1:13: global @g: 3 init bytes exceed size 2",
+	},
+	{
+		name:    "call to undefined function",
+		src:     "define i32 @f() {\nentry:\n  %r = call i32 @nope()\n  ret i32 %r\n}",
+		wantErr: "ir: line 3:17: call to undefined function @nope",
+	},
+	{
+		name:    "call return type mismatch",
+		src:     "define i8 @g() {\nentry:\n  ret i8 0\n}\ndefine i32 @f() {\nentry:\n  %r = call i32 @g()\n  ret i32 %r\n}",
+		wantErr: "ir: line 7:17: call return type i32 does not match @g's i8",
+	},
+	{
+		name:    "EOF in function body",
+		src:     "define i32 @f() {\nentry:\n  ret i32 0",
+		wantErr: "ir: line 3:12: unexpected EOF in function body",
+	},
+	{
+		name:    "redefinition",
+		src:     "define i32 @f() {\nentry:\n  %x = add i32 1, 2\n  %x = add i32 %x, 2\n  ret i32 %x\n}",
+		wantErr: "ir: line 4:3: redefinition of %x",
+	},
+	{
+		name:    "duplicate block label",
+		src:     "define void @f() {\nentry:\n  br label %a\na:\n  br label %a\na:\n  ret void\n}",
+		wantErr: `ir: line 6:1: duplicate block label "a"`,
+	},
+	{
+		name:    "unnamed result",
+		src:     "define i32 @f() {\nentry:\n  add i32 1, 2\n  ret i32 0\n}",
+		wantErr: "ir: line 3:3: add result must be named",
+	},
+	{
+		name:    "named void result",
+		src:     "define void @f(ptr %p) {\nentry:\n  %s = store i32 1, ptr %p\n  ret void\n}",
+		wantErr: "ir: line 3:8: store produces no result but is named %s",
+	},
+	{
+		name:    "zero-length vector",
+		src:     "define <0 x i8> @f() {\nentry:\n  ret <0 x i8> poison\n}",
+		wantErr: `ir: line 1:9: bad vector length "0"`,
+	},
+	{
+		name:    "unsupported bitwidth",
+		src:     "define i99x @f() {\nentry:\n  ret void\n}",
+		wantErr: `ir: line 1:8: unsupported bitwidth in "i99x"`,
+	},
+	{
+		name:    "undefined global",
+		src:     "define i8 @f() {\nentry:\n  %v = load i8, ptr @nope\n  ret i8 %v\n}",
+		wantErr: "ir: line 3:21: undefined global @nope",
+	},
+	{
+		name:    "declaration",
+		src:     "declare i32 @f()",
+		wantErr: `ir: line 1:1: expected 'define' or global, got "declare"`,
+	},
+}
+
+// TestParseErrors parses every malformed module repeatedly: the error
+// must be exact and the same every time, whatever order the parser's
+// maps iterate in.
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"define i32 @f() { entry:\n ret i64 0 }",                          // checked by verify, not parse: skip marker below
-		"define i32 @f() { entry:\n %x = add i32 1 }",                     // missing second operand
-		"define i32 @f() { entry:\n ret i32 %nosuch }",                    // undefined value
-		"define i32 @f() { entry:\n br label %nosuch }",                   // undefined block
-		"define i32 @f() { entry:\n %x = bogus i32 1 }",                   // unknown opcode
-		"define i32 @f() { entry:\n %x = icmp zz i32 1, 2\n ret i32 0 }",  // bad predicate
-		"@g = global 2 init 1 2 3",                                        // init exceeds size
-		"define i32 @f() { entry:\n %r = call i32 @nope()\n ret i32 %r }", // unresolved call
-	}
-	for i, src := range cases {
-		m, err := ParseModule(src)
-		if err == nil {
-			// The first case parses fine; it must then fail verification.
-			if verr := VerifyModule(m, VerifyLegacy); verr == nil {
-				t.Errorf("case %d: parse and verify both succeeded for %q", i, src)
+	for _, tc := range parseErrorCases {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < 20; i++ {
+				_, err := ParseModule(tc.src)
+				if err == nil {
+					t.Fatalf("parse succeeded, want %q", tc.wantErr)
+				}
+				if err.Error() != tc.wantErr {
+					t.Fatalf("parse %d: error %q, want %q", i, err, tc.wantErr)
+				}
 			}
-		}
+		})
+	}
+}
+
+// TestParseAcceptsWhatVerifyRejects: a return of the wrong type is the
+// verifier's to reject, not the parser's.
+func TestParseAcceptsWhatVerifyRejects(t *testing.T) {
+	m, err := ParseModule("define i32 @f() { entry:\n ret i64 0 }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if VerifyModule(m, VerifyLegacy) == nil {
+		t.Error("verify accepted ret i64 in an i32 function")
 	}
 }
 

@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"unicode"
 )
 
@@ -61,26 +62,28 @@ const (
 	tokPunct // single char: , ( ) [ ] { } = : < >
 )
 
+// token is one lexeme and its byte offset in the source; errors turn
+// the offset into a line and column (lexer.position).
 type token struct {
 	kind tokKind
 	text string
-	line int
+	off  int
 }
 
 type lexer struct {
+	src  string
 	toks []token
 	pos  int
 }
 
 func newLexer(src string) *lexer {
 	var toks []token
-	line := 1
 	i := 0
+	tok := func(k tokKind, text string) token { return token{k, text, i} }
 	for i < len(src) {
 		c := src[i]
 		switch {
 		case c == '\n':
-			line++
 			i++
 		case c == ' ' || c == '\t' || c == '\r':
 			i++
@@ -97,29 +100,36 @@ func newLexer(src string) *lexer {
 			if c == '@' {
 				k = tokGlobal
 			}
-			toks = append(toks, token{k, src[i+1 : j], line})
+			toks = append(toks, tok(k, src[i+1:j]))
 			i = j
 		case c == '-' || (c >= '0' && c <= '9'):
 			j := i + 1
 			for j < len(src) && src[j] >= '0' && src[j] <= '9' {
 				j++
 			}
-			toks = append(toks, token{tokInt, src[i:j], line})
+			toks = append(toks, tok(tokInt, src[i:j]))
 			i = j
 		case isIdentChar(c):
 			j := i
 			for j < len(src) && isIdentChar(src[j]) {
 				j++
 			}
-			toks = append(toks, token{tokWord, src[i:j], line})
+			toks = append(toks, tok(tokWord, src[i:j]))
 			i = j
 		default:
-			toks = append(toks, token{tokPunct, string(c), line})
+			toks = append(toks, tok(tokPunct, string(c)))
 			i++
 		}
 	}
-	toks = append(toks, token{tokEOF, "", line})
-	return &lexer{toks: toks}
+	toks = append(toks, tok(tokEOF, ""))
+	return &lexer{src: src, toks: toks}
+}
+
+// position returns the line and byte column, both counted from 1, of
+// the source offset off.
+func (l *lexer) position(off int) (line, col int) {
+	before := l.src[:off]
+	return strings.Count(before, "\n") + 1, off - strings.LastIndexByte(before, '\n')
 }
 
 func isIdentChar(c byte) bool {
@@ -139,11 +149,13 @@ func (l *lexer) next() token {
 // --- parser ---
 
 // forwardRef stands in for a not-yet-defined local value during
-// parsing; it is patched out before parseFunc returns.
+// parsing; it is patched out before parseFunc returns. at is its
+// first reference, where an undefined value is reported.
 type forwardRef struct {
 	userTracker
 	ty   Type
 	name string
+	at   token
 }
 
 // Type implements Value with the type stated at the referencing use.
@@ -161,20 +173,24 @@ type parser struct {
 	vals   map[string]Value
 	fwd    map[string]*forwardRef
 	blocks map[string]*Block
+	// blockAt holds each block's first reference as an operand, where
+	// an undefined block is reported.
+	blockAt map[string]token
 
 	// calls to functions not yet defined are patched at module end.
 	pendingCalls []pendingCall
 }
 
 type pendingCall struct {
-	in     *Instr
-	callee string
-	retTy  Type
-	line   int
+	in    *Instr
+	at    token // the callee, @name
+	retTy Type
 }
 
+// errf reports an error at t's position.
 func (p *parser) errf(t token, format string, args ...any) error {
-	return fmt.Errorf("ir: line %d: %s", t.line, fmt.Sprintf(format, args...))
+	line, col := p.lex.position(t.off)
+	return fmt.Errorf("ir: line %d:%d: %s", line, col, fmt.Sprintf(format, args...))
 }
 
 func (p *parser) expectWord(w string) error {
@@ -231,13 +247,13 @@ func (p *parser) parseModule() error {
 
 func (p *parser) resolveCalls() error {
 	for _, pc := range p.pendingCalls {
-		f := p.mod.FuncByName(pc.callee)
+		f := p.mod.FuncByName(pc.at.text)
 		if f == nil {
-			return fmt.Errorf("ir: line %d: call to undefined function @%s", pc.line, pc.callee)
+			return p.errf(pc.at, "call to undefined function @%s", pc.at.text)
 		}
 		if !f.RetTy.Equal(pc.retTy) {
-			return fmt.Errorf("ir: line %d: call return type %s does not match @%s's %s",
-				pc.line, pc.retTy, pc.callee, f.RetTy)
+			return p.errf(pc.at, "call return type %s does not match @%s's %s",
+				pc.retTy, pc.at.text, f.RetTy)
 		}
 		pc.in.Callee = f
 	}
@@ -287,7 +303,7 @@ func (p *parser) parseType() (Type, error) {
 		p.lex.next()
 		ty, err := ParseType(t.text)
 		if err != nil {
-			return Type{}, p.errf(t, "%v", err)
+			return Type{}, p.errf(t, "%s", strings.TrimPrefix(err.Error(), "ir: "))
 		}
 		return ty, nil
 	}
@@ -325,7 +341,7 @@ func (p *parser) parseOperand(ty Type) (Value, error) {
 	switch {
 	case t.kind == tokLocal:
 		p.lex.next()
-		return p.localRef(t.text, ty), nil
+		return p.localRef(t, ty), nil
 	case t.kind == tokGlobal:
 		p.lex.next()
 		g := p.mod.GlobalByName(t.text)
@@ -411,16 +427,27 @@ func (p *parser) parseTypedOperand() (Value, error) {
 	return p.parseOperand(ty)
 }
 
-func (p *parser) localRef(name string, ty Type) Value {
-	if v, ok := p.vals[name]; ok {
+// localRef resolves the local value t names, standing in a forward
+// reference for one not yet defined.
+func (p *parser) localRef(t token, ty Type) Value {
+	if v, ok := p.vals[t.text]; ok {
 		return v
 	}
-	if r, ok := p.fwd[name]; ok {
+	if r, ok := p.fwd[t.text]; ok {
 		return r
 	}
-	r := &forwardRef{ty: ty, name: name}
-	p.fwd[name] = r
+	r := &forwardRef{ty: ty, name: t.text, at: t}
+	p.fwd[t.text] = r
 	return r
+}
+
+// blockOperand resolves the block a label operand t names, recording
+// the block's first reference.
+func (p *parser) blockOperand(t token) *Block {
+	if _, ok := p.blockAt[t.text]; !ok {
+		p.blockAt[t.text] = t
+	}
+	return p.blockRef(t.text)
 }
 
 func (p *parser) blockRef(name string) *Block {
@@ -447,6 +474,7 @@ func (p *parser) parseFunc() error {
 	p.vals = map[string]Value{}
 	p.fwd = map[string]*forwardRef{}
 	p.blocks = map[string]*Block{}
+	p.blockAt = map[string]token{}
 
 	if err := p.expectPunct("("); err != nil {
 		return err
@@ -520,21 +548,26 @@ func (p *parser) parseFunc() error {
 		}
 	}
 
-	for name := range p.fwd {
-		return fmt.Errorf("ir: undefined value %%%s in @%s", name, fn.Nam)
+	// Report the first reference, in source order, to a value or block
+	// that was never defined.
+	var undef *forwardRef
+	for _, r := range p.fwd {
+		if undef == nil || r.at.off < undef.at.off {
+			undef = r
+		}
 	}
-	// Referenced-but-never-defined blocks.
-	for name, b := range p.blocks {
-		found := false
-		for _, fb := range fn.Blocks {
-			if fb == b {
-				found = true
-				break
-			}
+	if undef != nil {
+		return p.errf(undef.at, "undefined value %%%s in @%s", undef.name, fn.Nam)
+	}
+	var undefBlock token
+	found := false
+	for name, t := range p.blockAt {
+		if !defined[name] && (!found || t.off < undefBlock.off) {
+			undefBlock, found = t, true
 		}
-		if !found {
-			return fmt.Errorf("ir: undefined block %%%s in @%s", name, fn.Nam)
-		}
+	}
+	if found {
+		return p.errf(undefBlock, "undefined block %%%s in @%s", undefBlock.text, fn.Nam)
 	}
 	p.mod.AddFunc(fn)
 	return nil
@@ -673,7 +706,7 @@ func (p *parser) parseInstrBody(op Op, opTok token) (*Instr, error) {
 				return nil, err
 			}
 			in.AddArg(v)
-			in.AddBlockArg(p.blockRef(bt.text))
+			in.AddBlockArg(p.blockOperand(bt))
 			if !p.acceptPunct(",") {
 				break
 			}
@@ -812,10 +845,10 @@ func (p *parser) parseInstrBody(op Op, opTok token) (*Instr, error) {
 		if p.acceptWord("label") {
 			bt := p.lex.next()
 			if bt.kind != tokLocal {
-				return nil, p.errf(bt, "expected block label")
+				return nil, p.errf(bt, "expected block label, got %q", bt.text)
 			}
 			in := NewInstr(OpBr, Void)
-			in.AddBlockArg(p.blockRef(bt.text))
+			in.AddBlockArg(p.blockOperand(bt))
 			return in, nil
 		}
 		cond, err := p.parseTypedOperand()
@@ -829,6 +862,9 @@ func (p *parser) parseInstrBody(op Op, opTok token) (*Instr, error) {
 			return nil, err
 		}
 		t1 := p.lex.next()
+		if t1.kind != tokLocal {
+			return nil, p.errf(t1, "expected block label, got %q", t1.text)
+		}
 		if err := p.expectPunct(","); err != nil {
 			return nil, err
 		}
@@ -836,9 +872,12 @@ func (p *parser) parseInstrBody(op Op, opTok token) (*Instr, error) {
 			return nil, err
 		}
 		t2 := p.lex.next()
+		if t2.kind != tokLocal {
+			return nil, p.errf(t2, "expected block label, got %q", t2.text)
+		}
 		in := NewInstr(OpBr, Void, cond)
-		in.AddBlockArg(p.blockRef(t1.text))
-		in.AddBlockArg(p.blockRef(t2.text))
+		in.AddBlockArg(p.blockOperand(t1))
+		in.AddBlockArg(p.blockOperand(t2))
 		return in, nil
 
 	case op == OpRet:
@@ -879,7 +918,7 @@ func (p *parser) parseInstrBody(op Op, opTok token) (*Instr, error) {
 			}
 			in.AddArg(a)
 		}
-		p.pendingCalls = append(p.pendingCalls, pendingCall{in: in, callee: ct.text, retTy: retTy, line: ct.line})
+		p.pendingCalls = append(p.pendingCalls, pendingCall{in: in, at: ct, retTy: retTy})
 		return in, nil
 	}
 	return nil, p.errf(opTok, "unhandled opcode %q", opTok.text)

@@ -26,8 +26,8 @@ import (
 // mutation fuzzer (NewMutationSource) and the sampled wide-bitwidth
 // sweep (NewWideSource) plug into the same engine. A
 // bounded worker pool runs the source's shards concurrently, each
-// worker with its own enumeration oracle and memo session, and results
-// are merged in shard order. The behaviour-set memo itself is ONE
+// worker with its own enumeration oracle, and results are merged in
+// shard order. The behaviour-set memo itself is ONE
 // concurrency-safe cache shared by all shards, so a candidate that
 // collapses to a form some other shard already explored is a lookup,
 // not a re-enumeration — cross-shard hits are a large fraction of the
@@ -55,9 +55,10 @@ type Campaign struct {
 	// so the checked candidate set does not depend on the worker count.
 	Source Source
 
-	// Refine configures the checker. Its Memo, Session and Oracle
-	// fields are ignored: the campaign supplies one shared memo plus a
-	// private session and oracle per shard.
+	// Refine configures the checker. Its Memo, Oracle and BehaviorHook
+	// fields are ignored: the campaign supplies one shared memo, a
+	// private oracle per shard, and for evolving sources the hook that
+	// derives coverage digests.
 	// Refine.Interpret is the campaign's engine switch: it flows into
 	// every shard's checker unchanged.
 	Refine refine.Config
@@ -78,9 +79,8 @@ type Campaign struct {
 	// serial.
 	Workers int
 
-	// MemoEntries bounds the campaign's shared behaviour-set memo. 0
-	// means refine.DefaultMemoEntries; negative disables memoization.
-	MemoEntries int
+	// NoMemo disables the campaign's shared behaviour-set memo.
+	NoMemo bool
 
 	// Reduce pushes every refuted finding through the automatic
 	// reducer before it is recorded or streamed: greedy instruction /
@@ -265,13 +265,11 @@ type Stats struct {
 	MemoEvictions uint64
 	MemoSets      int
 	// MemoAdmissions counts functions the memo published to its shared
-	// index because they came back; MemoSessionReuse counts the hits a
-	// worker's session answered from its own slots; MemoDoorkeeper is
-	// how many key hashes the admission doorkeeper held at the end.
-	// All three are scheduling-dependent like the counters above.
-	MemoAdmissions   uint64
-	MemoSessionReuse uint64
-	MemoDoorkeeper   int
+	// index because they came back; MemoDoorkeeper is how many key
+	// hashes the admission doorkeeper held at the end. Both are
+	// scheduling-dependent like the counters above.
+	MemoAdmissions uint64
+	MemoDoorkeeper int
 
 	// Opt merges the per-shard pass-manager statistics in shard order
 	// (nil unless the campaign ran an instrumented Pipeline).
@@ -504,8 +502,8 @@ func (c Campaign) Run() Stats {
 	}
 
 	var memo *refine.Memo
-	if c.MemoEntries >= 0 {
-		memo = refine.NewMemo(c.MemoEntries)
+	if !c.NoMemo {
+		memo = refine.NewMemo(0)
 	}
 
 	progress := newProgressSink(c.Progress, c.ProgressEvery, shards*epochs)
@@ -620,7 +618,6 @@ func (c Campaign) Run() Stats {
 		out.MemoEvictions = memo.Evictions()
 		out.MemoSets = memo.Len()
 		out.MemoAdmissions = memo.Admissions()
-		out.MemoSessionReuse = memo.SessionReuse()
 		out.MemoDoorkeeper = memo.DoorkeeperEntries()
 	}
 	out.Source = src.Name()
@@ -660,8 +657,8 @@ func (c Campaign) Run() Stats {
 
 // runShard enumerates one shard of one epoch, validating every
 // candidate against the campaign's pipeline. It owns all its mutable
-// state (oracle, memo session, pass-manager clone), so
-// distinct shards run concurrently without sharing.
+// state (oracle, pass-manager clone), so distinct shards run
+// concurrently without sharing.
 func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max int,
 	memo *refine.Memo, verifyMode ir.VerifyMode, streamer *findingStreamer,
 	progress *progressSink, shardScope, checkScope, passScope *telemetry.Scope,
@@ -690,10 +687,7 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 	rcfg := c.Refine
 	rcfg.Oracle = core.NewEnumOracle(rcfg.MaxChoices, rcfg.MaxFanout)
 	rcfg.Memo = memo
-	rcfg.Session = nil
-	if memo != nil {
-		rcfg.Session = memo.NewSession()
-	}
+	rcfg.BehaviorHook = nil
 	if checkScope != nil {
 		rcfg.Trace = checkScope
 	}
@@ -714,24 +708,19 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 	var st shardStats
 	rcfg.Metrics = &st.Check
 
+	// The reducer runs extra checks per finding; its configuration has
+	// no hook, which keeps them out of the candidate's coverage digest.
+	rrcfg := rcfg
 	// For evolving sources, fold every behaviour set the checker
 	// consumes into a per-candidate coverage digest. Memo hits return
 	// exactly the set enumeration would produce, so the digest is
 	// cache- and worker-independent.
-	userHook := rcfg.BehaviorHook
 	var digest uint64
 	if evolving != nil {
 		rcfg.BehaviorHook = func(b refine.BehaviorSet) {
 			digest = behaviorDigest(digest, b)
-			if userHook != nil {
-				userHook(b)
-			}
 		}
 	}
-	// The reducer runs extra checks per finding; keep them out of the
-	// candidate's coverage digest.
-	rrcfg := rcfg
-	rrcfg.BehaviorHook = userHook
 
 	idx := 0
 	_, truncated := src.Enumerate(s, max, func(f *ir.Func) bool {
@@ -876,7 +865,6 @@ func (c Campaign) publish(out Stats, shardRuns int, check *refine.CheckMetrics, 
 		reg.Counter("memo_evictions_total", telemetry.Scheduling, "shared-memo evictions").Add(out.MemoEvictions)
 		reg.Gauge("memo_sets", telemetry.Scheduling, "behaviour sets resident in the shared memo").Set(int64(out.MemoSets))
 		reg.Counter("memo_admissions_total", telemetry.Scheduling, "functions admitted to the shared memo on repeat").Add(out.MemoAdmissions)
-		reg.Counter("memo_session_reuse_total", telemetry.Scheduling, "memo hits answered from a worker session's own slots").Add(out.MemoSessionReuse)
 		reg.Gauge("memo_doorkeeper_entries", telemetry.Scheduling, "key hashes held by the memo's admission doorkeeper").Set(int64(out.MemoDoorkeeper))
 	}
 	poolPM.Publish(reg)

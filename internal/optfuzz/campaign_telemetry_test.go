@@ -21,7 +21,7 @@ import (
 func TestCampaignTelemetryDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) (Stats, *telemetry.Registry) {
 		reg := telemetry.NewRegistry()
-		c := o2Campaign(core.FreezeOptions(), passes.DefaultFreezeConfig(), workers, 0)
+		c := o2Campaign(core.FreezeOptions(), passes.DefaultFreezeConfig(), workers, false)
 		c.Telemetry = reg
 		return c.Run(), reg
 	}
@@ -145,7 +145,7 @@ func TestCampaignStreamOrdering(t *testing.T) {
 // and a final forced report whose totals match the campaign result.
 func TestCampaignProgress(t *testing.T) {
 	var reports []CampaignProgress
-	c := o2Campaign(core.FreezeOptions(), passes.DefaultFreezeConfig(), 4, 0)
+	c := o2Campaign(core.FreezeOptions(), passes.DefaultFreezeConfig(), 4, false)
 	c.Progress = func(p CampaignProgress) { reports = append(reports, p) }
 	c.ProgressEvery = time.Nanosecond // fire on every candidate
 	st := c.Run()

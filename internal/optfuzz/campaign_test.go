@@ -134,7 +134,7 @@ func TestBudgetedShardingMatchesSerial(t *testing.T) {
 	}
 }
 
-func o2Campaign(sem core.Options, pcfg *passes.Config, workers, memoEntries int) Campaign {
+func o2Campaign(sem core.Options, pcfg *passes.Config, workers int, noMemo bool) Campaign {
 	gen := DefaultConfig(2)
 	gen.AllowUndef = false
 	gen.AllowPoison = true
@@ -145,7 +145,7 @@ func o2Campaign(sem core.Options, pcfg *passes.Config, workers, memoEntries int)
 		Pipeline:    passes.O2(),
 		PipelineCfg: pcfg,
 		Workers:     workers,
-		MemoEntries: memoEntries,
+		NoMemo:      noMemo,
 	}
 }
 
@@ -154,7 +154,7 @@ func o2Campaign(sem core.Options, pcfg *passes.Config, workers, memoEntries int)
 // the same order, as a serial one.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	sem := core.FreezeOptions()
-	base := o2Campaign(sem, passes.DefaultFreezeConfig(), 1, 0)
+	base := o2Campaign(sem, passes.DefaultFreezeConfig(), 1, false)
 	ref := base.Run()
 	if ref.Funcs == 0 {
 		t.Fatal("campaign validated no functions")
@@ -189,7 +189,7 @@ func summarize(s Stats) Stats {
 // evicts) is a race. Verdicts, findings and the lookup count are not.
 func maskMemo(s Stats) Stats {
 	s.MemoHits, s.MemoEvictions, s.MemoSets = 0, 0, 0
-	s.MemoAdmissions, s.MemoSessionReuse, s.MemoDoorkeeper = 0, 0, 0
+	s.MemoAdmissions, s.MemoDoorkeeper = 0, 0
 	return s
 }
 
@@ -256,8 +256,8 @@ func TestCampaignMemoInvariant(t *testing.T) {
 	pcfg.Unsound = true
 
 	for _, workers := range []int{1, 2} {
-		with := o2Campaign(sem, pcfg, workers, 0).Run()
-		without := o2Campaign(sem, pcfg, workers, -1).Run()
+		with := o2Campaign(sem, pcfg, workers, false).Run()
+		without := o2Campaign(sem, pcfg, workers, true).Run()
 
 		if without.MemoLookups != 0 {
 			t.Errorf("workers=%d: memo disabled but %d lookups recorded", workers, without.MemoLookups)

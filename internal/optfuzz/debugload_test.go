@@ -82,7 +82,7 @@ func TestDebugServerUnderCampaignLoad(t *testing.T) {
 		}(path)
 	}
 
-	c := o2Campaign(core.FreezeOptions(), passes.DefaultFreezeConfig(), 4, 0)
+	c := o2Campaign(core.FreezeOptions(), passes.DefaultFreezeConfig(), 4, false)
 	c.Telemetry = reg
 	c.Trace = rec
 	st := c.Run()

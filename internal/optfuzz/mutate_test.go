@@ -2,6 +2,7 @@ package optfuzz
 
 import (
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestMutationDeterministicAcrossWorkers(t *testing.T) {
 		// Memo statistics are scheduling-dependent by contract; blank
 		// them before comparing.
 		st.MemoHits, st.MemoLookups, st.MemoEvictions, st.MemoSets = 0, 0, 0, 0
-		st.MemoAdmissions, st.MemoSessionReuse, st.MemoDoorkeeper = 0, 0, 0
+		st.MemoAdmissions, st.MemoDoorkeeper = 0, 0
 		st.Opt = nil // pass-stats include wall-clock timings
 		if i == 0 {
 			base = st
@@ -219,5 +220,21 @@ func TestCorpusRoundTrip(t *testing.T) {
 		if f.String() != orig.String() {
 			t.Fatalf("func %d body changed across round-trip:\n%s\nvs\n%s", i, f, orig)
 		}
+	}
+}
+
+// TestLoadCorpusBadFunction: a corpus file with a malformed function
+// fails to load with the file's path and the parser's position.
+func TestLoadCorpusBadFunction(t *testing.T) {
+	path := t.TempDir() + "/corpus.ll"
+	text := "define i2 @c0(i2 %a) {\nentry:\n  ret i2 %a\n}\n\n" +
+		"define i2 @c1(i2 %a) {\nentry:\n  %x = xor i2 %a, %b\n  ret i2 %x\n}\n"
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadCorpus(path)
+	want := "corpus " + path + ": ir: line 8:19: undefined value %b in @c1"
+	if err == nil || err.Error() != want {
+		t.Fatalf("LoadCorpus error %v, want %q", err, want)
 	}
 }

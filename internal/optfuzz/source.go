@@ -25,9 +25,11 @@ import (
 //     campaign's findings byte-identical for every -workers value.
 //
 // Emitted functions are owned by the source; the campaign treats them
-// as immutable and transforms private clones. A source must not mutate
-// or reuse a function object after emitting it within one shard pass
-// (the memo session's identity slots trust pointer identity).
+// as immutable and transforms private clones, so a source may emit
+// functions it keeps (the mutation source emits its task list). A
+// source must not change an emitted function until emit returns: the
+// campaign clones, checks and renders it during the call and keeps no
+// reference to it afterwards.
 type Source interface {
 	// Name labels the workload in telemetry ("exhaustive", "mutate",
 	// "wide8", ...).

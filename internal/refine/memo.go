@@ -1,7 +1,6 @@
 package refine
 
 import (
-	"bytes"
 	"hash/maphash"
 	"strconv"
 	"sync"
@@ -11,65 +10,63 @@ import (
 	"tameir/internal/ir"
 )
 
-// Memo caches behaviour sets across refinement checks, keyed by the
-// canonical (function, semantics) pair and the input vector's ordinal
-// in Check's deterministic input enumeration.
+// Memo caches targets' behaviour sets across refinement checks, keyed
+// by the canonical (function, semantics) pair and the input vector's
+// ordinal in Check's deterministic input enumeration.
 //
-// The traffic it serves is lopsided. A campaign never repeats a
-// source: every candidate's text is new, so a source's sets can only
-// be reused within the work on that one candidate. Targets are the
-// opposite: -O2 collapses tens of thousands of candidates onto a few
-// hundred forms, each worth deriving once and serving for good. The
-// memo therefore admits on repeat:
+// It serves targets only, because only targets come back. In the §6
+// stream a source never repeats: in the first 30,000 candidates of the
+// 3-instruction i2 space, in either dialect, no source text repeats or
+// equals an earlier target. The targets are the opposite: -O2
+// collapses those candidates onto 465 forms, each worth deriving once
+// and serving for good. Check's source side therefore never touches
+// the memo, and its target side goes through a memoHandle, resolved
+// once per Check:
 //
-//   - A MemoSession keeps the sets it derives in its two identity
-//     slots (two because Check alternates between src and tgt on every
-//     input), in per-slot arrays reused from check to check, and
-//     answers repeat lookups of a slot's function from there.
-//   - A function is published to the shared index only when it comes
-//     back: in a later Check of the same session (one function checked
-//     against several targets), as the other side of the same Check
-//     (target text equal to source), or as a key whose hash the
-//     doorkeeper recorded at an earlier sighting anywhere in the
-//     process. Publishing copies what the slot already derived, so
-//     nothing is derived twice.
+//   - The handle renders the target's key into a reused buffer, hashes
+//     it and asks the doorkeeper. A target whose hash the doorkeeper
+//     has not recorded is a first sighting: its sets are derived and
+//     nothing is stored. A target seen before resolves its shared
+//     index entry, created on its first store.
+//   - Per input, the handle reads or fills that entry under its stripe
+//     lock (get/put).
 //
-// A function that never comes back thus costs one rendering of its key
-// into a reused buffer and one hash, and leaves nothing in the index,
-// the clock or the heap.
+// A target seen once thus costs one rendering of its key and one hash,
+// and leaves nothing in the index, the clock or the heap. The
+// doorkeeper earns its place on workloads whose targets rarely repeat:
+// a tv-cfg-mutants rep hits on none of its 16,721 target lookups over
+// 675 checks, and publishing on first sight would add an index entry
+// of about 25 sets per check there.
 //
 // Keys stay full canonical strings — a semantics/bounds fingerprint
-// plus the function text — and a slot matches by pointer identity or
-// full key equality, so a hit can never be a collision: a memoized
-// verdict is always the verdict the engine would have produced (see
-// TestMemoNeverChangesVerdict). The doorkeeper's hashes only decide
-// when to publish: a collision publishes early, a forgotten hash
-// publishes late, and neither changes a set. Incomplete sets are never
-// cached — they depend on enumeration bounds in a way that is cheap to
-// just redo. The identity slots assume functions are not mutated
-// between checks that share a session; the pipeline upholds this by
-// checking sources it never mutates and transforming private clones.
+// plus the function text — so a hit can never be a collision: a
+// memoized verdict is always the verdict the engine would have
+// produced (see TestMemoNeverChangesVerdict). The doorkeeper's hashes
+// only decide when to publish: a collision publishes early, a
+// forgotten hash publishes late, and neither changes a set. Incomplete
+// sets are never cached — they depend on enumeration bounds in a way
+// that is cheap to just redo.
 //
 // A Memo IS safe for concurrent use: the function index is a
 // stringMap split over memoShardCount lock stripes, and the doorkeeper
 // and counters are atomic, so one memo can back every worker of a
-// campaign and hits cross worker shards. Each goroutine drives it
-// through its own MemoSession (NewSession), which holds the only
-// unshared state. Bounded residency is a second-chance clock sweep
-// that evicts cold behaviour sets to admit new ones; a function whose
-// last set is evicted leaves the index, so the index is bounded by the
-// clock's capacity too. An eviction can cost a recomputation but never
-// changes a verdict (TestMemoEvictionKeepsVerdicts).
+// campaign and hits cross worker shards. Bounded residency is a
+// second-chance clock sweep over behaviour sets, not functions, that
+// evicts cold sets to admit new ones: a wide i8 campaign holds up to
+// 65,536 sets per function, so a bound counted in functions would not
+// bound memory. A function whose last set is evicted leaves the index,
+// so the index is bounded by the clock's capacity too. An eviction can
+// cost a recomputation but never changes a verdict
+// (TestMemoEvictionKeepsVerdicts).
 type Memo struct {
 	funcs *stringMap[*memoFuncEntry]
 	clock *clock[evictRef]
 	door  doorkeeper
 	seed  maphash.Seed
-	// private recycles the sessions Check creates for callers that
-	// bring none.
-	private sync.Pool
+	// keys recycles the buffers handles render keys into.
+	keys sync.Pool
 
-	hits, lookups, sessionReuse, admissions atomic.Uint64
+	hits, lookups, admissions atomic.Uint64
 }
 
 // memoShardCount is the lock-striping factor. 64 keeps contention
@@ -86,7 +83,7 @@ type memoFuncEntry struct {
 	byIdx []idxSet
 	// resident counts the sets admitted to the clock and not yet
 	// evicted. When it drops to zero the entry leaves the index and
-	// dead tells sessions still holding it to resolve the key afresh.
+	// dead tells handles still holding it to resolve the key afresh.
 	resident int
 	dead     bool
 }
@@ -101,56 +98,6 @@ type idxSet struct {
 // entry.byIdx[ordinal].
 type evictRef struct {
 	entry   *memoFuncEntry
-	ordinal int
-}
-
-// MemoSession is one goroutine's handle on a shared Memo: its two
-// identity slots and its share of the counters, which reach the Memo
-// when a Check ends. Sessions are cheap; create one per worker (Check
-// uses a private one when given a Memo without a Session).
-type MemoSession struct {
-	m     *Memo
-	slots [2]memoSlot
-	// next is the slot a miss replaces: the one used least recently.
-	next  int
-	check uint64 // sequence number of the current Check
-	n     int    // the current Check's input count, which sizes arrays
-	buf   []byte // key scratch, swapped into the slot that takes the key
-
-	hits, lookups, reuse uint64
-}
-
-// memoSlot is one identity slot: a function, its rendered key, and the
-// sets this session derived or fetched for it.
-type memoSlot struct {
-	fn    *ir.Func
-	opts  memoOpts
-	key   []byte
-	check uint64 // the Check that last used the slot
-	// admitted: the function came back, so its sets are also published
-	// to entry (resolved from the index on first use).
-	admitted bool
-	entry    *memoFuncEntry
-	sets     []BehaviorSet // by input ordinal
-	have     []bool
-}
-
-// memoOpts is the comparable fingerprint of everything besides the
-// function and inputs that determines a behaviour set.
-type memoOpts struct {
-	opts       core.Options
-	srcMode    core.Mode // governs Check's input enumeration
-	inputBits  uint      // ditto: the exhaustive-enumeration cutoff
-	maxChoices int
-	maxFanout  uint64
-	maxExecs   int
-	fuel       int
-}
-
-// memoRef carries a resolved slot from lookup to store so the key work
-// is not repeated on the put path.
-type memoRef struct {
-	slot    *memoSlot
 	ordinal int
 }
 
@@ -174,22 +121,15 @@ func NewMemo(max int) *Memo {
 	return m
 }
 
-// NewSession returns a fresh session over m for use by one goroutine.
-func (m *Memo) NewSession() *MemoSession { return &MemoSession{m: m} }
-
-// Hits returns the number of lookups answered from the cache (summed
-// over all sessions, slot reuse included).
+// Hits returns the number of lookups answered from the cache.
 func (m *Memo) Hits() uint64 { return m.hits.Load() }
 
-// Lookups returns the total number of lookups.
+// Lookups returns the total number of lookups: one per target input
+// Check swept.
 func (m *Memo) Lookups() uint64 { return m.lookups.Load() }
 
 // Evictions returns the number of behaviour sets evicted by the clock.
 func (m *Memo) Evictions() uint64 { return m.clock.Evictions() }
-
-// SessionReuse returns the number of hits a session answered from its
-// own identity slots, without touching the shared index.
-func (m *Memo) SessionReuse() uint64 { return m.sessionReuse.Load() }
 
 // Admissions returns the number of functions published to the shared
 // index because they came back.
@@ -203,229 +143,121 @@ func (m *Memo) DoorkeeperEntries() int { return int(m.door.used.Load()) }
 // concurrent stores are in flight).
 func (m *Memo) Len() int { return m.clock.Len() }
 
-// acquire hands out a private session; release takes it back, dropping
-// its identities so nothing carries over to the next caller.
-func (m *Memo) acquire() *MemoSession {
-	if s, ok := m.private.Get().(*MemoSession); ok {
-		return s
-	}
-	return m.NewSession()
-}
-
-func (m *Memo) release(s *MemoSession) {
-	for i := range s.slots {
-		s.slots[i].fn, s.slots[i].entry = nil, nil
-	}
-	m.private.Put(s)
-}
-
-// begin starts a Check over n inputs.
-func (s *MemoSession) begin(n int) {
-	s.check++
-	s.n = n
-}
-
-// end folds the session's counters into the memo.
-func (s *MemoSession) end() {
-	m := s.m
-	m.lookups.Add(s.lookups)
-	m.hits.Add(s.hits)
-	m.sessionReuse.Add(s.reuse)
-	s.hits, s.lookups, s.reuse = 0, 0, 0
-}
-
-// appendMemoFuncKey renders the first-level key: the semantics/bounds
-// fingerprint followed by the canonical function text. Everything the
-// behaviour set (and Check's ordinal enumeration) depends on is in
-// here. srcMode and inputBits must be part of the rendered key, not
-// just the slot's opts: they steer Check's input enumeration, so the
-// ordinal space is only stable within one (srcMode, inputBits) regime.
-func appendMemoFuncKey(b []byte, fn *ir.Func, mo memoOpts) []byte {
-	o := mo.opts
-	for _, u := range [...]uint64{uint64(o.Mode), uint64(o.BranchPoison), uint64(o.SelectPoisonCond)} {
+// appendMemoFuncKey renders the first-level key: the fingerprint of fn's
+// semantics (opts) and of cfg's bounds, followed by the canonical
+// function text. Everything the behaviour set (and Check's ordinal
+// enumeration) depends on is in here, the source mode and
+// ExhaustiveInputBits included: they steer Check's input enumeration,
+// so the ordinal space is only stable within one such regime.
+func appendMemoFuncKey(b []byte, fn *ir.Func, opts core.Options, cfg *Config) []byte {
+	for _, u := range [...]uint64{uint64(opts.Mode), uint64(opts.BranchPoison), uint64(opts.SelectPoisonCond)} {
 		b = append(strconv.AppendUint(b, u, 10), '|')
 	}
-	b = append(strconv.AppendBool(b, o.SelectArmPoisonEither), '|')
-	b = append(strconv.AppendInt(b, int64(o.Fuel), 10), '|')
-	b = append(strconv.AppendInt(b, int64(o.MaxCallDepth), 10), '|')
-	b = append(strconv.AppendUint(b, uint64(mo.srcMode), 10), '|')
-	b = append(strconv.AppendUint(b, uint64(mo.inputBits), 10), '|')
-	b = append(strconv.AppendInt(b, int64(mo.maxChoices), 10), '|')
-	b = append(strconv.AppendUint(b, mo.maxFanout, 10), '|')
-	b = append(strconv.AppendInt(b, int64(mo.maxExecs), 10), '|')
-	b = append(strconv.AppendInt(b, int64(mo.fuel), 10), 0)
+	b = append(strconv.AppendBool(b, opts.SelectArmPoisonEither), '|')
+	b = append(strconv.AppendInt(b, int64(opts.Fuel), 10), '|')
+	b = append(strconv.AppendInt(b, int64(opts.MaxCallDepth), 10), '|')
+	b = append(strconv.AppendUint(b, uint64(cfg.SrcOpts.Mode), 10), '|')
+	b = append(strconv.AppendUint(b, uint64(cfg.ExhaustiveInputBits), 10), '|')
+	b = append(strconv.AppendInt(b, int64(cfg.MaxChoices), 10), '|')
+	b = append(strconv.AppendUint(b, cfg.MaxFanout, 10), '|')
+	b = append(strconv.AppendInt(b, int64(cfg.MaxExecs), 10), '|')
+	b = append(strconv.AppendInt(b, int64(cfg.Fuel), 10), 0)
 	return fn.AppendTo(b)
 }
 
-func memoOptsOf(opts core.Options, cfg Config) memoOpts {
-	return memoOpts{
-		opts:       opts,
-		srcMode:    cfg.SrcOpts.Mode,
-		inputBits:  cfg.ExhaustiveInputBits,
-		maxChoices: cfg.MaxChoices,
-		maxFanout:  cfg.MaxFanout,
-		maxExecs:   cfg.MaxExecs,
-		fuel:       cfg.Fuel,
-	}
+// memoHandle is one Check's handle on the memo for its target. Check
+// holds it by value in the target's side, so it costs no allocation;
+// its counters reach the Memo in fold, when the Check ends.
+type memoHandle struct {
+	m *Memo
+	// key is the target's index key when the doorkeeper had seen it
+	// before, and empty on a first sighting, which stores nothing.
+	key   string
+	entry *memoFuncEntry // key's index entry, once resolved
+	n     int            // the Check's input count, which sizes a new entry
+
+	hits, lookups uint64
 }
 
-// slotFor resolves fn's identity slot, taking over the least recently
-// used one on a miss and deciding there whether fn is admitted.
-func (s *MemoSession) slotFor(fn *ir.Func, mo memoOpts) *memoSlot {
-	for i := range s.slots {
-		sl := &s.slots[i]
-		if sl.fn == fn && sl.opts == mo {
-			s.next = 1 - i
-			if sl.check != s.check {
-				sl.check = s.check
-				s.admitFunc(sl) // back in a later Check of this session
-			}
-			return sl
-		}
+// handle resolves the handle of fn, run under opts, for a Check over
+// n inputs under cfg: it renders the key, asks the doorkeeper, and on
+// a repeat sighting looks up the key's index entry.
+func (m *Memo) handle(fn *ir.Func, opts core.Options, cfg *Config, n int) memoHandle {
+	h := memoHandle{m: m, n: n}
+	buf, _ := m.keys.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
 	}
-	s.buf = appendMemoFuncKey(s.buf[:0], fn, mo)
-	sl, other := &s.slots[s.next], &s.slots[1-s.next]
-	s.next = 1 - s.next
-	switch {
-	case sl.fn != nil && bytes.Equal(sl.key, s.buf):
-		// The slot's previous function had the same text, so its sets
-		// still apply, and the text came back.
-		sl.fn, sl.opts, sl.check = fn, mo, s.check
-		s.admitFunc(sl)
-		return sl
-	case other.fn != nil && bytes.Equal(other.key, s.buf):
-		// The other side of this Check has the same text.
-		s.admitFunc(other)
-		s.take(sl, fn, mo)
-		sl.admitted, sl.entry = true, other.entry
-		return sl
-	}
-	s.take(sl, fn, mo)
-	if s.m.door.sighted(maphash.Bytes(s.m.seed, sl.key)) {
-		if e, ok := s.m.funcs.Lookup(sl.key); ok {
-			sl.admitted, sl.entry = true, e
+	key := appendMemoFuncKey((*buf)[:0], fn, opts, cfg)
+	if m.door.sighted(maphash.Bytes(m.seed, key)) {
+		if e, ok := m.funcs.Lookup(key); ok {
+			h.key, h.entry = e.key, e
 		} else {
-			s.admitFunc(sl)
+			h.key = string(key)
 		}
 	}
-	return sl
+	*buf = key
+	m.keys.Put(buf)
+	return h
 }
 
-// take assigns sl to fn, whose key is in s.buf, with empty arrays
-// sized for the current Check.
-func (s *MemoSession) take(sl *memoSlot, fn *ir.Func, mo memoOpts) {
-	sl.key, s.buf = s.buf, sl.key
-	sl.fn, sl.opts, sl.check = fn, mo, s.check
-	sl.admitted, sl.entry = false, nil
-	if cap(sl.have) < s.n {
-		sl.have, sl.sets = make([]bool, s.n), make([]BehaviorSet, s.n)
-		return
+// get returns the target's set for the input vector at ordinal, its
+// position in Check's deterministic enumeration; ok reports a hit.
+func (h *memoHandle) get(ordinal int) (set BehaviorSet, ok bool) {
+	h.lookups++
+	e := h.entry
+	if e == nil {
+		return set, false
 	}
-	sl.have, sl.sets = sl.have[:s.n], sl.sets[:s.n]
-	clear(sl.have)
-}
-
-// admitFunc publishes sl's function: its sets go to the shared index
-// from now on, starting with those the slot already holds.
-func (s *MemoSession) admitFunc(sl *memoSlot) {
-	if sl.admitted {
-		return
+	e.mu.Lock()
+	if !e.dead && ordinal < len(e.byIdx) && e.byIdx[ordinal].ok {
+		x := &e.byIdx[ordinal]
+		x.ref = true
+		set, ok = x.set, true
+		h.hits++
 	}
-	sl.admitted = true
-	s.m.admissions.Add(1)
-	for i, ok := range sl.have {
-		if ok {
-			s.publish(sl, i, sl.sets[i])
-		}
-	}
-}
-
-// keep records a set in sl's own arrays.
-func (s *MemoSession) keep(sl *memoSlot, ordinal int, set BehaviorSet) {
-	for ordinal >= len(sl.have) {
-		sl.have = append(sl.have, false)
-		sl.sets = append(sl.sets, BehaviorSet{})
-	}
-	sl.sets[ordinal], sl.have[ordinal] = set, true
-}
-
-// publish stores an ordinal-indexed set in sl's shared entry.
-func (s *MemoSession) publish(sl *memoSlot, ordinal int, set BehaviorSet) {
-	e := s.m.lockEntry(sl.entry, sl.key, s.n)
-	sl.entry = e
-	ok := e.putIdx(ordinal, set)
 	e.mu.Unlock()
-	if ok {
-		s.m.admit(evictRef{entry: e, ordinal: ordinal})
-	}
+	return set, ok
 }
 
-// lookup resolves fn's set for the input vector at ordinal, its
-// position in Check's deterministic enumeration, under (opts, cfg); ok
-// reports a hit. The hot path does no string work at all. The returned
-// ref is passed to store to cache a freshly computed set.
-func (s *MemoSession) lookup(fn *ir.Func, ordinal int, opts core.Options, cfg Config) (memoRef, BehaviorSet, bool) {
-	s.lookups++
-	sl := s.slotFor(fn, memoOptsOf(opts, cfg))
-	ref := memoRef{slot: sl, ordinal: ordinal}
-	if ordinal < len(sl.have) && sl.have[ordinal] {
-		s.hits++
-		s.reuse++
-		return ref, sl.sets[ordinal], true
-	}
-	if e := sl.entry; e != nil {
-		e.mu.Lock()
-		if !e.dead && ordinal < len(e.byIdx) && e.byIdx[ordinal].ok {
-			x := &e.byIdx[ordinal]
-			x.ref = true
-			set := x.set
-			e.mu.Unlock()
-			s.hits++
-			s.keep(sl, ordinal, set)
-			return ref, set, true
-		}
-		e.mu.Unlock()
-	}
-	return ref, BehaviorSet{}, false
-}
-
-// store caches a computed set under a ref obtained from lookup: in the
-// slot always, in the shared index once the function is admitted.
-func (s *MemoSession) store(ref memoRef, set BehaviorSet) {
-	if set.Incomplete {
+// put caches a set the target derived at ordinal, creating the key's
+// entry on its first store and resolving the key afresh when the clock
+// has killed the entry h holds. A first sighting stores nothing, and
+// incomplete sets are never cached.
+func (h *memoHandle) put(ordinal int, set BehaviorSet) {
+	if h.key == "" || set.Incomplete {
 		return
 	}
-	sl := ref.slot
-	s.keep(sl, ref.ordinal, set)
-	if sl.admitted {
-		s.publish(sl, ref.ordinal, set)
-	}
-}
-
-// lockEntry returns the live index entry for key — e itself while it
-// lives — with its stripe lock held, creating the entry (byIdx sized
-// for n inputs) when the index has none.
-func (m *Memo) lockEntry(e *memoFuncEntry, key []byte, n int) *memoFuncEntry {
+	m, e := h.m, h.entry
 	for {
 		if e == nil {
-			var ok bool
-			if e, ok = m.funcs.Lookup(key); !ok {
-				k := string(key)
-				e = m.funcs.GetOrCreate(k, func(mu *sync.Mutex) *memoFuncEntry {
-					return &memoFuncEntry{mu: mu, key: k, byIdx: make([]idxSet, n)}
-				})
-			}
+			e = m.funcs.GetOrCreate(h.key, func(mu *sync.Mutex) *memoFuncEntry {
+				m.admissions.Add(1)
+				return &memoFuncEntry{mu: mu, key: h.key, byIdx: make([]idxSet, h.n)}
+			})
 		}
 		e.mu.Lock()
 		if !e.dead {
-			return e
+			break
 		}
 		e.mu.Unlock()
 		e = nil
 	}
+	h.entry = e
+	stored := e.putIdx(ordinal, set)
+	e.mu.Unlock()
+	if stored {
+		m.admit(evictRef{entry: e, ordinal: ordinal})
+	}
 }
 
-// putIdx installs a set unless one is there already (another session
+// fold adds the handle's counters to the memo's.
+func (h *memoHandle) fold() {
+	h.m.lookups.Add(h.lookups)
+	h.m.hits.Add(h.hits)
+}
+
+// putIdx installs a set unless one is there already (another Check
 // raced the same computation), reporting whether it did. Caller holds
 // the entry's stripe lock.
 func (e *memoFuncEntry) putIdx(ordinal int, set BehaviorSet) bool {

@@ -112,21 +112,14 @@ type Config struct {
 	// ordinals depend on the input enumeration this governs.
 	ExhaustiveInputBits uint
 
-	// Memo, when non-nil, lets Check cache behaviour sets by canonical
-	// (function, semantics) key and input ordinal, so structurally
-	// identical candidates skip re-computation. A memo hit never
-	// changes a verdict (keys are full canonical strings, not hashes).
-	// One Memo may be shared by every worker of a campaign; each
-	// goroutine must then also carry its own Session. Behaviors
-	// ignores it.
+	// Memo, when non-nil, lets Check cache its target's behaviour sets
+	// by canonical (function, semantics) key and input ordinal, so a
+	// target that comes back skips re-computation. Sources never
+	// repeat, so Check always derives them. A memo hit never changes a
+	// verdict (keys are full canonical strings, not hashes). One Memo
+	// may be shared by every worker of a campaign. Behaviors ignores
+	// it.
 	Memo *Memo
-
-	// Session is this goroutine's handle on Memo. Check creates a
-	// private one when Memo is set and Session is nil, which is fine
-	// for one-off checks; loops over many checks should create one
-	// session per worker (Memo.NewSession) and reuse it, or the memo's
-	// function-identity fast path never warms up.
-	Session *MemoSession
 
 	// Oracle, when non-nil, is reused across executions instead of
 	// allocating a fresh enumeration oracle per behaviour set. It must
@@ -148,9 +141,9 @@ type Config struct {
 	Metrics *CheckMetrics
 
 	// BehaviorHook, when non-nil, observes every behaviour set Check
-	// consumes — computed or memo-hit — in deterministic order. Used by
-	// tame-bench to fingerprint engine equivalence and by the mutation
-	// fuzzer to derive coverage digests.
+	// consumes — computed or memo-hit — in deterministic order. The
+	// campaign sets it for evolving sources, whose coverage digests it
+	// derives.
 	BehaviorHook func(BehaviorSet)
 
 	// Trace, when non-nil, records per-phase spans inside every Check:
@@ -185,8 +178,7 @@ func DefaultConfig(srcOpts, tgtOpts core.Options) Config {
 // It never consults cfg.Memo, which keys sets by an input's ordinal in
 // Check's enumeration: a lone input vector has none.
 func Behaviors(fn *ir.Func, args []core.Value, opts core.Options, cfg Config) BehaviorSet {
-	cfg.Memo, cfg.Session = nil, nil // so the ordinal below is unused
-	sd := side{fn: fn, opts: opts}
+	sd := side{fn: fn, opts: opts} // no memo handle: the ordinal is unused
 	set := behaviorsAt(&sd, args, 0, cfg, "")
 	sd.foldEngine(cfg.Metrics)
 	return set
@@ -194,11 +186,13 @@ func Behaviors(fn *ir.Func, args []core.Value, opts core.Options, cfg Config) Be
 
 // side is one function of a check and the executor it runs on, which
 // is compiled on the side's first memo miss: a side whose sets all
-// come from the memo is never compiled.
+// come from the memo is never compiled. Only a target side has a memo
+// handle.
 type side struct {
 	fn   *ir.Func
 	opts core.Options
 	ex   *core.Executor
+	memo memoHandle
 }
 
 // compile builds sd's executor: fn compiled under its options, with
@@ -231,22 +225,17 @@ func (sd *side) foldEngine(m *CheckMetrics) {
 // (compiled here on the side's first miss) unless cfg.Interpret
 // selects the tree-walking interpreter. ordinal is the input vector's
 // position in Check's deterministic enumeration, which keys the set in
-// the memo. Memo traffic goes through cfg.Session (Check creates one
-// from cfg.Memo when needed). phase, when not empty, names the span
-// that times the call on cfg.Trace; a compile gets its own span,
-// outside it, so the two never overlap.
+// the memo when sd has a memo handle (only a target does). phase, when
+// not empty, names the span that times the call on cfg.Trace; a
+// compile gets its own span, outside it, so the two never overlap.
 func behaviorsAt(sd *side, args []core.Value, ordinal int, cfg Config, phase string) BehaviorSet {
 	var sp *telemetry.Span
 	if phase != "" {
 		sp = cfg.Trace.Start(phase)
 	}
 	fn, opts := sd.fn, sd.opts
-	var memoRef memoRef
-	if cfg.Session != nil {
-		var set BehaviorSet
-		var ok bool
-		memoRef, set, ok = cfg.Session.lookup(fn, ordinal, opts, cfg)
-		if ok {
+	if sd.memo.m != nil {
+		if set, ok := sd.memo.get(ordinal); ok {
 			cfg.Metrics.observe(set, true, 0)
 			if cfg.BehaviorHook != nil {
 				cfg.BehaviorHook(set)
@@ -336,9 +325,7 @@ func behaviorsAt(sd *side, args []core.Value, ordinal int, cfg Config, phase str
 		set.Incomplete = true
 	}
 	cfg.Metrics.observe(set, false, uint64(paths))
-	if cfg.Session != nil {
-		cfg.Session.store(memoRef, set)
-	}
+	sd.memo.put(ordinal, set)
 	if cfg.BehaviorHook != nil {
 		cfg.BehaviorHook(set)
 	}
@@ -459,8 +446,9 @@ func (r Result) String() string {
 //
 // Each side is compiled at most once per call, on its first memo miss,
 // and executed through a pooled frame across the entire input×oracle
-// sweep, so the per-execution cost is dispatch, not setup. A side whose
-// sets all come from the memo is never compiled.
+// sweep, so the per-execution cost is dispatch, not setup. Only the
+// target consults cfg.Memo, through a handle resolved once per call; a
+// target whose sets all come from the memo is never compiled.
 func Check(src, tgt *ir.Func, cfg Config) Result {
 	if len(src.Params) != len(tgt.Params) {
 		panic("refine: signature mismatch")
@@ -479,16 +467,12 @@ func Check(src, tgt *ir.Func, cfg Config) Result {
 		exhaustive = exhaustive && ex
 		n = min(n*len(cands[i]), max(cfg.MaxInputs, 0))
 	}
-	if cfg.Memo != nil && cfg.Session == nil {
-		cfg.Session = cfg.Memo.acquire()
-		defer cfg.Memo.release(cfg.Session)
-	}
-	if s := cfg.Session; s != nil {
-		s.begin(n)
-		defer s.end()
-	}
 	srcSide := side{fn: src, opts: cfg.SrcOpts}
 	tgtSide := side{fn: tgt, opts: cfg.TgtOpts}
+	if cfg.Memo != nil {
+		tgtSide.memo = cfg.Memo.handle(tgt, cfg.TgtOpts, &cfg, n)
+		defer tgtSide.memo.fold()
+	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.Checks++
 		// Executors accumulate engine counters across the whole sweep;
