@@ -1,6 +1,10 @@
 package analysis
 
-import "tameir/internal/ir"
+import (
+	"slices"
+
+	"tameir/internal/ir"
+)
 
 // DomTree is a dominator tree over the reachable blocks of a function,
 // built with the Cooper–Harvey–Kennedy iterative algorithm.
@@ -9,23 +13,41 @@ type DomTree struct {
 	idom  map[*ir.Block]*ir.Block // immediate dominator; entry maps to itself
 	order map[*ir.Block]int       // reverse postorder index
 	kids  map[*ir.Block][]*ir.Block
+
+	// Storage kept for the next computation (a Manager recomputes into
+	// the same tree): the reverse postorder, the search stack, the
+	// array the children lists are carved from and its offsets.
+	rpo    []*ir.Block
+	stack  []dfsFrame
+	kidBuf []*ir.Block
+	offs   []int
 }
 
 // NewDomTree computes the dominator tree of f.
 func NewDomTree(f *ir.Func) *DomTree {
-	return newDomTree(f, Preds(f))
+	dt := new(DomTree)
+	dt.compute(f, Preds(f))
+	return dt
 }
 
-// newDomTree computes the dominator tree from an existing predecessor
-// map (shared with the Manager's cached CFG analysis).
-func newDomTree(f *ir.Func, preds map[*ir.Block][]*ir.Block) *DomTree {
-	rpo := ReversePostorder(f)
-	order := make(map[*ir.Block]int, len(rpo))
+// compute refills dt with the dominator tree of f, built from an
+// existing predecessor map (shared with the Manager's cached CFG
+// analysis).
+func (dt *DomTree) compute(f *ir.Func, preds map[*ir.Block][]*ir.Block) {
+	if dt.idom == nil {
+		dt.idom = make(map[*ir.Block]*ir.Block, len(f.Blocks))
+		dt.order = make(map[*ir.Block]int, len(f.Blocks))
+		dt.kids = make(map[*ir.Block][]*ir.Block, len(f.Blocks))
+	}
+	dt.reset()
+	dt.fn = f
+	dt.rpo, dt.stack = reversePostorder(f, dt.order, dt.rpo, dt.stack)
+	order, idom, rpo := dt.order, dt.idom, dt.rpo
 	for i, b := range rpo {
 		order[b] = i
 	}
 	entry := f.Entry()
-	idom := map[*ir.Block]*ir.Block{entry: entry}
+	idom[entry] = entry
 
 	intersect := func(a, b *ir.Block) *ir.Block {
 		for a != b {
@@ -60,13 +82,43 @@ func newDomTree(f *ir.Func, preds map[*ir.Block][]*ir.Block) *DomTree {
 		}
 	}
 
-	kids := map[*ir.Block][]*ir.Block{}
-	for b, d := range idom {
-		if b != d {
-			kids[d] = append(kids[d], b)
+	// Children lists, carved from one array: count each block's
+	// children, turn the counts into offsets, then place every child,
+	// in reverse postorder, at its parent's next free slot.
+	n := len(rpo)
+	dt.offs = slices.Grow(dt.offs[:0], n+1)[:n+1]
+	offs := dt.offs
+	clear(offs)
+	for _, b := range rpo[1:] {
+		offs[order[idom[b]]+1]++
+	}
+	for i := 1; i <= n; i++ {
+		offs[i] += offs[i-1]
+	}
+	dt.kidBuf = slices.Grow(dt.kidBuf[:0], n-1)[:n-1]
+	for _, b := range rpo[1:] {
+		p := order[idom[b]]
+		dt.kidBuf[offs[p]] = b
+		offs[p]++
+	}
+	// offs[p] is now where p's children end; they start where p-1's do.
+	start := 0
+	for p, b := range rpo {
+		if end := offs[p]; end > start {
+			dt.kids[b] = dt.kidBuf[start:end:end]
+			start = end
 		}
 	}
-	return &DomTree{fn: f, idom: idom, order: order, kids: kids}
+}
+
+// reset drops every reference dt holds, keeping its storage.
+func (dt *DomTree) reset() {
+	dt.fn = nil
+	clear(dt.idom)
+	clear(dt.order)
+	clear(dt.kids)
+	clear(dt.rpo)
+	clear(dt.kidBuf)
 }
 
 // IDom returns the immediate dominator of b (nil for the entry block or

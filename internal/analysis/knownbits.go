@@ -45,7 +45,7 @@ func computeKB(v ir.Value, depth int) KnownBits {
 	if !ty.IsInt() {
 		return KnownBits{Width: ty.Bitwidth()}
 	}
-	w := ty.Bits
+	w := uint(ty.Bits)
 	mask := ir.TruncBits(^uint64(0), w)
 	top := KnownBits{Width: w}
 	if depth == 0 {
@@ -91,7 +91,7 @@ func computeKB(v ir.Value, depth int) KnownBits {
 			}
 		case ir.OpZExt:
 			src := computeKB(x.Arg(0), depth-1)
-			srcW := x.Arg(0).Type().Bits
+			srcW := uint(x.Arg(0).Type().Bits)
 			ext := mask &^ ir.TruncBits(^uint64(0), srcW)
 			return KnownBits{Zero: src.Zero | ext, One: src.One, Width: w}
 		case ir.OpTrunc:

@@ -75,6 +75,13 @@ type LoopInfo struct {
 	Loops []*Loop
 	// innermost maps each block to its innermost containing loop.
 	innermost map[*ir.Block]*Loop
+
+	// Storage kept for the next computation (a Manager recomputes into
+	// the same forest): every Loop built so far, reused by position,
+	// the header index and the body walk's worklist.
+	store    []*Loop
+	byHeader map[*ir.Block]*Loop
+	work     []*ir.Block
 }
 
 // LoopFor returns the innermost loop containing b, or nil.
@@ -83,24 +90,35 @@ func (li *LoopInfo) LoopFor(b *ir.Block) *Loop { return li.innermost[b] }
 // FindLoops detects the natural loops of f using its dominator tree.
 // Loops sharing a header are merged (as in LLVM).
 func FindLoops(f *ir.Func, dt *DomTree) *LoopInfo {
-	reach := Reachable(f)
-	byHeader := map[*ir.Block]*Loop{}
+	li := new(LoopInfo)
+	li.compute(f, dt, Preds(f))
+	return li
+}
+
+// compute refills li with the natural loops of f, given its dominator
+// tree and predecessor map. Loops are numbered in the order their
+// headers are found, then sorted innermost first.
+func (li *LoopInfo) compute(f *ir.Func, dt *DomTree, preds map[*ir.Block][]*ir.Block) {
+	if li.innermost == nil {
+		li.innermost = map[*ir.Block]*Loop{}
+		li.byHeader = map[*ir.Block]*Loop{}
+	}
+	li.reset()
 	for _, b := range f.Blocks {
-		if !reach[b] {
-			continue
-		}
 		for _, s := range b.Succs() {
+			// An unreachable b has no dominator, so Dominates rejects
+			// its edges too.
 			if !dt.Dominates(s, b) {
 				continue // not a back edge
 			}
-			l := byHeader[s]
+			l := li.byHeader[s]
 			if l == nil {
-				l = &Loop{Header: s, Blocks: map[*ir.Block]bool{s: true}}
-				byHeader[s] = l
+				l = li.newLoop(s)
+				li.byHeader[s] = l
 			}
 			l.Latches = append(l.Latches, b)
 			// Walk predecessors from the latch until the header.
-			work := []*ir.Block{b}
+			work := append(li.work[:0], b)
 			for len(work) > 0 {
 				x := work[len(work)-1]
 				work = work[:len(work)-1]
@@ -108,13 +126,10 @@ func FindLoops(f *ir.Func, dt *DomTree) *LoopInfo {
 					continue
 				}
 				l.Blocks[x] = true
-				work = append(work, f.Preds(x)...)
+				work = append(work, preds[x]...)
 			}
+			li.work = work
 		}
-	}
-	li := &LoopInfo{innermost: map[*ir.Block]*Loop{}}
-	for _, l := range byHeader {
-		li.Loops = append(li.Loops, l)
 	}
 	// Sort innermost (smallest) first for stable iteration.
 	for i := 0; i < len(li.Loops); i++ {
@@ -141,7 +156,33 @@ func FindLoops(f *ir.Func, dt *DomTree) *LoopInfo {
 			}
 		}
 	}
-	return li
+}
+
+// newLoop appends a loop with header h to li.Loops, reusing a stored
+// Loop and its body map when there is one.
+func (li *LoopInfo) newLoop(h *ir.Block) *Loop {
+	i := len(li.Loops)
+	if i == len(li.store) {
+		li.store = append(li.store, &Loop{Blocks: map[*ir.Block]bool{}})
+	}
+	l := li.store[i]
+	l.Header = h
+	l.Blocks[h] = true
+	li.Loops = append(li.Loops, l)
+	return l
+}
+
+// reset drops every reference li holds, keeping its storage.
+func (li *LoopInfo) reset() {
+	for _, l := range li.store {
+		clear(l.Blocks)
+		clear(l.Latches)
+		l.Header, l.Latches, l.Parent = nil, l.Latches[:0], nil
+	}
+	clear(li.Loops)
+	li.Loops = li.Loops[:0]
+	clear(li.innermost)
+	clear(li.byHeader)
 }
 
 // InductionVar describes a simple affine induction variable:

@@ -90,6 +90,18 @@ func (s *Stats) Add(o Stats) {
 // is responsible for invalidating after the IR changes, using each
 // pass's preserved-analyses declaration.
 //
+// The predecessor map, dominator tree and loop info are computed into
+// storage the manager keeps: evicting one keeps its maps and slices
+// for the next computation, and so does moving the manager to another
+// function with Reset while the storage is small (keptBlocks), so a
+// manager that serves small function after small function (the pass
+// manager pools them) stops allocating once its working set peaks. An
+// analysis a query returns is therefore valid until the manager next
+// evicts it — Invalidate, InvalidateAll or Reset — and must not be
+// used after that: its contents are recomputed in place. Poison facts
+// are allocated per computation and stay valid as long as the IR they
+// describe is unchanged.
+//
 // A Manager is not safe for concurrent use; the parallel campaign
 // gives every worker its own manager, like every other piece of
 // per-shard state.
@@ -105,10 +117,46 @@ type Manager struct {
 	// proved still valid beyond its static registration — see
 	// PreserveDuringRun.
 	runPreserved Set
+
+	// The storage preds, dt and li point into while they are cached,
+	// and the most blocks it has been computed over.
+	predStore predStore
+	domStore  DomTree
+	loopStore LoopInfo
+	peak      int
 }
+
+// keptBlocks bounds the functions whose analysis storage a Manager
+// keeps across Reset. Up to eight blocks each of its maps fits in one
+// eight-entry bucket; a larger function's storage is grown tables in
+// larger size classes, and kept alive from function to function in
+// pooled managers it held allocator spans the collector could
+// otherwise reuse: keeping it cost the minc-suite benchmark workload
+// about 2% of its peak RSS (DESIGN.md, "Pass manager and cached
+// analyses").
+const keptBlocks = 8
 
 // NewManager returns an empty manager for f.
 func NewManager(f *ir.Func) *Manager { return &Manager{fn: f} }
+
+// Reset empties the manager and points it at f: nothing is cached,
+// the Stats restart at zero, and every reference to the previous
+// function is dropped (f may be nil, for a manager waiting in a pool).
+// The storage analyses are computed into is kept unless it has served
+// a function of more than keptBlocks blocks.
+func (m *Manager) Reset(f *ir.Func) {
+	m.fn = f
+	m.preds, m.dt, m.li, m.poison = nil, nil, nil, nil
+	m.stats = Stats{}
+	m.runPreserved = None
+	if m.peak > keptBlocks {
+		m.predStore, m.domStore, m.loopStore, m.peak = predStore{}, DomTree{}, LoopInfo{}, 0
+		return
+	}
+	m.predStore.reset()
+	m.domStore.reset()
+	m.loopStore.reset()
+}
 
 // Func returns the function the manager serves.
 func (m *Manager) Func() *ir.Func { return m.fn }
@@ -117,7 +165,10 @@ func (m *Manager) Func() *ir.Func { return m.fn }
 func (m *Manager) Preds() map[*ir.Block][]*ir.Block {
 	if m.preds == nil {
 		m.stats.Computes++
-		m.preds = Preds(m.fn)
+		m.preds = m.predStore.compute(m.fn)
+		// The tree and the loops are computed over the blocks of a
+		// cached map, so this is the most blocks any storage saw.
+		m.peak = max(m.peak, len(m.fn.Blocks))
 	} else {
 		m.stats.Hits++
 	}
@@ -130,7 +181,8 @@ func (m *Manager) DomTree() *DomTree {
 	if m.dt == nil {
 		preds := m.Preds()
 		m.stats.Computes++
-		m.dt = newDomTree(m.fn, preds)
+		m.domStore.compute(m.fn, preds)
+		m.dt = &m.domStore
 	} else {
 		m.stats.Hits++
 	}
@@ -143,7 +195,10 @@ func (m *Manager) LoopInfo() *LoopInfo {
 	if m.li == nil {
 		dt := m.DomTree()
 		m.stats.Computes++
-		m.li = FindLoops(m.fn, dt)
+		// A cached dominator tree implies a cached predecessor map
+		// (Invalidate drops the tree with the map).
+		m.loopStore.compute(m.fn, dt, m.preds)
+		m.li = &m.loopStore
 	} else {
 		m.stats.Hits++
 	}

@@ -1,6 +1,10 @@
 package analysis
 
 import (
+	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 
 	"tameir/internal/ir"
@@ -105,4 +109,94 @@ func TestManagerMatchesDirectComputation(t *testing.T) {
 				b.Name(), direct.IDom(b), cached.IDom(b))
 		}
 	}
+}
+
+// TestManagerResetReusesStorage: one manager, moved across functions
+// of different shapes with Reset and invalidated between queries,
+// serves exactly what fresh computations give (CheckInvariants
+// recomputes every cached analysis from scratch; the children lists
+// and loop bodies are compared here too), and once its storage has
+// grown to a function it recomputes that function's analyses without
+// allocating.
+func TestManagerResetReusesStorage(t *testing.T) {
+	deadEdgeSrc := `define i32 @f(i1 %c) {
+entry:
+  br label %loop
+loop:
+  br i1 %c, label %loop, label %exit
+dead:
+  br label %loop
+exit:
+  ret i32 0
+}`
+	var fns []*ir.Func
+	for _, src := range []string{nestedLoopSrc, diamondSrc, deadEdgeSrc, loopSrc} {
+		fns = append(fns, ir.MustParseFunc(src))
+	}
+	fns = append(fns, managerFunc(t))
+	same := func(f *ir.Func, m *Manager) {
+		t.Helper()
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		dt, li := NewDomTree(f), FindLoops(f, NewDomTree(f))
+		for _, b := range f.Blocks {
+			if !slices.Equal(m.DomTree().Children(b), dt.Children(b)) {
+				t.Fatalf("@%s: children of %%%s %v, fresh %v", f.Name(), b.Name(), m.DomTree().Children(b), dt.Children(b))
+			}
+		}
+		got := m.LoopInfo().Loops
+		if len(got) != len(li.Loops) {
+			t.Fatalf("@%s: %d loops, fresh %d", f.Name(), len(got), len(li.Loops))
+		}
+		for i, l := range got {
+			fl := li.Loops[i]
+			if l.Header != fl.Header || !maps.Equal(l.Blocks, fl.Blocks) || !slices.Equal(l.Latches, fl.Latches) ||
+				loopHeader(l.Parent) != loopHeader(fl.Parent) {
+				t.Fatalf("@%s: loop %d differs from a fresh computation", f.Name(), i)
+			}
+		}
+	}
+	m := NewManager(nil)
+	for round := 0; round < 2; round++ {
+		for _, f := range fns {
+			m.Reset(f)
+			same(f, m)
+			m.Invalidate(CFG) // recompute the tree and loops over the kept map
+			same(f, m)
+			m.InvalidateAll()
+			same(f, m)
+		}
+		slices.Reverse(fns)
+	}
+	m.Reset(nil)
+	if m.Func() != nil || m.Cached(CFG) || m.Stats() != (Stats{}) {
+		t.Fatal("Reset(nil) left the manager serving a function")
+	}
+
+	f := ir.MustParseFunc(nestedLoopSrc)
+	m.Reset(f)
+	m.LoopInfo()
+	if n := testing.AllocsPerRun(100, func() {
+		m.Reset(f)
+		m.LoopInfo()
+	}); n != 0 {
+		t.Errorf("recomputing the analyses of one function allocates %.0f times, want 0", n)
+	}
+
+	// Storage grown for a function of more than keptBlocks blocks is
+	// dropped at the next Reset, not kept for the functions after it.
+	var big strings.Builder
+	big.WriteString("define void @big() {\nentry:\n  br label %b0\n")
+	for i := 0; i <= keptBlocks; i++ {
+		fmt.Fprintf(&big, "b%d:\n  br label %%b%d\n", i, i+1)
+	}
+	fmt.Fprintf(&big, "b%d:\n  ret void\n}", keptBlocks+1)
+	m.Reset(ir.MustParseFunc(big.String()))
+	same(m.Func(), m)
+	m.Reset(f)
+	if m.domStore.idom != nil || m.predStore.m != nil || m.loopStore.store != nil {
+		t.Error("Reset kept the storage of a function larger than keptBlocks")
+	}
+	same(f, m)
 }

@@ -188,7 +188,7 @@ func attrsCannotPoison(in *ir.Instr) bool {
 	if in.Op != ir.OpAdd || in.Attrs != ir.NUW || !in.Ty.IsInt() {
 		return false
 	}
-	mask := ir.TruncBits(^uint64(0), in.Ty.Bits)
+	mask := ir.TruncBits(^uint64(0), uint(in.Ty.Bits))
 	la := ComputeKnownBits(in.Arg(0))
 	lb := ComputeKnownBits(in.Arg(1))
 	maxA := mask &^ la.Zero

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"tameir/internal/core"
 	"tameir/internal/ir"
@@ -62,7 +63,7 @@ func paramInputs(fn *ir.Func, mode core.Mode) [][]core.Value {
 				vs = append(vs, core.VC(ty, v))
 			}
 		case ty.IsInt():
-			for _, v := range []uint64{0, 1, ir.TruncBits(^uint64(0), ty.Bits)} {
+			for _, v := range []uint64{0, 1, ir.TruncBits(^uint64(0), uint(ty.Bits))} {
 				vs = append(vs, core.VC(ty, v))
 			}
 		default:
@@ -848,5 +849,75 @@ func TestProgramSharedAcrossGoroutines(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestCompiledExecutorRebindMatchesFresh: one executor bound in turn to
+// every corpus program, in one order and then the reverse (so its
+// reused frame, arena, memory and cycle detector meet programs both
+// larger and smaller than the last), runs every input in lockstep
+// with the interpreter, and counts exactly what a fresh executor
+// counts on the same sweep.
+func TestCompiledExecutorRebindMatchesFresh(t *testing.T) {
+	var shared *core.Executor
+	check := func(label string, fn *ir.Func, opts core.Options) {
+		p := core.Compile(fn, opts)
+		if shared == nil {
+			shared = core.NewExecutor(p)
+		} else {
+			shared.Bind(p)
+		}
+		fresh := core.NewExecutor(p)
+		for _, args := range paramInputs(fn, opts.Mode) {
+			diffOne(t, label+"/rebound", fn, shared, args, opts, 1<<12)
+			diffOne(t, label+"/fresh", fn, fresh, args, opts, 1<<12)
+		}
+		// The two executors share p's inner-call frame pool, so only the
+		// number of inner frames they took is comparable, not the split
+		// into pool hits and allocations.
+		ms, mf := *shared.Metrics(), *fresh.Metrics()
+		ms.FramesPooled, ms.FramesAllocated = ms.FramesPooled+ms.FramesAllocated, 0
+		mf.FramesPooled, mf.FramesAllocated = mf.FramesPooled+mf.FramesAllocated, 0
+		if ms != mf {
+			t.Fatalf("%s: rebound executor counted %+v, fresh %+v", label, ms, mf)
+		}
+	}
+	v := diffVariants()
+	for pass := 0; pass < 2; pass++ {
+		for k := range compiledCorpus {
+			if pass == 1 {
+				k = len(compiledCorpus) - 1 - k
+			}
+			tc := compiledCorpus[k]
+			for _, variant := range v[:2] {
+				if tc.legacyOnly && variant.opts.Mode == core.Freeze {
+					continue
+				}
+				m, err := ir.ParseModule(tc.src)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				opts := variant.opts
+				if tc.fuel > 0 {
+					opts.Fuel = tc.fuel
+				}
+				check(tc.name+"/"+variant.name, m.Funcs[len(m.Funcs)-1], opts)
+			}
+		}
+	}
+}
+
+// TestValueAndTypeSizes pins the layout the per-candidate allocation
+// budget rests on: an eight-byte ir.Type keeps a runtime value at 32
+// bytes and an instruction within the 128-byte size class.
+func TestValueAndTypeSizes(t *testing.T) {
+	if s := unsafe.Sizeof(ir.Type{}); s != 8 {
+		t.Errorf("ir.Type is %d bytes, want 8", s)
+	}
+	if s := unsafe.Sizeof(core.Value{}); s != 32 {
+		t.Errorf("core.Value is %d bytes, want 32", s)
+	}
+	if s := unsafe.Sizeof(ir.Instr{}); s > 128 {
+		t.Errorf("ir.Instr is %d bytes, want at most 128", s)
 	}
 }

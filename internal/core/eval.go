@@ -85,7 +85,7 @@ func ResolveLane(s Scalar, w uint, o Oracle) Scalar {
 
 // ResolveUndef materializes every undef lane of v.
 func ResolveUndef(v Value, o Oracle) Value {
-	w := v.Ty.ElemType().Bits
+	w := uint(v.Ty.ElemType().Bits)
 	out := Value{Ty: v.Ty, Lanes: make([]Scalar, len(v.Lanes))}
 	for i, l := range v.Lanes {
 		out.Lanes[i] = ResolveLane(l, w, o)

@@ -80,10 +80,11 @@ type Env struct {
 	// params into its registers, so one buffer per env serves every
 	// call site at every depth.
 	callBuf []Value
-	// retOut is the compiled ret step's outcome scratch: execFrame
-	// copies the pointed-to Outcome out by value before any other step
-	// can run, so one slot per env serves every ret at every depth.
-	retOut Outcome
+	// stepOut is the compiled steps' outcome scratch for a return, a
+	// UB outcome (Env.ub) or a callee's non-return: execFrame copies
+	// the pointed-to Outcome out by value before any other step can
+	// run, so one slot per env serves every step at every depth.
+	stepOut Outcome
 	// cyc detects proven divergence on the closure engine; mrg merges
 	// its runs into earlier choice paths' states.
 	cyc Cycles
@@ -102,7 +103,8 @@ type Env struct {
 // EngineMetrics counts what the execution engine did: top-level runs,
 // instructions stepped, and how inner-call frames were obtained (pool
 // hit vs fresh allocation — the steady-state engine should pool nearly
-// everything after warm-up).
+// everything after warm-up). An executor's depth-0 frame is its own
+// and counts in neither, so a run without calls counts no frames.
 type EngineMetrics struct {
 	Execs           uint64
 	Steps           uint64
@@ -453,7 +455,7 @@ func (env *Env) evalInstr(fr *frame, in *ir.Instr) (Value, *Outcome) {
 		if out != nil {
 			return Value{}, out
 		}
-		w := in.Ty.ElemType().Bits
+		w := uint(in.Ty.ElemType().Bits)
 		lanes := make([]Scalar, len(x.Lanes))
 		for i := range lanes {
 			s, ub := EvalBinopLane(in.Op, in.Attrs, w, x.Lanes[i], y.Lanes[i], env.Opts.Mode)
@@ -473,7 +475,7 @@ func (env *Env) evalInstr(fr *frame, in *ir.Instr) (Value, *Outcome) {
 		if out != nil {
 			return Value{}, out
 		}
-		w := in.Arg(0).Type().ElemType().Bits
+		w := uint(in.Arg(0).Type().ElemType().Bits)
 		lanes := make([]Scalar, len(x.Lanes))
 		for i := range lanes {
 			lanes[i] = EvalICmpLane(in.Pred, w, x.Lanes[i], y.Lanes[i])
@@ -488,7 +490,7 @@ func (env *Env) evalInstr(fr *frame, in *ir.Instr) (Value, *Outcome) {
 		if out != nil {
 			return Value{}, out
 		}
-		w := in.Ty.ElemType().Bits
+		w := uint(in.Ty.ElemType().Bits)
 		lanes := make([]Scalar, len(x.Lanes))
 		for i, l := range x.Lanes {
 			lanes[i] = FreezeLane(l, w, env.Oracle)
@@ -549,7 +551,7 @@ func (env *Env) evalInstr(fr *frame, in *ir.Instr) (Value, *Outcome) {
 		if out != nil {
 			return Value{}, out
 		}
-		idxW := in.Arg(1).Type().Bits
+		idxW := uint(in.Arg(1).Type().Bits)
 		s := EvalGEP(in.Attrs, base.Scalar(), idx.Scalar(), idxW, SizeOfType(in.AllocTy))
 		return Value{Ty: ir.Ptr, Lanes: []Scalar{s}}, nil
 
@@ -558,8 +560,8 @@ func (env *Env) evalInstr(fr *frame, in *ir.Instr) (Value, *Outcome) {
 		if out != nil {
 			return Value{}, out
 		}
-		fromW := in.Arg(0).Type().ElemType().Bits
-		toW := in.Ty.ElemType().Bits
+		fromW := uint(in.Arg(0).Type().ElemType().Bits)
+		toW := uint(in.Ty.ElemType().Bits)
 		lanes := make([]Scalar, len(x.Lanes))
 		for i, l := range x.Lanes {
 			lanes[i] = EvalCastLane(in.Op, fromW, toW, l)

@@ -107,6 +107,13 @@ func (env *Env) newLanes(n int) []Scalar {
 	return env.arena[m : m+n : m+n]
 }
 
+// ub returns a UB outcome in the env's step scratch (see stepOut), so
+// a step that traps allocates nothing.
+func (env *Env) ub(msg string) *Outcome {
+	env.stepOut = Outcome{Kind: OutUB, Msg: msg}
+	return &env.stepOut
+}
+
 // opdKind discriminates compiled operands.
 type opdKind uint8
 
@@ -174,7 +181,7 @@ func (o *opd) evalStrict(env *Env, fr *cframe) (Value, *Outcome) {
 	}
 	for i := range v.Lanes {
 		if v.Lanes[i].Kind == UndefVal {
-			w := v.Ty.ElemType().Bits
+			w := uint(v.Ty.ElemType().Bits)
 			lanes := env.newLanes(len(v.Lanes))
 			for j, l := range v.Lanes {
 				lanes[j] = ResolveLane(l, w, env.Oracle)
@@ -471,7 +478,7 @@ func (c *compiler) compileInstr(b *ir.Block, in *ir.Instr) stepFn {
 			switch s.Kind {
 			case PoisonVal:
 				if bp == BranchPoisonIsUB {
-					return 0, ubOut("branch on poison")
+					return 0, env.ub("branch on poison")
 				}
 				s = C(env.Oracle.Choose(2))
 			case UndefVal:
@@ -494,8 +501,8 @@ func (c *compiler) compileInstr(b *ir.Block, in *ir.Instr) stepFn {
 			if out != nil {
 				return 0, out
 			}
-			env.retOut = Outcome{Kind: OutRet, Val: rv}
-			return 0, &env.retOut
+			env.stepOut = Outcome{Kind: OutRet, Val: rv}
+			return 0, &env.stepOut
 		}
 
 	case in.Op == ir.OpUnreachable:
@@ -526,7 +533,8 @@ func (c *compiler) compileInstr(b *ir.Block, in *ir.Instr) stepFn {
 			}
 			res := callee.invoke(env, callArgs)
 			if res.Kind != OutRet {
-				return 0, &res
+				env.stepOut = res
+				return 0, &env.stepOut
 			}
 			if slot >= 0 {
 				fr.regs[slot] = res.Val
@@ -549,7 +557,7 @@ func (c *compiler) compileEval(in *ir.Instr) evalFn {
 		x := c.operand(in.Arg(0))
 		y := c.operand(in.Arg(1))
 		op, attrs := in.Op, in.Attrs
-		w := ty.ElemType().Bits
+		w := uint(ty.ElemType().Bits)
 		return func(env *Env, fr *cframe) (Value, *Outcome) {
 			xv, out := x.evalStrict(env, fr)
 			if out != nil {
@@ -563,7 +571,7 @@ func (c *compiler) compileEval(in *ir.Instr) evalFn {
 			for i := range lanes {
 				s, ub := EvalBinopLane(op, attrs, w, xv.Lanes[i], yv.Lanes[i], mode)
 				if ub != "" {
-					return Value{}, ubOut(ub)
+					return Value{}, env.ub(ub)
 				}
 				lanes[i] = s
 			}
@@ -574,7 +582,7 @@ func (c *compiler) compileEval(in *ir.Instr) evalFn {
 		x := c.operand(in.Arg(0))
 		y := c.operand(in.Arg(1))
 		pred := in.Pred
-		w := in.Arg(0).Type().ElemType().Bits
+		w := uint(in.Arg(0).Type().ElemType().Bits)
 		return func(env *Env, fr *cframe) (Value, *Outcome) {
 			xv, out := x.evalStrict(env, fr)
 			if out != nil {
@@ -596,7 +604,7 @@ func (c *compiler) compileEval(in *ir.Instr) evalFn {
 
 	case in.Op == ir.OpFreeze:
 		x := c.operand(in.Arg(0))
-		w := ty.ElemType().Bits
+		w := uint(ty.ElemType().Bits)
 		return func(env *Env, fr *cframe) (Value, *Outcome) {
 			xv, out := x.eval(env, fr)
 			if out != nil {
@@ -637,11 +645,11 @@ func (c *compiler) compileEval(in *ir.Instr) evalFn {
 			}
 			ps := p.Scalar()
 			if ps.Kind == PoisonVal {
-				return Value{}, ubOut("load from poison address")
+				return Value{}, env.ub("load from poison address")
 			}
 			bits, err := env.Mem.Load(uint32(ps.Bits), sz)
 			if err != nil {
-				return Value{}, ubOut(err.Error())
+				return Value{}, env.ub(err.Error())
 			}
 			return Raise(ty, bits, env.Oracle), nil
 		}
@@ -661,10 +669,10 @@ func (c *compiler) compileEval(in *ir.Instr) evalFn {
 			}
 			ps := p.Scalar()
 			if ps.Kind == PoisonVal {
-				return Value{}, ubOut("store to poison address")
+				return Value{}, env.ub("store to poison address")
 			}
 			if err := env.Mem.Store(uint32(ps.Bits), Lower(v)); err != nil {
-				return Value{}, ubOut(err.Error())
+				return Value{}, env.ub(err.Error())
 			}
 			return Value{Ty: ir.Void}, nil
 		}
@@ -674,7 +682,7 @@ func (c *compiler) compileEval(in *ir.Instr) evalFn {
 		base := c.operand(in.Arg(0))
 		idx := c.operand(in.Arg(1))
 		attrs := in.Attrs
-		idxW := in.Arg(1).Type().Bits
+		idxW := uint(in.Arg(1).Type().Bits)
 		elemSize := SizeOfType(in.AllocTy)
 		return func(env *Env, fr *cframe) (Value, *Outcome) {
 			bv, out := base.evalStrict(env, fr)
@@ -693,8 +701,8 @@ func (c *compiler) compileEval(in *ir.Instr) evalFn {
 	case in.Op == ir.OpZExt, in.Op == ir.OpSExt, in.Op == ir.OpTrunc:
 		x := c.operand(in.Arg(0))
 		op := in.Op
-		fromW := in.Arg(0).Type().ElemType().Bits
-		toW := ty.ElemType().Bits
+		fromW := uint(in.Arg(0).Type().ElemType().Bits)
+		toW := uint(ty.ElemType().Bits)
 		return func(env *Env, fr *cframe) (Value, *Outcome) {
 			xv, out := x.evalStrict(env, fr)
 			if out != nil {
@@ -797,7 +805,7 @@ func (c *compiler) compileSelect(in *ir.Instr) evalFn {
 			case PoisonVal:
 				switch spc {
 				case SelectPoisonCondUB:
-					return Value{}, ubOut("select on poison condition")
+					return Value{}, env.ub("select on poison condition")
 				case SelectPoisonCondNondet:
 					s = C(env.Oracle.Choose(2))
 				default:
@@ -835,7 +843,7 @@ func (c *compiler) compileSelect(in *ir.Instr) evalFn {
 			case PoisonVal:
 				switch spc {
 				case SelectPoisonCondUB:
-					return Value{}, ubOut("select on poison condition")
+					return Value{}, env.ub("select on poison condition")
 				case SelectPoisonCondNondet:
 					cl = C(env.Oracle.Choose(2))
 				default:
@@ -949,9 +957,12 @@ func (p *Program) checkArgs(args []Value) *Outcome {
 // environment (memory included) so back-to-back runs allocate nothing
 // on the fast path. Each Run is a fresh execution — fuel, step count,
 // memory and globals are reset — matching what Interpret's
-// env-per-call gives the interpreter. An Executor is not safe for
-// concurrent use; create one per goroutine (Programs and their frame
-// pools are shared safely).
+// env-per-call gives the interpreter. Bind moves an executor to
+// another Program, keeping what it allocated, so a caller that checks
+// one program after another (package refine pools its executors)
+// pays for an executor once. An Executor is not safe for concurrent
+// use; create one per goroutine (Programs and their frame pools are
+// shared safely).
 type Executor struct {
 	prog *Program
 	env  Env
@@ -963,10 +974,35 @@ type Executor struct {
 
 // NewExecutor returns an executor for p.
 func NewExecutor(p *Program) *Executor {
-	e := &Executor{prog: p}
-	e.env.Mod = p.fn.Parent()
-	e.env.Opts = p.opts
+	e := new(Executor)
+	e.Bind(p)
 	return e
+}
+
+// Bind points e at p. Everything a run reads is reset: the module and
+// its global addresses, the options, the memory (dropped, so a
+// program's heap pages do not outlive it in an idle executor) and the
+// counters, which restart at zero. Kept: the depth-0 frame when it
+// has room for p's registers and phi moves, the lane arena's current
+// chunk, the call scratch and the cycle detector, each of which a run
+// overwrites before it reads.
+func (e *Executor) Bind(p *Program) {
+	e.prog = p
+	env := &e.env
+	env.Mod = p.fn.Parent()
+	env.Opts = p.opts
+	env.Mem = nil
+	clear(env.globalAddr)
+	env.Metrics = EngineMetrics{}
+	if fr := e.fr; fr != nil {
+		if cap(fr.regs) >= p.nSlots && cap(fr.phiBuf) >= p.maxMoves {
+			// Run clears the registers after every execution, so the
+			// reused frame starts zeroed like a fresh one.
+			fr.regs, fr.phiBuf = fr.regs[:p.nSlots], fr.phiBuf[:p.maxMoves]
+		} else {
+			e.fr = nil
+		}
+	}
 }
 
 // Run executes the program on args, resolving nondeterminism through o.
@@ -1006,7 +1042,6 @@ func (e *Executor) Run(args []Value, o Oracle) Outcome {
 	env.depth++
 	if e.fr == nil {
 		e.fr = p.newFrame()
-		env.Metrics.FramesAllocated++
 	}
 	out := p.execFrame(env, e.fr, args)
 	clear(e.fr.regs)
@@ -1017,6 +1052,7 @@ func (e *Executor) Run(args []Value, o Oracle) Outcome {
 	return out
 }
 
-// Metrics exposes the executor's accumulated engine counters; callers
-// that publish telemetry read (and may reset) them between campaigns.
+// Metrics exposes the engine counters the executor accumulated since
+// it was last bound; callers that publish telemetry read (and may
+// reset) them.
 func (e *Executor) Metrics() *EngineMetrics { return &e.env.Metrics }

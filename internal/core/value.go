@@ -70,7 +70,7 @@ type Value struct {
 
 // VC constructs a concrete scalar value of type ty.
 func VC(ty ir.Type, bits uint64) Value {
-	return Value{Ty: ty, Lanes: []Scalar{C(ir.TruncBits(bits, ty.ElemType().Bits))}}
+	return Value{Ty: ty, Lanes: []Scalar{C(ir.TruncBits(bits, uint(ty.ElemType().Bits)))}}
 }
 
 // VPoison constructs an all-poison value of type ty.
@@ -145,7 +145,7 @@ func (v Value) Uint() uint64 {
 
 // Int returns the concrete scalar value sign-extended to int64.
 func (v Value) Int() int64 {
-	return ir.SignExtBits(v.Uint(), v.Ty.ElemType().Bits)
+	return ir.SignExtBits(v.Uint(), uint(v.Ty.ElemType().Bits))
 }
 
 // Equal reports structural equality of two values (same type, same
@@ -216,7 +216,7 @@ const (
 // A poison lane lowers to all-poison bits; an undef lane to all-undef
 // bits.
 func Lower(v Value) []Bit {
-	w := v.Ty.ElemType().Bits
+	w := uint(v.Ty.ElemType().Bits)
 	out := make([]Bit, 0, uint(len(v.Lanes))*w)
 	for _, l := range v.Lanes {
 		for i := uint(0); i < w; i++ {
@@ -245,7 +245,7 @@ func Lower(v Value) []Bit {
 // resolves each undef bit through the oracle so the defined bits are
 // not lost.
 func Raise(ty ir.Type, bits []Bit, o Oracle) Value {
-	w := ty.ElemType().Bits
+	w := uint(ty.ElemType().Bits)
 	n := ty.NumElems()
 	if uint(len(bits)) != w*n {
 		panic(fmt.Sprintf("core: Raise %s from %d bits", ty, len(bits)))

@@ -93,7 +93,7 @@ func (bd *Builder) ICmp(p Pred, x, y Value) *Instr {
 	}
 	rt := I1
 	if x.Type().IsVec() {
-		rt = Vec(x.Type().Len, I1)
+		rt = Vec(x.Type().NumElems(), I1)
 	}
 	in := NewInstr(OpICmp, rt, x, y)
 	in.Pred = p

@@ -294,6 +294,9 @@ type Instr struct {
 // maintained from the start.
 func NewInstr(op Op, ty Type, args ...Value) *Instr {
 	in := &Instr{Op: op, Ty: ty}
+	if len(args) > 0 {
+		in.args = make([]Value, 0, len(args))
+	}
 	for _, a := range args {
 		in.AddArg(a)
 	}

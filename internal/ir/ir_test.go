@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -331,6 +332,24 @@ var parseErrorCases = []struct {
 		name:    "declaration",
 		src:     "declare i32 @f()",
 		wantErr: `ir: line 1:1: expected 'define' or global, got "declare"`,
+	},
+	{
+		name:    "vector length over the maximum",
+		src:     "define <2000000000 x i8> @f() {\nentry:\n  %x = freeze <2000000000 x i8> poison\n  ret <2000000000 x i8> %x\n}",
+		wantErr: "ir: line 1:9: vector length 2000000000 exceeds the maximum 65536",
+	},
+	{
+		name:    "global size over the maximum",
+		src:     "@g = global 4000000000",
+		wantErr: "ir: line 1:13: global size 4000000000 exceeds the maximum 16777216",
+	},
+	{
+		// Each element is "i8 0, " (6 bytes) after the 16-byte prefix,
+		// so the first element past the maximum starts at column
+		// 17+6*MaxVecLen.
+		name:    "vector constant over the maximum",
+		src:     "define <2 x i8> @f() {\nentry:\n  ret <2 x i8> <" + strings.Repeat("i8 0, ", MaxVecLen) + "i8 0>\n}",
+		wantErr: fmt.Sprintf("ir: line 3:%d: vector constant has more than 65536 elements", 17+6*MaxVecLen),
 	},
 }
 

@@ -279,6 +279,9 @@ func (p *parser) parseGlobal() error {
 	if err != nil {
 		return p.errf(szTok, "bad global size %q", szTok.text)
 	}
+	if sz > MaxGlobalSize {
+		return p.errf(szTok, "global size %d exceeds the maximum %d", sz, MaxGlobalSize)
+	}
 	g := &Global{Nam: name, Size: uint32(sz)}
 	if p.acceptWord("init") {
 		for p.lex.peek().kind == tokInt {
@@ -316,6 +319,9 @@ func (p *parser) parseType() (Type, error) {
 		n, err := strconv.ParseUint(nTok.text, 10, 32)
 		if err != nil || n == 0 {
 			return Type{}, p.errf(nTok, "bad vector length %q", nTok.text)
+		}
+		if n > MaxVecLen {
+			return Type{}, p.errf(nTok, "vector length %d exceeds the maximum %d", n, MaxVecLen)
 		}
 		if err := p.expectWord("x"); err != nil {
 			return Type{}, err
@@ -406,6 +412,9 @@ func (p *parser) parseVecConst() (Value, error) {
 		}
 		if !IsConstLeaf(ev) {
 			return nil, p.errf(t, "vector constant element must be constant")
+		}
+		if len(elems) == MaxVecLen {
+			return nil, p.errf(t, "vector constant has more than %d elements", MaxVecLen)
 		}
 		elems = append(elems, ev)
 		if !p.acceptPunct(",") {
@@ -654,7 +663,7 @@ func (p *parser) parseInstrBody(op Op, opTok token) (*Instr, error) {
 		}
 		rt := I1
 		if x.Type().IsVec() {
-			rt = Vec(x.Type().Len, I1)
+			rt = Vec(x.Type().NumElems(), I1)
 		}
 		in := NewInstr(OpICmp, rt, x, y)
 		in.Pred = pred

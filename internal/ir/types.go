@@ -31,17 +31,21 @@ const (
 // Type describes an IR type. Types are small immutable values and are
 // compared with Equal (or, for interned scalar types, ==).
 //
+// The fields are packed into eight bytes: every instruction, parameter,
+// constant and runtime value carries a Type, so its size is paid once
+// per IR object and per register.
+//
 // Following Figure 5 of the paper, pointers are 32 bits wide.
 type Type struct {
 	Kind TypeKind
+	// Elem is the element type kind for VecKind (IntKind or PtrKind).
+	Elem TypeKind
 	// Bits is the width of an IntKind type. It is 32 for PtrKind (the
 	// paper's Mem maps 32-bit addresses) and 0 for VoidKind. For VecKind
 	// it is the width of the element type.
-	Bits uint
-	// Elem is the element type kind for VecKind (IntKind or PtrKind).
-	Elem TypeKind
+	Bits uint16
 	// Len is the number of vector elements for VecKind.
-	Len uint
+	Len uint32
 }
 
 // PtrBits is the width of a pointer, per Figure 5 of the paper.
@@ -52,12 +56,22 @@ const PtrBits = 32
 // uses (i1 through i64).
 const MaxIntBits = 64
 
+// MaxVecLen is the largest vector lane count the IR accepts. Every
+// runtime value holds one lane per element, so the bound keeps a
+// textual type from asking the engines for gigabytes; the widest vector
+// any test, corpus or MinC program builds is <64 x i1>.
+const MaxVecLen = 1 << 16
+
+// MaxGlobalSize is the largest global the IR accepts, in bytes: the
+// engines' cap on a single alloca.
+const MaxGlobalSize = 1 << 24
+
 // Int returns the integer type iN.
 func Int(bits uint) Type {
 	if bits == 0 || bits > MaxIntBits {
 		panic(fmt.Sprintf("ir.Int: unsupported bitwidth %d", bits))
 	}
-	return Type{Kind: IntKind, Bits: bits}
+	return Type{Kind: IntKind, Bits: uint16(bits)}
 }
 
 // Common interned types.
@@ -75,12 +89,12 @@ var (
 // Vec returns the vector type <n x elem>. The element must be an integer
 // or pointer type.
 func Vec(n uint, elem Type) Type {
-	if n == 0 {
-		panic("ir.Vec: zero-length vector")
+	if n == 0 || n > MaxVecLen {
+		panic(fmt.Sprintf("ir.Vec: unsupported vector length %d", n))
 	}
 	switch elem.Kind {
 	case IntKind, PtrKind:
-		return Type{Kind: VecKind, Bits: elem.Bits, Elem: elem.Kind, Len: n}
+		return Type{Kind: VecKind, Bits: elem.Bits, Elem: elem.Kind, Len: uint32(n)}
 	}
 	panic("ir.Vec: element must be integer or pointer")
 }
@@ -111,7 +125,7 @@ func (t Type) ElemType() Type {
 func (t Type) NumElems() uint {
 	switch t.Kind {
 	case VecKind:
-		return t.Len
+		return uint(t.Len)
 	case VoidKind:
 		return 0
 	}
@@ -121,7 +135,7 @@ func (t Type) NumElems() uint {
 // Bitwidth returns the total width in bits of a value of type t, per the
 // paper's bitwidth(ty): lane width times lane count.
 func (t Type) Bitwidth() uint {
-	return t.ElemType().Bits * t.NumElems()
+	return uint(t.ElemType().Bits) * t.NumElems()
 }
 
 // Equal reports whether two types are identical.
@@ -206,6 +220,9 @@ func ParseType(s string) (Type, error) {
 		var n uint
 		if _, err := fmt.Sscanf(strings.TrimSpace(parts[0]), "%d", &n); err != nil || n == 0 {
 			return Type{}, fmt.Errorf("ir: bad vector length in %q", s)
+		}
+		if n > MaxVecLen {
+			return Type{}, fmt.Errorf("ir: vector length %d exceeds the maximum %d in %q", n, MaxVecLen, s)
 		}
 		elem, err := ParseType(parts[1])
 		if err != nil {

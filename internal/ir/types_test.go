@@ -37,7 +37,7 @@ func TestTypeProperties(t *testing.T) {
 }
 
 func TestParseTypeRoundTrip(t *testing.T) {
-	for _, s := range []string{"i1", "i2", "i7", "i32", "i64", "ptr", "void", "<4 x i8>", "<2 x ptr>", "<32 x i1>"} {
+	for _, s := range []string{"i1", "i2", "i7", "i32", "i64", "ptr", "void", "<4 x i8>", "<2 x ptr>", "<32 x i1>", "<65536 x i1>"} {
 		ty, err := ParseType(s)
 		if err != nil {
 			t.Fatalf("ParseType(%q): %v", s, err)
@@ -49,7 +49,7 @@ func TestParseTypeRoundTrip(t *testing.T) {
 }
 
 func TestParseTypeErrors(t *testing.T) {
-	for _, s := range []string{"", "i0", "i65", "i", "x32", "<0 x i8>", "<4 x void>", "<4 x <2 x i8>>", "float"} {
+	for _, s := range []string{"", "i0", "i65", "i", "x32", "<0 x i8>", "<4 x void>", "<4 x <2 x i8>>", "float", "<65537 x i1>", "<2000000000 x i8>"} {
 		if _, err := ParseType(s); err == nil {
 			t.Errorf("ParseType(%q) unexpectedly succeeded", s)
 		}

@@ -81,7 +81,7 @@ func ConstInt(ty Type, v uint64) *Const {
 	if !ty.IsInt() && !ty.IsPtr() {
 		panic("ir.ConstInt: scalar int/ptr type required")
 	}
-	return &Const{Ty: ty, Bits: TruncBits(v, ty.Bits)}
+	return &Const{Ty: ty, Bits: TruncBits(v, uint(ty.Bits))}
 }
 
 // ConstBool returns the i1 constant 0 or 1.
@@ -118,13 +118,13 @@ func (c *Const) Type() Type { return c.Ty }
 
 // SInt returns the constant's value interpreted as a signed integer of
 // its type's width.
-func (c *Const) SInt() int64 { return SignExtBits(c.Bits, c.Ty.Bits) }
+func (c *Const) SInt() int64 { return SignExtBits(c.Bits, uint(c.Ty.Bits)) }
 
 // IsZero reports whether the constant is zero.
 func (c *Const) IsZero() bool { return c.Bits == 0 }
 
 // IsAllOnes reports whether every bit of the constant is set.
-func (c *Const) IsAllOnes() bool { return c.Bits == TruncBits(^uint64(0), c.Ty.Bits) }
+func (c *Const) IsAllOnes() bool { return c.Bits == TruncBits(^uint64(0), uint(c.Ty.Bits)) }
 
 // Ident implements Value.
 func (c *Const) Ident() string { return string(c.appendIdent(nil)) }

@@ -154,7 +154,7 @@ func verifyInstr(f *Func, in *Instr, mode VerifyMode) error {
 		}
 		want := I1
 		if in.Arg(0).Type().IsVec() {
-			want = Vec(in.Arg(0).Type().Len, I1)
+			want = Vec(in.Arg(0).Type().NumElems(), I1)
 		}
 		if !in.Ty.Equal(want) {
 			return errf("icmp result must be %s", want)

@@ -111,7 +111,7 @@ func (g *irgen) genExpr(e Expr) (cval, error) {
 		case fn.RetTy.IsPtr():
 			rty = Ptr(TyChar)
 		default:
-			rty = &CType{Kind: CInt, Bits: fn.RetTy.Bits}
+			rty = &CType{Kind: CInt, Bits: uint(fn.RetTy.Bits)}
 		}
 		return cval{res, rty}, nil
 	default:
@@ -132,7 +132,7 @@ func (g *irgen) convertToIRType(v cval, want ir.Type, line int) (ir.Value, error
 		}
 		return v.v, nil
 	}
-	cv, err := g.convert(v, &CType{Kind: CInt, Bits: want.Bits}, line)
+	cv, err := g.convert(v, &CType{Kind: CInt, Bits: uint(want.Bits)}, line)
 	if err != nil {
 		return nil, err
 	}

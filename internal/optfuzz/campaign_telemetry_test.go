@@ -83,6 +83,39 @@ func TestCampaignTelemetryDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestCampaignTelemetryNoMemoDeterministicAcrossWorkers: without the
+// shared memo every checker, engine and pass counter is a function of
+// the shard partition, so they all sit in the deterministic section,
+// and it must be byte-identical for any worker count. Executors and
+// analysis managers are pooled process-wide, so a counter that
+// followed which pooled object a check or a function drew would
+// differ here.
+func TestCampaignTelemetryNoMemoDeterministicAcrossWorkers(t *testing.T) {
+	run := func(workers int) string {
+		reg := telemetry.NewRegistry()
+		c := o2Campaign(core.FreezeOptions(), passes.DefaultFreezeConfig(), workers, true)
+		c.Pipeline = passes.O2().Instrument()
+		c.Telemetry = reg
+		c.Run()
+		return reg.Snapshot().DeterministicText()
+	}
+	ref := run(1)
+	for _, want := range []string{
+		"engine_steps_total", "engine_execs_total", "pool_frames_allocated_total",
+		"check_compiles_total", "analysis_computes_total", "pass_runs_total",
+	} {
+		if !strings.Contains(ref, want) {
+			t.Errorf("memo-free deterministic exposition lacks %s:\n%s", want, ref)
+		}
+	}
+	for _, workers := range []int{2, 8} {
+		if text := run(workers); text != ref {
+			t.Errorf("workers=%d: memo-free deterministic telemetry diverges from serial:\nserial:\n%s\nparallel:\n%s",
+				workers, ref, text)
+		}
+	}
+}
+
 // TestCampaignStreamOrdering: findings streamed over Campaign.Stream
 // from a parallel run must arrive in exactly the deterministic
 // (shard, index) order a serial unstreamed run reports — and the

@@ -273,7 +273,7 @@ func (s *MutationSource) consts(ty ir.Type) []ir.Value {
 	for v := uint64(0); v < max; v++ {
 		vs = append(vs, ir.ConstInt(ty, v))
 	}
-	vs = append(vs, ir.ConstInt(ty, ir.TruncBits(^uint64(0), ty.Bits)))
+	vs = append(vs, ir.ConstInt(ty, ir.TruncBits(^uint64(0), uint(ty.Bits))))
 	return vs
 }
 
@@ -600,7 +600,7 @@ func (s *MutationSource) addLoop(f *ir.Func, rng *rand.Rand) bool {
 	iNext.Nam = f.GenName("m")
 	l.Append(iNext)
 	trip := uint64(2 + rng.Intn(2)) // 2 or 3 iterations
-	cmp := ir.NewInstr(ir.OpICmp, ir.I1, iNext, ir.ConstInt(s.ty, ir.TruncBits(trip, s.ty.Bits)))
+	cmp := ir.NewInstr(ir.OpICmp, ir.I1, iNext, ir.ConstInt(s.ty, ir.TruncBits(trip, uint(s.ty.Bits))))
 	cmp.Pred = ir.PredULT
 	cmp.Nam = f.GenName("m")
 	l.Append(cmp)

@@ -49,8 +49,10 @@ func (ADCE) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
 	}
 
 	changed := false
+	snap := newSnapshot()
+	defer snap.release()
 	for _, b := range f.Blocks {
-		for _, in := range append([]*ir.Instr(nil), b.Instrs()...) {
+		for _, in := range snap.of(b) {
 			if in.Parent() == nil || live[in] {
 				continue
 			}

@@ -28,10 +28,12 @@ func init() {
 
 // Run implements Pass.
 func (CodeGenPrepare) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
+	snap := newSnapshot()
+	defer snap.release()
 	changed := false
 	if cfg.FreezeAware {
 		for _, b := range f.Blocks {
-			for _, in := range append([]*ir.Instr(nil), b.Instrs()...) {
+			for _, in := range snap.of(b) {
 				if in.Parent() == nil || in.Op != ir.OpFreeze {
 					continue
 				}

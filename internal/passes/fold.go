@@ -74,7 +74,7 @@ func FoldConstant(in *ir.Instr, mode core.Mode, freezeAware bool) (ir.Value, boo
 			// don't fold.
 			return nil, false
 		}
-		w := in.Arg(0).Type().Bits
+		w := uint(in.Arg(0).Type().Bits)
 		return ir.ConstBool(core.EvalICmpConcrete(in.Pred, w, x.Bits, y.Bits)), true
 	case in.Op == ir.OpZExt, in.Op == ir.OpSExt, in.Op == ir.OpTrunc:
 		if !in.Ty.IsInt() || !in.Arg(0).Type().IsInt() {
@@ -95,7 +95,7 @@ func FoldConstant(in *ir.Instr, mode core.Mode, freezeAware bool) (ir.Value, boo
 			}
 			return ir.ConstInt(in.Ty, 0), true
 		}
-		s := core.EvalCastLane(in.Op, in.Arg(0).Type().Bits, in.Ty.Bits, x)
+		s := core.EvalCastLane(in.Op, uint(in.Arg(0).Type().Bits), uint(in.Ty.Bits), x)
 		return leafFromScalar(in.Ty, s), true
 	case in.Op == ir.OpSelect && !in.Arg(0).Type().IsVec():
 		c, ok := scalarFromLeaf(in.Arg(0))
@@ -138,7 +138,7 @@ func FoldConstant(in *ir.Instr, mode core.Mode, freezeAware bool) (ir.Value, boo
 }
 
 func foldBinop(in *ir.Instr, x, y core.Scalar, mode core.Mode) (ir.Value, bool) {
-	w := in.Ty.Bits
+	w := uint(in.Ty.Bits)
 	// Division by poison or zero is UB; poison is a sound refinement.
 	if in.Op.IsDivRem() && (y.Kind == core.PoisonVal || (y.Kind == core.Concrete && y.Bits == 0)) {
 		return ir.NewPoison(in.Ty), true
@@ -179,7 +179,7 @@ func foldBinopUndef(in *ir.Instr, x, y core.Scalar) (ir.Value, bool) {
 	case ir.OpAnd:
 		return member(0) // undef can be 0
 	case ir.OpOr:
-		return member(ir.TruncBits(^uint64(0), in.Ty.Bits)) // undef can be all-ones
+		return member(ir.TruncBits(^uint64(0), uint(in.Ty.Bits))) // undef can be all-ones
 	case ir.OpMul:
 		return member(0)
 	case ir.OpUDiv, ir.OpSDiv, ir.OpURem, ir.OpSRem:

@@ -30,11 +30,13 @@ func init() {
 
 // Run implements Pass.
 func (InstCombine) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
+	snap := newSnapshot()
+	defer snap.release()
 	changed := false
 	for iter := 0; iter < 8; iter++ {
 		local := false
 		for _, b := range f.Blocks {
-			for _, in := range append([]*ir.Instr(nil), b.Instrs()...) {
+			for _, in := range snap.of(b) {
 				if in.Parent() == nil {
 					continue
 				}

@@ -20,11 +20,13 @@ func init() {
 
 // Run implements Pass.
 func (InstSimplify) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
+	snap := newSnapshot()
+	defer snap.release()
 	changed := false
 	for {
 		localChange := false
 		for _, b := range f.Blocks {
-			for _, in := range append([]*ir.Instr(nil), b.Instrs()...) {
+			for _, in := range snap.of(b) {
 				if in.Parent() == nil {
 					continue // erased by an earlier simplification
 				}
@@ -114,7 +116,7 @@ func simplifyBinop(in *ir.Instr) (ir.Value, bool) {
 			return x, true
 		}
 		if isAllOnesConst(y) {
-			return ir.ConstInt(in.Ty, ir.TruncBits(^uint64(0), in.Ty.Bits)), true
+			return ir.ConstInt(in.Ty, ir.TruncBits(^uint64(0), uint(in.Ty.Bits))), true
 		}
 		if valueEq(x, y) {
 			return x, true
@@ -166,7 +168,7 @@ func simplifyICmp(in *ir.Instr) (ir.Value, bool) {
 	if !x.Type().IsInt() {
 		return nil, false
 	}
-	w := x.Type().Bits
+	w := uint(x.Type().Bits)
 	if c, ok := constOperand(y); ok {
 		// Unsatisfiable / tautological range comparisons.
 		maxU := ir.TruncBits(^uint64(0), w)

@@ -32,6 +32,8 @@ func init() {
 func (LICM) Run(f *ir.Func, cfg *Config, am *AnalysisManager) bool {
 	dt := am.DomTree()
 	li := am.LoopInfo()
+	snap := newSnapshot()
+	defer snap.release()
 	changed := false
 	for _, l := range li.Loops {
 		ph := l.Preheader(f)
@@ -44,7 +46,7 @@ func (LICM) Run(f *ir.Func, cfg *Config, am *AnalysisManager) bool {
 		for {
 			hoisted := false
 			for b := range l.Blocks {
-				for _, in := range append([]*ir.Instr(nil), b.Instrs()...) {
+				for _, in := range snap.of(b) {
 					if in.Parent() == nil {
 						continue
 					}

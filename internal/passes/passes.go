@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"time"
 
 	"tameir/internal/analysis"
@@ -230,12 +231,20 @@ func (pm *PassManager) RunFuncChanged(f *ir.Func, cfg *Config) (bool, []string) 
 	return changed, fired
 }
 
+// managers holds the analysis managers of finished fixpoint runs. A
+// manager keeps the storage its analyses were computed into, so taking
+// one per function, rather than building one, stops the dominator tree,
+// predecessor map and loop info from allocating once a worker's
+// managers have grown to its functions.
+var managers = sync.Pool{New: func() any { return new(analysis.Manager) }}
+
 func (pm *PassManager) runFixpoint(f *ir.Func, cfg *Config, fired *[]string) bool {
 	iters := pm.MaxIters
 	if iters == 0 {
 		iters = 3
 	}
-	am := analysis.NewManager(f)
+	am := managers.Get().(*analysis.Manager)
+	am.Reset(f)
 	mark := pm.startSteps(f)
 	any := false
 	converged := false
@@ -271,6 +280,8 @@ func (pm *PassManager) runFixpoint(f *ir.Func, cfg *Config, fired *[]string) boo
 		pm.Stats.noteFunc(rounds, converged)
 		pm.Stats.addAnalysis(am.Stats())
 	}
+	am.Reset(nil)
+	managers.Put(am)
 	return any
 }
 
@@ -303,10 +314,13 @@ func (pm *PassManager) RunOnce(m *ir.Module, cfg *Config) bool {
 }
 
 // stepMark is where the previous pass step on a function ended: the
-// time and the function's instruction count. The end of one step is
-// the start of the next, so an instrumented step reads the clock once.
+// time since the first step started and the function's instruction
+// count. The end of one step is the start of the next, so an
+// instrumented step reads the clock once, and only the monotonic clock
+// (time.Since; time.Now reads the wall clock too).
 type stepMark struct {
-	at     time.Time
+	start  time.Time
+	at     time.Duration
 	instrs int
 }
 
@@ -323,7 +337,7 @@ func (pm *PassManager) startSteps(f *ir.Func) stepMark {
 		}
 		pm.handlesFor = pm.Stats
 	}
-	return stepMark{at: time.Now(), instrs: f.NumInstrs()}
+	return stepMark{start: time.Now(), instrs: f.NumInstrs()}
 }
 
 // runStep runs the pass at position pos over one function: run it,
@@ -348,8 +362,8 @@ func (pm *PassManager) runStep(pos int, p Pass, f *ir.Func, cfg *Config, am *Ana
 		verifyStep(p.Name(), f, cfg, am, pm.Stats)
 	}
 	if pm.Stats != nil {
-		now, n := time.Now(), f.NumInstrs()
-		pm.Stats.record(pm.handles[pos], changed, now.Sub(mark.at), mark.instrs-n)
+		now, n := time.Since(mark.start), f.NumInstrs()
+		pm.Stats.record(pm.handles[pos], changed, now-mark.at, mark.instrs-n)
 		mark.at, mark.instrs = now, n
 	}
 	return changed

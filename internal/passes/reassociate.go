@@ -24,9 +24,11 @@ func init() {
 
 // Run implements Pass.
 func (Reassociate) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
+	snap := newSnapshot()
+	defer snap.release()
 	changed := false
 	for _, b := range f.Blocks {
-		for _, in := range append([]*ir.Instr(nil), b.Instrs()...) {
+		for _, in := range snap.of(b) {
 			if in.Parent() == nil || in.Op != ir.OpAdd {
 				continue
 			}
@@ -96,7 +98,7 @@ func reassociateAddTree(f *ir.Func, root *ir.Instr, cfg *Config) bool {
 	// Rebuild: ((t0 + t1) + t2 ...) + constSum.
 	b := root.Parent()
 	var acc ir.Value
-	w := root.Ty.Bits
+	w := uint(root.Ty.Bits)
 	if len(terms) == 0 {
 		acc = ir.ConstInt(root.Ty, constSum)
 	} else {

@@ -264,7 +264,7 @@ func (s *sccpState) visit(in *ir.Instr) {
 			s.setLattice(in, bottom)
 			return
 		}
-		res, ub := core.EvalBinopLane(in.Op, in.Attrs, in.Ty.Bits, conc(args[0]), conc(args[1]), core.Freeze)
+		res, ub := core.EvalBinopLane(in.Op, in.Attrs, uint(in.Ty.Bits), conc(args[0]), conc(args[1]), core.Freeze)
 		if ub != "" || res.Kind != core.Concrete {
 			s.setLattice(in, latVal{kind: latDeferred})
 			return
@@ -275,7 +275,7 @@ func (s *sccpState) visit(in *ir.Instr) {
 			s.setLattice(in, bottom)
 			return
 		}
-		w := in.Arg(0).Type().Bits
+		w := uint(in.Arg(0).Type().Bits)
 		r := core.EvalICmpConcrete(in.Pred, w, conc(args[0]).Bits, conc(args[1]).Bits)
 		bit := uint64(0)
 		if r {
@@ -291,7 +291,7 @@ func (s *sccpState) visit(in *ir.Instr) {
 			s.setLattice(in, bottom)
 			return
 		}
-		res := core.EvalCastLane(in.Op, in.Arg(0).Type().Bits, in.Ty.Bits, conc(args[0]))
+		res := core.EvalCastLane(in.Op, uint(in.Arg(0).Type().Bits), uint(in.Ty.Bits), conc(args[0]))
 		s.setLattice(in, latVal{kind: latConst, bits: res.Bits})
 	case in.Op == ir.OpSelect:
 		switch args[0].kind {

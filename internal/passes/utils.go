@@ -1,8 +1,35 @@
 package passes
 
 import (
+	"sync"
+
 	"tameir/internal/ir"
 )
+
+// snapshot is a reusable copy of a block's instruction list, for the
+// passes that erase, insert or move instructions while they walk a
+// block: they range over the copy. Snapshots come from a pool, so a
+// pass run copies blocks without allocating once the pool is warm.
+type snapshot struct{ instrs []*ir.Instr }
+
+var snapshots = sync.Pool{New: func() any { return new(snapshot) }}
+
+// newSnapshot takes a snapshot from the pool; release returns it.
+func newSnapshot() *snapshot { return snapshots.Get().(*snapshot) }
+
+// of copies b's instructions into s, replacing what s held, and
+// returns the copy. It stays valid until the next call of of on s.
+func (s *snapshot) of(b *ir.Block) []*ir.Instr {
+	s.instrs = append(s.instrs[:0], b.Instrs()...)
+	return s.instrs
+}
+
+// release clears the references s holds and returns it to the pool.
+func (s *snapshot) release() {
+	clear(s.instrs)
+	s.instrs = s.instrs[:0]
+	snapshots.Put(s)
+}
 
 // replaceAndErase replaces all uses of in with v and erases in.
 func replaceAndErase(in *ir.Instr, v ir.Value) {

@@ -1,0 +1,7 @@
+//go:build !race
+
+package refine
+
+// raceEnabled reports whether the race detector is on (see
+// race_on_test.go).
+const raceEnabled = false

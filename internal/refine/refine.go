@@ -180,7 +180,7 @@ func DefaultConfig(srcOpts, tgtOpts core.Options) Config {
 func Behaviors(fn *ir.Func, args []core.Value, opts core.Options, cfg Config) BehaviorSet {
 	sd := side{fn: fn, opts: opts} // no memo handle: the ordinal is unused
 	set := behaviorsAt(&sd, args, 0, cfg, "")
-	sd.foldEngine(cfg.Metrics)
+	sd.release(cfg.Metrics)
 	return set
 }
 
@@ -195,29 +195,48 @@ type side struct {
 	memo memoHandle
 }
 
+// executors holds the executors of finished sides. A side binds one to
+// its freshly compiled program, so a campaign allocates an executor,
+// its depth-0 frame and its lane arena once per worker rather than
+// once per check. Engine counters restart at every bind, so what a
+// check reports does not depend on which executor it drew.
+var executors sync.Pool // *core.Executor
+
 // compile builds sd's executor: fn compiled under its options, with
 // cfg.Fuel applied (matching the override the enumeration loop applies
-// on the interpreted path). The executor's frame pool and memory are
-// reused across every execution of the sweep.
+// on the interpreted path), bound to a pooled executor whose frame and
+// memory are reused across every execution of the sweep.
 func (sd *side) compile(cfg Config) {
 	sp := cfg.Trace.Start("compile")
 	opts := sd.opts
 	if cfg.Fuel > 0 {
 		opts.Fuel = cfg.Fuel
 	}
-	sd.ex = core.NewExecutor(core.Compile(sd.fn, opts))
+	p := core.Compile(sd.fn, opts)
+	if ex, ok := executors.Get().(*core.Executor); ok {
+		ex.Bind(p)
+		sd.ex = ex
+	} else {
+		sd.ex = core.NewExecutor(p)
+	}
 	sp.End()
 	if cfg.Metrics != nil {
 		cfg.Metrics.Compiles++
 	}
 }
 
-// foldEngine adds the engine counters sd's executor accumulated, if it
-// was compiled, to m.
-func (sd *side) foldEngine(m *CheckMetrics) {
-	if m != nil && sd.ex != nil {
+// release adds the engine counters sd's executor accumulated, if it
+// was compiled, to m (which may be nil) and returns the executor to
+// the pool. The sweep is over: no outcome of it is read again.
+func (sd *side) release(m *CheckMetrics) {
+	if sd.ex == nil {
+		return
+	}
+	if m != nil {
 		m.Engine.Add(*sd.ex.Metrics())
 	}
+	executors.Put(sd.ex)
+	sd.ex = nil
 }
 
 // behaviorsAt is the enumeration core: it sweeps the oracle through
@@ -475,13 +494,14 @@ func Check(src, tgt *ir.Func, cfg Config) Result {
 	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.Checks++
-		// Executors accumulate engine counters across the whole sweep;
-		// fold in those of the sides that ran, however Check exits.
-		defer func() {
-			srcSide.foldEngine(cfg.Metrics)
-			tgtSide.foldEngine(cfg.Metrics)
-		}()
 	}
+	// Executors accumulate engine counters across the whole sweep; fold
+	// in those of the sides that ran, and pool their executors, however
+	// Check exits.
+	defer func() {
+		srcSide.release(cfg.Metrics)
+		tgtSide.release(cfg.Metrics)
+	}()
 
 	res := Result{Exhaustive: exhaustive}
 	idx := make([]int, len(cands))
@@ -589,7 +609,7 @@ func candidateValuesBits(ty ir.Type, mode core.Mode, bits uint) ([]core.Value, b
 		return vs
 	}
 	switch {
-	case ty.IsInt() && ty.Bits <= bits:
+	case ty.IsInt() && uint(ty.Bits) <= bits:
 		var vs []core.Value
 		for v := uint64(0); v < 1<<ty.Bits; v++ {
 			vs = append(vs, core.VC(ty, v))
@@ -597,7 +617,7 @@ func candidateValuesBits(ty ir.Type, mode core.Mode, bits uint) ([]core.Value, b
 		return addDeferred(vs), true
 	case ty.IsInt():
 		// Sample the interesting corners.
-		w := ty.Bits
+		w := uint(ty.Bits)
 		samples := []uint64{0, 1, 2, 3, ir.TruncBits(^uint64(0), w), 1 << (w - 1), 1<<(w-1) - 1, 5, 10, 100}
 		seen := map[uint64]bool{}
 		var vs []core.Value
@@ -614,7 +634,7 @@ func candidateValuesBits(ty ir.Type, mode core.Mode, bits uint) ([]core.Value, b
 		// caller sets up (see CheckWithPointers-style helpers in the
 		// pass tests); enumeration here stays conservative.
 		return addDeferred([]core.Value{core.VC(ty, 0)}), false
-	case ty.IsVec() && ty.ElemType().IsInt() && ty.ElemType().Bits*ty.Len <= 6:
+	case ty.IsVec() && ty.ElemType().IsInt() && ty.Bitwidth() <= 6:
 		lane, _ := CandidateValues(ty.ElemType(), mode)
 		// Cartesian product over lanes.
 		var vs []core.Value

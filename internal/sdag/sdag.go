@@ -231,7 +231,7 @@ func width(ty ir.Type) uint {
 	if ty.IsPtr() {
 		return 64 // pointers live in full registers on VX64
 	}
-	return ty.Bits
+	return uint(ty.Bits)
 }
 
 func (b *builder) buildBlock(blk *ir.Block) (*BlockDAG, error) {
