@@ -112,9 +112,12 @@ ci: vet test
 # time). Engine parity: the unsound legacy -O2 campaign (two
 # refutations) runs once on the compiled engine and once on the
 # tree-walking interpreter (-interp), and cmp enforces byte-identical
-# findings. The ci-workload/ dir — the findings files, the corpus, and
-# the metric snapshot — is kept for the workflow's fuzz-corpus
-# artifact.
+# findings. Monitored path: the same campaign runs a third time with
+# the campaign monitor armed (-progress streams the findings,
+# -stall-deadline arms the watchdog), and cmp enforces the same
+# findings again. The ci-workload/ dir — the findings files, the
+# corpus, and the metric snapshot — is kept for the workflow's
+# fuzz-corpus artifact.
 .PHONY: ci-workload
 ci-workload:
 	rm -rf ci-workload && mkdir -p ci-workload
@@ -131,6 +134,8 @@ ci-workload:
 	$(GO) run ./cmd/tame-fuzz -validate -sem legacy -unsound -instrs 2 -n 2000 -workers 2 > ci-workload/parity-compiled.txt || true
 	$(GO) run ./cmd/tame-fuzz -validate -sem legacy -unsound -instrs 2 -n 2000 -workers 2 -interp > ci-workload/parity-interp.txt || true
 	cmp ci-workload/parity-compiled.txt ci-workload/parity-interp.txt
+	$(GO) run ./cmd/tame-fuzz -validate -sem legacy -unsound -instrs 2 -n 2000 -workers 2 -progress -stall-deadline 120s > ci-workload/parity-monitored.txt || true
+	cmp ci-workload/parity-compiled.txt ci-workload/parity-monitored.txt
 
 # The flight-recorder gate: the seeded mutation campaign (the same one
 # ci-workload's determinism half runs — it reliably produces findings)

@@ -26,7 +26,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: validate, compiletime, memory, codesize, runtime, ablation, all")
-	reps := flag.Int("reps", 3, "compile repetitions for wall-time medians")
+	reps := flag.Int("reps", 3, "compile repetitions; the minimum wall time is reported")
 	valInstrs := flag.Int("validate-instrs", 2, "instructions per generated function (E3)")
 	valMax := flag.Int("validate-max", 3000, "max generated functions per pass (E3)")
 	metricsPath := flag.String("metrics", "", "write the E3 sweep's checker metrics after the run ('-' = text on stdout, *.json = JSON)")

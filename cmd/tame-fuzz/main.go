@@ -57,18 +57,27 @@
 //	-progress           live progress line on stderr; findings stream
 //	                    out the moment their shard's turn comes,
 //	                    instead of being buffered until the end
-//	-debug-addr ADDR    serve /metrics, /metrics.json, /metrics/history
-//	                    and /debug/pprof on ADDR while the run lasts
-//	                    (plus /debug/trace when -trace is set)
+//	-debug-addr ADDR    serve /metrics, /metrics.json and /debug/pprof
+//	                    on ADDR while the run lasts (plus /debug/trace
+//	                    when -trace is set); the campaign_* verdict
+//	                    totals grow live
 //	-trace FILE         record the campaign into the flight recorder
 //	                    and write a Chrome trace-event JSON timeline to
 //	                    FILE — load it in Perfetto or chrome://tracing,
 //	                    or feed it to tame-trace summarize/diff/-assert;
 //	                    with -metrics, the shard and check-phase spans
 //	                    land in the snapshot's span_wall_ns too
-//	-stall-deadline D   arm the stall watchdog: a shard silent for
-//	                    longer than D dumps goroutine stacks and an
-//	                    emergency trace snapshot instead of hanging
+//	-stall-deadline D   arm the stall watchdog: a running shard that
+//	                    completes no candidate for longer than D dumps
+//	                    goroutine stacks and an emergency trace
+//	                    snapshot instead of hanging
+//
+// One monitor goroutine watches a running campaign: every shard counts
+// its verdicts into a cell of its own, and the monitor reads the cells
+// each tick (100ms, or a quarter of -stall-deadline when shorter) to
+// repaint the -progress line, publish the verdict totals and check for
+// stalls. Per-pass counts and timings are collected only with -stats,
+// -metrics or -debug-addr.
 package main
 
 import (
@@ -203,7 +212,12 @@ func runCampaign(fl campaignFlags) {
 	if err != nil {
 		fatal(err)
 	}
-	pm.Instrument()
+	// Per-pass counts and timings cost a clock read and counter updates
+	// per pass step, so they are collected only when something reads
+	// them. -trace's pass spans come from pm.Trace, not from Stats.
+	if fl.optStats || fl.metricsPath != "" || fl.debugAddr != "" {
+		pm.Instrument()
+	}
 
 	gen := genConfig(fl.instrs, fl.n, fl.width, opts.Mode)
 
@@ -289,13 +303,12 @@ func runCampaign(fl campaignFlags) {
 		c.Telemetry = reg
 	}
 	if fl.debugAddr != "" {
-		// 0, 0: the default history snapshot interval and ring depth.
-		ds, err := telemetry.StartDebugServer(fl.debugAddr, reg, 0, 0, rec)
+		ds, err := telemetry.StartDebugServer(fl.debugAddr, reg, rec)
 		if err != nil {
 			fatal(err)
 		}
 		defer ds.Close()
-		endpoints := "/metrics, /metrics.json, /metrics/history, /debug/pprof"
+		endpoints := "/metrics, /metrics.json, /debug/pprof"
 		if rec != nil {
 			endpoints += ", /debug/trace"
 		}
@@ -315,12 +328,13 @@ func runCampaign(fl campaignFlags) {
 
 	// With -progress, findings stream out in deterministic order the
 	// moment every earlier shard has finished — the report-early path —
-	// and a live line tracks throughput on stderr.
+	// and a live line, repainted on every campaign monitor tick, tracks
+	// throughput on stderr.
 	var pl *telemetry.ProgressLine
 	var outMu sync.Mutex // serializes the live line against streamed findings
 	streamDone := make(chan struct{})
 	if fl.progress {
-		pl = telemetry.NewProgressLine(os.Stderr, 0)
+		pl = telemetry.NewProgressLine(os.Stderr)
 		ch := make(chan optfuzz.Finding, 16)
 		c.Stream = ch
 		go func() {

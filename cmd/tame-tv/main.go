@@ -44,7 +44,8 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON flight recording to this file (open in Perfetto or tame-trace)")
 	flag.Parse()
 
-	// -trace: one track per pool worker; pairs land on track i mod w.
+	// -trace: one track per pool worker; each pair lands on the track of
+	// the worker that checks it.
 	// The scope needs some registry for its span histograms, but the
 	// flight recording is the product here, so a throwaway one does.
 	var rec *trace.Recorder
@@ -100,8 +101,9 @@ func main() {
 		}
 		mod := parse(flag.Arg(0))
 		cfg := &passes.Config{Sem: opts, Unsound: *unsound, FreezeAware: true}
-		tracks := nameTracks(rec, *workers, len(mod.Funcs))
-		reports = parallel.Map(*workers, len(mod.Funcs), func(i int) report {
+		nameTracks(rec, *workers, len(mod.Funcs))
+		reports = make([]report, len(mod.Funcs))
+		parallel.Do(*workers, len(mod.Funcs), func(w, i int) {
 			f := mod.Funcs[i]
 			// The module is shared across workers: transform a private
 			// clone, leave the parsed function untouched.
@@ -109,10 +111,9 @@ func main() {
 			for _, p := range ps {
 				passes.RunPass(p, work, cfg)
 			}
-			var r report
+			r := &reports[i]
 			r.name = f.Name()
-			r.res = check(f, work, &r.met, i%tracks)
-			return r
+			r.res = check(f, work, &r.met, w)
 		})
 	} else {
 		if flag.NArg() != 2 {
@@ -128,12 +129,12 @@ func main() {
 			}
 			pairs = append(pairs, [2]*ir.Func{sf, tf})
 		}
-		tracks := nameTracks(rec, *workers, len(pairs))
-		reports = parallel.Map(*workers, len(pairs), func(i int) report {
-			var r report
+		nameTracks(rec, *workers, len(pairs))
+		reports = make([]report, len(pairs))
+		parallel.Do(*workers, len(pairs), func(w, i int) {
+			r := &reports[i]
 			r.name = pairs[i][0].Name()
-			r.res = check(pairs[i][0], pairs[i][1], &r.met, i%tracks)
-			return r
+			r.res = check(pairs[i][0], pairs[i][1], &r.met, w)
 		})
 	}
 
@@ -167,22 +168,16 @@ func main() {
 	}
 }
 
-// nameTracks labels one trace track per pool worker and returns the
-// track count (pairs land on track index mod that count).
-func nameTracks(rec *trace.Recorder, workers, n int) int {
-	w := parallel.Workers(workers)
-	if w > n {
-		w = n
+// nameTracks labels one trace track per pool worker: parallel.Do
+// runs n tasks on min(workers, n) goroutines, and each pair is traced
+// on its goroutine's track.
+func nameTracks(rec *trace.Recorder, workers, n int) {
+	if rec == nil {
+		return
 	}
-	if w < 1 {
-		w = 1
+	for t := 0; t < min(parallel.Workers(workers), max(n, 1)); t++ {
+		rec.SetTrackName(t, fmt.Sprintf("worker %d", t))
 	}
-	if rec != nil {
-		for t := 0; t < w; t++ {
-			rec.SetTrackName(t, fmt.Sprintf("worker %d", t))
-		}
-	}
-	return w
 }
 
 func writeTrace(path string, rec *trace.Recorder) error {

@@ -63,7 +63,7 @@ type Measurement struct {
 	Suite   string
 	Variant string
 
-	CompileNs  int64  // median frontend+O2+backend wall time
+	CompileNs  int64  // minimum frontend+O2+backend wall time over the reps
 	AllocBytes uint64 // compiler allocations during one compile
 
 	IRInstrs    int

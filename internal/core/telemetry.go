@@ -24,19 +24,4 @@ func (m EngineMetrics) Publish(reg *telemetry.Registry, class telemetry.Class) {
 	reg.Counter("pool_frames_allocated_total", class, "inner-call frames freshly allocated").Add(m.FramesAllocated)
 	reg.Counter("engine_execs_interp_total", class, "executions on the tree-walking interpreter").Add(m.InterpExecs)
 	reg.Counter("engine_execs_closure_total", class, "executions on the compile-once closure engine").Add(m.ClosureExecs)
-	// Per-engine exec histograms: one observation per publish batch, so
-	// the distribution tracks batch sizes per engine (a zero batch still
-	// registers the series — dashboards want the engine visible at 0).
-	for _, t := range []struct {
-		name string
-		n    uint64
-	}{
-		{"engine_tier_execs_interp", m.InterpExecs},
-		{"engine_tier_execs_closure", m.ClosureExecs},
-	} {
-		h := reg.Histogram(t.name, class, "per-publish execution batch size on this engine")
-		if t.n > 0 {
-			h.Observe(t.n)
-		}
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tameir/internal/core"
@@ -119,11 +118,12 @@ type Campaign struct {
 	// construction).
 	Seed int64
 
-	// StallDeadline arms the stall watchdog: a shard silent for longer
-	// than this (no candidate completed) dumps all goroutine stacks to
-	// stderr, writes an emergency trace snapshot to StallSnapshot,
-	// and records a "watchdog_stall" instant instead of hanging
-	// silently. Zero disables the watchdog. Heartbeat ages surface as
+	// StallDeadline arms the stall watchdog: when the campaign monitor
+	// sees a running shard's count stand still for longer than this
+	// (no candidate completed), it dumps all goroutine stacks to
+	// stderr, writes an emergency trace snapshot to StallSnapshot, and
+	// records a "watchdog_stall" instant instead of hanging silently.
+	// Zero disables the watchdog. Beat ages surface as
 	// watchdog_beat_age_ms{shard=N} gauges and stall episodes as
 	// watchdog_stalls_total in Telemetry.
 	StallDeadline time.Duration
@@ -133,7 +133,8 @@ type Campaign struct {
 	StallSnapshot string
 
 	// Telemetry, when non-nil, receives the campaign's merged metric
-	// counters after the run: campaign_* verdicts and epochs,
+	// counters: the campaign_* verdict totals live, as the monitor
+	// reads them, and after the run the remaining campaign_* counters,
 	// per-shard checker and engine counters (check_*, engine_*,
 	// pool_frames_*), shared-memo counters (memo_*), worker-pool utilization (pool_*),
 	// corpus/reducer counters for evolving or reducing campaigns, and
@@ -153,14 +154,11 @@ type Campaign struct {
 	// pipeline.
 	Stream chan<- Finding
 
-	// Progress, when non-nil, is invoked from campaign goroutines —
-	// rate-limited to ProgressEvery, serialized, plus once with the
-	// final totals — as candidates are validated. Keep it fast; it runs
-	// on the hot path's rate-limited edge.
+	// Progress, when non-nil, is called from the campaign monitor's
+	// goroutine on every tick (100ms, or StallDeadline/4 when that is
+	// shorter, with a 10ms floor) and once more with the final totals
+	// before Run returns. Calls never overlap.
 	Progress func(CampaignProgress)
-
-	// ProgressEvery rate-limits Progress callbacks; 0 means 100ms.
-	ProgressEvery time.Duration
 }
 
 // CampaignProgress is a running snapshot handed to Progress callbacks.
@@ -415,66 +413,8 @@ func (st *findingStreamer) close() {
 	}
 }
 
-// progressSink fans shard-side counter updates into rate-limited
-// Progress callbacks. Updates are atomic adds; the callback itself is
-// serialized by mu.
-type progressSink struct {
-	fn     func(CampaignProgress)
-	every  time.Duration
-	shards int
-
-	funcs        atomic.Uint64
-	verified     atomic.Uint64
-	refuted      atomic.Uint64
-	inconclusive atomic.Uint64
-	shardsDone   atomic.Int64
-
-	last atomic.Int64 // unix nanos of the last callback
-	mu   sync.Mutex
-}
-
-func newProgressSink(fn func(CampaignProgress), every time.Duration, shards int) *progressSink {
-	if fn == nil {
-		return nil
-	}
-	if every <= 0 {
-		every = 100 * time.Millisecond
-	}
-	return &progressSink{fn: fn, every: every, shards: shards}
-}
-
-func (p *progressSink) snapshot() CampaignProgress {
-	return CampaignProgress{
-		Shards:       p.shards,
-		ShardsDone:   int(p.shardsDone.Load()),
-		Funcs:        p.funcs.Load(),
-		Verified:     p.verified.Load(),
-		Refuted:      p.refuted.Load(),
-		Inconclusive: p.inconclusive.Load(),
-	}
-}
-
-// tick fires the callback if the rate limit allows (always when force
-// is set, for the final report).
-func (p *progressSink) tick(force bool) {
-	if p == nil {
-		return
-	}
-	now := time.Now().UnixNano()
-	last := p.last.Load()
-	if !force {
-		if now-last < int64(p.every) || !p.last.CompareAndSwap(last, now) {
-			return
-		}
-	} else {
-		p.last.Store(now)
-	}
-	p.mu.Lock()
-	p.fn(p.snapshot())
-	p.mu.Unlock()
-}
-
-// shardStats is one shard's slice of one epoch.
+// shardStats is one shard's slice of one epoch. Its verdict counts
+// stay zero: the shard counts verdicts into its shardCell.
 type shardStats struct {
 	Stats
 	Check refine.CheckMetrics
@@ -506,7 +446,6 @@ func (c Campaign) Run() Stats {
 		memo = refine.NewMemo(0)
 	}
 
-	progress := newProgressSink(c.Progress, c.ProgressEvery, shards*epochs)
 	var poolPM *parallel.PoolMetrics
 	var runSpan *telemetry.Span
 	var shardScope, checkScope, passScope *telemetry.Scope
@@ -537,25 +476,6 @@ func (c Campaign) Run() Stats {
 		c.Trace.SetTrackName(shards, "campaign")
 	}
 
-	var wd *trace.Watchdog
-	if c.StallDeadline > 0 {
-		treg := c.Telemetry // nil registry is a valid no-op sink
-		wd = trace.StartWatchdog(trace.WatchdogConfig{
-			Tracks:       shards,
-			Deadline:     c.StallDeadline,
-			Rec:          c.Trace,
-			SnapshotPath: c.StallSnapshot,
-			OnBeatAge: func(track int, age time.Duration) {
-				treg.Gauge(
-					telemetry.L("watchdog_beat_age_ms", "shard", strconv.Itoa(track)),
-					telemetry.Scheduling,
-					"ms since the shard's last completed candidate",
-				).Set(age.Milliseconds())
-			},
-		})
-		defer wd.Stop()
-	}
-
 	prov := Provenance{
 		Source: src.Name(),
 		Seed:   c.Seed,
@@ -572,21 +492,19 @@ func (c Campaign) Run() Stats {
 	var out Stats
 	var check refine.CheckMetrics
 	var streamer *findingStreamer
+	cells := make([]shardCell, shards)
+	mon := c.startMonitor(cells, shards*epochs)
 
 	for epoch := 0; epoch < epochs; epoch++ {
 		epoch := epoch
 		streamer = newFindingStreamer(c.Stream, shards)
 		results := parallel.MapTimed(c.Workers, shards, func(s int) shardStats {
 			return c.runShard(src, evolving, epoch, s, budget, budgets[s],
-				memo, verifyMode, streamer, progress,
-				shardScope, checkScope, passScope, wd, &prov)
+				memo, verifyMode, streamer, &cells[s],
+				shardScope, checkScope, passScope, &prov)
 		}, poolPM)
 
 		for _, r := range results {
-			out.Funcs += r.Funcs
-			out.Verified += r.Verified
-			out.Refuted += r.Refuted
-			out.Inconclusive += r.Inconclusive
 			out.Truncated = out.Truncated || r.Truncated
 			out.Findings = append(out.Findings, r.Findings...)
 			out.ReduceSteps += r.ReduceSteps
@@ -612,6 +530,10 @@ func (c Campaign) Run() Stats {
 		}
 	}
 	streamer.close()
+	mon.stop()
+	p := readCells(cells)
+	out.Funcs, out.Verified = int(p.Funcs), int(p.Verified)
+	out.Refuted, out.Inconclusive = int(p.Refuted), int(p.Inconclusive)
 	if memo != nil {
 		out.MemoHits = memo.Hits()
 		out.MemoLookups = memo.Lookups()
@@ -639,19 +561,12 @@ func (c Campaign) Run() Stats {
 		c.Trace.Counter(shards, "funcs", int64(out.Funcs))
 	}
 	c.publish(out, shards*epochs, &check, poolPM, memo != nil, corpus)
-	if c.Telemetry != nil {
-		if wd != nil {
-			c.Telemetry.Counter("watchdog_stalls_total", telemetry.Scheduling,
-				"stall episodes the watchdog fired on").Add(wd.Stalls())
-		}
-		if c.Trace != nil {
-			c.Telemetry.Counter("trace_events_total", telemetry.Scheduling,
-				"events resident in the flight recorder after the run").Add(uint64(len(c.Trace.Events())))
-			c.Telemetry.Counter("trace_dropped_total", telemetry.Scheduling,
-				"events overwritten by flight-recorder ring wrap").Add(c.Trace.Dropped())
-		}
+	if c.Telemetry != nil && c.Trace != nil {
+		c.Telemetry.Counter("trace_events_total", telemetry.Scheduling,
+			"events resident in the flight recorder after the run").Add(uint64(len(c.Trace.Events())))
+		c.Telemetry.Counter("trace_dropped_total", telemetry.Scheduling,
+			"events overwritten by flight-recorder ring wrap").Add(c.Trace.Dropped())
 	}
-	progress.tick(true)
 	return out
 }
 
@@ -661,15 +576,11 @@ func (c Campaign) Run() Stats {
 // concurrently without sharing.
 func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max int,
 	memo *refine.Memo, verifyMode ir.VerifyMode, streamer *findingStreamer,
-	progress *progressSink, shardScope, checkScope, passScope *telemetry.Scope,
-	wd *trace.Watchdog, prov *Provenance) shardStats {
+	cell *shardCell, shardScope, checkScope, passScope *telemetry.Scope,
+	prov *Provenance) shardStats {
 	defer func() {
-		wd.Done(s)
 		streamer.finish(s)
-		if progress != nil {
-			progress.shardsDone.Add(1)
-			progress.tick(false)
-		}
+		cell.finish()
 	}()
 	if budget > 0 && max == 0 {
 		return shardStats{} // budget exhausted before this shard
@@ -680,7 +591,7 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 	shardScope = shardScope.WithTrace(c.Trace, s)
 	checkScope = checkScope.WithTrace(c.Trace, s)
 	passScope = passScope.WithTrace(c.Trace, s)
-	wd.Beat(s)
+	cell.running.Store(true)
 	if shardScope != nil {
 		defer shardScope.Start(fmt.Sprintf("s%d", s)).End()
 	}
@@ -724,22 +635,11 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 
 	idx := 0
 	_, truncated := src.Enumerate(s, max, func(f *ir.Func) bool {
-		st.Funcs++
 		digest = 0
 		work := ir.CloneFunc(f)
 		changedBy := transform(work)
 		r := refine.Check(f, work, rcfg)
-		switch r.Status {
-		case refine.Verified:
-			st.Verified++
-			if progress != nil {
-				progress.verified.Add(1)
-			}
-		case refine.Refuted:
-			st.Refuted++
-			if progress != nil {
-				progress.refuted.Add(1)
-			}
+		if r.Status == refine.Refuted {
 			fd := Finding{
 				Epoch: epoch, Shard: s, Index: idx,
 				ChangedBy: changedBy,
@@ -790,11 +690,6 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 			} else {
 				st.Findings = append(st.Findings, fd)
 			}
-		default:
-			st.Inconclusive++
-			if progress != nil {
-				progress.inconclusive.Add(1)
-			}
 		}
 		if evolving != nil {
 			st.fb = append(st.fb, Feedback{
@@ -805,11 +700,7 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 			})
 		}
 		idx++
-		wd.Beat(s)
-		if progress != nil {
-			progress.funcs.Add(1)
-			progress.tick(false)
-		}
+		cell.count(r.Status)
 		return true
 	})
 	st.Truncated = truncated
@@ -819,8 +710,9 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 	return st
 }
 
-// publish folds the campaign's merged collectors into c.Telemetry.
-// Verdict and epoch counters, the corpus/reducer counters, and the
+// publish folds the campaign's merged collectors into c.Telemetry
+// (the verdict totals are already there: the monitor publishes them).
+// Shard and epoch counters, the corpus/reducer counters, and the
 // per-shard checker/engine counters are
 // Deterministic (pure functions of the shard partition); everything
 // touching the shared memo is Scheduling, because which worker computes
@@ -833,10 +725,6 @@ func (c Campaign) publish(out Stats, shardRuns int, check *refine.CheckMetrics, 
 	}
 	det := telemetry.Deterministic
 	reg.Counter("campaign_shards_total", det, "shard enumerations run").Add(uint64(shardRuns))
-	reg.Counter("campaign_funcs_total", det, "candidate functions enumerated").Add(uint64(out.Funcs))
-	reg.Counter("campaign_verified_total", det, "validations proved refining").Add(uint64(out.Verified))
-	reg.Counter("campaign_refuted_total", det, "validations refuted (findings)").Add(uint64(out.Refuted))
-	reg.Counter("campaign_inconclusive_total", det, "validations hitting resource caps").Add(uint64(out.Inconclusive))
 	var trunc uint64
 	if out.Truncated {
 		trunc = 1

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"tameir/internal/core"
 	"tameir/internal/passes"
@@ -174,14 +174,30 @@ func TestCampaignStreamOrdering(t *testing.T) {
 	}
 }
 
-// TestCampaignProgress: the Progress callback sees monotone counters
-// and a final forced report whose totals match the campaign result.
+// TestCampaignProgress: the Progress callback reports while the
+// campaign runs, sees monotone counters, and ends with a report whose
+// totals match the campaign result.
 func TestCampaignProgress(t *testing.T) {
+	var mu sync.Mutex
 	var reports []CampaignProgress
 	c := o2Campaign(core.FreezeOptions(), passes.DefaultFreezeConfig(), 4, false)
-	c.Progress = func(p CampaignProgress) { reports = append(reports, p) }
-	c.ProgressEvery = time.Nanosecond // fire on every candidate
-	st := c.Run()
+	hold := newHoldSource(c.Source, 0, 3)
+	c.Source = hold
+	c.Progress = func(p CampaignProgress) {
+		mu.Lock()
+		reports = append(reports, p)
+		mu.Unlock()
+	}
+	done := make(chan Stats)
+	go func() { done <- c.Run() }()
+	<-hold.held
+	waitFor(t, "a progress report while the campaign runs", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(reports) > 0 && reports[len(reports)-1].Funcs > 0
+	})
+	close(hold.release)
+	st := <-done
 
 	if len(reports) == 0 {
 		t.Fatal("progress callback never fired")

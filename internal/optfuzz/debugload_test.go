@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"tameir/internal/core"
 	"tameir/internal/passes"
@@ -26,7 +25,7 @@ import (
 func TestDebugServerUnderCampaignLoad(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	rec := trace.NewRecorder(0)
-	ds, err := telemetry.StartDebugServer("127.0.0.1:0", reg, 50*time.Millisecond, 4, rec)
+	ds, err := telemetry.StartDebugServer("127.0.0.1:0", reg, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

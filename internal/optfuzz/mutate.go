@@ -55,16 +55,18 @@ type MutationConfig struct {
 	// fixed before the epoch runs, so the shard count never changes
 	// what is checked.
 	Shards int
-	// MaxCorpus bounds the corpus FIFO (default 128).
-	MaxCorpus int
-	// MaxBlocks / MaxInstrs cap mutant growth (defaults 6 and 24).
-	MaxBlocks int
-	MaxInstrs int
-	// Steps is how many mutations each mutant applies to its parent
-	// (default 3; steps that fail the verifier are skipped, not
-	// retried).
-	Steps int
 }
+
+const (
+	// mutCorpusCap bounds the corpus FIFO.
+	mutCorpusCap = 128
+	// mutMaxBlocks and mutMaxInstrs cap mutant growth.
+	mutMaxBlocks = 6
+	mutMaxInstrs = 24
+	// mutSteps is how many mutations each mutant applies to its parent
+	// (steps that fail the verifier are skipped, not retried).
+	mutSteps = 3
+)
 
 // DefaultMutationConfig returns the standard mutation campaign shape
 // over the §6 generator defaults.
@@ -97,18 +99,6 @@ func NewMutationSource(cfg MutationConfig) *MutationSource {
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 8
-	}
-	if cfg.MaxCorpus <= 0 {
-		cfg.MaxCorpus = 128
-	}
-	if cfg.MaxBlocks <= 0 {
-		cfg.MaxBlocks = 6
-	}
-	if cfg.MaxInstrs <= 0 {
-		cfg.MaxInstrs = 24
-	}
-	if cfg.Steps <= 0 {
-		cfg.Steps = 3
 	}
 	if cfg.Gen.Width == 0 {
 		cfg.Gen = DefaultConfig(3)
@@ -197,7 +187,7 @@ func (s *MutationSource) Advance(epoch int, fb []Feedback) {
 		}
 		if f.Refuted || !seen {
 			s.corpus = append(s.corpus, s.tasks[s.starts[f.Shard]+f.Index])
-			if len(s.corpus) > s.cfg.MaxCorpus {
+			if len(s.corpus) > mutCorpusCap {
 				s.corpus = s.corpus[1:] // FIFO: retire the oldest
 			}
 		}
@@ -241,18 +231,18 @@ func splitmix64(vals ...uint64) uint64 {
 	return x
 }
 
-// mutate derives one mutant: Steps random edits, each kept only when
+// mutate derives one mutant: mutSteps random edits, each kept only when
 // the result passes the dialect verifier, SSA dominance checking, and
 // the growth caps. Failed steps are skipped (the rng advances
 // identically either way, preserving determinism).
 func (s *MutationSource) mutate(parent *ir.Func, rng *rand.Rand) *ir.Func {
 	cand := ir.CloneFunc(parent)
-	for step := 0; step < s.cfg.Steps; step++ {
+	for step := 0; step < mutSteps; step++ {
 		next := ir.CloneFunc(cand)
 		if !s.applyMutator(next, rng) {
 			continue
 		}
-		if len(next.Blocks) > s.cfg.MaxBlocks || next.NumInstrs() > s.cfg.MaxInstrs {
+		if len(next.Blocks) > mutMaxBlocks || next.NumInstrs() > mutMaxInstrs {
 			continue
 		}
 		if ir.Verify(next, s.cfg.Mode) != nil || analysis.VerifySSA(next) != nil {

@@ -7,24 +7,27 @@ import (
 	"tameir/internal/ir"
 )
 
-// RandomConfig bounds the randomized CFG generator.
+// RandomConfig shapes the randomized CFG generator.
 type RandomConfig struct {
 	Width       uint
 	NumParams   int
-	MaxBlocks   int
-	MaxInstrs   int // per block
 	AllowUndef  bool
 	AllowPoison bool
 	AllowFreeze bool
 }
+
+// Random functions have at most randomMaxBlocks blocks of at most
+// randomMaxInstrs instructions each.
+const (
+	randomMaxBlocks = 4
+	randomMaxInstrs = 3
+)
 
 // DefaultRandomConfig is sized for quick validator runs.
 func DefaultRandomConfig() RandomConfig {
 	return RandomConfig{
 		Width:       2,
 		NumParams:   2,
-		MaxBlocks:   4,
-		MaxInstrs:   3,
 		AllowUndef:  true,
 		AllowFreeze: true,
 	}
@@ -41,7 +44,7 @@ func Random(rng *rand.Rand, cfg RandomConfig) *ir.Func {
 	}
 	f := ir.NewFunc("rf", ty, params...)
 
-	nblocks := 1 + rng.Intn(cfg.MaxBlocks)
+	nblocks := 1 + rng.Intn(randomMaxBlocks)
 	blocks := make([]*ir.Block, nblocks)
 	for i := range blocks {
 		blocks[i] = f.NewBlock(fmt.Sprintf("b%d", i))
@@ -70,7 +73,7 @@ func Random(rng *rand.Rand, cfg RandomConfig) *ir.Func {
 	for bi, b := range blocks {
 		local := append([]ir.Value(nil), baseVals...)
 		pick := func() ir.Value { return local[rng.Intn(len(local))] }
-		n := rng.Intn(cfg.MaxInstrs + 1)
+		n := rng.Intn(randomMaxInstrs + 1)
 		for k := 0; k < n; k++ {
 			var in *ir.Instr
 			switch r := rng.Intn(10); {

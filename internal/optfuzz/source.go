@@ -127,10 +127,9 @@ func behaviorDigest(acc uint64, b refine.BehaviorSet) uint64 {
 
 // ExhaustiveSource adapts the §6 exhaustive enumerator (Config,
 // NumShards, ShardCapacities, ExhaustiveShard) to the Source
-// interface. It is the campaign's default workload: a Campaign with a
-// nil Source wraps its Gen field in one of these, and the resulting
-// run is byte-identical to the pre-interface engine — same shard
-// partition, same budget split, same findings.
+// interface. Its shards, capacities and candidate order are the
+// enumerator's own, so a campaign over NewExhaustiveSource(gen) sees
+// exactly the stream ExhaustiveShard yields for gen.
 type ExhaustiveSource struct {
 	Gen Config
 }

@@ -28,13 +28,16 @@ func Workers(n int) int {
 	return n
 }
 
-// Do runs task(0..n-1) on up to workers goroutines and blocks until
-// all have completed. Tasks are claimed in index order from a shared
-// atomic counter, so long-running early shards overlap with later
-// ones. With an effective worker count of 1 everything runs inline on
-// the calling goroutine — the serial path has zero scheduling
-// overhead, which keeps `-workers 1` an honest baseline.
-func Do(workers, n int, task func(i int)) {
+// Do runs task(w, i) for i in 0..n-1 on up to workers goroutines and
+// blocks until all have completed; w is the index of the goroutine
+// running the task, so two tasks that run at the same time never share
+// it (tame-tv draws one trace track per w). Tasks are claimed in index
+// order from a shared atomic counter, so long-running early shards
+// overlap with later ones. With an effective worker count of 1
+// everything runs inline on the calling goroutine as worker 0 — the
+// serial path has zero scheduling overhead, which keeps `-workers 1`
+// an honest baseline.
+func Do(workers, n int, task func(w, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -44,7 +47,7 @@ func Do(workers, n int, task func(i int)) {
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			task(i)
+			task(0, i)
 		}
 		return
 	}
@@ -52,16 +55,16 @@ func Do(workers, n int, task func(i int)) {
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for g := 0; g < w; g++ {
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				task(i)
+				task(g, i)
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
 }
@@ -72,22 +75,20 @@ func Do(workers, n int, task func(i int)) {
 // needed and `go test -race` stays quiet.
 func Map[T any](workers, n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	Do(workers, n, func(i int) {
+	Do(workers, n, func(_, i int) {
 		out[i] = fn(i)
 	})
 	return out
 }
 
 // PoolMetrics summarizes one instrumented pool run: how many tasks ran
-// on how many workers, aggregate worker busy time, the run's wall
-// time, and the queue depth observed at each claim. Everything except
-// Tasks is scheduling-dependent by nature.
+// on how many workers, aggregate worker busy time and the run's wall
+// time. Everything except Tasks is scheduling-dependent by nature.
 type PoolMetrics struct {
-	Workers    int
-	Tasks      uint64
-	BusyNS     uint64
-	WallNS     uint64
-	QueueDepth telemetry.LocalHist
+	Workers int
+	Tasks   uint64
+	BusyNS  uint64
+	WallNS  uint64
 }
 
 // Publish folds the counters into reg. Tasks is deterministic (the
@@ -100,16 +101,6 @@ func (m *PoolMetrics) Publish(reg *telemetry.Registry) {
 	reg.Gauge("pool_workers", telemetry.Scheduling, "worker goroutines in the largest pool run").Set(int64(m.Workers))
 	reg.Counter("pool_busy_ns_total", telemetry.Scheduling, "aggregate worker busy time").Add(m.BusyNS)
 	reg.Counter("pool_wall_ns_total", telemetry.Scheduling, "pool run wall time").Add(m.WallNS)
-	var counts [telemetry.HistBuckets]uint64
-	var n uint64
-	for i, c := range m.QueueDepth.Buckets {
-		counts[i] = c
-		n += c
-	}
-	if n > 0 {
-		reg.Histogram("pool_queue_depth", telemetry.Scheduling, "unclaimed tasks at each claim").
-			AddBuckets(&counts, m.QueueDepth.Sum)
-	}
 }
 
 // MapTimed is Map plus pool instrumentation into pm (which may be nil;
@@ -127,24 +118,12 @@ func MapTimed[T any](workers, n int, fn func(i int) T, pm *PoolMetrics) []T {
 	pm.Workers = w
 	pm.Tasks += uint64(n)
 	start := time.Now()
-	var claimed atomic.Int64
-	var busy, depthSum atomic.Uint64
-	var depths [telemetry.HistBuckets]atomic.Uint64
-	Do(workers, n, func(i int) {
-		depth := uint64(0)
-		if d := int64(n) - claimed.Add(1); d > 0 {
-			depth = uint64(d)
-		}
-		depths[telemetry.BucketOf(depth)].Add(1)
-		depthSum.Add(depth)
+	var busy atomic.Uint64
+	Do(workers, n, func(_, i int) {
 		t0 := time.Now()
 		out[i] = fn(i)
 		busy.Add(uint64(time.Since(t0)))
 	})
-	for i := range depths {
-		pm.QueueDepth.Buckets[i] += depths[i].Load()
-	}
-	pm.QueueDepth.Sum += depthSum.Load()
 	pm.BusyNS += busy.Load()
 	pm.WallNS += uint64(time.Since(start))
 	return out

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"tameir/internal/telemetry/trace"
 )
@@ -15,11 +14,9 @@ import (
 func TestDebugMuxEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits_total", Deterministic, "").Add(3)
-	hist := NewSnapshotHistory(4)
-	hist.Record(r.Snapshot())
 	rec := trace.NewRecorder(0)
 	rec.Instant(0, "probe")
-	srv := httptest.NewServer(DebugMux(r, hist, rec))
+	srv := httptest.NewServer(DebugMux(r, rec))
 	defer srv.Close()
 
 	get := func(path string) string {
@@ -45,13 +42,6 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	if s, ok := snap.Get("hits_total"); !ok || s.Value != 3 {
 		t.Fatalf("/metrics.json wrong sample: %+v", s)
 	}
-	var history []map[string]any
-	if err := json.Unmarshal([]byte(get("/metrics/history")), &history); err != nil {
-		t.Fatalf("/metrics/history not JSON: %v", err)
-	}
-	if len(history) != 1 {
-		t.Fatalf("history length = %d, want 1", len(history))
-	}
 	if body := get("/debug/pprof/cmdline"); body == "" {
 		t.Fatal("pprof cmdline empty")
 	}
@@ -64,7 +54,7 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	}
 
 	// Without a recorder the endpoint must 404, not serve an empty trace.
-	bare := httptest.NewServer(DebugMux(r, hist, nil))
+	bare := httptest.NewServer(DebugMux(r, nil))
 	defer bare.Close()
 	resp, err := http.Get(bare.URL + "/debug/trace")
 	if err != nil {
@@ -76,36 +66,10 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	}
 }
 
-func TestSnapshotHistoryRing(t *testing.T) {
-	h := NewSnapshotHistory(2)
-	for i := 0; i < 3; i++ {
-		r := NewRegistry()
-		r.Counter("i_total", Deterministic, "").Add(uint64(i))
-		h.Record(r.Snapshot())
-	}
-	rec := httptest.NewRecorder()
-	h.WriteJSON(rec)
-	var out []struct {
-		Snapshot Snapshot `json:"snapshot"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatalf("history JSON: %v\n%s", err, rec.Body.String())
-	}
-	if len(out) != 2 {
-		t.Fatalf("ring kept %d, want 2", len(out))
-	}
-	// Oldest-first: entries 1 then 2 survive.
-	s0, _ := out[0].Snapshot.Get("i_total")
-	s1, _ := out[1].Snapshot.Get("i_total")
-	if s0.Value != 1 || s1.Value != 2 {
-		t.Fatalf("ring order wrong: %d, %d", s0.Value, s1.Value)
-	}
-}
-
 func TestStartDebugServer(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("up_total", Deterministic, "").Inc()
-	ds, err := StartDebugServer("127.0.0.1:0", r, 10*time.Millisecond, 0, nil)
+	ds, err := StartDebugServer("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,18 +82,6 @@ func TestStartDebugServer(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(b), "up_total 1") {
 		t.Fatalf("live /metrics wrong:\n%s", b)
-	}
-	// Let the collector record at least one snapshot.
-	time.Sleep(30 * time.Millisecond)
-	resp, err = http.Get("http://" + ds.Addr + "/metrics/history")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var hist []map[string]any
-	if err := json.Unmarshal(hb, &hist); err != nil || len(hist) == 0 {
-		t.Fatalf("history empty or invalid (err=%v):\n%s", err, hb)
 	}
 	if err := ds.Close(); err != nil && err != http.ErrServerClosed {
 		t.Fatalf("close: %v", err)

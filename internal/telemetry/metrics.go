@@ -213,11 +213,6 @@ func (g Gauge) Value() int64 {
 // (≤1, ≤2, ≤4, …, ≤2^31, +Inf). The zero Histogram discards updates.
 type Histogram struct{ m *metric }
 
-// BucketOf maps a value to its bucket index — exported for callers
-// that accumulate bucket counts themselves (e.g. with atomics) before
-// folding them in via AddBuckets.
-func BucketOf(v uint64) int { return bucketOf(v) }
-
 // bucketOf maps a value to its bucket index.
 func bucketOf(v uint64) int {
 	if v <= 1 {

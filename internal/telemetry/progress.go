@@ -5,52 +5,31 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"time"
 )
 
 // ProgressLine renders a single live status line (terminated by \r) to
-// a terminal-ish writer, rate-limited so a hot campaign loop can call
-// Update per candidate without flooding the tty. It is safe for
-// concurrent use; the final Finish clears the line so ordinary output
-// can follow.
+// a terminal-ish writer. It draws every Update: the caller sets the
+// pace (tame-fuzz repaints once per campaign monitor tick). It is safe
+// for concurrent use; the final Finish clears the line so ordinary
+// output can follow.
 type ProgressLine struct {
 	mu       sync.Mutex
 	w        io.Writer
-	every    time.Duration
-	last     time.Time
 	lastLen  int
 	finished bool
 }
 
-// NewProgressLine returns a progress line writing to w, refreshing at
-// most once per interval (default 100ms when interval <= 0). A nil
+// NewProgressLine returns a progress line writing to w. A nil
 // ProgressLine discards updates.
-func NewProgressLine(w io.Writer, interval time.Duration) *ProgressLine {
+func NewProgressLine(w io.Writer) *ProgressLine {
 	if w == nil {
 		return nil
 	}
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	return &ProgressLine{w: w, every: interval}
+	return &ProgressLine{w: w}
 }
 
-// Update replaces the live line if the rate limit allows. Force it
-// with Flush.
+// Update replaces the live line.
 func (p *ProgressLine) Update(format string, args ...any) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.finished || time.Since(p.last) < p.every {
-		return
-	}
-	p.render(fmt.Sprintf(format, args...))
-}
-
-// Flush writes the line immediately, ignoring the rate limit.
-func (p *ProgressLine) Flush(format string, args ...any) {
 	if p == nil {
 		return
 	}
@@ -59,19 +38,14 @@ func (p *ProgressLine) Flush(format string, args ...any) {
 	if p.finished {
 		return
 	}
-	p.render(fmt.Sprintf(format, args...))
-}
-
-// render writes line padded to blank out the previous one. Callers
-// hold p.mu.
-func (p *ProgressLine) render(line string) {
+	// Pad to blank out the rest of a longer previous line.
+	line := fmt.Sprintf(format, args...)
 	pad := ""
 	if n := p.lastLen - len(line); n > 0 {
 		pad = strings.Repeat(" ", n)
 	}
 	fmt.Fprintf(p.w, "\r%s%s", line, pad)
 	p.lastLen = len(line)
-	p.last = time.Now()
 }
 
 // Clear blanks the live line without finishing: the next Update

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"tameir/internal/telemetry/trace"
 )
@@ -47,8 +46,8 @@ func TestScopeWithoutTraceIsUnchanged(t *testing.T) {
 
 func TestProgressLineClear(t *testing.T) {
 	var buf bytes.Buffer
-	pl := NewProgressLine(&buf, time.Nanosecond)
-	pl.Flush("working 1/10")
+	pl := NewProgressLine(&buf)
+	pl.Update("working 1/10")
 	pl.Clear()
 	out := buf.String()
 	if !strings.HasSuffix(out, "\r"+strings.Repeat(" ", len("working 1/10"))+"\r") {
@@ -56,7 +55,7 @@ func TestProgressLineClear(t *testing.T) {
 	}
 	// Next update redraws from column zero with no stale padding.
 	buf.Reset()
-	pl.Flush("done")
+	pl.Update("done")
 	if got := buf.String(); got != "\rdone" {
 		t.Fatalf("redraw after Clear wrong: %q", got)
 	}

@@ -5,152 +5,99 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// WatchdogConfig configures a stall watchdog. Tracks that have beaten
-// at least once are "armed"; an armed track whose last beat is older
-// than Deadline is stalled. On the first detection of a stall episode
-// the watchdog dumps all goroutine stacks to StacksTo, writes an
-// emergency trace snapshot to SnapshotPath, and records a
-// "watchdog_stall" instant in Rec — so a hung campaign leaves
-// evidence instead of hanging silently. The episode ends (and can
-// re-fire) when the track beats or finishes.
+// WatchdogConfig configures a stall watchdog. A live track whose beat
+// counter has not moved for longer than Deadline is stalled. On the
+// first detection of a stall episode the watchdog dumps all goroutine
+// stacks to StacksTo, writes an emergency trace snapshot to
+// SnapshotPath, and records a "watchdog_stall" instant in Rec — so a
+// hung campaign leaves evidence instead of hanging silently. The
+// episode ends (and can re-fire) when the track's counter moves or the
+// track goes idle.
 type WatchdogConfig struct {
-	// Tracks is the number of heartbeat tracks (one per shard).
+	// Tracks is the number of watched tracks (one per shard).
 	Tracks int
 	// Deadline is the maximum silence before a track counts as
 	// stalled. Required (> 0).
 	Deadline time.Duration
-	// Interval is how often the checker wakes; defaults to
-	// Deadline/4 (min 10ms).
-	Interval time.Duration
 	// Rec, when non-nil, receives a "watchdog_stall" instant per
 	// episode on the stalled track.
 	Rec *Recorder
 	// StacksTo receives the goroutine dump (default os.Stderr).
 	StacksTo io.Writer
 	// SnapshotPath, when set, receives a Chrome-JSON snapshot of Rec
-	// at the first stall (best effort, written once per process).
+	// at the first stall (best effort, written once per watchdog).
 	SnapshotPath string
-	// OnBeatAge, when non-nil, is called for every armed track on
-	// every checker wake with the track's current heartbeat age —
-	// the hook the campaign uses to publish per-shard gauges.
-	OnBeatAge func(track int, age time.Duration)
-	// OnStall, when non-nil, is called once per stall episode after
-	// the dump.
-	OnStall func(track int, age time.Duration)
 }
 
-// Watchdog is a running stall detector. Beat it from the watched
-// loops; Stop it when the run ends. All methods are safe on nil.
+// Watchdog turns periodic readings of per-track counters into stall
+// episodes. It runs no goroutine and reads no clock: its one caller
+// passes the time and every track's counters on each tick (the
+// campaign monitor does), so it needs no synchronization. All methods
+// are safe on nil.
 type Watchdog struct {
-	cfg      WatchdogConfig
-	beats    []atomic.Int64 // unix nanos of last beat; 0 = disarmed
-	stalled  []atomic.Bool  // true while a stall episode is open
-	stalls   atomic.Uint64
-	snapOnce sync.Once
-	stop     chan struct{}
-	done     sync.WaitGroup
+	cfg     WatchdogConfig
+	tracks  []watchTrack
+	stalls  uint64
+	snapped bool
 }
 
-// StartWatchdog launches the checker goroutine. Returns nil (a valid
-// no-op watchdog) when Deadline <= 0 or Tracks <= 0.
-func StartWatchdog(cfg WatchdogConfig) *Watchdog {
+// watchTrack is one track's state between readings.
+type watchTrack struct {
+	live    bool
+	beats   uint64    // the counter at the last reading
+	since   time.Time // when the counter last moved (or the track went live)
+	stalled bool      // an episode is open
+}
+
+// NewWatchdog returns a watchdog over cfg.Tracks tracks, or nil (a
+// valid no-op watchdog) when Deadline <= 0 or Tracks <= 0.
+func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	if cfg.Deadline <= 0 || cfg.Tracks <= 0 {
 		return nil
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = cfg.Deadline / 4
-	}
-	if cfg.Interval < 10*time.Millisecond {
-		cfg.Interval = 10 * time.Millisecond
 	}
 	if cfg.StacksTo == nil {
 		cfg.StacksTo = os.Stderr
 	}
-	w := &Watchdog{
-		cfg:     cfg,
-		beats:   make([]atomic.Int64, cfg.Tracks),
-		stalled: make([]atomic.Bool, cfg.Tracks),
-		stop:    make(chan struct{}),
-	}
-	w.done.Add(1)
-	go w.run()
-	return w
+	return &Watchdog{cfg: cfg, tracks: make([]watchTrack, cfg.Tracks)}
 }
 
-// Beat marks the track alive now, arming it if it wasn't.
-func (w *Watchdog) Beat(track int) {
-	if w == nil || track < 0 || track >= len(w.beats) {
-		return
+// Check folds one reading of track taken at now: live reports whether
+// the track has work in flight, beats is a counter that moves whenever
+// the track shows life. It returns the track's beat age — how long
+// beats has stood still while the track was live, 0 for an idle track
+// — and opens a stall episode when a live track's age passes the
+// deadline with no episode open.
+func (w *Watchdog) Check(now time.Time, track int, live bool, beats uint64) time.Duration {
+	if w == nil || track < 0 || track >= len(w.tracks) {
+		return 0
 	}
-	w.beats[track].Store(time.Now().UnixNano())
-	w.stalled[track].Store(false)
+	t := &w.tracks[track]
+	if !live {
+		*t = watchTrack{} // a finished shard is not a stalled one
+		return 0
+	}
+	if !t.live || beats != t.beats {
+		*t = watchTrack{live: true, beats: beats, since: now}
+		return 0
+	}
+	age := now.Sub(t.since)
+	if age > w.cfg.Deadline && !t.stalled {
+		t.stalled = true
+		w.fire(track, age)
+		w.stalls++
+	}
+	return age
 }
 
-// Done disarms the track — a finished shard is not a stalled one.
-func (w *Watchdog) Done(track int) {
-	if w == nil || track < 0 || track >= len(w.beats) {
-		return
-	}
-	w.beats[track].Store(0)
-	w.stalled[track].Store(false)
-}
-
-// Stalls reports how many stall episodes completed: an episode counts
-// once fire has written the stack dump and the snapshot and OnStall
-// has returned, so a caller that sees the count rise can read all
-// three.
+// Stalls reports how many stall episodes have opened.
 func (w *Watchdog) Stalls() uint64 {
 	if w == nil {
 		return 0
 	}
-	return w.stalls.Load()
-}
-
-// Stop halts the checker. Safe to call once; the campaign defers it.
-func (w *Watchdog) Stop() {
-	if w == nil {
-		return
-	}
-	close(w.stop)
-	w.done.Wait()
-}
-
-func (w *Watchdog) run() {
-	defer w.done.Done()
-	tick := time.NewTicker(w.cfg.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-tick.C:
-			w.check(time.Now())
-		}
-	}
-}
-
-func (w *Watchdog) check(now time.Time) {
-	for t := range w.beats {
-		last := w.beats[t].Load()
-		if last == 0 {
-			continue // disarmed
-		}
-		age := now.Sub(time.Unix(0, last))
-		if w.cfg.OnBeatAge != nil {
-			w.cfg.OnBeatAge(t, age)
-		}
-		if age <= w.cfg.Deadline || w.stalled[t].Load() {
-			continue
-		}
-		w.stalled[t].Store(true)
-		w.fire(t, age)
-		w.stalls.Add(1)
-	}
+	return w.stalls
 }
 
 func (w *Watchdog) fire(track int, age time.Duration) {
@@ -162,20 +109,19 @@ func (w *Watchdog) fire(track int, age time.Duration) {
 	w.cfg.StacksTo.Write(buf[:n])
 	w.cfg.Rec.InstantPinned(track, "watchdog_stall",
 		"age_ms", fmt.Sprintf("%d", age.Milliseconds()))
-	if w.cfg.SnapshotPath != "" {
-		w.snapOnce.Do(func() {
-			f, err := os.Create(w.cfg.SnapshotPath)
-			if err != nil {
-				fmt.Fprintf(w.cfg.StacksTo, "watchdog: snapshot: %v\n", err)
-				return
-			}
-			defer f.Close()
-			if err := w.cfg.Rec.WriteChromeJSON(f); err != nil {
-				fmt.Fprintf(w.cfg.StacksTo, "watchdog: snapshot: %v\n", err)
-			}
-		})
+	if w.cfg.SnapshotPath != "" && !w.snapped {
+		w.snapped = true
+		if err := w.writeSnapshot(); err != nil {
+			fmt.Fprintf(w.cfg.StacksTo, "watchdog: snapshot: %v\n", err)
+		}
 	}
-	if w.cfg.OnStall != nil {
-		w.cfg.OnStall(track, age)
+}
+
+func (w *Watchdog) writeSnapshot() error {
+	f, err := os.Create(w.cfg.SnapshotPath)
+	if err != nil {
+		return err
 	}
+	defer f.Close()
+	return w.cfg.Rec.WriteChromeJSON(f)
 }
