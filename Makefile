@@ -74,6 +74,10 @@ check: build vet test race
 # on any violation). The legacy quick campaign also runs under
 # -verify-each so the battery covers the legacy dialect too.
 #
+# The input gate: tame-tv must reject an undef under the default freeze
+# semantics as the verifier does (exit 1, tame-opt's message), not reach
+# the checker and panic. The module and its stderr land in ci-bench/.
+#
 # benchmark/ is a module of its own (replace tameir => ../), so the root
 # go build/vet/test never compile it: the first two lines vet and test
 # it, or a deletion of an API it imports would pass CI and break
@@ -85,6 +89,9 @@ ci: vet test
 	$(GO) test -race -run 'Memo|Compiled|ProgramShared|Fold|MergingShared' ./internal/refine ./internal/core
 	$(GO) test -race -run 'TelemetryRaceStress' ./internal/telemetry
 	mkdir -p ci-bench
+	$(GO) build -o ci-bench/tame-tv ./cmd/tame-tv
+	printf 'define i2 @f(i2 %%x) {\n  %%r = add i2 %%x, undef\n  ret i2 %%r\n}\n' > ci-bench/undef-freeze.ll
+	ci-bench/tame-tv -pass instcombine ci-bench/undef-freeze.ll 2> ci-bench/undef-freeze.err; test $$? -eq 1 && grep -q '@f: %r = add i2 %x, undef uses undef, which does not exist under the freeze semantics' ci-bench/undef-freeze.err && ! grep -q 'panic:' ci-bench/undef-freeze.err
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics - \
 	  | $(GO) run ./cmd/tame-metrics -check 'campaign_funcs_total,campaign_verified_total,check_checks_total,check_inputs_total,check_set_size,engine_steps_total,engine_execs_closure_total>0,engine_merge_exits_total>0,memo_lookups_total,memo_lookups_total/check_inputs_total<=1,check_compiles_total/check_checks_total<=1.5,pool_tasks_total,pass_runs_total,opt_funcs_total,analysis_computes_total,span_wall_ns,verify_each_checks_total>0,verify_each_failures_total=0'
 	$(GO) run ./cmd/tame-fuzz -validate -verify-each -n 200 -workers 2 -sem legacy -metrics ci-bench/metrics-snapshot.json

@@ -6,8 +6,9 @@
 //	tame-run [-sem legacy|freeze] [-fn main] [-seed N] [-interp]
 //	         [-enumerate] file [args...]
 //
-// Arguments are decimal integers (or the words "poison"/"undef") bound
-// to the function's parameters. With -enumerate, all resolutions of
+// The module must verify in the -sem dialect. Arguments are decimal
+// integers (or the words "poison"/"undef") bound to the function's
+// parameters. With -enumerate, all resolutions of
 // nondeterminism are explored and the behaviour set is printed.
 package main
 
@@ -39,18 +40,20 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	opts, err := core.SemanticsByName(*sem)
+	if err != nil {
+		fatal(err)
+	}
 	mod, err := ir.ParseModule(string(src))
 	if err != nil {
+		fatal(err)
+	}
+	if err := ir.VerifyModule(mod, opts.Mode.VerifyMode()); err != nil {
 		fatal(err)
 	}
 	fn := mod.FuncByName(*fnName)
 	if fn == nil {
 		fatal(fmt.Errorf("no function @%s", *fnName))
-	}
-
-	opts, err := core.SemanticsByName(*sem)
-	if err != nil {
-		fatal(err)
 	}
 
 	rest := flag.Args()[1:]

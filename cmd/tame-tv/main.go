@@ -5,6 +5,13 @@
 //
 //	tame-tv [-sem legacy|freeze] src.ll tgt.ll      validate a pair
 //	tame-tv [-sem ...] -pass gvn[,p2...] file.ll    run passes, validate
+//	tame-tv [-sem ...] -pass o2 file.ll             run -O2, validate
+//
+// Every input module must verify in the -sem dialect (an undef under
+// freeze semantics is an input error, as in tame-opt). -pass reads a
+// pipeline as tame-opt's -passes does: O2 (or o2) runs the -O2
+// pipeline to fixed point on each function; an explicit list runs each
+// pass once, in order.
 //
 // Functions are matched by name and validated on a worker pool
 // (-workers 0 = one per CPU, 1 = serial); reports are printed in input
@@ -22,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"tameir/internal/core"
@@ -36,7 +42,7 @@ import (
 
 func main() {
 	sem := flag.String("sem", "freeze", "semantics: legacy or freeze")
-	passList := flag.String("pass", "", "run these passes on the input and validate the result")
+	passList := flag.String("pass", "", "run these passes on the input and validate the result: comma-separated pass names, or O2 (o2) for the -O2 fixpoint")
 	unsound := flag.Bool("unsound", false, "use the historical pass variants")
 	workers := flag.Int("workers", 1, "worker pool size (0 = one per CPU, 1 = serial)")
 	interp := flag.Bool("interp", false, "force the tree-walking interpreter instead of the compiled engine")
@@ -91,15 +97,13 @@ func main() {
 		if flag.NArg() != 1 {
 			fatal(fmt.Errorf("usage: tame-tv -pass p1,p2 file.ll"))
 		}
-		var ps []passes.Pass
-		for _, name := range strings.Split(*passList, ",") {
-			p, err := passes.LookupPass(strings.TrimSpace(name))
-			if err != nil {
-				fatal(err)
-			}
-			ps = append(ps, p)
+		// An uninstrumented pass manager is read-only, so the workers
+		// share it.
+		pm, fixpoint, err := passes.ParsePipeline(*passList)
+		if err != nil {
+			fatal(err)
 		}
-		mod := parse(flag.Arg(0))
+		mod := parse(flag.Arg(0), opts)
 		cfg := &passes.Config{Sem: opts, Unsound: *unsound, FreezeAware: true}
 		nameTracks(rec, *workers, len(mod.Funcs))
 		reports = make([]report, len(mod.Funcs))
@@ -108,8 +112,12 @@ func main() {
 			// The module is shared across workers: transform a private
 			// clone, leave the parsed function untouched.
 			work := ir.CloneFunc(f)
-			for _, p := range ps {
-				passes.RunPass(p, work, cfg)
+			if fixpoint {
+				pm.RunFunc(work, cfg)
+			} else {
+				for _, p := range pm.Passes {
+					passes.RunPass(p, work, cfg)
+				}
 			}
 			r := &reports[i]
 			r.name = f.Name()
@@ -119,8 +127,8 @@ func main() {
 		if flag.NArg() != 2 {
 			fatal(fmt.Errorf("usage: tame-tv src.ll tgt.ll"))
 		}
-		srcMod := parse(flag.Arg(0))
-		tgtMod := parse(flag.Arg(1))
+		srcMod := parse(flag.Arg(0), opts)
+		tgtMod := parse(flag.Arg(1), opts)
 		pairs := make([][2]*ir.Func, 0, len(srcMod.Funcs))
 		for _, sf := range srcMod.Funcs {
 			tf := tgtMod.FuncByName(sf.Name())
@@ -192,13 +200,17 @@ func writeTrace(path string, rec *trace.Recorder) error {
 	return f.Close()
 }
 
-func parse(path string) *ir.Module {
+// parse reads a module and verifies it in the dialect of sem.
+func parse(path string, sem core.Options) *ir.Module {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
 	}
 	mod, err := ir.ParseModule(string(src))
 	if err != nil {
+		fatal(err)
+	}
+	if err := ir.VerifyModule(mod, sem.Mode.VerifyMode()); err != nil {
 		fatal(err)
 	}
 	return mod

@@ -2,66 +2,9 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
 
 	"tameir/internal/ir"
 )
-
-// Set is a bitset of the function-level analyses the Manager caches.
-// Passes declare, through the pass registry, which analyses remain
-// valid after they mutate the IR; the pass manager invalidates the
-// rest.
-type Set uint32
-
-const (
-	// CFG is the predecessor map (the block-level control-flow
-	// structure the other analyses derive from).
-	CFG Set = 1 << iota
-	// Doms is the dominator tree.
-	Doms
-	// Loops is the natural-loop forest.
-	Loops
-	// Poison is the flow-sensitive poison-lattice fact table
-	// (AnalyzePoison). Deliberately NOT part of All: the block-level
-	// analyses survive passes that only rewrite instructions in place,
-	// but poison facts are per-value and go stale on any instruction
-	// change, so no pass preserves them — they are recomputed lazily
-	// after every change.
-	Poison
-)
-
-// None and All are the two common preserved-set declarations: a pass
-// that rewires control flow preserves None; a pass that only touches
-// instructions within existing blocks (no edge or block changes)
-// preserves All. (All excludes Poison — see its comment.)
-const (
-	None Set = 0
-	All  Set = CFG | Doms | Loops
-)
-
-// Has reports whether every analysis in a is in s.
-func (s Set) Has(a Set) bool { return s&a == a }
-
-// String renders the set for diagnostics ("cfg|domtree|loopinfo").
-func (s Set) String() string {
-	if s == None {
-		return "none"
-	}
-	var parts []string
-	if s.Has(CFG) {
-		parts = append(parts, "cfg")
-	}
-	if s.Has(Doms) {
-		parts = append(parts, "domtree")
-	}
-	if s.Has(Loops) {
-		parts = append(parts, "loopinfo")
-	}
-	if s.Has(Poison) {
-		parts = append(parts, "poison")
-	}
-	return strings.Join(parts, "|")
-}
 
 // Stats counts manager activity: how many analyses were computed from
 // scratch and how many queries were served from the cache. The
@@ -87,8 +30,8 @@ func (s *Stats) Add(o Stats) {
 // dominator tree, loop info) for one function and serves them to
 // passes. Analyses are computed lazily on first query and retained
 // until Invalidate evicts them; the caller (normally the pass manager)
-// is responsible for invalidating after the IR changes, using each
-// pass's preserved-analyses declaration.
+// is responsible for invalidating after the IR changes, using the one
+// bit each pass declares: whether it preserves the CFG.
 //
 // The predecessor map, dominator tree and loop info are computed into
 // storage the manager keeps: evicting one keeps its maps and slices
@@ -112,11 +55,6 @@ type Manager struct {
 	li     *LoopInfo
 	poison *PoisonFacts
 	stats  Stats
-
-	// runPreserved accumulates the analyses the currently running pass
-	// proved still valid beyond its static registration — see
-	// PreserveDuringRun.
-	runPreserved Set
 
 	// The storage preds, dt and li point into while they are cached,
 	// and the most blocks it has been computed over.
@@ -148,7 +86,6 @@ func (m *Manager) Reset(f *ir.Func) {
 	m.fn = f
 	m.preds, m.dt, m.li, m.poison = nil, nil, nil, nil
 	m.stats = Stats{}
-	m.runPreserved = None
 	if m.peak > keptBlocks {
 		m.predStore, m.domStore, m.loopStore, m.peak = predStore{}, DomTree{}, LoopInfo{}, 0
 		return
@@ -219,80 +156,32 @@ func (m *Manager) Poison() *PoisonFacts {
 	return m.poison
 }
 
-// Invalidate evicts every cached analysis not in preserved. Dependent
-// analyses are evicted with their inputs: dropping the CFG drops the
-// dominator tree, and dropping the dominator tree drops loop info (a
-// cached derived result over an evicted input would silently go stale).
-// Poison facts additionally depend on the instruction graph itself, so
-// they survive only a pass that explicitly preserves Poison — All does
-// not include it.
-func (m *Manager) Invalidate(preserved Set) {
-	if !preserved.Has(CFG) {
-		m.preds = nil
-		preserved &^= Doms | Loops | Poison
-	}
-	if !preserved.Has(Doms) {
-		m.dt = nil
-		preserved &^= Loops
-	}
-	if !preserved.Has(Loops) {
-		m.li = nil
-	}
-	if !preserved.Has(Poison) {
-		m.poison = nil
+// Invalidate drops what a pass step that changed the function can
+// have made stale. The poison facts always go: they describe every
+// instruction, and any change can move them. When the pass does not
+// preserve the CFG, the predecessor map, dominator tree and loop info
+// go too; a pass that preserves it adds, removes or rewires no block or
+// edge, so those three still describe the function.
+func (m *Manager) Invalidate(preservesCFG bool) {
+	m.poison = nil
+	if !preservesCFG {
+		m.preds, m.dt, m.li = nil, nil, nil
 	}
 }
 
 // InvalidateAll evicts everything. Passes that mutate control flow
 // mid-run (loop unswitching between fixpoint rounds) call this so
 // their own later queries recompute.
-func (m *Manager) InvalidateAll() { m.Invalidate(None) }
-
-// PreserveDuringRun records that the currently running pass has kept
-// the analyses in s exact despite reporting a change — a dynamic
-// upgrade of its static registry declaration, for facts (like Poison)
-// whose validity depends on what the pass actually did rather than on
-// what it is allowed to do. The claim is consumed by TakeRunPreserved
-// at the end of the pass step and ORed into the static preserved-set;
-// under -verify-each it is then checked against a fresh recomputation
-// like any other declaration. Claims accumulate within one run and
-// never outlive it.
-func (m *Manager) PreserveDuringRun(s Set) { m.runPreserved |= s }
-
-// TakeRunPreserved returns and clears the analyses the pass that just
-// ran claimed to preserve dynamically. The pass manager must call it
-// exactly once per pass step, whether or not the pass reported a
-// change, so a claim can never leak into the next pass's invalidation.
-func (m *Manager) TakeRunPreserved() Set {
-	s := m.runPreserved
-	m.runPreserved = None
-	return s
-}
-
-// Cached reports whether every analysis in s is currently cached.
-func (m *Manager) Cached(s Set) bool {
-	if s.Has(CFG) && m.preds == nil {
-		return false
-	}
-	if s.Has(Doms) && m.dt == nil {
-		return false
-	}
-	if s.Has(Loops) && m.li == nil {
-		return false
-	}
-	if s.Has(Poison) && m.poison == nil {
-		return false
-	}
-	return true
-}
+func (m *Manager) InvalidateAll() { m.Invalidate(false) }
 
 // Stats returns the compute/hit counters accumulated so far.
 func (m *Manager) Stats() Stats { return m.stats }
 
 // CheckInvariants recomputes every currently cached analysis from
 // scratch and compares it against the cached copy. A mismatch means
-// some pass mutated the IR but declared a preserved-set that kept a
-// now-stale analysis alive — the silent-miscompile precursor the
+// some pass mutated the IR beyond what its declaration admits (it
+// changed the CFG while declaring it preserved) and kept a now-stale
+// analysis alive — the silent-miscompile precursor the
 // -verify-each mode exists to catch. Analyses that are not cached are
 // skipped (nothing can be stale about them). Returns nil when every
 // cached analysis matches a fresh recomputation.

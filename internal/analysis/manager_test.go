@@ -25,76 +25,78 @@ m:
 }`)
 }
 
-func TestSetString(t *testing.T) {
-	if got := None.String(); got != "none" {
-		t.Errorf("None = %q", got)
+// recomputed queries every cached analysis in dependency order and
+// names the ones m computed rather than served from its cache, read off
+// Stats: each query computes at most its own analysis, because the ones
+// it depends on were queried just before it.
+func recomputed(m *Manager) string {
+	var out []string
+	for _, a := range []struct {
+		name  string
+		query func()
+	}{
+		{"preds", func() { m.Preds() }},
+		{"domtree", func() { m.DomTree() }},
+		{"loopinfo", func() { m.LoopInfo() }},
+		{"poison", func() { m.Poison() }},
+	} {
+		before := m.Stats().Computes
+		a.query()
+		if m.Stats().Computes != before {
+			out = append(out, a.name)
+		}
 	}
-	if got := All.String(); got != "cfg|domtree|loopinfo" {
-		t.Errorf("All = %q", got)
-	}
-	if got := (CFG | Doms).String(); got != "cfg|domtree" {
-		t.Errorf("CFG|Doms = %q", got)
-	}
+	return strings.Join(out, ",")
 }
 
 func TestManagerLazyAndCached(t *testing.T) {
 	m := NewManager(managerFunc(t))
-	if m.Cached(CFG) || m.Cached(Doms) || m.Cached(Loops) {
-		t.Fatal("fresh manager claims cached analyses")
+	if st := m.Stats(); st != (Stats{}) {
+		t.Fatalf("fresh manager has stats %+v", st)
 	}
 	// LoopInfo pulls in its whole dependency chain.
 	if m.LoopInfo() == nil {
 		t.Fatal("nil loop info")
 	}
-	if !m.Cached(All) {
-		t.Fatal("LoopInfo should cache CFG and domtree too")
-	}
 	st := m.Stats()
 	if st.Computes != 3 {
 		t.Errorf("computes = %d, want 3 (preds, domtree, loopinfo)", st.Computes)
+	}
+	if got := recomputed(m); got != "poison" {
+		t.Errorf("after LoopInfo, recomputed %q, want only poison: LoopInfo should cache the CFG and domtree too", got)
 	}
 	// Re-querying hits the cache and returns the identical objects.
 	dt := m.DomTree()
 	if m.DomTree() != dt {
 		t.Error("DomTree recomputed despite cache")
 	}
-	if got := m.Stats(); got.Computes != 3 || got.Hits == 0 {
+	if got := m.Stats(); got.Computes != 4 || got.Hits == 0 {
 		t.Errorf("stats after re-query = %+v", got)
 	}
 }
 
+// TestManagerInvalidation: the two invalidations a pass step makes. A
+// change by a pass that preserves the CFG drops only the poison facts;
+// a change by one that does not drops everything, as InvalidateAll does.
 func TestManagerInvalidation(t *testing.T) {
 	m := NewManager(managerFunc(t))
-	m.LoopInfo()
-
-	// Preserving everything evicts nothing.
-	m.Invalidate(All)
-	if !m.Cached(All) {
-		t.Fatal("Invalidate(All) evicted a preserved analysis")
+	if got := recomputed(m); got != "preds,domtree,loopinfo,poison" {
+		t.Fatalf("first queries recomputed %q", got)
 	}
-
-	// Dropping only Doms must drop Loops too (it is derived from the
-	// domtree) but keep the CFG.
-	m.Invalidate(CFG)
-	if !m.Cached(CFG) {
-		t.Error("CFG evicted despite being preserved")
+	if got := recomputed(m); got != "" {
+		t.Errorf("with nothing invalidated, recomputed %q", got)
 	}
-	if m.Cached(Doms) || m.Cached(Loops) {
-		t.Error("domtree/loopinfo survived a CFG-only preserved set")
+	m.Invalidate(true)
+	if got := recomputed(m); got != "poison" {
+		t.Errorf("Invalidate(true) then recomputed %q, want only poison", got)
 	}
-
-	// Dropping the CFG takes the whole chain with it, even if the
-	// caller claims the derived analyses are preserved.
-	m.LoopInfo()
-	m.Invalidate(Doms | Loops)
-	if m.Cached(CFG) || m.Cached(Doms) || m.Cached(Loops) {
-		t.Error("derived analyses survived CFG eviction")
+	m.Invalidate(false)
+	if got := recomputed(m); got != "preds,domtree,loopinfo,poison" {
+		t.Errorf("Invalidate(false) then recomputed %q, want all four", got)
 	}
-
-	m.LoopInfo()
 	m.InvalidateAll()
-	if m.Cached(CFG) || m.Cached(Doms) || m.Cached(Loops) {
-		t.Error("InvalidateAll left something cached")
+	if got := recomputed(m); got != "preds,domtree,loopinfo,poison" {
+		t.Errorf("InvalidateAll then recomputed %q, want all four", got)
 	}
 }
 
@@ -162,15 +164,15 @@ exit:
 		for _, f := range fns {
 			m.Reset(f)
 			same(f, m)
-			m.Invalidate(CFG) // recompute the tree and loops over the kept map
+			m.Invalidate(true)
 			same(f, m)
-			m.InvalidateAll()
+			m.InvalidateAll() // recompute everything into the kept storage
 			same(f, m)
 		}
 		slices.Reverse(fns)
 	}
 	m.Reset(nil)
-	if m.Func() != nil || m.Cached(CFG) || m.Stats() != (Stats{}) {
+	if m.Func() != nil || m.preds != nil || m.Stats() != (Stats{}) {
 		t.Fatal("Reset(nil) left the manager serving a function")
 	}
 

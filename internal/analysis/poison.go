@@ -46,8 +46,8 @@ func joinPoison(a, b PoisonLattice) PoisonLattice {
 // element per reachable value-producing instruction. Leaves (constants,
 // parameters, deferred-UB constants) are classified structurally at
 // query time. The facts are valid for the IR state they were computed
-// from; the Manager invalidates them after any pass that reports a
-// change (Poison is not part of the All preserved-set).
+// from; the Manager drops them after any pass step that reports a
+// change, whether or not the pass preserves the CFG.
 type PoisonFacts struct {
 	fn     *ir.Func
 	facts  map[*ir.Instr]PoisonLattice
@@ -294,16 +294,6 @@ func (p *PoisonFacts) NeverPoisonAt(v ir.Value, at *ir.Block, dt *DomTree) bool 
 	}
 	return false
 }
-
-// Forget drops the cached fact for an instruction the caller is about
-// to erase. A pass that keeps the facts alive past its own run (see
-// Manager.PreserveDuringRun) must Forget every deleted instruction:
-// the verify-each coherence check compares the cached table against a
-// fresh fixpoint over the post-pass IR, and a lingering entry for a
-// dead instruction fails the comparison even when every surviving
-// fact is still exact. Forgetting an instruction the analysis never
-// saw (unreachable blocks) is a no-op.
-func (p *PoisonFacts) Forget(in *ir.Instr) { delete(p.facts, in) }
 
 // Rounds returns how many fixpoint sweeps the analysis took (≥ 2; loops
 // with poison-raising backedges take more).

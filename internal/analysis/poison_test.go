@@ -246,17 +246,12 @@ entry:
 	if st.PoisonQueries == 0 {
 		t.Error("manager stats did not count poison queries")
 	}
-	if !m.Cached(Poison) {
-		t.Error("Cached(Poison) false while facts are live")
-	}
-	// All deliberately excludes Poison: an instruction-rewriting pass
-	// that preserves every CFG analysis must still evict poison facts.
-	m.Invalidate(All)
-	if m.Cached(Poison) {
-		t.Error("Invalidate(All) kept poison facts alive")
-	}
-	if !m.Cached(CFG|Doms) && m.Cached(CFG) {
-		t.Error("Invalidate(All) evicted CFG-level analyses")
+	// A change by a pass that preserves the CFG still drops the poison
+	// facts: they describe every instruction, not just the blocks.
+	m.DomTree()
+	m.Invalidate(true)
+	if got := recomputed(m); got != "loopinfo,poison" {
+		t.Errorf("after Invalidate(true), recomputed %q, want the poison facts (and the never-queried loop info) only", got)
 	}
 }
 
@@ -274,16 +269,16 @@ entry:
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatalf("clean caches flagged: %v", err)
 	}
-	// Mutate the IR behind the manager's back, as a pass with a wrong
-	// preserved-set declaration would: the add becomes nsw, so its
-	// cached NeverPoison fact is now stale.
+	// Mutate the IR behind the manager's back, as a pass that reported
+	// no change would: the add becomes nsw, so its cached NeverPoison
+	// fact is now stale.
 	instByName(t, f, "x").Attrs |= ir.NSW
 	err := m.CheckInvariants()
 	if err == nil {
 		t.Fatal("stale poison facts not detected")
 	}
 	// After proper invalidation the fresh facts agree again.
-	m.Invalidate(None)
+	m.Invalidate(false)
 	m.Poison()
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatalf("recomputed facts flagged: %v", err)

@@ -479,10 +479,11 @@ entry:
   ret i32 %m2
 }`
 	mod := ir.MustParseModule(src)
-	prog, err := CompileModuleOpts(mod, Options{ExpandCMovs: true})
+	prog, err := CompileModule(mod)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ExpandCMovs(prog)
 	for _, b := range prog.Funcs[0].Blocks {
 		for _, in := range b {
 			if in.Op == target.CMOVcc {
@@ -541,10 +542,11 @@ exit:
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := CompileModuleOpts(mod2, Options{ExpandCMovs: true})
+	p2, err := CompileModule(mod2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ExpandCMovs(p2)
 	for _, n := range []uint64{0, 5, 15, 40} {
 		run := func(p *target.Program) uint64 {
 			m := target.NewMachine(p)

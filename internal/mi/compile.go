@@ -6,23 +6,10 @@ import (
 	"tameir/internal/target"
 )
 
-// Options controls optional backend behaviour.
-type Options struct {
-	// ExpandCMovs lowers conditional moves into branch diamonds — the
-	// §5.2 reverse predication, legal without freeze at this level
-	// because MI has no poison.
-	ExpandCMovs bool
-}
-
 // CompileModule runs the full backend pipeline over a module:
 // IR → SelectionDAG (build, combine) → MachineInstr (select, allocate,
 // peephole) → a VX64 program ready for the size model and the simulator.
 func CompileModule(mod *ir.Module) (*target.Program, error) {
-	return CompileModuleOpts(mod, Options{})
-}
-
-// CompileModuleOpts is CompileModule with backend options.
-func CompileModuleOpts(mod *ir.Module, opts Options) (*target.Program, error) {
 	prog := &target.Program{}
 	for _, g := range mod.Globals {
 		prog.Globals = append(prog.Globals, target.GlobalBlob{
@@ -47,8 +34,5 @@ func CompileModuleOpts(mod *ir.Module, opts Options) (*target.Program, error) {
 		prog.Funcs = append(prog.Funcs, mf)
 	}
 	Peephole(prog)
-	if opts.ExpandCMovs {
-		ExpandCMovs(prog)
-	}
 	return prog, nil
 }

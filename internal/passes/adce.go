@@ -17,12 +17,6 @@ type ADCE struct{}
 // Name implements Pass.
 func (ADCE) Name() string { return "adce" }
 
-func init() {
-	// Control flow is never removed (see the pass comment), so every
-	// block-level analysis survives.
-	Register(PassInfo{Name: "adce", New: func() Pass { return ADCE{} }, Preserves: PreservesAll})
-}
-
 // Run implements Pass.
 func (ADCE) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
 	live := map[*ir.Instr]bool{}

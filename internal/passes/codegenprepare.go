@@ -21,11 +21,6 @@ type CodeGenPrepare struct{}
 // Name implements Pass.
 func (CodeGenPrepare) Name() string { return "codegenprepare" }
 
-func init() {
-	// Splits blocks for selects lowered to control flow.
-	Register(PassInfo{Name: "codegenprepare", New: func() Pass { return CodeGenPrepare{} }, Preserves: PreservesNone})
-}
-
 // Run implements Pass.
 func (CodeGenPrepare) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
 	snap := newSnapshot()

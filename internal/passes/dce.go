@@ -11,11 +11,6 @@ type DCE struct{}
 // Name implements Pass.
 func (DCE) Name() string { return "dce" }
 
-func init() {
-	// Deletes unreachable blocks, so the CFG can change.
-	Register(PassInfo{Name: "dce", New: func() Pass { return DCE{} }, Preserves: PreservesNone})
-}
-
 // Run implements Pass.
 func (DCE) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
 	changed := removeUnreachableBlocks(f)

@@ -26,16 +26,6 @@ type FreezeElim struct{}
 // Name implements Pass.
 func (FreezeElim) Name() string { return "freeze-elim" }
 
-func init() {
-	// Deleting a freeze and rerouting its uses leaves every block and
-	// edge intact, so the CFG-level analyses survive. The poison facts
-	// are not part of the static declaration (Poison is not in
-	// PreservesAll): whether they survive depends on what the pass
-	// actually deleted, so the pass claims them dynamically through
-	// Manager.PreserveDuringRun when the run qualifies — see Run.
-	Register(PassInfo{Name: "freeze-elim", New: func() Pass { return FreezeElim{} }, Preserves: PreservesAll})
-}
-
 // Run implements Pass.
 func (FreezeElim) Run(f *ir.Func, cfg *Config, am *AnalysisManager) bool {
 	if !cfg.FreezeAware {
@@ -62,66 +52,19 @@ func (FreezeElim) Run(f *ir.Func, cfg *Config, am *AnalysisManager) bool {
 	refineEdges := cfg.Sem.Mode == core.Freeze
 	var dt *analysis.DomTree
 	changed := false
-	guarded := false
 	for _, in := range freezes {
 		op := in.Arg(0)
 		ok := facts.NeverPoison(op)
-		viaGuard := false
 		if !ok && refineEdges {
 			if dt == nil {
 				dt = am.DomTree()
 			}
 			ok = facts.NeverPoisonAt(op, in.Parent(), dt)
-			viaGuard = ok
 		}
 		if ok {
-			// Keep the cached table coherent with the IR it describes:
-			// the fact for a deleted instruction must go with it.
-			facts.Forget(in)
 			replaceAndErase(in, op)
 			changed = true
-			guarded = guarded || viaGuard
 		}
-	}
-	// Claim the poison facts as still exact when the run provably kept
-	// them so: replacing a freeze with a NeverPoison operand feeds the
-	// same lattice element into every user's transfer function, so the
-	// fixpoint is unchanged. Two cases break that argument and block
-	// the claim:
-	//
-	//   - A guard-based (NeverPoisonAt) deletion: the operand is only
-	//     contextually clean — its static fact is MayPoison — so users
-	//     that read the freeze's NeverPoison now read MayPoison in a
-	//     fresh fixpoint, and the cached table is stronger than the
-	//     truth.
-	//   - A knownbits-consulting transfer anywhere in the function
-	//     (add nuw, shifts): those don't read the operand's lattice
-	//     element, they read its bit-level structure, and a freeze and
-	//     its operand need not agree on that. Rerouting uses can
-	//     therefore strengthen a fresh fixpoint even though every
-	//     lattice input was identical.
-	//
-	// Under -verify-each the claim itself is checked: CheckInvariants
-	// recomputes the fixpoint and compares it against the cache kept
-	// alive by this claim.
-	if changed && !guarded && !kbSensitive(f) {
-		am.PreserveDuringRun(analysis.Poison)
 	}
 	return changed
-}
-
-// kbSensitive reports whether f contains an instruction whose poison
-// transfer function consults knownbits (attrsCannotPoison's add nuw,
-// shiftAmountInRangeKB's shifts) — the cases where freeze-elim's
-// use-rerouting can change a recomputed fact without changing any
-// lattice input.
-func kbSensitive(f *ir.Func) bool {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs() {
-			if (in.Op == ir.OpAdd && in.Attrs == ir.NUW) || in.Op.IsShift() {
-				return true
-			}
-		}
-	}
-	return false
 }

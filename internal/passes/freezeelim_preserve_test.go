@@ -1,144 +1,145 @@
 package passes_test
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"tameir/internal/analysis"
 	"tameir/internal/ir"
 	"tameir/internal/passes"
+	"tameir/internal/refine"
 )
 
-// Freeze-elim upgrades its static preserved-set dynamically: a run
-// that only replaced freezes with statically never-poison operands
-// (no guard-based deletions, no knownbits-consulting transfers in the
-// function) keeps the cached poison facts alive. These tests pin the
-// claim in both directions and check it against the -verify-each
-// coherence battery, which recomputes the fixpoint and compares.
+// Freeze-elim preserves the CFG, so a step that deleted a freeze keeps
+// the predecessor map, dominator tree and loop info cached and drops
+// the poison facts, like every changing step. These tests pin that per
+// deletion shape and check what the recomputed facts say: a clean
+// deletion leaves every surviving fact as it was, a guard-based one
+// weakens one, and -verify-each (CheckInvariants) audits both.
 
-// freezeElimWithManager runs freeze-elim once against a caller-visible
-// analysis manager with the poison facts warmed, returning the manager
-// and whether the pass changed f.
-func freezeElimWithManager(t *testing.T, f *ir.Func) (*analysis.Manager, bool) {
+// poisonProbe is a pass that changes nothing: it records the poison
+// fact the manager serves for every named instruction.
+type poisonProbe struct {
+	facts *[]map[string]analysis.PoisonLattice
+}
+
+func (poisonProbe) Name() string { return "poison-probe" }
+
+func (p poisonProbe) Run(f *ir.Func, _ *passes.Config, am *passes.AnalysisManager) bool {
+	pf := am.Poison()
+	got := map[string]analysis.PoisonLattice{}
+	f.ForEachInstr(func(in *ir.Instr) {
+		if in.Name() != "" {
+			got[in.Name()] = pf.Fact(in)
+		}
+	})
+	*p.facts = append(*p.facts, got)
+	return false
+}
+
+// freezeElimStep runs one freeze-elim step on the function in src,
+// between probes sharing its analysis manager, under -verify-each. It
+// requires the step to leave wantFreezes freezes, the result to refine
+// the source and the probes to see the CFG analyses kept and the
+// poison facts recomputed, and returns the facts each probe was served.
+func freezeElimStep(t *testing.T, src string, wantFreezes int) []map[string]analysis.PoisonLattice {
 	t.Helper()
+	m := ir.MustParseModule(src)
+	f := m.Funcs[0]
+	orig := ir.CloneFunc(f)
+	var log []string
+	var facts []map[string]analysis.PoisonLattice
+	pm := &passes.PassManager{Passes: []passes.Pass{
+		probe{&log}, poisonProbe{&facts}, passes.FreezeElim{}, probe{&log}, poisonProbe{&facts},
+	}}
 	cfg := passes.DefaultFreezeConfig()
-	am := analysis.NewManager(f)
-	am.Poison() // warm the cache so preservation is observable
-	changed := passes.RunPassWithManager(passes.FreezeElim{}, f, cfg, am)
-	return am, changed
+	cfg.VerifyEach = true
+	if !pm.RunOnce(m, cfg) {
+		t.Fatalf("freeze-elim deleted nothing:\n%s", f)
+	}
+	n := 0
+	f.ForEachInstr(func(in *ir.Instr) {
+		if in.Op == ir.OpFreeze {
+			n++
+		}
+	})
+	if n != wantFreezes {
+		t.Fatalf("%d freezes left, want %d:\n%s", n, wantFreezes, f)
+	}
+	if r := refine.Check(orig, f, refine.DefaultConfig(cfg.Sem, cfg.Sem)); r.Status != refine.Verified {
+		t.Fatalf("refinement %v\n--- source\n%s\n--- transformed\n%s\n%s", r.Status, orig, f, r)
+	}
+	if want := []string{"preds,domtree,loopinfo,poison", "poison"}; !slices.Equal(log, want) {
+		t.Fatalf("probes recomputed %q, want %q: freeze-elim preserves the CFG and changed f", log, want)
+	}
+	return facts
 }
 
 // A clean deletion — the freeze's operand is itself a freeze, hence
-// statically never poison — must keep the poison facts cached, and
-// the kept facts must survive CheckInvariants' fresh recomputation.
+// statically never poison — preserves the poison facts: the fixpoint
+// recomputed after the step gives every surviving instruction the
+// fact it had before.
 func TestFreezeElimPreservesPoisonFacts(t *testing.T) {
-	f := ir.MustParseFunc(`define i8 @f(i8 %x) {
+	facts := freezeElimStep(t, `define i2 @f(i2 %x) {
 entry:
-  %f1 = freeze i8 %x
-  %f2 = freeze i8 %f1
-  %a = add i8 %f2, 1
-  ret i8 %a
-}`)
-	am, changed := freezeElimWithManager(t, f)
-	if !changed {
-		t.Fatalf("freeze-elim deleted nothing:\n%s", f)
+  %f1 = freeze i2 %x
+  %f2 = freeze i2 %f1
+  %a = add i2 %f2, 1
+  ret i2 %a
+}`, 1)
+	before, after := facts[0], facts[1]
+	delete(before, "f2")
+	if !maps.Equal(before, after) {
+		t.Fatalf("clean deletion moved the surviving facts: before %v, after %v", before, after)
 	}
-	if !am.Cached(analysis.Poison) {
-		t.Fatal("clean freeze-elim run evicted the poison facts it proved preserved")
-	}
-	if err := am.CheckInvariants(); err != nil {
-		t.Fatalf("preserved poison facts fail the coherence check: %v\n%s", err, f)
-	}
-
-	// The same function through the -verify-each battery: the pass
-	// manager checks the dynamic claim right after applying it.
-	g := ir.MustParseFunc(`define i8 @f(i8 %x) {
-entry:
-  %f1 = freeze i8 %x
-  %f2 = freeze i8 %f1
-  %a = add i8 %f2, 1
-  ret i8 %a
-}`)
-	pm, err := passes.NewPassManager("freeze-elim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := passes.DefaultFreezeConfig()
-	cfg.VerifyEach = true
-	if !pm.RunFunc(g, cfg) {
-		t.Fatalf("freeze-elim deleted nothing under -verify-each:\n%s", g)
+	if after["a"] != analysis.NeverPoison {
+		t.Fatalf("%%a = %v after the deletion, want never-poison", after["a"])
 	}
 }
 
 // A guard-based deletion (NeverPoisonAt) replaces the freeze with an
 // operand that is only contextually clean — its static fact is
-// may-poison — so the cached table would overclaim. The pass must not
-// preserve it.
+// may-poison — so the cached facts would overclaim: the select they
+// called never-poison now reads the raw condition. The recomputed facts
+// must say may-poison.
 func TestFreezeElimGuardedDeletionInvalidatesPoison(t *testing.T) {
-	f := ir.MustParseFunc(`define i8 @g(i1 %c, i8 %x) {
+	facts := freezeElimStep(t, `define i2 @g(i1 %c, i2 %x) {
 entry:
   br i1 %c, label %t, label %e
 t:
   %fz = freeze i1 %c
-  %s = select i1 %fz, i8 1, i8 2
-  ret i8 %s
+  %s = select i1 %fz, i2 1, i2 2
+  ret i2 %s
 e:
-  ret i8 0
-}`)
-	am, changed := freezeElimWithManager(t, f)
-	if !changed {
-		t.Fatalf("guarded freeze not deleted:\n%s", f)
-	}
-	if am.Cached(analysis.Poison) {
-		t.Fatal("guard-based deletion must invalidate the poison facts: the operand is only contextually clean")
+  ret i2 0
+}`, 0)
+	if facts[0]["s"] != analysis.NeverPoison || facts[1]["s"] != analysis.MayPoison {
+		t.Fatalf("%%s read %v before and %v after the deletion, want never-poison then may-poison", facts[0]["s"], facts[1]["s"])
 	}
 }
 
 // A knownbits-consulting transfer (shift, add nuw) reads operand
 // structure rather than lattice elements, so rerouting uses past a
-// freeze can strengthen a fresh fixpoint. Any such instruction in the
-// function blocks the claim.
+// freeze can move its fact. The facts are recomputed all the same, and
+// -verify-each's CheckInvariants compares them with a fresh fixpoint.
 func TestFreezeElimKnownbitsHazardInvalidatesPoison(t *testing.T) {
 	for _, src := range []string{
-		`define i8 @h(i8 %x) {
+		`define i2 @h(i2 %x) {
 entry:
-  %f1 = freeze i8 %x
-  %f2 = freeze i8 %f1
-  %s = shl i8 %f2, 1
-  ret i8 %s
+  %f1 = freeze i2 %x
+  %f2 = freeze i2 %f1
+  %s = shl i2 %f2, 1
+  ret i2 %s
 }`,
-		`define i8 @h(i8 %x) {
+		`define i2 @h(i2 %x) {
 entry:
-  %f1 = freeze i8 %x
-  %f2 = freeze i8 %f1
-  %s = add nuw i8 %f2, 1
-  ret i8 %s
+  %f1 = freeze i2 %x
+  %f2 = freeze i2 %f1
+  %s = add nuw i2 %f2, 1
+  ret i2 %s
 }`,
 	} {
-		f := ir.MustParseFunc(src)
-		am, changed := freezeElimWithManager(t, f)
-		if !changed {
-			t.Fatalf("freeze not deleted:\n%s", f)
-		}
-		if am.Cached(analysis.Poison) {
-			t.Fatalf("knownbits-sensitive function must invalidate the poison facts:\n%s", f)
-		}
-	}
-}
-
-// A dynamic claim must be consumed by the pass step that made it —
-// never soften a later pass's invalidation.
-func TestRunPreservedDoesNotLeak(t *testing.T) {
-	f := ir.MustParseFunc(`define i8 @f(i8 %x) {
-entry:
-  %a = add i8 %x, 1
-  ret i8 %a
-}`)
-	am := analysis.NewManager(f)
-	am.PreserveDuringRun(analysis.Poison)
-	if got := am.TakeRunPreserved(); got != analysis.Poison {
-		t.Fatalf("TakeRunPreserved = %v, want poison", got)
-	}
-	if got := am.TakeRunPreserved(); got != analysis.None {
-		t.Fatalf("second TakeRunPreserved = %v, want none: claims must be cleared on take", got)
+		freezeElimStep(t, src, 1)
 	}
 }

@@ -37,11 +37,6 @@ type GVN struct{}
 // Name implements Pass.
 func (GVN) Name() string { return "gvn" }
 
-func init() {
-	// GVN rewrites uses and erases duplicates; block edges are untouched.
-	Register(PassInfo{Name: "gvn", New: func() Pass { return GVN{} }, Preserves: PreservesAll})
-}
-
 // Run implements Pass.
 func (GVN) Run(f *ir.Func, cfg *Config, am *AnalysisManager) bool {
 	g := gvnPool.Get().(*gvnState)

@@ -23,12 +23,6 @@ type IndVarWiden struct{}
 // Name implements Pass.
 func (IndVarWiden) Name() string { return "indvars" }
 
-func init() {
-	// Widening rewrites the IV arithmetic in place; blocks and edges
-	// are untouched.
-	Register(PassInfo{Name: "indvars", New: func() Pass { return IndVarWiden{} }, Preserves: PreservesAll})
-}
-
 // Run implements Pass.
 func (IndVarWiden) Run(f *ir.Func, cfg *Config, am *AnalysisManager) bool {
 	li := am.LoopInfo()

@@ -20,11 +20,6 @@ type Inliner struct{}
 // Name implements Pass.
 func (Inliner) Name() string { return "inline" }
 
-func init() {
-	// Inlining splices callee blocks into the caller.
-	Register(PassInfo{Name: "inline", New: func() Pass { return Inliner{} }, Preserves: PreservesNone})
-}
-
 // InlineThreshold is the maximum callee cost that still inlines.
 const InlineThreshold = 30
 

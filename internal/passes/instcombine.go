@@ -23,11 +23,6 @@ type InstCombine struct{}
 // Name implements Pass.
 func (InstCombine) Name() string { return "instcombine" }
 
-func init() {
-	// Peepholes insert/replace instructions within blocks only.
-	Register(PassInfo{Name: "instcombine", New: func() Pass { return InstCombine{} }, Preserves: PreservesAll})
-}
-
 // Run implements Pass.
 func (InstCombine) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
 	snap := newSnapshot()

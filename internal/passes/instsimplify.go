@@ -13,11 +13,6 @@ type InstSimplify struct{}
 // Name implements Pass.
 func (InstSimplify) Name() string { return "instsimplify" }
 
-func init() {
-	// Pure folding: replaces uses and erases instructions in place.
-	Register(PassInfo{Name: "instsimplify", New: func() Pass { return InstSimplify{} }, Preserves: PreservesAll})
-}
-
 // Run implements Pass.
 func (InstSimplify) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
 	snap := newSnapshot()

@@ -20,11 +20,6 @@ type JumpThreading struct{}
 // Name implements Pass.
 func (JumpThreading) Name() string { return "jumpthreading" }
 
-func init() {
-	// Rewires branch edges by design.
-	Register(PassInfo{Name: "jumpthreading", New: func() Pass { return JumpThreading{} }, Preserves: PreservesNone})
-}
-
 // Run implements Pass.
 func (JumpThreading) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
 	changed := false

@@ -22,12 +22,6 @@ type LICM struct{}
 // Name implements Pass.
 func (LICM) Name() string { return "licm" }
 
-func init() {
-	// Hoisting moves instructions into an existing preheader; the CFG
-	// and loop structure are unchanged.
-	Register(PassInfo{Name: "licm", New: func() Pass { return LICM{} }, Preserves: PreservesAll})
-}
-
 // Run implements Pass.
 func (LICM) Run(f *ir.Func, cfg *Config, am *AnalysisManager) bool {
 	dt := am.DomTree()

@@ -20,11 +20,6 @@ type LoopSink struct{}
 // Name implements Pass.
 func (LoopSink) Name() string { return "loopsink" }
 
-func init() {
-	// Sinking moves instructions between existing blocks; no CFG change.
-	Register(PassInfo{Name: "loopsink", New: func() Pass { return LoopSink{} }, Preserves: PreservesAll})
-}
-
 // Run implements Pass.
 func (LoopSink) Run(f *ir.Func, cfg *Config, am *AnalysisManager) bool {
 	li := am.LoopInfo()

@@ -22,11 +22,6 @@ type LoopUnswitch struct{}
 // Name implements Pass.
 func (LoopUnswitch) Name() string { return "loopunswitch" }
 
-func init() {
-	// Unswitching clones whole loops and rewires the preheader.
-	Register(PassInfo{Name: "loopunswitch", New: func() Pass { return LoopUnswitch{} }, Preserves: PreservesNone})
-}
-
 // Run implements Pass.
 func (LoopUnswitch) Run(f *ir.Func, cfg *Config, am *AnalysisManager) bool {
 	changed := false

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"tameir/internal/analysis"
 	"tameir/internal/bench"
 	"tameir/internal/ir"
 	"tameir/internal/minc"
@@ -36,7 +35,7 @@ func corpus(t *testing.T, numInstrs, maxFuncs int) []*ir.Func {
 }
 
 // TestO2Fixpoint: when the pipeline reports convergence (a round with
-// no change, rather than the MaxIters cap), the function is a true
+// no change, rather than the round cap), the function is a true
 // fixed point — a second full run changes nothing. A minority of
 // candidates legitimately hit the cap (reassociate and instcombine can
 // trade canonical forms indefinitely); the cap is exactly what bounds
@@ -68,36 +67,85 @@ func TestO2Fixpoint(t *testing.T) {
 	}
 }
 
-// TestPreservedAnalysesInvalidation: a CFG-mutating pass (simplifycfg)
-// must evict the cached domtree, while a pass that only rewrites
-// instructions (instsimplify) must keep it.
+// probe is a pass that changes nothing: it queries every analysis the
+// manager caches, in dependency order, and logs the ones the manager
+// computed rather than served from its cache.
+type probe struct{ log *[]string }
+
+func (probe) Name() string { return "probe" }
+
+func (p probe) Run(_ *ir.Func, _ *passes.Config, am *passes.AnalysisManager) bool {
+	var got []string
+	for _, a := range []struct {
+		name  string
+		query func()
+	}{
+		{"preds", func() { am.Preds() }},
+		{"domtree", func() { am.DomTree() }},
+		{"loopinfo", func() { am.LoopInfo() }},
+		{"poison", func() { am.Poison() }},
+	} {
+		before := am.Stats().Computes
+		a.query()
+		if am.Stats().Computes != before {
+			got = append(got, a.name)
+		}
+	}
+	*p.log = append(*p.log, strings.Join(got, ","))
+	return false
+}
+
+// TestPreservedAnalysesInvalidation: the one-bit rule, on a function
+// with a loop and a freeze. After a changing step of a pass that
+// preserves the CFG (instsimplify), the predecessor map, dominator tree
+// and loop info are served from the cache and the poison facts are
+// recomputed; after a changing step of one that does not (simplifycfg),
+// all four are recomputed; after an unchanged step, nothing is. Under
+// -verify-each, CheckInvariants audits every step's cache too.
 func TestPreservedAnalysesInvalidation(t *testing.T) {
-	f := ir.MustParseFunc(`define i2 @f(i2 %x) {
+	const src = `define i8 @f(i8 %n) {
 entry:
-  %a = add i2 %x, 0
-  br i1 true, label %t, label %e
-t:
-  ret i2 %a
-e:
-  ret i2 0
-}`)
-	cfg := passes.DefaultFreezeConfig()
-	cfg.VerifyEach = true
-	am := analysis.NewManager(f)
-	am.DomTree()
-
-	if !passes.RunPassWithManager(passes.InstSimplify{}, f, cfg, am) {
-		t.Fatal("instsimplify did not fold the add-zero identity")
-	}
-	if !am.Cached(analysis.Doms) {
-		t.Fatal("instsimplify evicted the domtree despite preserving all analyses")
-	}
-
-	if !passes.RunPassWithManager(passes.SimplifyCFG{}, f, cfg, am) {
-		t.Fatal("simplifycfg did not fold the constant branch")
-	}
-	if am.Cached(analysis.Doms) || am.Cached(analysis.CFG) {
-		t.Fatal("simplifycfg left stale CFG analyses cached")
+  %fn = freeze i8 %n
+  br label %head
+head:
+  %i = phi i8 [ 0, %entry ], [ %i1, %latch ]
+  %c = icmp ult i8 %i, %fn
+  br i1 %c, label %body, label %exit
+body:
+  %z = add i8 %i, 0
+  %i1 = add i8 %z, 1
+  br label %latch
+latch:
+  br label %head
+exit:
+  ret i8 %i
+}`
+	for _, verify := range []bool{false, true} {
+		var log []string
+		p := probe{&log}
+		pm := &passes.PassManager{Passes: []passes.Pass{
+			p, passes.InstSimplify{}, p, passes.SimplifyCFG{}, p, passes.InstSimplify{}, p,
+		}}
+		cfg := passes.DefaultFreezeConfig()
+		cfg.VerifyEach = verify
+		f := ir.MustParseFunc(src)
+		if _, fired := pm.RunFuncChanged(f, cfg); !slices.Equal(fired, []string{"instsimplify", "simplifycfg"}) {
+			t.Fatalf("fired %v, want instsimplify (the add of zero) and simplifycfg (the latch):\n%s", fired, f)
+		}
+		want := []string{
+			"preds,domtree,loopinfo,poison", // first queries
+			"poison",                        // instsimplify changed f and preserves the CFG
+			"preds,domtree,loopinfo,poison", // simplifycfg changed f and its CFG
+			"",                              // instsimplify changed nothing
+		}
+		if len(log) < len(want) || !slices.Equal(log[:len(want)], want) {
+			t.Fatalf("verify-each %v: probes recomputed %q, want %q", verify, log, want)
+		}
+		for i, got := range log[len(want):] {
+			if got != "" {
+				t.Errorf("verify-each %v: probe %d after the first round recomputed %q", verify, len(want)+i, got)
+			}
+		}
 	}
 }
 
@@ -194,26 +242,23 @@ func TestStatsMerge(t *testing.T) {
 // fullRounds is the fixpoint loop with neither the early exit nor the
 // analysis cache: every round runs the whole pipeline, so the round
 // after a change confirms the fixpoint by running every pass again,
-// and every pass step gets a fresh analysis manager, so each pass
-// recomputes what it queries. computes sums what those managers
+// and every pass step runs alone in a fresh one-pass manager, so each
+// pass recomputes what it queries. computes sums what those managers
 // computed. RunFuncChanged is held to it.
 func fullRounds(pm *passes.PassManager, f *ir.Func, cfg *passes.Config) (fired []string, rounds int, converged bool, computes uint64) {
-	max := pm.MaxIters
-	if max == 0 {
-		max = 3
-	}
-	for !converged && rounds < max {
+	mod := &ir.Module{Funcs: []*ir.Func{f}}
+	for !converged && rounds < 3 { // the pass manager's round bound
 		rounds++
 		converged = true
 		for _, p := range pm.Passes {
-			am := analysis.NewManager(f)
-			if passes.RunPassWithManager(p, f, cfg, am) {
+			one := (&passes.PassManager{Passes: []passes.Pass{p}}).Instrument()
+			if one.RunOnce(mod, cfg) {
 				converged = false
 				if !slices.Contains(fired, p.Name()) {
 					fired = append(fired, p.Name())
 				}
 			}
-			computes += am.Stats().Computes
+			computes += one.Stats.Analysis().Computes
 		}
 	}
 	return fired, rounds, converged, computes
@@ -252,7 +297,7 @@ func sampleSpace(gen optfuzz.Config, seed uint64, perShard int) []*ir.Func {
 // under the verify-each battery, on a sample of the 3-instruction space
 // in both dialects (the unsound legacy config included) and on every
 // MinC benchmark function under both variants, where many functions
-// reach MaxIters.
+// reach the round cap.
 func TestFixpointEarlyExitMatchesFullRounds(t *testing.T) {
 	var computes, refComputes uint64
 	check := func(label string, got, want *ir.Func, cfg *passes.Config) (capped bool) {
@@ -272,7 +317,7 @@ func TestFixpointEarlyExitMatchesFullRounds(t *testing.T) {
 	}
 
 	// What the cache saves on this corpus is fixed by the passes'
-	// queries and preserved-sets: a change to either moves these
+	// queries and their registry bits: a change to either moves these
 	// counts, and one that makes the cache recompute as often as the
 	// reference shows up here even when the output is right.
 	verified := passes.DefaultFreezeConfig()
@@ -324,9 +369,9 @@ func TestFixpointEarlyExitMatchesFullRounds(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d MinC functions, %d reach MaxIters", funcs, capped)
+	t.Logf("%d MinC functions, %d reach the round cap", funcs, capped)
 	if capped == 0 {
-		t.Errorf("none of %d MinC functions reached MaxIters; the test no longer covers a capped fixpoint", funcs)
+		t.Errorf("none of %d MinC functions reached the round cap; the test no longer covers a capped fixpoint", funcs)
 	}
 }
 

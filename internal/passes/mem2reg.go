@@ -17,11 +17,6 @@ type Mem2Reg struct{}
 // Name implements Pass.
 func (Mem2Reg) Name() string { return "mem2reg" }
 
-func init() {
-	// Phi insertion and load/store removal never touch block structure.
-	Register(PassInfo{Name: "mem2reg", New: func() Pass { return Mem2Reg{} }, Preserves: PreservesAll})
-}
-
 // Run implements Pass.
 func (Mem2Reg) Run(f *ir.Func, cfg *Config, am *AnalysisManager) bool {
 	var allocas []*ir.Instr

@@ -22,11 +22,6 @@ type MigrateUndef struct{}
 // Name implements Pass.
 func (MigrateUndef) Name() string { return "migrate-undef" }
 
-func init() {
-	// Rewrites undef uses to freeze(poison) in place; no block changes.
-	Register(PassInfo{Name: "migrate-undef", New: func() Pass { return MigrateUndef{} }, Preserves: PreservesAll})
-}
-
 // Run implements Pass.
 func (MigrateUndef) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
 	changed := false

@@ -13,11 +13,13 @@
 // are validated against the refine package by the tests and by the
 // Section 6 experiment (cmd/tame-bench -exp validate).
 //
-// Passes are registered in a PassInfo registry (name, constructor,
-// preserved-analyses set) and run through a PassManager that caches
-// CFG/domtree/loopinfo per function in an analysis.Manager, invalidating
-// only what each pass's preserved-set doesn't cover, and optionally
-// records per-pass wall time and change counts into a Stats struct.
+// Every pass is one row of the registry table, with one bit: whether
+// it preserves the CFG. A PassManager runs passes over a function with
+// an analysis.Manager that caches the predecessor map, dominator tree,
+// loop info and poison facts across pass steps. A step that changes the
+// function drops the poison facts, and the other three as well unless
+// the pass preserves the CFG. The manager optionally records per-pass
+// wall time and change counts into a Stats struct.
 package passes
 
 import (
@@ -55,8 +57,8 @@ type Config struct {
 	// (-verify-each): the IR verifier for the configured semantics,
 	// the SSA dominance checker, and the analysis cache-coherence
 	// invariant (every still-cached analysis must match a fresh
-	// recomputation — a mismatch means a pass mutated the IR beyond
-	// its declared preserved-set). A failure panics. Under an
+	// recomputation — a mismatch means a pass declared the CFG
+	// preserved and changed it). A failure panics. Under an
 	// instrumented PassManager, checks and failures are counted in
 	// verify_each_checks_total and verify_each_failures_total.
 	VerifyEach bool
@@ -99,35 +101,16 @@ type Pass interface {
 	// Name is the pass's short identifier (e.g. "instcombine").
 	Name() string
 	// Run transforms f, returning whether anything changed. Analyses
-	// are queried through am; a pass that mutates the IR mid-run past
-	// what its registered preserved-set admits must invalidate am
-	// itself before re-querying (see LoopUnswitch).
+	// are queried through am; a pass that changes the CFG mid-run and
+	// queries again must invalidate am itself first (see LoopUnswitch).
 	Run(f *ir.Func, cfg *Config, am *AnalysisManager) bool
 }
 
-// RunPass runs a single pass with a throwaway analysis manager and
-// verifies the result if configured.
+// RunPass runs a single pass over f with a fresh analysis manager: one
+// pass step, exactly as a PassManager runs it.
 func RunPass(p Pass, f *ir.Func, cfg *Config) bool {
-	return RunPassWithManager(p, f, cfg, analysis.NewManager(f))
-}
-
-// RunPassWithManager runs a single pass against a caller-owned analysis
-// manager, applying the pass's registered preserved-analyses
-// declaration to the cache and then, if configured, the verify-each
-// battery.
-func RunPassWithManager(p Pass, f *ir.Func, cfg *Config, am *AnalysisManager) bool {
-	changed := p.Run(f, cfg, am)
-	// Always consume the pass's dynamic preserved-set claim, even when
-	// nothing changed: a leftover claim must never soften the next
-	// pass's invalidation.
-	extra := am.TakeRunPreserved()
-	if changed {
-		am.Invalidate(Preserved(p.Name()) | extra)
-	}
-	if cfg.VerifyEach {
-		verifyStep(p.Name(), f, cfg, am, nil)
-	}
-	return changed
+	var pm PassManager
+	return pm.runStep(0, p, f, cfg, analysis.NewManager(f), nil)
 }
 
 // PassManager runs an ordered list of passes over functions, caching
@@ -136,9 +119,6 @@ func RunPassWithManager(p Pass, f *ir.Func, cfg *Config, am *AnalysisManager) bo
 // builds one from registered pass names.
 type PassManager struct {
 	Passes []Pass
-	// MaxIters bounds the number of whole-pipeline repetitions (the
-	// pipeline repeats while passes report changes). Default 3.
-	MaxIters int
 	// Stats, when non-nil, accumulates per-pass wall time, change
 	// counts, instruction deltas, and analysis cache counters.
 	Stats *Stats
@@ -216,8 +196,12 @@ func (pm *PassManager) Run(m *ir.Module, cfg *Config) bool {
 	return changed
 }
 
-// RunFunc applies the pipeline to one function until fixpoint or the
-// iteration bound, returning whether anything changed.
+// maxRounds bounds the whole-pipeline repetitions of RunFunc: the
+// pipeline repeats while passes report changes.
+const maxRounds = 3
+
+// RunFunc applies the pipeline to one function until fixpoint or
+// maxRounds, returning whether anything changed.
 func (pm *PassManager) RunFunc(f *ir.Func, cfg *Config) bool {
 	return pm.runFixpoint(f, cfg, nil)
 }
@@ -239,10 +223,6 @@ func (pm *PassManager) RunFuncChanged(f *ir.Func, cfg *Config) (bool, []string) 
 var managers = sync.Pool{New: func() any { return new(analysis.Manager) }}
 
 func (pm *PassManager) runFixpoint(f *ir.Func, cfg *Config, fired *[]string) bool {
-	iters := pm.MaxIters
-	if iters == 0 {
-		iters = 3
-	}
 	am := managers.Get().(*analysis.Manager)
 	am.Reset(f)
 	mark := pm.startSteps(f)
@@ -255,7 +235,7 @@ func (pm *PassManager) runFixpoint(f *ir.Func, cfg *Config, fired *[]string) boo
 	// round that reaches stop without a change has confirmed the
 	// fixpoint.
 	stop := len(pm.Passes)
-	for i := 0; i < iters; i++ {
+	for i := 0; i < maxRounds; i++ {
 		rounds++
 		last := -1
 		for j, p := range pm.Passes {
@@ -340,23 +320,21 @@ func (pm *PassManager) startSteps(f *ir.Func) stepMark {
 	return stepMark{start: time.Now(), instrs: f.NumInstrs()}
 }
 
-// runStep runs the pass at position pos over one function: run it,
-// dump if changed, evict whatever the pass's preserved-set doesn't
-// cover from the analysis cache, verify (Config.VerifyEach), and (with
-// Stats) record the step's wall time and instruction delta since mark.
+// runStep is one pass step, the only way a pass runs: run the pass at
+// position pos over one function, dump if changed, drop the analyses a
+// change invalidated (the poison facts always, the CFG-level analyses
+// too unless the pass's registry row says it preserves the CFG),
+// verify (Config.VerifyEach), and (with Stats) record the step's wall
+// time and instruction delta since mark.
 func (pm *PassManager) runStep(pos int, p Pass, f *ir.Func, cfg *Config, am *AnalysisManager, mark *stepMark) bool {
 	sp := pm.Trace.Start(p.Name())
 	changed := p.Run(f, cfg, am)
 	sp.End()
-	if changed && pm.PrintChanged != nil {
-		fmt.Fprintf(pm.PrintChanged, "; IR Dump After %s on @%s\n%s\n", p.Name(), f.Name(), f)
-	}
-	// The dynamic preserved-set claim (Manager.PreserveDuringRun) is
-	// taken unconditionally — even on the no-change path — so it can
-	// never leak into a later pass's invalidation.
-	extra := am.TakeRunPreserved()
 	if changed {
-		am.Invalidate(Preserved(p.Name()) | extra)
+		if pm.PrintChanged != nil {
+			fmt.Fprintf(pm.PrintChanged, "; IR Dump After %s on @%s\n%s\n", p.Name(), f.Name(), f)
+		}
+		am.Invalidate(preservesCFG(p))
 	}
 	if cfg.VerifyEach {
 		verifyStep(p.Name(), f, cfg, am, pm.Stats)
@@ -371,8 +349,8 @@ func (pm *PassManager) runStep(pos int, p Pass, f *ir.Func, cfg *Config, am *Ana
 
 // verifyStep is the -verify-each battery for one pass step. It runs
 // after invalidation on purpose: what survives in the cache is exactly
-// what the pass claimed to preserve, so the coherence check tests the
-// preserved-set declaration itself. It panics on the first failure
+// what the pass's bit kept, so the coherence check tests the
+// declaration itself. It panics on the first failure
 // after bumping st's failure counter (st may be nil), so a metrics
 // snapshot written by a recovering caller still records the event.
 func verifyStep(pass string, f *ir.Func, cfg *Config, am *AnalysisManager, st *Stats) {
@@ -419,7 +397,7 @@ func O2() *PassManager {
 		"adce", "dce", "codegenprepare", "dce",
 	)
 	if err != nil {
-		panic(err) // registry is populated by init; a miss is a programming error
+		panic(err) // every name is a registry row; a miss is a programming error
 	}
 	return pm
 }

@@ -17,11 +17,6 @@ type Reassociate struct{}
 // Name implements Pass.
 func (Reassociate) Name() string { return "reassociate" }
 
-func init() {
-	// Rewrites arithmetic trees in place; no block changes.
-	Register(PassInfo{Name: "reassociate", New: func() Pass { return Reassociate{} }, Preserves: PreservesAll})
-}
-
 // Run implements Pass.
 func (Reassociate) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
 	snap := newSnapshot()

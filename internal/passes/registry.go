@@ -2,81 +2,73 @@ package passes
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-
-	"tameir/internal/analysis"
 )
 
-// Convenience names for PassInfo.Preserves declarations: a pass that
-// never adds, removes, or rewires blocks preserves all block-level
-// analyses; a pass that can touch control flow preserves none.
-const (
-	PreservesAll  = analysis.All
-	PreservesNone = analysis.None
-)
-
-// PassInfo is one registry entry: a pass name, its constructor, and
-// the analyses the pass preserves when it reports a change. The
-// preserved-set declaration is the contract the pass manager's
-// analysis caching rests on — declaring an analysis preserved that the
-// pass can invalidate silently serves stale results to later passes,
-// so declarations err conservative (see each pass's registration for
-// the per-pass argument).
+// PassInfo is one registry row: a pass and the one analysis-invalidation
+// bit it declares.
 type PassInfo struct {
-	Name string
-	// New constructs a fresh pass instance (passes are stateless
-	// structs today, but the constructor keeps the registry honest if
-	// one ever grows per-run state).
-	New func() Pass
-	// Preserves lists the analyses still valid after the pass reports
-	// a change. An unchanged pass run always preserves everything.
-	Preserves analysis.Set
+	Pass Pass
+	// PreservesCFG declares that when the pass reports a change, it has
+	// added, removed or rewired no block or edge, so the predecessor
+	// map, dominator tree and loop info still describe the function
+	// (LLVM's CFGAnalyses). The poison facts never survive a change.
+	// Declaring it for a pass that can touch control flow silently
+	// serves stale analyses to later passes, so a row errs
+	// conservative; -verify-each audits every row that says true.
+	PreservesCFG bool
 }
 
-var registry = map[string]PassInfo{}
-
-// Register adds a pass to the registry. Pass files self-register from
-// init, so the registry is complete before any lookup. Duplicate or
-// inconsistent registrations are programming errors and panic.
-func Register(pi PassInfo) {
-	if pi.Name == "" || pi.New == nil {
-		panic("passes: Register with empty name or nil constructor")
-	}
-	if _, dup := registry[pi.Name]; dup {
-		panic("passes: duplicate registration of " + pi.Name)
-	}
-	if got := pi.New().Name(); got != pi.Name {
-		panic(fmt.Sprintf("passes: %q registered under name %q", got, pi.Name))
-	}
-	registry[pi.Name] = pi
+// registry lists every pass, sorted by name, each row with the reason
+// for its bit.
+var registry = [...]PassInfo{
+	{ADCE{}, true},            // control flow is never removed (see the pass comment)
+	{CodeGenPrepare{}, false}, // splits blocks for selects lowered to control flow
+	{DCE{}, false},            // deletes unreachable blocks
+	{FreezeElim{}, true},      // deleting a freeze and rerouting its uses leaves every block and edge intact
+	{GVN{}, true},             // rewrites uses and erases duplicates; block edges are untouched
+	{IndVarWiden{}, true},     // widening rewrites the IV arithmetic in place; blocks and edges are untouched
+	{Inliner{}, false},        // splices callee blocks into the caller
+	{InstCombine{}, true},     // peepholes insert/replace instructions within blocks only
+	{InstSimplify{}, true},    // pure folding: replaces uses and erases instructions in place
+	{JumpThreading{}, false},  // rewires branch edges by design
+	{LICM{}, true},            // hoisting moves instructions into an existing preheader; the CFG and loop structure are unchanged
+	{LoopSink{}, true},        // sinking moves instructions between existing blocks
+	{LoopUnswitch{}, false},   // clones whole loops and rewires the preheader
+	{Mem2Reg{}, true},         // phi insertion and load/store removal never touch block structure
+	{MigrateUndef{}, true},    // rewrites undef uses to freeze(poison) in place; no block changes
+	{Reassociate{}, true},     // rewrites arithmetic trees in place; no block changes
+	{SCCP{}, false},           // folds branches and deletes unreachable blocks
+	{SimplifyCFG{}, false},    // merges blocks and rewires edges by design
 }
 
 // Names returns every registered pass name, sorted.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
+	out := make([]string, len(registry))
+	for i, pi := range registry {
+		out[i] = pi.Pass.Name()
 	}
-	sort.Strings(out)
 	return out
 }
 
-// Preserved returns the preserved-analyses set declared for the named
-// pass, or analysis.None for unregistered names (the conservative
-// default: assume everything was clobbered).
-func Preserved(name string) analysis.Set {
-	if pi, ok := registry[name]; ok {
-		return pi.Preserves
+// preservesCFG returns p's registered bit; a pass outside the registry
+// is assumed to change the CFG (the conservative default).
+func preservesCFG(p Pass) bool {
+	for _, pi := range registry {
+		if pi.Pass == p {
+			return pi.PreservesCFG
+		}
 	}
-	return analysis.None
+	return false
 }
 
-// LookupPass resolves name to a pass instance, with an error listing
-// the registry contents for unknown names.
+// LookupPass resolves name to a pass, with an error listing the
+// registry contents for unknown names.
 func LookupPass(name string) (Pass, error) {
-	if pi, ok := registry[name]; ok {
-		return pi.New(), nil
+	for _, pi := range registry {
+		if pi.Pass.Name() == name {
+			return pi.Pass, nil
+		}
 	}
 	return nil, fmt.Errorf("unknown pass %q, available: %s", name, strings.Join(Names(), ", "))
 }

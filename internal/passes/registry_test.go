@@ -10,13 +10,19 @@ func TestRegistryComplete(t *testing.T) {
 	if len(names) != 18 {
 		t.Errorf("registry holds %d passes, want 18: %v", len(names), names)
 	}
+	// One row per name, in order: Names lists them as the table does.
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			t.Errorf("registry rows %q, %q are not sorted and unique", names[i-1], names[i])
+		}
+	}
 	for _, n := range names {
 		p, err := LookupPass(n)
 		if err != nil {
 			t.Fatalf("Names lists %q but LookupPass misses it: %v", n, err)
 		}
 		if got := p.Name(); got != n {
-			t.Errorf("constructor for %q builds pass named %q", n, got)
+			t.Errorf("LookupPass(%q) returns pass named %q", n, got)
 		}
 	}
 	// Every O2 pipeline entry resolves.
@@ -59,7 +65,7 @@ func TestNewPassManagerUnknown(t *testing.T) {
 
 func TestPreservedDeclarations(t *testing.T) {
 	// Spot-check the contract the invalidation logic rests on.
-	for name, wantAll := range map[string]bool{
+	for name, want := range map[string]bool{
 		"instsimplify": true,
 		"instcombine":  true,
 		"gvn":          true,
@@ -71,11 +77,16 @@ func TestPreservedDeclarations(t *testing.T) {
 		"inline":       false,
 		"loopunswitch": false,
 	} {
-		if _, err := LookupPass(name); err != nil {
+		p, err := LookupPass(name)
+		if err != nil {
 			t.Fatalf("missing %q: %v", name, err)
 		}
-		if got := Preserved(name) == PreservesAll; got != wantAll {
-			t.Errorf("%s preserves %v, want all=%v", name, Preserved(name), wantAll)
+		if got := preservesCFG(p); got != want {
+			t.Errorf("%s preserves the CFG: %v, want %v", name, got, want)
 		}
+	}
+	// A pass outside the registry is assumed to change the CFG.
+	if preservesCFG(struct{ Pass }{}) {
+		t.Error("an unregistered pass claims to preserve the CFG")
 	}
 }

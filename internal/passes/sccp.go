@@ -25,11 +25,6 @@ type SCCP struct{}
 // Name implements Pass.
 func (SCCP) Name() string { return "sccp" }
 
-func init() {
-	// Folds branches and deletes unreachable blocks.
-	Register(PassInfo{Name: "sccp", New: func() Pass { return SCCP{} }, Preserves: PreservesNone})
-}
-
 type latKind uint8
 
 const (

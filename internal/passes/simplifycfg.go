@@ -21,11 +21,6 @@ type SimplifyCFG struct{}
 // Name implements Pass.
 func (SimplifyCFG) Name() string { return "simplifycfg" }
 
-func init() {
-	// Merges blocks and rewires edges by design.
-	Register(PassInfo{Name: "simplifycfg", New: func() Pass { return SimplifyCFG{} }, Preserves: PreservesNone})
-}
-
 // Run implements Pass.
 func (SimplifyCFG) Run(f *ir.Func, cfg *Config, _ *AnalysisManager) bool {
 	changed := false

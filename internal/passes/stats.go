@@ -153,7 +153,7 @@ func (s *Stats) Funcs() int { return int(s.funcs.Value()) }
 func (s *Stats) FixpointIters() int { return int(s.iters.Value()) }
 
 // Converged counts functions whose last round reported no change
-// (i.e. a true fixpoint, not the MaxIters cap).
+// (i.e. a true fixpoint, not the round cap).
 func (s *Stats) Converged() int { return int(s.converged.Value()) }
 
 // Analysis returns the accumulated analysis computation and cache-hit

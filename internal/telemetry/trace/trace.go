@@ -1,5 +1,5 @@
-// Package trace is a flight recorder: a bounded, lock-sharded ring
-// buffer of structured trace events (spans, instants, counters) that
+// Package trace is a flight recorder: a bounded ring buffer of
+// structured trace events (spans, instants, counters) that
 // the telemetry layer emits into when a Recorder is attached, and
 // that exports as Chrome trace-event JSON — the format Perfetto and
 // chrome://tracing load directly.
@@ -65,11 +65,6 @@ func (e *Event) Arg(key string) string {
 	return ""
 }
 
-// recShards is the number of independently locked rings. Events are
-// routed by track, so concurrent shards of a campaign almost never
-// contend on the same lock.
-const recShards = 16
-
 // DefaultCapacity is the total event capacity of NewRecorder(0):
 // 64Ki events (~6 MB) — hours of quick-campaign activity, minutes of
 // a hot one.
@@ -79,19 +74,16 @@ const DefaultCapacity = 1 << 16
 // survive ring wrap, so the cap is a hard stop, not an overwrite.
 const PinnedCapacity = 4096
 
-type recShard struct {
-	mu   sync.Mutex
-	ring []Event
-	next uint64 // total writes; the ring index is next % len(ring)
-}
-
 // Recorder is the flight recorder. Create with NewRecorder; a nil
 // *Recorder discards everything.
 type Recorder struct {
 	epoch   time.Time
-	shards  [recShards]recShard
 	seq     atomic.Uint64
 	dropped atomic.Uint64
+
+	mu   sync.Mutex
+	ring []Event
+	next uint64 // total writes; the ring index is next % len(ring)
 
 	trackMu sync.Mutex
 	tracks  map[int32]string
@@ -100,23 +92,14 @@ type Recorder struct {
 	pinned []Event
 }
 
-// NewRecorder returns a recorder holding up to capacity events in
-// total (DefaultCapacity when capacity <= 0). Capacity is split
-// evenly across the lock shards, so per-track bursts can wrap a
-// shard's ring before the global total is reached.
+// NewRecorder returns a recorder whose ring holds the last capacity
+// events, whatever their tracks (DefaultCapacity when capacity <= 0),
+// plus the pinned region.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	per := capacity / recShards
-	if per < 16 {
-		per = 16
-	}
-	r := &Recorder{epoch: time.Now(), tracks: make(map[int32]string)}
-	for i := range r.shards {
-		r.shards[i].ring = make([]Event, per)
-	}
-	return r
+	return &Recorder{epoch: time.Now(), ring: make([]Event, capacity), tracks: make(map[int32]string)}
 }
 
 // SetTrackName labels a track; exported as a thread_name metadata
@@ -154,14 +137,13 @@ func (r *Recorder) Dropped() uint64 {
 
 func (r *Recorder) emit(ev Event) {
 	ev.seq = r.seq.Add(1)
-	sh := &r.shards[uint32(ev.Track)%recShards]
-	sh.mu.Lock()
-	if sh.next >= uint64(len(sh.ring)) {
+	r.mu.Lock()
+	if r.next >= uint64(len(r.ring)) {
 		r.dropped.Add(1)
 	}
-	sh.ring[sh.next%uint64(len(sh.ring))] = ev
-	sh.next++
-	sh.mu.Unlock()
+	r.ring[r.next%uint64(len(r.ring))] = ev
+	r.next++
+	r.mu.Unlock()
 }
 
 // Complete records a finished span on track: a PhaseComplete event
@@ -245,17 +227,9 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	var out []Event
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		n := sh.next
-		if n > uint64(len(sh.ring)) {
-			n = uint64(len(sh.ring))
-		}
-		out = append(out, sh.ring[:n]...)
-		sh.mu.Unlock()
-	}
+	r.mu.Lock()
+	out := append([]Event(nil), r.ring[:min(r.next, uint64(len(r.ring)))]...)
+	r.mu.Unlock()
 	r.pinMu.Lock()
 	out = append(out, r.pinned...)
 	r.pinMu.Unlock()

@@ -41,9 +41,9 @@ func TestRecorderEventsSorted(t *testing.T) {
 }
 
 func TestRingOverwriteCountsDropped(t *testing.T) {
-	r := NewRecorder(recShards * 16) // minimum ring: 16 events per shard
+	r := NewRecorder(16)
 	for i := 0; i < 100; i++ {
-		r.Instant(0, "e") // all on one shard's ring of 16
+		r.Instant(0, "e")
 	}
 	if got := len(r.Events()); got != 16 {
 		t.Fatalf("ring kept %d events, want 16", got)
@@ -53,8 +53,30 @@ func TestRingOverwriteCountsDropped(t *testing.T) {
 	}
 }
 
+// TestRingKeepsItsCapacity: the ring holds exactly the capacity it was
+// given, whatever tracks the events arrive on, and keeps the most
+// recent ones in order.
+func TestRingKeepsItsCapacity(t *testing.T) {
+	r := NewRecorder(64)
+	for i := 0; i < 96; i++ {
+		r.Counter(i%2, "n", int64(i))
+	}
+	evs := r.Events()
+	if len(evs) != 64 {
+		t.Fatalf("ring kept %d events, want 64", len(evs))
+	}
+	for j, ev := range evs {
+		if want := int64(32 + j); ev.Value != want || ev.Track != int32(want%2) {
+			t.Fatalf("event %d is #%d on track %d, want #%d on track %d", j, ev.Value, ev.Track, want, want%2)
+		}
+	}
+	if r.Dropped() != 32 {
+		t.Fatalf("dropped = %d, want 32", r.Dropped())
+	}
+}
+
 func TestPinnedSurvivesRingWrap(t *testing.T) {
-	r := NewRecorder(recShards * 16)
+	r := NewRecorder(16)
 	r.InstantPinned(0, "finding", "pass", "sccp")
 	for i := 0; i < 1000; i++ {
 		r.Instant(0, "noise")
