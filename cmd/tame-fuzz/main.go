@@ -155,7 +155,12 @@ func main() {
 		cfg := optfuzz.DefaultConfig(*instrs)
 		cfg.Width = *width
 		cfg.MaxFuncs = *n
+		// Numbered names keep the printed module parseable: a module
+		// defines each name once.
+		printed := 0
 		count, truncated := optfuzz.Exhaustive(cfg, func(f *ir.Func) bool {
+			f.Nam = fmt.Sprintf("fz%d", printed)
+			printed++
 			fmt.Println(f)
 			return true
 		})
@@ -165,7 +170,9 @@ func main() {
 		rcfg := optfuzz.DefaultRandomConfig()
 		rcfg.Width = *width
 		for i := 0; i < *n; i++ {
-			fmt.Println(optfuzz.Random(rng, rcfg))
+			f := optfuzz.Random(rng, rcfg)
+			f.Nam = fmt.Sprintf("rf%d", i)
+			fmt.Println(f)
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "tame-fuzz: unknown mode %q\n", *mode)
@@ -398,7 +405,7 @@ func runCampaign(fl campaignFlags) {
 		// above includes cross-shard hits: one worker's derivation
 		// serves every other worker's structurally identical candidate.
 		fmt.Fprintf(os.Stderr,
-			"tame-fuzz: shared memo across %d workers: %d sets resident, %d evictions (second-chance clock); admission on repeat: %d functions admitted, %d doorkeeper entries\n",
+			"tame-fuzz: shared memo across %d workers: %d sets resident, %d evictions; admission on repeat: %d functions admitted, %d doorkeeper entries\n",
 			fl.workers, st.MemoSets, st.MemoEvictions, st.MemoAdmissions, st.MemoDoorkeeper)
 	}
 	if fl.optStats {

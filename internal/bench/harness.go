@@ -147,8 +147,13 @@ func Measure(p Program, v Variant, reps int) (Measurement, error) {
 	return m, nil
 }
 
-// MeasureAll measures every program under a variant.
+// MeasureAll measures every program under a variant, on one P. With
+// more, a run's E5 byte counts moved by up to 11% between runs of one
+// build (gcc read 609–679 KB), likely because a compile that migrates
+// between Ps refills allocation spans on each; on one P every program
+// reads within 1 KB run to run.
 func MeasureAll(v Variant, reps int) ([]Measurement, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var out []Measurement
 	for _, p := range Programs {
 		m, err := Measure(p, v, reps)

@@ -299,6 +299,26 @@ var parseErrorCases = []struct {
 		wantErr: "ir: line 4:3: redefinition of %x",
 	},
 	{
+		name:    "function redefinition",
+		src:     "define i2 @f(i2 %x) {\nentry:\n  ret i2 %x\n}\ndefine i2 @f(i2 %x) {\nentry:\n  ret i2 0\n}",
+		wantErr: "ir: line 5:11: redefinition of @f",
+	},
+	{
+		name:    "global redefinition",
+		src:     "@g = global 1\n@g = global 2",
+		wantErr: "ir: line 2:1: redefinition of @g",
+	},
+	{
+		name:    "function named like a global",
+		src:     "@g = global 1\ndefine void @g() {\nentry:\n  ret void\n}",
+		wantErr: "ir: line 2:13: redefinition of @g",
+	},
+	{
+		name:    "global named like a function",
+		src:     "define void @g() {\nentry:\n  ret void\n}\n@g = global 1",
+		wantErr: "ir: line 5:1: redefinition of @g",
+	},
+	{
 		name:    "duplicate block label",
 		src:     "define void @f() {\nentry:\n  br label %a\na:\n  br label %a\na:\n  ret void\n}",
 		wantErr: `ir: line 6:1: duplicate block label "a"`,

@@ -10,7 +10,7 @@ import (
 // ParseModule parses textual IR in the syntax produced by
 // Module.String. Comments run from ';' to end of line.
 func ParseModule(src string) (*Module, error) {
-	p := &parser{lex: newLexer(src), mod: NewModule()}
+	p := &parser{lex: newLexer(src), mod: NewModule(), names: map[string]bool{}}
 	if err := p.parseModule(); err != nil {
 		return nil, err
 	}
@@ -167,6 +167,9 @@ func (r *forwardRef) Ident() string { return "%" + r.name }
 type parser struct {
 	lex *lexer
 	mod *Module
+	// names holds every function and global defined so far: the two
+	// share the module's one namespace.
+	names map[string]bool
 
 	// per-function state
 	fn     *Func
@@ -261,10 +264,23 @@ func (p *parser) resolveCalls() error {
 	return nil
 }
 
+// define records the module-level name at t, rejecting a second
+// definition.
+func (p *parser) define(t token) error {
+	if p.names[t.text] {
+		return p.errf(t, "redefinition of @%s", t.text)
+	}
+	p.names[t.text] = true
+	return nil
+}
+
 // parseGlobal parses "@name = global SIZE [init b0 b1 ...]".
 func (p *parser) parseGlobal() error {
 	t := p.lex.next() // @name
 	name := t.text
+	if err := p.define(t); err != nil {
+		return err
+	}
 	if err := p.expectPunct("="); err != nil {
 		return err
 	}
@@ -477,6 +493,9 @@ func (p *parser) parseFunc() error {
 	nameTok := p.lex.next()
 	if nameTok.kind != tokGlobal {
 		return p.errf(nameTok, "expected function name, got %q", nameTok.text)
+	}
+	if err := p.define(nameTok); err != nil {
+		return err
 	}
 	fn := NewFunc(nameTok.text, retTy)
 	p.fn = fn

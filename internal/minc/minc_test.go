@@ -1,6 +1,7 @@
 package minc
 
 import (
+	"fmt"
 	"testing"
 
 	"tameir/internal/core"
@@ -314,6 +315,32 @@ func TestParseErrors(t *testing.T) {
 	for i, src := range bad {
 		if _, err := CompileString(src, freezeCfg()); err == nil {
 			t.Errorf("case %d: expected error for %q", i, src)
+		}
+	}
+}
+
+// TestArraySizeLimit: an array or struct larger than the largest
+// object the IR holds (ir.MaxGlobalSize) is an error at its length
+// token, whether its size wraps 32 bits or not, and an array at the
+// limit is accepted.
+func TestArraySizeLimit(t *testing.T) {
+	const limit = "exceeds the 16777216-byte object size limit"
+	for _, c := range []struct{ name, src, wantErr string }{
+		{"global, exact 32-bit wrap", "int big[1073741824];\nint main() { return 0; }",
+			"minc: line 1: array int[1073741824] " + limit},
+		{"local", "int main() {\n  char a[16777217];\n  return 0;\n}",
+			"minc: line 2: array char[16777217] " + limit},
+		{"struct field", "struct s {\n  int x;\n  long a[2097153];\n};\nint main() { return 0; }",
+			"minc: line 3: array long[2097153] " + limit},
+		{"struct of fields within the limit", "struct s {\n  int a[4194304];\n  int b;\n};\nint main() { return 0; }",
+			"minc: line 3: struct s " + limit},
+		{"nested array", "struct row { int v[1024]; };\nstruct row grid[4097];\nint main() { return 0; }",
+			"minc: line 2: array struct row[4097] " + limit},
+		{"at the limit", "int main() {\n  int a[4194304];\n  return 0;\n}", ""},
+	} {
+		_, err := Parse(c.src)
+		if got := fmt.Sprint(err); (c.wantErr == "" && err != nil) || (c.wantErr != "" && got != c.wantErr) {
+			t.Errorf("%s: error %q, want %q", c.name, got, c.wantErr)
 		}
 	}
 }

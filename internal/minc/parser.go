@@ -1,6 +1,10 @@
 package minc
 
-import "fmt"
+import (
+	"fmt"
+
+	"tameir/internal/ir"
+)
 
 // Parse parses a MinC translation unit.
 func Parse(src string) (*Program, error) {
@@ -135,6 +139,7 @@ func (p *parser) parseStructBody(name string) (*StructType, error) {
 				return nil, p.errf(nameTok, "expected field name")
 			}
 			f := Field{Name: nameTok.Name(), Ty: fty}
+			at := nameTok // where a struct over the size limit is reported
 			if p.accept(":") {
 				wTok := p.lx.next()
 				if wTok.kind != tNumber || wTok.num == 0 || fty.Kind != CInt || wTok.num > uint64(fty.Bits) {
@@ -158,14 +163,13 @@ func (p *parser) parseStructBody(name string) (*StructType, error) {
 			} else {
 				unitBits = 0 // close any open bit-field unit
 				if p.accept("[") {
-					lenTok := p.lx.next()
-					if lenTok.kind != tNumber || lenTok.num == 0 {
-						return nil, p.errf(lenTok, "bad array length")
+					at = p.lx.next()
+					if f.Ty, err = p.arrayType(fty, at); err != nil {
+						return nil, err
 					}
 					if _, err := p.expect("]"); err != nil {
 						return nil, err
 					}
-					f.Ty = &CType{Kind: CArray, Elem: fty, Len: uint32(lenTok.num)}
 				}
 				al := f.Ty.Size()
 				if f.Ty.Kind == CArray {
@@ -174,6 +178,10 @@ func (p *parser) parseStructBody(name string) (*StructType, error) {
 				off = align(off, al)
 				f.Offset = off
 				off += f.Ty.Size()
+			}
+			// Every field is within the limit, so off cannot wrap.
+			if off > ir.MaxGlobalSize {
+				return nil, p.errf(at, "struct %s exceeds the %d-byte object size limit", name, ir.MaxGlobalSize)
 			}
 			st.Fields = append(st.Fields, f)
 			if !p.accept(",") {
@@ -189,6 +197,20 @@ func (p *parser) parseStructBody(name string) (*StructType, error) {
 		st.Size = 4
 	}
 	return st, nil
+}
+
+// arrayType returns the type of an array of elem whose length is
+// lenTok. A zero length, or one that makes the array larger than the
+// largest object the IR holds (ir.MaxGlobalSize), is an error at
+// lenTok; the bound keeps every size within uint32.
+func (p *parser) arrayType(elem *CType, lenTok token) (*CType, error) {
+	if lenTok.kind != tNumber || lenTok.num == 0 {
+		return nil, p.errf(lenTok, "bad array length")
+	}
+	if lenTok.num > ir.MaxGlobalSize/max(uint64(elem.Size()), 1) {
+		return nil, p.errf(lenTok, "array %s[%s] exceeds the %d-byte object size limit", elem, lenTok.text, ir.MaxGlobalSize)
+	}
+	return &CType{Kind: CArray, Elem: elem, Len: uint32(lenTok.num)}, nil
 }
 
 func align(off, a uint32) uint32 {
@@ -237,14 +259,13 @@ func (p *parser) parseProgram() error {
 func (p *parser) parseGlobal(ty *CType, nameTok token) (*GlobalDecl, error) {
 	g := &GlobalDecl{Name: nameTok.text, Ty: ty, Line: nameTok.line}
 	if p.accept("[") {
-		lenTok := p.lx.next()
-		if lenTok.kind != tNumber || lenTok.num == 0 {
-			return nil, p.errf(lenTok, "bad array length")
+		var err error
+		if g.Ty, err = p.arrayType(ty, p.lx.next()); err != nil {
+			return nil, err
 		}
 		if _, err := p.expect("]"); err != nil {
 			return nil, err
 		}
-		g.Ty = &CType{Kind: CArray, Elem: ty, Len: uint32(lenTok.num)}
 	}
 	if p.accept("=") {
 		if p.accept("{") {
@@ -477,14 +498,12 @@ func (p *parser) parseSimpleStmt() (Stmt, error) {
 			return nil, p.errf(nameTok, "expected variable name")
 		}
 		if p.accept("[") {
-			lenTok := p.lx.next()
-			if lenTok.kind != tNumber || lenTok.num == 0 {
-				return nil, p.errf(lenTok, "bad array length")
+			if ty, err = p.arrayType(ty, p.lx.next()); err != nil {
+				return nil, err
 			}
 			if _, err := p.expect("]"); err != nil {
 				return nil, err
 			}
-			ty = &CType{Kind: CArray, Elem: ty, Len: uint32(lenTok.num)}
 		}
 		d := &Decl{Name: nameTok.text, Ty: ty, Line: nameTok.line}
 		if p.accept("=") {

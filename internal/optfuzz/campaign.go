@@ -255,9 +255,11 @@ type Stats struct {
 	Findings []Finding
 
 	// MemoHits / MemoLookups / MemoEvictions are the shared memo's
-	// counters after the run; MemoSets is how many behaviour sets it
-	// ended up holding. Under Workers > 1 the hit/eviction split is
-	// scheduling-dependent (the verdicts above are not).
+	// counters after the run, MemoEvictions counting the sets it
+	// dropped when it filled and started over; MemoSets is how many
+	// behaviour sets it stored since it last started over. Under
+	// Workers > 1 the hit/eviction split is scheduling-dependent (the
+	// verdicts above are not).
 	MemoHits      uint64
 	MemoLookups   uint64
 	MemoEvictions uint64
@@ -750,7 +752,7 @@ func (c Campaign) publish(out Stats, shardRuns int, check *refine.CheckMetrics, 
 	if sharedMemo {
 		reg.Counter("memo_lookups_total", telemetry.Scheduling, "shared-memo lookups").Add(out.MemoLookups)
 		reg.Counter("memo_hits_total", telemetry.Scheduling, "shared-memo hits").Add(out.MemoHits)
-		reg.Counter("memo_evictions_total", telemetry.Scheduling, "shared-memo evictions").Add(out.MemoEvictions)
+		reg.Counter("memo_evictions_total", telemetry.Scheduling, "behaviour sets the shared memo dropped when it filled and started over").Add(out.MemoEvictions)
 		reg.Gauge("memo_sets", telemetry.Scheduling, "behaviour sets resident in the shared memo").Set(int64(out.MemoSets))
 		reg.Counter("memo_admissions_total", telemetry.Scheduling, "functions admitted to the shared memo on repeat").Add(out.MemoAdmissions)
 		reg.Gauge("memo_doorkeeper_entries", telemetry.Scheduling, "key hashes held by the memo's admission doorkeeper").Set(int64(out.MemoDoorkeeper))

@@ -26,17 +26,19 @@ import (
 //   - The handle renders the target's key into a reused buffer, hashes
 //     it and asks the doorkeeper. A target whose hash the doorkeeper
 //     has not recorded is a first sighting: its sets are derived and
-//     nothing is stored. A target seen before resolves its shared
-//     index entry, created on its first store.
-//   - Per input, the handle reads or fills that entry under its stripe
-//     lock (get/put).
+//     nothing is stored. A target seen before resolves its index entry
+//     under the read lock; the entry is created, under the write lock,
+//     by its first store.
+//   - Per input, the handle reads or fills one slot of that entry
+//     (get/put). A slot is filled once, by CompareAndSwap, and never
+//     cleared, so neither takes a lock.
 //
 // A target seen once thus costs one rendering of its key and one hash,
-// and leaves nothing in the index, the clock or the heap. The
-// doorkeeper earns its place on workloads whose targets rarely repeat:
-// a tv-cfg-mutants rep hits on none of its 16,721 target lookups over
-// 675 checks, and publishing on first sight would add an index entry
-// of about 25 sets per check there.
+// and leaves nothing in the index or the heap. The doorkeeper earns its
+// place on workloads whose targets rarely repeat: a tv-cfg-mutants rep
+// hits on none of its 16,721 target lookups over 675 checks, and
+// publishing on first sight would add an index entry of about 25 sets
+// per check there.
 //
 // Keys stay full canonical strings — a semantics/bounds fingerprint
 // plus the function text — so a hit can never be a collision: a
@@ -47,58 +49,38 @@ import (
 // sets are never cached — they depend on enumeration bounds in a way
 // that is cheap to just redo.
 //
-// A Memo IS safe for concurrent use: the function index is a
-// stringMap split over memoShardCount lock stripes, and the doorkeeper
-// and counters are atomic, so one memo can back every worker of a
-// campaign and hits cross worker shards. Bounded residency is a
-// second-chance clock sweep over behaviour sets, not functions, that
-// evicts cold sets to admit new ones: a wide i8 campaign holds up to
-// 65,536 sets per function, so a bound counted in functions would not
-// bound memory. A function whose last set is evicted leaves the index,
-// so the index is bounded by the clock's capacity too. An eviction can
-// cost a recomputation but never changes a verdict
+// A Memo IS safe for concurrent use, so one memo can back every worker
+// of a campaign and hits cross worker shards. The bound is a count of
+// stored sets, not functions: a wide i8 campaign holds up to 65,536
+// sets per function. A store that finds the memo full drops the whole
+// index and starts over. No CI campaign or benchmark rep fills the
+// default bound, nor does a 3,000-function wide i8 campaign (48,573
+// sets), so no finer policy is worth its locks. A handle
+// resolved before a reset keeps its entry until its Check ends; its
+// sets stay correct because they are keyed by full text, so a reset
+// can cost recomputation but never changes a verdict
 // (TestMemoEvictionKeepsVerdicts).
 type Memo struct {
-	funcs *stringMap[*memoFuncEntry]
-	clock *clock[evictRef]
+	mu    sync.RWMutex
+	funcs map[string]*memoEntry // guarded by mu
+	max   int64
 	door  doorkeeper
 	seed  maphash.Seed
 	// keys recycles the buffers handles render keys into.
 	keys sync.Pool
 
-	hits, lookups, admissions atomic.Uint64
+	// stored counts the sets stored since the memo last started over.
+	stored                               atomic.Int64
+	hits, lookups, admissions, evictions atomic.Uint64
 }
 
-// memoShardCount is the lock-striping factor. 64 keeps contention
-// negligible at any plausible worker count.
-const memoShardCount = 64
-
-type memoFuncEntry struct {
-	mu  *sync.Mutex // home stripe lock; guards all mutable state below
-	key string      // the index key, for removal
-	// byIdx holds the sets by the input vector's ordinal in Check's
-	// deterministic enumeration, sized from the Check's input count.
-	// Sound because the key pins everything the sequence depends on:
-	// the parameter types (via the function text) and the source mode.
-	byIdx []idxSet
-	// resident counts the sets admitted to the clock and not yet
-	// evicted. When it drops to zero the entry leaves the index and
-	// dead tells handles still holding it to resolve the key afresh.
-	resident int
-	dead     bool
-}
-
-type idxSet struct {
-	set BehaviorSet
-	ok  bool
-	ref bool // clock reference bit, set on hit
-}
-
-// evictRef locates one admitted behaviour set for the clock sweep:
-// entry.byIdx[ordinal].
-type evictRef struct {
-	entry   *memoFuncEntry
-	ordinal int
+// memoEntry holds one target's sets by the input vector's ordinal in
+// Check's deterministic enumeration, sized once from the creating
+// Check's input count. Sound because the key pins everything the
+// sequence depends on: the parameter types (via the function text) and
+// the source mode.
+type memoEntry struct {
+	sets []atomic.Pointer[BehaviorSet]
 }
 
 // DefaultMemoEntries bounds a memo at roughly tens of MB for §6-sized
@@ -106,15 +88,15 @@ type evictRef struct {
 const DefaultMemoEntries = 1 << 17
 
 // NewMemo returns a memo holding at most max behaviour sets (0 means
-// DefaultMemoEntries). When full, a clock sweep evicts cold sets to
-// admit new ones.
+// DefaultMemoEntries). A store into a full memo drops every stored set
+// and starts over.
 func NewMemo(max int) *Memo {
 	if max <= 0 {
 		max = DefaultMemoEntries
 	}
 	m := &Memo{
-		funcs: newStringMap[*memoFuncEntry](memoShardCount),
-		clock: newClock[evictRef](max),
+		funcs: make(map[string]*memoEntry),
+		max:   int64(max),
 		seed:  maphash.MakeSeed(),
 	}
 	m.door.init(max)
@@ -128,20 +110,21 @@ func (m *Memo) Hits() uint64 { return m.hits.Load() }
 // Check swept.
 func (m *Memo) Lookups() uint64 { return m.lookups.Load() }
 
-// Evictions returns the number of behaviour sets evicted by the clock.
-func (m *Memo) Evictions() uint64 { return m.clock.Evictions() }
+// Evictions returns the number of behaviour sets dropped when a full
+// memo started over.
+func (m *Memo) Evictions() uint64 { return m.evictions.Load() }
 
 // Admissions returns the number of functions published to the shared
-// index because they came back.
+// index because they came back (again after each start-over).
 func (m *Memo) Admissions() uint64 { return m.admissions.Load() }
 
 // DoorkeeperEntries returns the number of key hashes the admission
 // doorkeeper holds.
 func (m *Memo) DoorkeeperEntries() int { return int(m.door.used.Load()) }
 
-// Len returns the number of cached behaviour sets (approximate while
-// concurrent stores are in flight).
-func (m *Memo) Len() int { return m.clock.Len() }
+// Len returns the number of behaviour sets stored since the memo last
+// started over (approximate while concurrent stores are in flight).
+func (m *Memo) Len() int { return int(m.stored.Load()) }
 
 // appendMemoFuncKey renders the first-level key: the fingerprint of fn's
 // semantics (opts) and of cfg's bounds, followed by the canonical
@@ -167,14 +150,15 @@ func appendMemoFuncKey(b []byte, fn *ir.Func, opts core.Options, cfg *Config) []
 
 // memoHandle is one Check's handle on the memo for its target. Check
 // holds it by value in the target's side, so it costs no allocation;
-// its counters reach the Memo in fold, when the Check ends.
+// its counters reach the Memo, and its key buffer the pool, in fold,
+// when the Check ends.
 type memoHandle struct {
 	m *Memo
-	// key is the target's index key when the doorkeeper had seen it
-	// before, and empty on a first sighting, which stores nothing.
-	key   string
-	entry *memoFuncEntry // key's index entry, once resolved
-	n     int            // the Check's input count, which sizes a new entry
+	// key is the target's rendered index key when the doorkeeper had
+	// seen it before, and nil on a first sighting, which stores nothing.
+	key   *[]byte
+	entry *memoEntry // key's index entry, once resolved
+	n     int        // the Check's input count, which sizes a new entry
 
 	hits, lookups uint64
 }
@@ -188,16 +172,15 @@ func (m *Memo) handle(fn *ir.Func, opts core.Options, cfg *Config, n int) memoHa
 	if buf == nil {
 		buf = new([]byte)
 	}
-	key := appendMemoFuncKey((*buf)[:0], fn, opts, cfg)
-	if m.door.sighted(maphash.Bytes(m.seed, key)) {
-		if e, ok := m.funcs.Lookup(key); ok {
-			h.key, h.entry = e.key, e
-		} else {
-			h.key = string(key)
-		}
+	*buf = appendMemoFuncKey((*buf)[:0], fn, opts, cfg)
+	if !m.door.sighted(maphash.Bytes(m.seed, *buf)) {
+		m.keys.Put(buf)
+		return h
 	}
-	*buf = key
-	m.keys.Put(buf)
+	h.key = buf
+	m.mu.RLock()
+	h.entry = m.funcs[string(*buf)]
+	m.mu.RUnlock()
 	return h
 }
 
@@ -205,264 +188,67 @@ func (m *Memo) handle(fn *ir.Func, opts core.Options, cfg *Config, n int) memoHa
 // position in Check's deterministic enumeration; ok reports a hit.
 func (h *memoHandle) get(ordinal int) (set BehaviorSet, ok bool) {
 	h.lookups++
-	e := h.entry
-	if e == nil {
-		return set, false
+	if e := h.entry; e != nil && ordinal < len(e.sets) {
+		if p := e.sets[ordinal].Load(); p != nil {
+			h.hits++
+			return *p, true
+		}
 	}
-	e.mu.Lock()
-	if !e.dead && ordinal < len(e.byIdx) && e.byIdx[ordinal].ok {
-		x := &e.byIdx[ordinal]
-		x.ref = true
-		set, ok = x.set, true
-		h.hits++
-	}
-	e.mu.Unlock()
-	return set, ok
+	return set, false
 }
 
 // put caches a set the target derived at ordinal, creating the key's
-// entry on its first store and resolving the key afresh when the clock
-// has killed the entry h holds. A first sighting stores nothing, and
-// incomplete sets are never cached.
+// entry on its first store. A store that finds the memo full moves the
+// handle to its key's entry in the index that starts over. A first
+// sighting stores nothing, incomplete sets are never cached, and a
+// slot already filled (another Check raced the same computation) or
+// past the entry's end is left as it is.
 func (h *memoHandle) put(ordinal int, set BehaviorSet) {
-	if h.key == "" || set.Incomplete {
+	if h.key == nil || set.Incomplete {
 		return
 	}
-	m, e := h.m, h.entry
-	for {
-		if e == nil {
-			e = m.funcs.GetOrCreate(h.key, func(mu *sync.Mutex) *memoFuncEntry {
-				m.admissions.Add(1)
-				return &memoFuncEntry{mu: mu, key: h.key, byIdx: make([]idxSet, h.n)}
-			})
-		}
-		e.mu.Lock()
-		if !e.dead {
-			break
-		}
-		e.mu.Unlock()
-		e = nil
+	m := h.m
+	if h.entry == nil || m.stored.Load() >= m.max {
+		h.entry = m.entry(*h.key, h.n)
 	}
-	h.entry = e
-	stored := e.putIdx(ordinal, set)
-	e.mu.Unlock()
-	if stored {
-		m.admit(evictRef{entry: e, ordinal: ordinal})
+	e := h.entry
+	if ordinal >= len(e.sets) || e.sets[ordinal].Load() != nil {
+		return
+	}
+	p := new(BehaviorSet)
+	*p = set
+	if e.sets[ordinal].CompareAndSwap(nil, p) {
+		m.stored.Add(1)
 	}
 }
 
-// fold adds the handle's counters to the memo's.
+// entry returns key's index entry, creating it with a slot for each of
+// n inputs. When the memo is full it first drops the whole index.
+func (m *Memo) entry(key []byte, n int) *memoEntry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if s := m.stored.Load(); s >= m.max {
+		m.evictions.Add(uint64(s))
+		m.stored.Store(0)
+		clear(m.funcs)
+	}
+	e := m.funcs[string(key)]
+	if e == nil {
+		e = &memoEntry{sets: make([]atomic.Pointer[BehaviorSet], n)}
+		m.funcs[string(key)] = e
+		m.admissions.Add(1)
+	}
+	return e
+}
+
+// fold adds the handle's counters to the memo's and recycles its key
+// buffer.
 func (h *memoHandle) fold() {
 	h.m.lookups.Add(h.lookups)
 	h.m.hits.Add(h.hits)
-}
-
-// putIdx installs a set unless one is there already (another Check
-// raced the same computation), reporting whether it did. Caller holds
-// the entry's stripe lock.
-func (e *memoFuncEntry) putIdx(ordinal int, set BehaviorSet) bool {
-	if ordinal >= len(e.byIdx) {
-		e.byIdx = append(e.byIdx, make([]idxSet, ordinal+1-len(e.byIdx))...)
+	if h.key != nil {
+		h.m.keys.Put(h.key)
 	}
-	if e.byIdx[ordinal].ok {
-		return false
-	}
-	e.byIdx[ordinal] = idxSet{set: set, ok: true}
-	e.resident++
-	return true
-}
-
-// admit registers a freshly stored set with the clock, evicting a cold
-// set first when the memo is at capacity. Lock order is strictly
-// ring → stripe; the insert paths hold only the stripe lock, so the
-// two cannot deadlock.
-func (m *Memo) admit(r evictRef) {
-	m.clock.Admit(r,
-		func(v evictRef) bool {
-			v.entry.mu.Lock()
-			defer v.entry.mu.Unlock()
-			return v.entry.deref(v)
-		},
-		func(v evictRef) {
-			e := v.entry
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			e.remove(v)
-			if e.resident == 0 && !e.dead {
-				e.dead = true
-				m.funcs.DeleteLocked(e.key)
-			}
-		})
-}
-
-// deref reports whether the referenced set was recently hit, clearing
-// the reference bit. Caller holds the entry's stripe lock.
-func (e *memoFuncEntry) deref(v evictRef) bool {
-	if v.ordinal >= len(e.byIdx) || !e.byIdx[v.ordinal].ref {
-		return false
-	}
-	e.byIdx[v.ordinal].ref = false
-	return true
-}
-
-// remove drops the referenced set. Caller holds the entry's stripe
-// lock.
-func (e *memoFuncEntry) remove(v evictRef) {
-	if v.ordinal < len(e.byIdx) && e.byIdx[v.ordinal].ok {
-		e.byIdx[v.ordinal] = idxSet{}
-		e.resident--
-	}
-}
-
-// clock is the memo's bounded second-chance eviction ring. Admit
-// appends until the cap is reached, then sweeps: the hand clears
-// reference bits (via recentlyUsed, which must report and clear in one
-// step) until a cold victim turns up, evicts it, and installs the
-// newcomer in its slot. A referenced set therefore survives one full
-// revolution after its last hit.
-//
-// The ring holds its own mutex across the whole sweep, and Memo.admit's
-// callbacks take stripe locks under it, so the memo's one compound lock
-// order is ring → stripe: nothing may call Admit while holding a stripe
-// lock.
-type clock[R any] struct {
-	mu        sync.Mutex
-	max       int
-	refs      []R
-	hand      int
-	evictions atomic.Uint64
-}
-
-// newClock returns a ring admitting at most max references (max must
-// be positive).
-func newClock[R any](max int) *clock[R] {
-	if max <= 0 {
-		panic("refine: newClock needs a positive capacity")
-	}
-	return &clock[R]{max: max}
-}
-
-// Len returns the number of admitted references (approximate while
-// concurrent admissions are in flight).
-func (c *clock[R]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.refs)
-}
-
-// Evictions returns the number of references evicted by the sweep.
-func (c *clock[R]) Evictions() uint64 { return c.evictions.Load() }
-
-// Admit registers r, evicting one cold reference first when the ring
-// is full. recentlyUsed reports whether the candidate victim was hit
-// since the hand last passed, clearing its reference bit either way;
-// evict removes the chosen victim from its owner. Both run with the
-// ring lock held. The sweep terminates within two revolutions: the
-// first lap clears every reference bit.
-func (c *clock[R]) Admit(r R, recentlyUsed func(R) bool, evict func(R)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.refs) < c.max {
-		c.refs = append(c.refs, r)
-		return
-	}
-	for {
-		v := c.refs[c.hand]
-		if recentlyUsed(v) {
-			c.hand = (c.hand + 1) % len(c.refs)
-			continue
-		}
-		evict(v)
-		c.refs[c.hand] = r
-		c.hand = (c.hand + 1) % len(c.refs)
-		c.evictions.Add(1)
-		return
-	}
-}
-
-// stringMap is the memo's function index: a lock-striped, string-keyed
-// get-or-create map for values that keep their stripe mutex and guard
-// their interior with it (memoFuncEntry.mu). The map never removes an
-// entry by itself: bounded residency is the clock's job, and the evict
-// callback deletes an entry whose last set it evicted from inside that
-// stripe's critical section (DeleteLocked).
-type stringMap[V any] struct {
-	stripes []mapStripe[V]
-}
-
-type mapStripe[V any] struct {
-	mu sync.Mutex
-	m  map[string]V
-}
-
-// newStringMap returns a map striped over n locks (n must be
-// positive).
-func newStringMap[V any](n int) *stringMap[V] {
-	if n <= 0 {
-		panic("refine: newStringMap needs a positive stripe count")
-	}
-	s := &stringMap[V]{stripes: make([]mapStripe[V], n)}
-	for i := range s.stripes {
-		s.stripes[i].m = make(map[string]V)
-	}
-	return s
-}
-
-func fnv32a[T string | []byte](key T) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func (s *stringMap[V]) stripe(h uint32) *mapStripe[V] {
-	return &s.stripes[h%uint32(len(s.stripes))]
-}
-
-// GetOrCreate returns the value under key, calling mk under the stripe
-// lock to create it on first use. mk receives the stripe mutex that
-// will guard the entry from then on.
-func (s *stringMap[V]) GetOrCreate(key string, mk func(mu *sync.Mutex) V) V {
-	st := s.stripe(fnv32a(key))
-	st.mu.Lock()
-	v, ok := st.m[key]
-	if !ok {
-		v = mk(&st.mu)
-		st.m[key] = v
-	}
-	st.mu.Unlock()
-	return v
-}
-
-// Lookup returns the value under key, if present. Taking the key as
-// bytes lets a caller probe with a reused buffer without allocating a
-// string.
-func (s *stringMap[V]) Lookup(key []byte) (V, bool) {
-	st := s.stripe(fnv32a(key))
-	st.mu.Lock()
-	v, ok := st.m[string(key)]
-	st.mu.Unlock()
-	return v, ok
-}
-
-// DeleteLocked removes key. The caller must hold key's stripe lock —
-// the mutex mk received when the entry was created.
-func (s *stringMap[V]) DeleteLocked(key string) {
-	delete(s.stripe(fnv32a(key)).m, key)
-}
-
-// Len returns the number of entries.
-func (s *stringMap[V]) Len() int {
-	n := 0
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		n += len(st.m)
-		st.mu.Unlock()
-	}
-	return n
 }
 
 // doorkeeper remembers the key hashes of functions seen recently,

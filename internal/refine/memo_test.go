@@ -3,7 +3,6 @@ package refine
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"tameir/internal/core"
@@ -126,16 +125,16 @@ func prime(m *Memo, fn *ir.Func, cfg Config, n int) memoHandle {
 }
 
 // shared reports whether m's shared index answers fn's set at ordinal,
-// probing through a fresh handle; a hit sets the set's clock reference
-// bit, as any hit does.
+// probing through a fresh handle.
 func shared(m *Memo, fn *ir.Func, ordinal int, cfg Config) bool {
 	h := m.handle(fn, cfg.TgtOpts, &cfg, ordinal+1)
 	_, ok := h.get(ordinal)
 	return ok
 }
 
-// TestMemoEvictsWhenFull: a full memo admits new sets by evicting cold
-// ones instead of refusing them.
+// TestMemoEvictsWhenFull: a store into a full memo drops every stored
+// set and starts over with the new one, and Evictions counts the sets
+// it dropped.
 func TestMemoEvictsWhenFull(t *testing.T) {
 	m := NewMemo(1)
 	fn := ir.MustParseFunc(memoPairs[2].src)
@@ -153,60 +152,82 @@ func TestMemoEvictsWhenFull(t *testing.T) {
 		t.Errorf("Evictions = %d, want 1", m.Evictions())
 	}
 	if shared(m, fn, 0, cfg) {
-		t.Error("cold entry survived eviction")
+		t.Error("the set stored before the memo filled survived its start-over")
 	}
 	if !shared(m, fn, 1, cfg) {
-		t.Error("newly admitted entry missing")
+		t.Error("the set whose store started the memo over is missing")
 	}
 }
 
-// TestMemoSecondChance: the clock spares recently hit sets and evicts
-// cold ones.
-func TestMemoSecondChance(t *testing.T) {
-	m := NewMemo(2)
-	fn := ir.MustParseFunc(memoPairs[2].src)
-	opts := core.FreezeOptions()
-	cfg := DefaultConfig(opts, opts)
-	h := prime(m, fn, cfg, 3)
-
-	for ordinal := 0; ordinal < 2; ordinal++ {
-		h.put(ordinal, BehaviorSet{})
-	}
-	// Touch the first set so its reference bit protects it.
-	if !shared(m, fn, 0, cfg) {
-		t.Fatal("warm entry missing before eviction")
-	}
-	h.put(2, BehaviorSet{})
-
-	if !shared(m, fn, 0, cfg) {
-		t.Error("recently hit set was evicted despite its second chance")
-	}
-	if shared(m, fn, 1, cfg) {
-		t.Error("cold set survived; clock should have chosen it as victim")
-	}
-	if !shared(m, fn, 2, cfg) {
-		t.Error("newly admitted set missing")
-	}
-}
-
-// TestMemoPutAfterEvictionResolves: a handle whose entry the clock
-// killed stores into a live entry for the same key, which a fresh
-// handle then finds.
+// TestMemoPutAfterEvictionResolves: a handle resolved before the memo
+// started over keeps its entry. It still answers the sets stored there
+// and stores into it, a fresh handle sees none of them, and a Check
+// across whose sweep the memo starts over keeps its verdict.
 func TestMemoPutAfterEvictionResolves(t *testing.T) {
-	m := NewMemo(1)
+	m := NewMemo(2)
 	opts := core.FreezeOptions()
 	cfg := DefaultConfig(opts, opts)
 	a, b := ir.MustParseFunc(memoPairs[0].src), ir.MustParseFunc(memoPairs[0].tgt)
 	ha := prime(m, a, cfg, 2)
 	ha.put(0, BehaviorSet{})
-	hb := prime(m, b, cfg, 1)
-	hb.put(0, BehaviorSet{}) // evicts a's only set, so a's entry dies
-	if shared(m, a, 0, cfg) {
-		t.Fatal("a's set survived eviction")
+	hb := prime(m, b, cfg, 2)
+	hb.put(0, BehaviorSet{})
+	hb.put(1, BehaviorSet{}) // the memo is full: it starts over
+	if m.Evictions() != 2 {
+		t.Fatalf("Evictions = %d, want the 2 sets stored before b's second", m.Evictions())
+	}
+	if _, ok := ha.get(0); !ok {
+		t.Error("a handle resolved before the start-over lost its entry's set")
 	}
 	ha.put(1, BehaviorSet{})
-	if !shared(m, a, 1, cfg) {
-		t.Error("a set stored after its entry died is not in the index")
+	if _, ok := ha.get(1); !ok {
+		t.Error("a handle resolved before the start-over did not store into its entry")
+	}
+	if shared(m, a, 0, cfg) || shared(m, a, 1, cfg) {
+		t.Error("a fresh handle sees sets stored in an entry the memo dropped")
+	}
+
+	// Under a second memo, another handle's stores start the memo over
+	// in the middle of a Check's sweep: in the round that stores the
+	// target's sets and in the round that reads them back.
+	fill := ir.MustParseFunc("define i2 @fill(i2 %a) {\nentry:\n  %x = add i2 %a, 1\n  ret i2 %x\n}")
+	for _, opts := range []core.Options{core.FreezeOptions(), core.LegacyOptions(core.BranchPoisonNondet)} {
+		cfg := DefaultConfig(opts, opts)
+		memo := NewMemo(256)
+		const slots = 1 << 10
+		other, ordinal := prime(memo, fill, cfg, slots), 0
+		startOver := func() {
+			for dropped := memo.Evictions(); memo.Evictions() == dropped; ordinal++ {
+				other.put(ordinal%slots, BehaviorSet{})
+			}
+		}
+		for i, p := range memoPairs {
+			if p.legacyOnly && opts.Mode == core.Freeze {
+				continue
+			}
+			src, tgt := ir.MustParseFunc(p.src), ir.MustParseFunc(p.tgt)
+			cfg.Memo = nil
+			plain := Check(src, tgt, cfg)
+			cfg.Memo = memo
+			for round := 0; round < 4; round++ {
+				sets := 0
+				cfg.BehaviorHook = func(BehaviorSet) {
+					if sets++; sets == 3 && round%2 == 1 {
+						startOver()
+					}
+				}
+				hits, lookups := memo.Hits(), memo.Lookups()
+				if got := Check(src, tgt, cfg); !reflect.DeepEqual(got, plain) {
+					t.Errorf("mode=%v pair=%d round=%d: start-over changed verdict:\nplain:    %s\nmemoized: %s",
+						opts.Mode, i, round, plain, got)
+				}
+				if h, l := memo.Hits()-hits, memo.Lookups()-lookups; round == 3 && h != l {
+					t.Errorf("mode=%v pair=%d: %d hits of %d lookups across a start-over, want the handle to keep its entry",
+						opts.Mode, i, h, l)
+				}
+			}
+			cfg.BehaviorHook = nil
+		}
 	}
 }
 
@@ -225,9 +246,9 @@ func TestMemoSkipsIncomplete(t *testing.T) {
 }
 
 // TestMemoEvictionKeepsVerdicts squeezes every pair through a memo so
-// small that eviction churns constantly, and requires the verdicts to
-// match memo-less runs exactly. An eviction may cost a recomputation;
-// it must never change a Result.
+// small that it starts over again and again, and requires the verdicts
+// to match memo-less runs exactly. Starting over may cost a
+// recomputation; it must never change a Result.
 func TestMemoEvictionKeepsVerdicts(t *testing.T) {
 	for _, opts := range []core.Options{
 		core.FreezeOptions(),
@@ -247,13 +268,13 @@ func TestMemoEvictionKeepsVerdicts(t *testing.T) {
 				cfg.Memo = memo
 				memoized := Check(src, tgt, cfg)
 				if !reflect.DeepEqual(plain, memoized) {
-					t.Errorf("mode=%v pair=%d round=%d: eviction changed verdict:\nplain:    %s\nmemoized: %s",
+					t.Errorf("mode=%v pair=%d round=%d: start-over changed verdict:\nplain:    %s\nmemoized: %s",
 						opts.Mode, i, round, plain, memoized)
 				}
 			}
 		}
 		if memo.Evictions() == 0 {
-			t.Errorf("mode=%v: memo of size 4 saw no evictions; test is not exercising the clock", opts.Mode)
+			t.Errorf("mode=%v: memo of size 4 never started over; test is not exercising the bound", opts.Mode)
 		}
 		if got := memo.Len(); got > 4 {
 			t.Errorf("mode=%v: Len = %d exceeds capacity 4", opts.Mode, got)
@@ -263,8 +284,9 @@ func TestMemoEvictionKeepsVerdicts(t *testing.T) {
 
 // TestMemoConcurrentChecks shares one memo across goroutines that each
 // check every pair, then requires the verdicts to match a serial
-// memo-less run. Run under -race this also exercises the shard and
-// ring locking.
+// memo-less run. The memo is smaller than the 36 sets of the first
+// pairs' shared target, so the goroutines race its start-overs; run
+// under -race this exercises the index lock and the slots' atomics.
 func TestMemoConcurrentChecks(t *testing.T) {
 	opts := core.LegacyOptions(core.BranchPoisonNondet)
 	want := make([]Result, len(memoPairs))
@@ -273,7 +295,7 @@ func TestMemoConcurrentChecks(t *testing.T) {
 		want[i] = Check(ir.MustParseFunc(p.src), ir.MustParseFunc(p.tgt), cfg)
 	}
 
-	memo := NewMemo(64) // small enough that workers also race evictions
+	memo := NewMemo(16)
 	const workers = 8
 	errs := make(chan string, workers*len(memoPairs))
 	done := make(chan struct{}, workers)
@@ -299,6 +321,9 @@ func TestMemoConcurrentChecks(t *testing.T) {
 	}
 	if memo.Hits() == 0 {
 		t.Error("concurrent checks produced no memo hits")
+	}
+	if memo.Evictions() == 0 {
+		t.Error("concurrent checks never started the memo over")
 	}
 }
 
@@ -329,7 +354,7 @@ func TestMemoSeenOnceNeverResident(t *testing.T) {
 	if n := cfg.Memo.Len(); n != 0 {
 		t.Errorf("Len = %d after one sighting of the target, want 0", n)
 	}
-	if n := cfg.Memo.funcs.Len(); n != 0 {
+	if n := len(cfg.Memo.funcs); n != 0 {
 		t.Errorf("index holds %d functions after one sighting of the target, want 0", n)
 	}
 }
@@ -438,9 +463,9 @@ func TestMemoHitSkipsCompile(t *testing.T) {
 	}
 }
 
-// TestMemoIndexBounded: functions whose sets the clock has evicted
-// leave the index, so many more repeated targets than the memo's
-// capacity leave at most that capacity resident in it.
+// TestMemoIndexBounded: a full memo drops its whole index, so many more
+// repeated targets than the memo's capacity leave at most that
+// capacity resident in it.
 func TestMemoIndexBounded(t *testing.T) {
 	const capacity = 8
 	opts := core.FreezeOptions()
@@ -454,105 +479,17 @@ func TestMemoIndexBounded(t *testing.T) {
 			Check(ir.MustParseFunc(text), ir.MustParseFunc(text), cfg)
 		}
 	}
-	if a := cfg.Memo.Admissions(); a != funcs {
-		t.Fatalf("admitted %d functions, want %d", a, funcs)
+	// A function whose store started the memo over is published again.
+	if a := cfg.Memo.Admissions(); a < funcs {
+		t.Fatalf("admitted %d functions, want at least %d", a, funcs)
 	}
-	if n := cfg.Memo.funcs.Len(); n > capacity {
+	if cfg.Memo.Evictions() == 0 {
+		t.Fatal("the memo never started over")
+	}
+	if n := len(cfg.Memo.funcs); n > capacity {
 		t.Errorf("index holds %d functions, want at most the capacity %d", n, capacity)
 	}
 	if n := cfg.Memo.Len(); n > capacity {
 		t.Errorf("Len = %d exceeds capacity %d", n, capacity)
-	}
-}
-
-// The clock must give a recently-used resident a second chance and
-// evict the first cold one past the hand.
-func TestClockSecondChance(t *testing.T) {
-	c := newClock[int](2)
-	used := map[int]bool{}
-	var evicted []int
-	recentlyUsed := func(r int) bool {
-		u := used[r]
-		used[r] = false
-		return u
-	}
-	evict := func(r int) { evicted = append(evicted, r) }
-
-	c.Admit(1, recentlyUsed, evict)
-	c.Admit(2, recentlyUsed, evict)
-	if c.Len() != 2 || len(evicted) != 0 {
-		t.Fatalf("fill: len=%d evicted=%v", c.Len(), evicted)
-	}
-
-	used[1] = true // 1 is hot, 2 is cold
-	c.Admit(3, recentlyUsed, evict)
-	if len(evicted) != 1 || evicted[0] != 2 {
-		t.Fatalf("expected the cold resident 2 evicted, got %v", evicted)
-	}
-	if used[1] {
-		t.Fatal("the sweep must clear the reference bit it spared")
-	}
-	if c.Len() != 2 || c.Evictions() != 1 {
-		t.Fatalf("len=%d evictions=%d, want 2/1", c.Len(), c.Evictions())
-	}
-
-	// Everything cold now: the next admission evicts exactly one more.
-	c.Admit(4, recentlyUsed, evict)
-	if len(evicted) != 2 || c.Len() != 2 || c.Evictions() != 2 {
-		t.Fatalf("second admission: evicted=%v len=%d", evicted, c.Len())
-	}
-}
-
-// A non-positive capacity is a programming error (NewMemo maps 0 to
-// DefaultMemoEntries before it builds the ring), and the ring rejects
-// it loudly rather than silently evicting everything.
-func TestClockRejectsNonPositiveCap(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("newClock(0) did not panic")
-		}
-	}()
-	newClock[int](0)
-}
-
-func TestStringMapGetOrCreate(t *testing.T) {
-	m := newStringMap[*int](16)
-	made := 0
-	mk := func(mu *sync.Mutex) *int {
-		if mu == nil {
-			t.Fatal("mk must receive the stripe mutex")
-		}
-		made++
-		return new(int)
-	}
-	p := m.GetOrCreate("k", mk)
-	if q := m.GetOrCreate("k", mk); q != p || made != 1 {
-		t.Fatalf("GetOrCreate not idempotent: made=%d", made)
-	}
-
-	var wg sync.WaitGroup
-	got := make([]*int, 8)
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = m.GetOrCreate("race", func(mu *sync.Mutex) *int { return new(int) })
-		}(i)
-	}
-	wg.Wait()
-	for _, g := range got[1:] {
-		if g != got[0] {
-			t.Fatal("concurrent GetOrCreate returned distinct values for one key")
-		}
-	}
-
-	if v, ok := m.Lookup([]byte("race")); !ok || v != got[0] {
-		t.Fatalf("Lookup(race) = %p, %v; want %p", v, ok, got[0])
-	}
-	if _, ok := m.Lookup([]byte("absent")); ok {
-		t.Fatal("Lookup found a key never created")
-	}
-	if n := m.Len(); n != 2 {
-		t.Fatalf("Len = %d, want 2", n)
 	}
 }
