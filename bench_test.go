@@ -223,7 +223,7 @@ func BenchmarkBackend(b *testing.B) {
 
 // Example of regenerating the full report programmatically.
 func ExampleReport() {
-	base, _ := bench.MeasureAll(bench.Baseline(), 1)
+	base, _ := bench.MeasureAll(1, bench.Baseline())
 	_ = base
 	fmt.Println("see cmd/tame-bench")
 	// Output: see cmd/tame-bench

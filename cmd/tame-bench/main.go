@@ -26,7 +26,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: validate, compiletime, memory, codesize, runtime, ablation, all")
-	reps := flag.Int("reps", 3, "compile repetitions; the minimum wall time is reported")
+	reps := flag.Int("reps", 3, "E4 samples per program and variant, each a batch of 16 back-to-back compiles; the fastest is reported")
 	valInstrs := flag.Int("validate-instrs", 2, "instructions per generated function (E3)")
 	valMax := flag.Int("validate-max", 3000, "max generated functions per pass (E3)")
 	metricsPath := flag.String("metrics", "", "write the E3 sweep's checker metrics after the run ('-' = text on stdout, *.json = JSON)")
@@ -90,11 +90,10 @@ func main() {
 	}
 
 	// The prototype is measured once and shared by E4–E7 and the
-	// ablation. The baseline goes first, so E4's compile-time
-	// comparison sees the same process warm-up whether or not the
-	// ablation runs too.
-	measure := func(v bench.Variant) []bench.Measurement {
-		ms, err := bench.MeasureAll(v, *reps)
+	// ablation. E4 times the baseline and the prototype in alternation,
+	// program by program.
+	measure := func(vs ...bench.Variant) [][]bench.Measurement {
+		ms, err := bench.MeasureAll(*reps, vs...)
 		if err != nil {
 			fatal(err)
 		}
@@ -104,9 +103,9 @@ func main() {
 	if wantMeasure {
 		sp := expScope("measure")
 		fmt.Println("# Section 7 experiments: baseline vs freeze prototype")
-		base := measure(bench.Baseline())
-		proto = measure(bench.Prototype())
-		bench.Report(os.Stdout, base, proto)
+		ms := measure(bench.Baseline(), bench.Prototype())
+		proto = ms[1]
+		bench.Report(os.Stdout, ms[0], proto)
 		sp.End()
 	}
 
@@ -114,9 +113,9 @@ func main() {
 		sp := expScope("ablation")
 		fmt.Println("\n# Ablation: what the §6 freeze-awareness work buys")
 		if proto == nil {
-			proto = measure(bench.Prototype())
+			proto = measure(bench.Prototype())[0]
 		}
-		bench.ReportAblation(os.Stdout, proto, measure(bench.FreezeBlindPrototype()))
+		bench.ReportAblation(os.Stdout, proto, measure(bench.FreezeBlindPrototype())[0])
 		sp.End()
 	}
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"time"
 
 	"tameir/internal/ir"
@@ -63,8 +62,8 @@ type Measurement struct {
 	Suite   string
 	Variant string
 
-	CompileNs  int64  // minimum frontend+O2+backend wall time over the reps
-	AllocBytes uint64 // compiler allocations during one compile
+	CompileNs  int64  // E4: frontend+O2+backend wall time, the minimum over MeasureAll's samples
+	AllocBytes uint64 // E5: compiler allocations during one compile
 
 	IRInstrs    int
 	FreezeCount int
@@ -91,39 +90,27 @@ func Compile(p Program, v Variant) (*ir.Module, *target.Program, error) {
 	return mod, prog, nil
 }
 
-// Measure compiles p under v (reps times, minimum wall time) and runs
-// it on the simulator.
-func Measure(p Program, v Variant, reps int) (Measurement, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	m := Measurement{Program: p.Name, Suite: p.Suite, Variant: v.Name}
-
-	var mod *ir.Module
-	var prog *target.Program
-	times := make([]int64, 0, reps)
+// Measure compiles p under v once, counting the bytes the compile
+// allocates, and runs the program on the simulator. It fills every
+// field but CompileNs, which MeasureAll times.
+func Measure(p Program, v Variant) (Measurement, error) {
 	var before, after runtime.MemStats
-	for i := 0; i < reps; i++ {
-		// GC between repetitions so collector pauses from a previous
-		// compile do not land in this one; take the minimum across
-		// repetitions, the standard noise-resistant estimator for
-		// short deterministic work.
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		var err error
-		mod, prog, err = Compile(p, v)
-		d := time.Since(t0).Nanoseconds()
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			return m, err
-		}
-		times = append(times, d)
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	mod, prog, err := Compile(p, v)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		return Measurement{}, err
 	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	m.CompileNs = times[0]
+	m := observe(p, v, mod, prog)
 	m.AllocBytes = after.TotalAlloc - before.TotalAlloc
+	return m, nil
+}
 
+// observe counts the optimized module's instructions and freezes,
+// sizes the machine program and runs it on the simulator.
+func observe(p Program, v Variant, mod *ir.Module, prog *target.Program) Measurement {
+	m := Measurement{Program: p.Name, Suite: p.Suite, Variant: v.Name}
 	for _, f := range mod.Funcs {
 		f.ForEachInstr(func(in *ir.Instr) {
 			m.IRInstrs++
@@ -138,29 +125,71 @@ func Measure(p Program, v Variant, reps int) (Measurement, error) {
 	ret, err := mach.Run(prog.FuncByName("main"))
 	if err != nil {
 		m.SimError = err.Error()
-		return m, nil
+		return m
 	}
 	m.Cycles = mach.Cycles
 	m.SimInstrs = mach.Instrs
 	m.Checksum = int32(uint32(ret))
 	m.ChecksumOK = m.Checksum == p.Want
-	return m, nil
+	return m
 }
 
-// MeasureAll measures every program under a variant, on one P. With
-// more, a run's E5 byte counts moved by up to 11% between runs of one
-// build (gcc read 609–679 KB), likely because a compile that migrates
-// between Ps refills allocation spans on each; on one P every program
-// reads within 1 KB run to run.
-func MeasureAll(v Variant, reps int) ([]Measurement, error) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var out []Measurement
-	for _, p := range Programs {
-		m, err := Measure(p, v, reps)
-		if err != nil {
-			return nil, err
+// batchCompiles is how many back-to-back compiles one E4 sample
+// times. One compile lasts well under a millisecond, so a sample of a
+// single compile reads the clock, the collector and the scheduler as
+// much as the compiler.
+const batchCompiles = 16
+
+// timeBatch returns the mean wall time of batchCompiles back-to-back
+// compiles of p under v.
+func timeBatch(p Program, v Variant) (int64, error) {
+	runtime.GC()
+	t0 := time.Now()
+	for i := 0; i < batchCompiles; i++ {
+		if _, _, err := Compile(p, v); err != nil {
+			return 0, err
 		}
-		out = append(out, m)
+	}
+	return time.Since(t0).Nanoseconds() / batchCompiles, nil
+}
+
+// MeasureAll measures every program under each variant and returns one
+// slice per variant, in the order given. For each program it times
+// samples batches per variant (at least one), the variants taking turns
+// and rotating which goes first, so drift in the host's speed lands on
+// every variant alike; CompileNs is the fastest batch's mean. It then
+// measures each variant once with Measure.
+//
+// It runs on one P. With more, a run's E5 byte counts moved by up to
+// 11% between runs of one build (gcc read 609–679 KB), likely because
+// a compile that migrates between Ps refills allocation spans on each;
+// on one P every program reads within 1 KB run to run.
+func MeasureAll(samples int, vs ...Variant) ([][]Measurement, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	samples = max(samples, 1)
+	out := make([][]Measurement, len(vs))
+	best := make([]int64, len(vs))
+	for _, p := range Programs {
+		for s := 0; s < samples; s++ {
+			for i := range vs {
+				vi := (s + i) % len(vs)
+				ns, err := timeBatch(p, vs[vi])
+				if err != nil {
+					return nil, err
+				}
+				if s == 0 || ns < best[vi] {
+					best[vi] = ns
+				}
+			}
+		}
+		for vi, v := range vs {
+			m, err := Measure(p, v)
+			if err != nil {
+				return nil, err
+			}
+			m.CompileNs = best[vi]
+			out[vi] = append(out[vi], m)
+		}
 	}
 	return out, nil
 }

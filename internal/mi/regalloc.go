@@ -2,6 +2,7 @@ package mi
 
 import (
 	"fmt"
+	mathbits "math/bits"
 	"sort"
 
 	"tameir/internal/target"
@@ -17,53 +18,125 @@ import (
 // VX64 reserves the single pinned undef register target.UR, which the
 // allocator never touches — the §6 lowering reads it directly.
 
-// regUses returns (uses, defs) of virtual or physical registers for an
-// instruction. Two-address instructions (DstIsRead) report Dst in
-// both.
-func regUses(in VInstr) (uses []int, defs []int) {
-	add := func(s *[]int, r int) {
-		if r >= 0 {
-			*s = append(*s, r)
-		}
-	}
+// regUses returns the registers, virtual or physical, an instruction
+// reads (at most two) and writes (at most one), -1 where there is none.
+// Two-address instructions (DstIsRead) report Dst as both.
+func regUses(in VInstr) (uses [2]int, def int) {
+	uses, def = [2]int{-1, -1}, -1
 	switch in.Op {
 	case target.MOVri, target.SETcc, target.POP:
-		add(&defs, in.Dst)
-	case target.MOVrr, target.MOVSX, target.MOVZX:
-		add(&defs, in.Dst)
-		add(&uses, in.Src)
+		def = in.Dst
+	case target.MOVrr, target.MOVSX, target.MOVZX, target.LOAD:
+		def = in.Dst
+		uses[0] = in.Src
 	case target.ADDrr, target.SUBrr, target.IMULrr, target.ANDrr, target.ORrr,
 		target.XORrr, target.SHLrr, target.SHRrr, target.SARrr,
 		target.UDIVrr, target.SDIVrr, target.UREMrr, target.SREMrr,
 		target.CMOVcc:
-		add(&uses, in.Dst)
-		add(&defs, in.Dst)
-		add(&uses, in.Src)
+		def = in.Dst
+		uses = [2]int{in.Dst, in.Src}
 	case target.ADDri, target.ANDri, target.ORri, target.XORri,
 		target.SHLri, target.SHRri, target.SARri:
-		add(&uses, in.Dst)
-		add(&defs, in.Dst)
+		def = in.Dst
+		uses[0] = in.Dst
 	case target.LEA:
-		add(&defs, in.Dst)
-		add(&uses, in.Src)
+		def = in.Dst
+		uses[0] = in.Src
 		if in.Scale != 0 {
-			add(&uses, in.Src2)
+			uses[1] = in.Src2
 		}
-	case target.CMPrr:
-		add(&uses, in.Dst)
-		add(&uses, in.Src)
+	case target.CMPrr, target.STORE:
+		uses = [2]int{in.Dst, in.Src}
 	case target.CMPri:
-		add(&uses, in.Dst)
-	case target.LOAD:
-		add(&defs, in.Dst)
-		add(&uses, in.Src)
-	case target.STORE:
-		add(&uses, in.Dst)
-		add(&uses, in.Src)
+		uses[0] = in.Dst
 	case target.PUSH:
-		add(&uses, in.Src)
+		uses[0] = in.Src
 	}
-	return uses, defs
+	return uses, def
+}
+
+// blockLiveness holds, for each block of a VFunc, the virtual registers
+// it reads before writing (use), writes (def), and that are live into
+// and out of it, as bitset rows: bit i of a row stands for virtual
+// register firstVirtual+i. The rows sit in one flat slice, four per
+// block in that order.
+type blockLiveness struct {
+	words int // 64-bit words per row
+	rows  []uint64
+}
+
+const (
+	useRow = iota
+	defRow
+	inRow
+	outRow
+	numRows
+)
+
+func (l *blockLiveness) row(block, kind int) []uint64 {
+	i := (numRows*block + kind) * l.words
+	return l.rows[i : i+l.words]
+}
+
+// forEachVReg calls fn with each virtual register whose bit is set in
+// row.
+func forEachVReg(row []uint64, fn func(v int)) {
+	for w, bits := range row {
+		for bits != 0 {
+			fn(firstVirtual + 64*w + mathbits.TrailingZeros64(bits))
+			bits &= bits - 1
+		}
+	}
+}
+
+// liveness solves block-level liveness over vf's virtual registers: a
+// block's successors are the targets of its JMP and Jcc instructions,
+// live-out is the union of their live-ins, and live-in is use plus
+// live-out minus def. Sweeps run from the last block to the first,
+// word by word, until nothing changes: the least fixpoint.
+func liveness(vf *VFunc) blockLiveness {
+	nb := len(vf.Blocks)
+	l := blockLiveness{words: (max(vf.NumV-firstVirtual, 0) + 63) / 64}
+	l.rows = make([]uint64, numRows*nb*l.words)
+	succOff := make([]int, nb+1)
+	var succs []int
+	for bi, b := range vf.Blocks {
+		use, def := l.row(bi, useRow), l.row(bi, defRow)
+		for _, in := range b {
+			switch in.Op {
+			case target.JMP, target.Jcc:
+				succs = append(succs, in.Target)
+			}
+			us, d := regUses(in)
+			for _, u := range us {
+				if u -= firstVirtual; u >= 0 && def[u/64]&(1<<(u%64)) == 0 {
+					use[u/64] |= 1 << (u % 64)
+				}
+			}
+			if d -= firstVirtual; d >= 0 {
+				def[d/64] |= 1 << (d % 64)
+			}
+		}
+		succOff[bi+1] = len(succs)
+	}
+	for changed := true; changed; {
+		changed = false
+		for bi := nb - 1; bi >= 0; bi-- {
+			use, def := l.row(bi, useRow), l.row(bi, defRow)
+			in, out := l.row(bi, inRow), l.row(bi, outRow)
+			for w := range out {
+				var o uint64
+				for _, s := range succs[succOff[bi]:succOff[bi+1]] {
+					o |= l.row(s, inRow)[w]
+				}
+				if i := use[w] | o&^def[w]; o != out[w] || i != in[w] {
+					out[w], in[w] = o, i
+					changed = true
+				}
+			}
+		}
+	}
+	return l
 }
 
 // Allocate performs register allocation and returns the finished
@@ -79,67 +152,7 @@ func Allocate(vf *VFunc) (*target.MFunc, error) {
 		p += len(b)
 		blockEnd[bi] = p - 1
 	}
-
-	// Block-level liveness over virtual registers.
-	succs := make([][]int, len(vf.Blocks))
-	for bi, b := range vf.Blocks {
-		for _, in := range b {
-			switch in.Op {
-			case target.JMP, target.Jcc:
-				succs[bi] = append(succs[bi], in.Target)
-			}
-		}
-		_ = b
-	}
-	use := make([]map[int]bool, len(vf.Blocks))
-	def := make([]map[int]bool, len(vf.Blocks))
-	for bi, b := range vf.Blocks {
-		use[bi] = map[int]bool{}
-		def[bi] = map[int]bool{}
-		for _, in := range b {
-			us, ds := regUses(in)
-			for _, u := range us {
-				if u >= firstVirtual && !def[bi][u] {
-					use[bi][u] = true
-				}
-			}
-			for _, d := range ds {
-				if d >= firstVirtual {
-					def[bi][d] = true
-				}
-			}
-		}
-	}
-	liveIn := make([]map[int]bool, len(vf.Blocks))
-	liveOut := make([]map[int]bool, len(vf.Blocks))
-	for i := range liveIn {
-		liveIn[i] = map[int]bool{}
-		liveOut[i] = map[int]bool{}
-	}
-	for changed := true; changed; {
-		changed = false
-		for bi := len(vf.Blocks) - 1; bi >= 0; bi-- {
-			out := map[int]bool{}
-			for _, s := range succs[bi] {
-				for v := range liveIn[s] {
-					out[v] = true
-				}
-			}
-			in := map[int]bool{}
-			for v := range out {
-				if !def[bi][v] {
-					in[v] = true
-				}
-			}
-			for v := range use[bi] {
-				in[v] = true
-			}
-			if len(out) != len(liveOut[bi]) || len(in) != len(liveIn[bi]) {
-				changed = true
-			}
-			liveOut[bi], liveIn[bi] = out, in
-		}
-	}
+	live := liveness(vf)
 
 	// Coarse intervals.
 	start := make([]int, nv)
@@ -161,20 +174,13 @@ func Allocate(vf *VFunc) (*target.MFunc, error) {
 	pi := 0
 	var callPositions []int
 	for bi, b := range vf.Blocks {
-		for v := range liveIn[bi] {
-			touch(v, blockStart[bi])
-		}
-		for v := range liveOut[bi] {
-			touch(v, blockEnd[bi])
-		}
+		forEachVReg(live.row(bi, inRow), func(v int) { touch(v, blockStart[bi]) })
+		forEachVReg(live.row(bi, outRow), func(v int) { touch(v, blockEnd[bi]) })
 		for _, in := range b {
-			us, ds := regUses(in)
-			for _, u := range us {
-				touch(u, pi)
-			}
-			for _, d := range ds {
-				touch(d, pi)
-			}
+			us, d := regUses(in)
+			touch(us[0], pi)
+			touch(us[1], pi)
+			touch(d, pi)
 			if in.Op == target.CALL {
 				callPositions = append(callPositions, pi)
 			}
@@ -183,7 +189,7 @@ func Allocate(vf *VFunc) (*target.MFunc, error) {
 	}
 
 	// Spill decisions: intervals crossing a call spill.
-	spilled := map[int]bool{}
+	spilled := make([]bool, nv)
 	for v := firstVirtual; v < nv; v++ {
 		if start[v] < 0 {
 			continue
@@ -259,7 +265,7 @@ func Allocate(vf *VFunc) (*target.MFunc, error) {
 	}
 
 	// Frame slots for spills, above the alloca area.
-	slotOf := map[int]int64{}
+	slotOf := make([]int64, nv)
 	frame := int64(vf.FrameSize)
 	for v := firstVirtual; v < nv; v++ {
 		if spilled[v] {
@@ -286,9 +292,6 @@ func Allocate(vf *VFunc) (*target.MFunc, error) {
 	for _, b := range vf.Blocks {
 		var out []target.Instr
 		for _, in := range b {
-			us, ds := regUses(in)
-			_ = us
-			_ = ds
 			// Map the (at most two) spilled uses to scratch regs.
 			scratch := []target.Reg{target.R12, target.R13}
 			si := 0

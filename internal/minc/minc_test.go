@@ -319,6 +319,30 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestLexAllocations: lexing allocates the token slice, once, and the
+// lexer, and nothing per token; a stray byte at or above 0x80 is still
+// quoted as its code point.
+func TestLexAllocations(t *testing.T) {
+	src := `struct S { int a : 3; unsigned b : 5; };
+int g[8];
+int main() {
+    struct S s; int acc = 0;
+    for (int i = 0; i < 8; i += 1) {
+        s.a = i & 3; s.b = (i << 1) | 1;
+        g[i] = s.a * (s.b - 1) / 2 % 7;
+        if (g[i] >= 2 && g[i] != 5 || i == 0) acc ^= g[i];
+    }
+    return acc + 'x' + 0x1F;
+}`
+	if n := testing.AllocsPerRun(20, func() { lex(src) }); n != 2 {
+		t.Errorf("lex allocated %v times per run, want 2 (token slice and lexer)", n)
+	}
+	_, err := CompileString("int main() { return 0 \xa7; }", Config{})
+	if want := `minc: line 1: expected ";", got "§"`; err == nil || err.Error() != want {
+		t.Errorf("stray byte: got %v, want %s", err, want)
+	}
+}
+
 // TestArraySizeLimit: an array or struct larger than the largest
 // object the IR holds (ir.MaxGlobalSize) is an error at its length
 // token, whether its size wraps 32 bits or not, and an array at the

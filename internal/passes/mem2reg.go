@@ -17,7 +17,10 @@ type Mem2Reg struct{}
 // Name implements Pass.
 func (Mem2Reg) Name() string { return "mem2reg" }
 
-// Run implements Pass.
+// Run implements Pass. It places each alloca's phis at the iterated
+// dominance frontier of its stores, then renames every alloca in one
+// preorder walk of the dominator tree, which carries one current value
+// per alloca.
 func (Mem2Reg) Run(f *ir.Func, cfg *Config, am *AnalysisManager) bool {
 	var allocas []*ir.Instr
 	for _, in := range f.Entry().Instrs() {
@@ -29,9 +32,116 @@ func (Mem2Reg) Run(f *ir.Func, cfg *Config, am *AnalysisManager) bool {
 		return false
 	}
 	dt := am.DomTree()
-	df := dominanceFrontiers(f, dt, am.Preds())
-	for _, a := range allocas {
-		promote(f, a, dt, df, cfg)
+	preds := am.Preds()
+	df := dominanceFrontiers(f, dt, preds)
+	index := make(map[*ir.Block]int, len(f.Blocks))
+	for i, b := range f.Blocks {
+		index[b] = i
+	}
+	// Per-block rows of one entry per alloca: phiOf holds the alloca's
+	// phi in the block, out its value at the block's end (nil where the
+	// walk never goes: unreachable blocks).
+	n := len(allocas)
+	phiOf := make([]*ir.Instr, len(f.Blocks)*n)
+	out := make([]ir.Value, len(f.Blocks)*n)
+
+	// Phi placement, alloca by alloca. The worklist is seeded in block
+	// order, not map order: the order phis are created in fixes their
+	// names and their order within a block.
+	hasStore := make([]bool, len(f.Blocks))
+	var work []*ir.Block
+	for a, al := range allocas {
+		clear(hasStore)
+		for _, u := range al.Users() {
+			if u.Op == ir.OpStore {
+				hasStore[index[u.Parent()]] = true
+			}
+		}
+		for i, b := range f.Blocks {
+			if hasStore[i] {
+				work = append(work, b)
+			}
+		}
+		for len(work) > 0 {
+			b := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, d := range df[b] {
+				slot := &phiOf[index[d]*n+a]
+				if *slot != nil {
+					continue
+				}
+				ph := ir.NewInstr(ir.OpPhi, al.AllocTy)
+				ph.Nam = f.GenName("m2r")
+				d.InsertBefore(ph, d.Instrs()[0])
+				*slot = ph
+				work = append(work, d)
+			}
+		}
+	}
+
+	// Rename: a block starts from its immediate dominator's out-values
+	// (the entry from the uninitialized value) and its own phis.
+	slotOf := make(map[ir.Value]int, n)
+	uninit := make([]ir.Value, n)
+	for a, al := range allocas {
+		slotOf[al] = a
+		uninit[a] = uninitValue(al.AllocTy, cfg)
+	}
+	snap := newSnapshot()
+	defer snap.release()
+	stack := []*ir.Block{f.Entry()}
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		bi := index[b]
+		cur := out[bi*n : bi*n+n]
+		if d := dt.IDom(b); d != nil {
+			copy(cur, out[index[d]*n:])
+		} else {
+			copy(cur, uninit)
+		}
+		for a, ph := range phiOf[bi*n : bi*n+n] {
+			if ph != nil {
+				cur[a] = ph
+			}
+		}
+		for _, in := range snap.of(b) {
+			switch in.Op {
+			case ir.OpLoad:
+				if a, ok := slotOf[in.Arg(0)]; ok {
+					replaceAndErase(in, cur[a])
+				}
+			case ir.OpStore:
+				if a, ok := slotOf[in.Arg(1)]; ok {
+					cur[a] = in.Arg(0)
+					b.Remove(in)
+					dropOperands(in)
+				}
+			}
+		}
+		stack = append(stack, dt.Children(b)...)
+	}
+
+	// Wire phi incomings from each predecessor's out-value, phis in
+	// block order.
+	for bi, b := range f.Blocks {
+		for a, ph := range phiOf[bi*n : bi*n+n] {
+			if ph == nil {
+				continue
+			}
+			for _, p := range preds[b] {
+				v := out[index[p]*n+a]
+				if v == nil {
+					v = uninitValue(ph.Ty, cfg) // unreachable pred
+				}
+				ph.AddPhiIncoming(v, p)
+			}
+		}
+	}
+	// Unused phis (no loads below them) die in DCE; the allocas
+	// themselves are now unused.
+	for _, al := range allocas {
+		f.Entry().Erase(al)
 	}
 	return true
 }
@@ -91,97 +201,4 @@ func uninitValue(ty ir.Type, cfg *Config) ir.Value {
 		return ir.NewPoison(ty)
 	}
 	return ir.NewUndef(ty)
-}
-
-func promote(f *ir.Func, a *ir.Instr, dt *analysis.DomTree, df map[*ir.Block][]*ir.Block, cfg *Config) {
-	ty := a.AllocTy
-
-	// Blocks containing stores.
-	storeBlocks := map[*ir.Block]bool{}
-	for _, u := range a.Users() {
-		if u.Op == ir.OpStore {
-			storeBlocks[u.Parent()] = true
-		}
-	}
-
-	// Iterated dominance frontier: phi placement. The worklist is
-	// seeded in block order, not map order: the order phis are created
-	// in fixes their names and their order within a block.
-	phiAt := map[*ir.Block]*ir.Instr{}
-	work := make([]*ir.Block, 0, len(storeBlocks))
-	for _, b := range f.Blocks {
-		if storeBlocks[b] {
-			work = append(work, b)
-		}
-	}
-	inWork := map[*ir.Block]bool{}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, d := range df[b] {
-			if phiAt[d] != nil {
-				continue
-			}
-			ph := ir.NewInstr(ir.OpPhi, ty)
-			ph.Nam = f.GenName("m2r")
-			if first := d.Instrs()[0]; first != nil {
-				d.InsertBefore(ph, first)
-			}
-			phiAt[d] = ph
-			if !inWork[d] {
-				inWork[d] = true
-				work = append(work, d)
-			}
-		}
-	}
-
-	// Rename: DFS over the dominator tree carrying the current value.
-	type task struct {
-		b   *ir.Block
-		val ir.Value
-	}
-	stack := []task{{f.Entry(), uninitValue(ty, cfg)}}
-	visited := map[*ir.Block]bool{}
-	// Defer phi operand wiring until values for all preds are known:
-	// record the out-value per block.
-	outVal := map[*ir.Block]ir.Value{}
-	for len(stack) > 0 {
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visited[t.b] {
-			continue
-		}
-		visited[t.b] = true
-		cur := t.val
-		if ph := phiAt[t.b]; ph != nil {
-			cur = ph
-		}
-		for _, in := range append([]*ir.Instr(nil), t.b.Instrs()...) {
-			switch {
-			case in.Op == ir.OpLoad && in.Arg(0) == ir.Value(a):
-				replaceAndErase(in, cur)
-			case in.Op == ir.OpStore && in.NumArgs() == 2 && in.Arg(1) == ir.Value(a):
-				cur = in.Arg(0)
-				in.Parent().Remove(in)
-				dropOperands(in)
-			}
-		}
-		outVal[t.b] = cur
-		for _, kid := range dt.Children(t.b) {
-			stack = append(stack, task{kid, cur})
-		}
-	}
-	// Wire phi incomings from each predecessor's out-value.
-	for b, ph := range phiAt {
-		for _, p := range f.Preds(b) {
-			v := outVal[p]
-			if v == nil {
-				v = uninitValue(ty, cfg) // unreachable pred
-			}
-			ph.AddPhiIncoming(v, p)
-		}
-	}
-	// Unused phis (no loads below them) die in DCE; the alloca itself
-	// is now unused.
-	f.Entry().Erase(a)
 }
