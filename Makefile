@@ -74,6 +74,11 @@ check: build vet test race
 # on any violation). The legacy quick campaign also runs under
 # -verify-each so the battery covers the legacy dialect too.
 #
+# Pass time comes only from the pass spans: tame-opt -time-passes must
+# print a non-zero total on its timing line (wiring that leaves every
+# wall at zero prints "total 0s"), and as the negative control the same
+# run with -stats alone prints the statistics and no timing line.
+#
 # The input gates: tame-tv must reject an undef under the default freeze
 # semantics as the verifier does (exit 1, tame-opt's message), not reach
 # the checker and panic; it must reject a module that defines @f twice
@@ -108,6 +113,10 @@ ci: vet test
 	$(GO) run ./cmd/tame-lint -q internal/passes/testdata/freeze-elim-loop.ll
 	$(GO) run ./cmd/tame-opt -sem freeze -verify-each -metrics ci-bench/metrics-verify-each.txt internal/passes/testdata/freeze-elim-loop.ll > /dev/null
 	$(GO) run ./cmd/tame-metrics -check 'analysis_poison_queries_total>0,passes_freeze_elim_removed_total>0,verify_each_checks_total>0,verify_each_failures_total=0' ci-bench/metrics-verify-each.txt
+	$(GO) run ./cmd/tame-opt -sem freeze -time-passes internal/passes/testdata/freeze-elim-loop.ll 2> ci-bench/time-passes.txt > /dev/null
+	grep -q '^===- Pass execution timing (total [1-9]' ci-bench/time-passes.txt
+	$(GO) run ./cmd/tame-opt -sem freeze -stats internal/passes/testdata/freeze-elim-loop.ll 2> ci-bench/stats-only.txt > /dev/null
+	grep -q '^===- Pass statistics' ci-bench/stats-only.txt && ! grep -q 'Pass execution timing' ci-bench/stats-only.txt
 	$(GO) run ./cmd/tame-fuzz -poison-oracle -instrs 1 -n 0 -sem freeze -workers 2 -metrics - \
 	  | $(GO) run ./cmd/tame-metrics -check 'poison_oracle_funcs_total>0,poison_oracle_claims_total>0,poison_oracle_execs_total>0,poison_oracle_violations_total=0'
 	$(MAKE) ci-workload

@@ -29,17 +29,8 @@ func main() {
 	reps := flag.Int("reps", 3, "E4 samples per program and variant, each a batch of 16 back-to-back compiles; the fastest is reported")
 	valInstrs := flag.Int("validate-instrs", 2, "instructions per generated function (E3)")
 	valMax := flag.Int("validate-max", 3000, "max generated functions per pass (E3)")
-	metricsPath := flag.String("metrics", "", "write the E3 sweep's checker metrics after the run ('-' = text on stdout, *.json = JSON)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON flight recording with one span per experiment (open in Perfetto or tame-trace)")
 	flag.Parse()
-
-	// One process registry collects the E3 sweep's telemetry when
-	// -metrics is set, labeled by dialect and pass so the snapshot
-	// stays per-row legible. A nil registry is a no-op sink.
-	var reg *telemetry.Registry
-	if *metricsPath != "" {
-		reg = telemetry.NewRegistry()
-	}
 
 	// -trace: a coarse timeline of the run — one bench/<experiment>
 	// span per section on a single track, so a long -exp all invocation
@@ -49,11 +40,7 @@ func main() {
 	if *tracePath != "" {
 		rec = trace.NewRecorder(0)
 		rec.SetTrackName(0, "bench")
-		sreg := reg
-		if sreg == nil {
-			sreg = telemetry.NewRegistry()
-		}
-		scope := telemetry.NewScope(sreg, "bench").WithTrace(rec, 0)
+		scope := telemetry.NewScope(telemetry.NewRegistry(), "bench").WithTrace(rec, 0)
 		expScope = func(name string) *telemetry.Span { return scope.Start(name) }
 	}
 
@@ -80,10 +67,10 @@ func main() {
 	if wantValidate {
 		sp := expScope("validate")
 		fmt.Println("# Section 6 experiment: exhaustive generation + translation validation")
-		fixed := bench.Validate(true, *valInstrs, *valMax, reg)
+		fixed := bench.Validate(true, *valInstrs, *valMax)
 		bench.ReportValidation(os.Stdout, "fixed passes, freeze semantics", fixed)
 		fmt.Println()
-		legacy := bench.Validate(false, *valInstrs, *valMax, reg)
+		legacy := bench.Validate(false, *valInstrs, *valMax)
 		bench.ReportValidation(os.Stdout, "historical passes, legacy semantics", legacy)
 		fmt.Println()
 		sp.End()
@@ -117,14 +104,6 @@ func main() {
 		}
 		bench.ReportAblation(os.Stdout, proto, measure(bench.FreezeBlindPrototype())[0])
 		sp.End()
-	}
-
-	if *metricsPath != "" {
-		// The E3 sweep labeled its checker telemetry into reg as it
-		// ran.
-		if err := reg.Snapshot().WriteFile(*metricsPath); err != nil {
-			fatal(err)
-		}
 	}
 
 	if rec != nil {

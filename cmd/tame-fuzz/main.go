@@ -76,8 +76,9 @@
 // its verdicts into a cell of its own, and the monitor reads the cells
 // each tick (100ms, or a quarter of -stall-deadline when shorter) to
 // repaint the -progress line, publish the verdict totals and check for
-// stalls. Per-pass counts and timings are collected only with -stats,
-// -metrics or -debug-addr.
+// stalls. Per-pass counts are collected only with -stats, -metrics or
+// -debug-addr. Per-pass time comes only from -trace's pass spans, so
+// -stats prints its timing table only together with -trace.
 package main
 
 import (
@@ -113,7 +114,7 @@ func main() {
 	poisonOracle := flag.Bool("poison-oracle", false, "cross-check every NeverPoison claim of the dataflow analysis against concrete enumeration")
 	workers := flag.Int("workers", 1, "worker pool size (0 = one per CPU, 1 = serial)")
 	noMemo := flag.Bool("no-memo", false, "disable the behaviour-set memo cache")
-	optStats := flag.Bool("stats", false, "report per-pass change counts and timing after a -validate run")
+	optStats := flag.Bool("stats", false, "report per-pass change counts after a -validate run, and per-pass timing with -trace")
 	metricsPath := flag.String("metrics", "", "write the metric snapshot to this file ('-' = text on stdout, *.json = JSON)")
 	progress := flag.Bool("progress", false, "live progress line on stderr; stream findings as they are confirmed")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address during the run")
@@ -219,9 +220,10 @@ func runCampaign(fl campaignFlags) {
 	if err != nil {
 		fatal(err)
 	}
-	// Per-pass counts and timings cost a clock read and counter updates
-	// per pass step, so they are collected only when something reads
-	// them. -trace's pass spans come from pm.Trace, not from Stats.
+	// Per-pass counts cost a few adds per pass step, so they are
+	// collected only when something reads them. Pass time comes only
+	// from -trace's pass spans (pm.Trace, set per shard by the
+	// campaign).
 	if fl.optStats || fl.metricsPath != "" || fl.debugAddr != "" {
 		pm.Instrument()
 	}
@@ -409,7 +411,7 @@ func runCampaign(fl campaignFlags) {
 			fl.workers, st.MemoSets, st.MemoEvictions, st.MemoAdmissions, st.MemoDoorkeeper)
 	}
 	if fl.optStats {
-		st.Opt.Emit(os.Stderr, true, true)
+		st.Opt.Emit(os.Stderr, fl.tracePath != "", true)
 	}
 	if fl.tracePath != "" {
 		if err := writeTrace(fl.tracePath, rec); err != nil {

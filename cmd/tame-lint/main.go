@@ -3,8 +3,9 @@
 // checker, and the flow-sensitive poison dataflow analysis. It reports
 // a per-function fact summary and flags every redundant freeze — a
 // freeze whose operand the analysis proves never-poison (globally, or
-// under a dominating branch guard in the freeze dialect), exactly the
-// instructions freeze-elim would delete.
+// under a dominating branch guard in the freeze dialect). The rule is
+// freeze-elim's own (passes.RedundantFreeze), so the flagged freezes
+// are exactly the ones a freeze-elim step deletes.
 //
 // Usage:
 //
@@ -22,6 +23,7 @@ import (
 
 	"tameir/internal/analysis"
 	"tameir/internal/ir"
+	"tameir/internal/passes"
 )
 
 func main() {
@@ -72,27 +74,18 @@ func main() {
 		}
 
 		facts := analysis.AnalyzePoison(f)
-		dt := analysis.NewDomTree(f)
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs() {
-				if in.Op != ir.OpFreeze {
-					continue
-				}
-				op := in.Arg(0)
-				switch {
-				case facts.NeverPoison(op):
-					fmt.Printf("%s: @%s: %%%s: redundant freeze: operand is never poison\n",
-						name, f.Name(), in.Name())
-					redundant++
-				case freezeDialect && facts.NeverPoisonAt(op, in.Parent(), dt):
-					// Branch-on-poison is UB in the freeze dialect, so a
-					// dominating guard already proved the operand clean
-					// on every execution reaching this block.
-					fmt.Printf("%s: @%s: %%%s: redundant freeze: operand is never poison under dominating guard\n",
-						name, f.Name(), in.Name())
-					redundant++
-				}
+		for _, r := range redundantFreezes(f, facts, freezeDialect) {
+			if r.guarded {
+				// Branch-on-poison is UB in the freeze dialect, so a
+				// dominating guard already proved the operand clean
+				// on every execution reaching this block.
+				fmt.Printf("%s: @%s: %%%s: redundant freeze: operand is never poison under dominating guard\n",
+					name, f.Name(), r.freeze.Name())
+			} else {
+				fmt.Printf("%s: @%s: %%%s: redundant freeze: operand is never poison\n",
+					name, f.Name(), r.freeze.Name())
 			}
+			redundant++
 		}
 		if !*quiet {
 			never, may := facts.Counts()
@@ -108,6 +101,32 @@ func main() {
 	if errs > 0 {
 		os.Exit(1)
 	}
+}
+
+// redundantFreeze is one freeze freeze-elim would delete, and whether
+// only a dominating guard makes it redundant.
+type redundantFreeze struct {
+	freeze  *ir.Instr
+	guarded bool
+}
+
+// redundantFreezes lists f's redundant freezes in block order, by
+// freeze-elim's own rule (passes.RedundantFreeze).
+func redundantFreezes(f *ir.Func, facts *analysis.PoisonFacts, freezeDialect bool) []redundantFreeze {
+	dt := analysis.NewDomTree(f)
+	domTree := func() *analysis.DomTree { return dt }
+	var out []redundantFreeze
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs() {
+			if in.Op != ir.OpFreeze {
+				continue
+			}
+			if redundant, guarded := passes.RedundantFreeze(in, facts, freezeDialect, domTree); redundant {
+				out = append(out, redundantFreeze{in, guarded})
+			}
+		}
+	}
+	return out
 }
 
 func fatal(err error) {

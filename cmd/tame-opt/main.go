@@ -12,7 +12,9 @@
 // -verify-each, on by default, runs the checker battery after every
 // pass step: IR verifier, SSA dominance and analysis cache coherence.
 // Instrumentation (-time-passes, -stats, -print-changed) goes to
-// stderr so the IR on stdout stays pipeable.
+// stderr so the IR on stdout stays pipeable. -time-passes and -metrics
+// time each pass step's Run as a pass/<name> span; the verify-each
+// battery after it is not in the pass's time.
 package main
 
 import (
@@ -24,6 +26,7 @@ import (
 	"tameir/internal/core"
 	"tameir/internal/ir"
 	"tameir/internal/passes"
+	"tameir/internal/telemetry"
 )
 
 func main() {
@@ -31,10 +34,10 @@ func main() {
 	passList := flag.String("passes", "O2", "comma-separated pass names, or O2 (o2) for the -O2 fixpoint")
 	unsound := flag.Bool("unsound", false, "use the historical (pre-paper) pass variants")
 	verifyEach := flag.Bool("verify-each", true, "run the checker battery after every pass: IR verifier, SSA dominance, analysis cache coherence")
-	timePasses := flag.Bool("time-passes", false, "report per-pass wall time to stderr")
+	timePasses := flag.Bool("time-passes", false, "report per-pass wall time to stderr (each pass's Run, timed by its pass span)")
 	stats := flag.Bool("stats", false, "report per-pass change counts and analysis-cache counters to stderr")
 	printChanged := flag.Bool("print-changed", false, "dump IR to stderr after every pass that changed it")
-	metricsPath := flag.String("metrics", "", "write the pass-manager metric snapshot to this file ('-' = text on stdout, *.json = JSON)")
+	metricsPath := flag.String("metrics", "", "write the pass-manager metric snapshot, pass spans included, to this file ('-' = text on stdout, *.json = JSON)")
 	flag.Parse()
 
 	var src []byte
@@ -67,6 +70,13 @@ func main() {
 	if *timePasses || *stats || *metricsPath != "" {
 		pm.Instrument()
 	}
+	// Pass time comes from the pass spans alone: -time-passes and
+	// -metrics time every step as span_wall_ns{span="pass/<name>"} in
+	// the registry -metrics writes.
+	reg := telemetry.NewRegistry()
+	if *timePasses || *metricsPath != "" {
+		pm.Trace = telemetry.NewScope(reg, "pass")
+	}
 	if *printChanged {
 		pm.PrintChanged = os.Stderr
 	}
@@ -82,7 +92,8 @@ func main() {
 	fmt.Print(mod)
 	pm.Stats.Emit(os.Stderr, *timePasses, *stats)
 	if *metricsPath != "" {
-		if err := pm.Stats.Registry().Snapshot().WriteFile(*metricsPath); err != nil {
+		reg.Merge(pm.Stats.Registry())
+		if err := reg.Snapshot().WriteFile(*metricsPath); err != nil {
 			fatal(err)
 		}
 	}

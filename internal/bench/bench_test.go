@@ -91,7 +91,7 @@ func TestValidationExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("validation is slow")
 	}
-	fixed := Validate(true, 1, 400, nil)
+	fixed := Validate(true, 1, 400)
 	for _, r := range fixed {
 		if r.Refuted != 0 {
 			t.Errorf("fixed %s: %d refuted (e.g. %s)", r.Pass, r.Refuted, r.FirstCE)
@@ -100,7 +100,7 @@ func TestValidationExperiment(t *testing.T) {
 			t.Errorf("fixed %s: no functions validated", r.Pass)
 		}
 	}
-	legacy := Validate(false, 1, 400, nil)
+	legacy := Validate(false, 1, 400)
 	anyRefuted := 0
 	for _, r := range legacy {
 		anyRefuted += r.Refuted

@@ -9,7 +9,6 @@ import (
 	"tameir/internal/optfuzz"
 	"tameir/internal/passes"
 	"tameir/internal/refine"
-	"tameir/internal/telemetry"
 )
 
 // ValidationRow is one line of the Section 6 experiment: a pass (or
@@ -58,13 +57,7 @@ func validationPasses() []struct {
 // !fixed selects the historical passes under the legacy semantics
 // (with nondeterministic branch-on-poison), where the validator finds
 // real miscompilations.
-//
-// reg, when non-nil, receives each pass sweep's checker counters
-// labeled {experiment="validate",dialect=…,pass=…} — the serial sweep
-// runs no campaign, so the harness publishes the per-pass
-// CheckMetrics itself (deterministic class: one worker, no shared
-// memo).
-func Validate(fixed bool, numInstrs, maxFuncs int, reg *telemetry.Registry) []ValidationRow {
+func Validate(fixed bool, numInstrs, maxFuncs int) []ValidationRow {
 	var sem core.Options
 	var pcfg *passes.Config
 	gen := optfuzz.DefaultConfig(numInstrs)
@@ -72,7 +65,6 @@ func Validate(fixed bool, numInstrs, maxFuncs int, reg *telemetry.Registry) []Va
 	// reassociation bug (§10.2) only shows on attribute-carrying
 	// chains.
 	gen.EnumAttrs = true
-	dialect := "freeze"
 	if fixed {
 		sem = core.FreezeOptions()
 		pcfg = passes.DefaultFreezeConfig()
@@ -82,7 +74,6 @@ func Validate(fixed bool, numInstrs, maxFuncs int, reg *telemetry.Registry) []Va
 		sem = core.LegacyOptions(core.BranchPoisonNondet)
 		pcfg = passes.DefaultLegacyConfig()
 		gen.AllowUndef = true
-		dialect = "legacy"
 	}
 	gen.MaxFuncs = maxFuncs
 	rcfg := refine.DefaultConfig(sem, sem)
@@ -90,15 +81,10 @@ func Validate(fixed bool, numInstrs, maxFuncs int, reg *telemetry.Registry) []Va
 	var rows []ValidationRow
 	for _, vp := range validationPasses() {
 		row := ValidationRow{Pass: vp.name}
-		var met refine.CheckMetrics
-		cfg := rcfg
-		if reg != nil {
-			cfg.Metrics = &met
-		}
 		optfuzz.Exhaustive(gen, func(f *ir.Func) bool {
 			work := ir.CloneFunc(f)
 			vp.run(work, pcfg)
-			r := refine.Check(f, work, cfg)
+			r := refine.Check(f, work, rcfg)
 			row.Funcs++
 			switch r.Status {
 			case refine.Verified:
@@ -113,18 +99,6 @@ func Validate(fixed bool, numInstrs, maxFuncs int, reg *telemetry.Registry) []Va
 			}
 			return true
 		})
-		if reg != nil {
-			sub := telemetry.NewRegistry()
-			met.Publish(sub, telemetry.Deterministic)
-			// The E3 verdict tallies, as counters: the serial sweep is
-			// fully deterministic, so a metrics diff between two builds
-			// is a semantic diff of the validator or the pass.
-			sub.Counter("bench_funcs_total", telemetry.Deterministic, "functions generated and validated").Add(uint64(row.Funcs))
-			sub.Counter("bench_verified_total", telemetry.Deterministic, "pairs proved refining").Add(uint64(row.Verified))
-			sub.Counter("bench_refuted_total", telemetry.Deterministic, "pairs refuted by counterexample").Add(uint64(row.Refuted))
-			sub.Counter("bench_inconclusive_total", telemetry.Deterministic, "pairs hitting enumeration limits").Add(uint64(row.Inconclusive))
-			reg.MergeLabeled(sub, "experiment", "validate", "dialect", dialect, "pass", vp.name)
-		}
 		rows = append(rows, row)
 	}
 	return rows

@@ -21,14 +21,17 @@ func Verify(f *Func, mode VerifyMode) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("@%s: function has no blocks", f.Nam)
 	}
-	names := map[string]bool{}
+	// Every parameter and instruction may enter both maps: size them
+	// once rather than growing them one instruction at a time.
+	n := len(f.Params) + f.NumInstrs()
+	names := make(map[string]bool, n)
 	for _, p := range f.Params {
 		if names[p.Nam] {
 			return fmt.Errorf("@%s: duplicate name %%%s", f.Nam, p.Nam)
 		}
 		names[p.Nam] = true
 	}
-	defined := map[Value]bool{}
+	defined := make(map[Value]bool, n)
 	for _, p := range f.Params {
 		defined[p] = true
 	}

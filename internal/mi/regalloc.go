@@ -204,7 +204,7 @@ func Allocate(vf *VFunc) (*target.MFunc, error) {
 
 	// Linear scan over the rest.
 	type interval struct{ v, s, e int }
-	var ivs []interval
+	ivs := make([]interval, 0, max(nv-firstVirtual, 0))
 	for v := firstVirtual; v < nv; v++ {
 		if start[v] >= 0 && !spilled[v] {
 			ivs = append(ivs, interval{v, start[v], end[v]})
@@ -279,6 +279,7 @@ func Allocate(vf *VFunc) (*target.MFunc, error) {
 		Name:      vf.Name,
 		FrameSize: uint32(frame),
 		NumParams: vf.NumParams,
+		Blocks:    make([][]target.Instr, 0, len(vf.Blocks)),
 	}
 	physOf := func(v int) (target.Reg, bool) {
 		if v < firstVirtual {
@@ -290,7 +291,9 @@ func Allocate(vf *VFunc) (*target.MFunc, error) {
 		return 0, false
 	}
 	for _, b := range vf.Blocks {
-		var out []target.Instr
+		// One instruction out per instruction in, plus the loads and
+		// stores of spilled vregs.
+		out := make([]target.Instr, 0, len(b))
 		for _, in := range b {
 			// Map the (at most two) spilled uses to scratch regs.
 			scratch := []target.Reg{target.R12, target.R13}

@@ -2,6 +2,7 @@ package optfuzz
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -637,6 +638,18 @@ func (c Campaign) runShard(src Source, evolving Evolving, epoch, s, budget, max 
 
 	idx := 0
 	_, truncated := src.Enumerate(s, max, func(f *ir.Func) bool {
+		// Enter the scheduler every 16 candidates (a few hundred
+		// microseconds of work). A shard never blocks, and with fewer
+		// than four Ps the GC's mark worker is a fractional one that
+		// gets a P only when a goroutine enters the scheduler: when
+		// every P runs a shard, a mark phase otherwise waits for
+		// sysmon's 10ms preemption while the shards allocate black, and
+		// the next heap goal doubles. Yielding on every candidate costs
+		// a one-worker campaign a tenth of its time in wakeups of the
+		// idle P.
+		if idx%16 == 0 {
+			runtime.Gosched()
+		}
 		digest = 0
 		work := ir.CloneFunc(f)
 		changedBy := transform(work)

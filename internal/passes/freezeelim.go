@@ -49,22 +49,37 @@ func (FreezeElim) Run(f *ir.Func, cfg *Config, am *AnalysisManager) bool {
 		return false
 	}
 	facts := am.Poison()
-	refineEdges := cfg.Sem.Mode == core.Freeze
+	freezeDialect := cfg.Sem.Mode == core.Freeze
 	var dt *analysis.DomTree
+	domTree := func() *analysis.DomTree {
+		if dt == nil {
+			dt = am.DomTree()
+		}
+		return dt
+	}
 	changed := false
 	for _, in := range freezes {
-		op := in.Arg(0)
-		ok := facts.NeverPoison(op)
-		if !ok && refineEdges {
-			if dt == nil {
-				dt = am.DomTree()
-			}
-			ok = facts.NeverPoisonAt(op, in.Parent(), dt)
-		}
-		if ok {
-			replaceAndErase(in, op)
+		if redundant, _ := RedundantFreeze(in, facts, freezeDialect, domTree); redundant {
+			replaceAndErase(in, in.Arg(0))
 			changed = true
 		}
 	}
 	return changed
+}
+
+// RedundantFreeze is freeze-elim's rule, the one tame-lint reports
+// with: the freeze in is redundant when facts prove its operand never
+// poison, or, in the freeze dialect only, never poison under a
+// dominating branch guard (guarded reports that case). domTree is
+// called only for the guard case, so a caller with no guarded freeze
+// never builds the dominator tree.
+func RedundantFreeze(in *ir.Instr, facts *analysis.PoisonFacts, freezeDialect bool, domTree func() *analysis.DomTree) (redundant, guarded bool) {
+	op := in.Arg(0)
+	if facts.NeverPoison(op) {
+		return true, false
+	}
+	if freezeDialect && facts.NeverPoisonAt(op, in.Parent(), domTree()) {
+		return true, true
+	}
+	return false, false
 }

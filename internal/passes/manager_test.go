@@ -2,17 +2,20 @@ package passes_test
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tameir/internal/bench"
 	"tameir/internal/ir"
 	"tameir/internal/minc"
 	"tameir/internal/optfuzz"
 	"tameir/internal/passes"
+	"tameir/internal/telemetry"
 )
 
 // corpus enumerates a bounded slice of the §6 generator space.
@@ -236,6 +239,91 @@ func TestStatsMerge(t *testing.T) {
 			ms[i].Changed != ws[i].Changed || ms[i].InstrsRemoved != ws[i].InstrsRemoved {
 			t.Errorf("pass %d: merged %+v vs whole %+v", i, ms[i], ws[i])
 		}
+	}
+}
+
+// TestStatsRegistrySeries: the collector renders the pass manager's
+// series with their names, kinds and classes: per pass name its runs,
+// changes and instructions removed, and nine totals that are present
+// even at zero (verify_each_* with VerifyEach off). Pass time is not
+// among them: it is the pass spans'.
+func TestStatsRegistrySeries(t *testing.T) {
+	pm := passes.O2().Instrument()
+	for _, f := range corpus(t, 2, 200) {
+		pm.RunFunc(f, passes.DefaultFreezeConfig())
+	}
+	want := map[string]string{}
+	for _, n := range []string{
+		"opt_funcs_total", "opt_fixpoint_iters_total", "opt_converged_total",
+		"analysis_computes_total", "analysis_hits_total", "analysis_poison_queries_total",
+		"verify_each_checks_total", "verify_each_failures_total", "passes_freeze_elim_removed_total",
+	} {
+		want[n] = "counter/deterministic"
+	}
+	for _, p := range passes.O2().Passes {
+		want[telemetry.L("pass_runs_total", "pass", p.Name())] = "counter/deterministic"
+		want[telemetry.L("pass_changed_total", "pass", p.Name())] = "counter/deterministic"
+		want[telemetry.L("pass_instrs_removed", "pass", p.Name())] = "gauge/deterministic"
+	}
+	got := map[string]string{}
+	values := map[string]int64{}
+	for _, x := range pm.Stats.Registry().Snapshot().Samples {
+		got[x.Name] = x.Kind + "/" + x.Class
+		values[x.Name] = x.Value
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("registry series:\n got %v\nwant %v", got, want)
+	}
+	if values["verify_each_checks_total"] != 0 || values["verify_each_failures_total"] != 0 {
+		t.Errorf("verify-each counts %d and %d without VerifyEach, want 0 and 0",
+			values["verify_each_checks_total"], values["verify_each_failures_total"])
+	}
+	if values["opt_funcs_total"] != 200 || values[telemetry.L("pass_runs_total", "pass", "gvn")] == 0 {
+		t.Errorf("opt_funcs_total %d (want 200), gvn runs %d (want > 0)",
+			values["opt_funcs_total"], values[telemetry.L("pass_runs_total", "pass", "gvn")])
+	}
+}
+
+// TestPassWallIsSpanTime: a pass step's wall time is its pass span's.
+// Untraced, every pass's Wall is zero; traced on a registry R, each
+// pass's Wall is exactly the sum of span_wall_ns{span="pass/<name>"} in
+// R, which counts one span per run.
+func TestPassWallIsSpanTime(t *testing.T) {
+	funcs := corpus(t, 2, 200)
+	cfg := passes.DefaultFreezeConfig()
+	cfg.VerifyEach = true
+
+	untraced := passes.O2().Instrument()
+	for _, f := range funcs {
+		untraced.RunFunc(ir.CloneFunc(f), cfg)
+	}
+	for _, ps := range untraced.Stats.PassStats() {
+		if ps.Wall != 0 {
+			t.Errorf("untraced %s: Wall %v, want 0", ps.Name, ps.Wall)
+		}
+	}
+
+	reg := telemetry.NewRegistry()
+	traced := passes.O2().Instrument()
+	traced.Trace = telemetry.NewScope(reg, "pass")
+	for _, f := range funcs {
+		traced.RunFunc(ir.CloneFunc(f), cfg)
+	}
+	spans := map[string]telemetry.Sample{}
+	for _, x := range reg.Snapshot().Samples {
+		spans[x.Name] = x
+	}
+	var total time.Duration
+	for _, ps := range traced.Stats.PassStats() {
+		sp := spans[telemetry.L("span_wall_ns", "span", "pass/"+ps.Name)]
+		if ps.Wall != time.Duration(sp.Sum) || sp.Count != uint64(ps.Runs) {
+			t.Errorf("%s: Wall %v over %d runs, span_wall_ns sums %v over %d spans",
+				ps.Name, ps.Wall, ps.Runs, time.Duration(sp.Sum), sp.Count)
+		}
+		total += ps.Wall
+	}
+	if total == 0 {
+		t.Error("traced passes took no time")
 	}
 }
 

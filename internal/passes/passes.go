@@ -18,8 +18,8 @@
 // an analysis.Manager that caches the predecessor map, dominator tree,
 // loop info and poison facts across pass steps. A step that changes the
 // function drops the poison facts, and the other three as well unless
-// the pass preserves the CFG. The manager optionally records per-pass
-// wall time and change counts into a Stats struct.
+// the pass preserves the CFG. The manager optionally counts per-pass
+// changes into a Stats struct, and times each pass step as a span.
 package passes
 
 import (
@@ -27,7 +27,6 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"time"
 
 	"tameir/internal/analysis"
 	"tameir/internal/core"
@@ -119,8 +118,9 @@ func RunPass(p Pass, f *ir.Func, cfg *Config) bool {
 // builds one from registered pass names.
 type PassManager struct {
 	Passes []Pass
-	// Stats, when non-nil, accumulates per-pass wall time, change
-	// counts, instruction deltas, and analysis cache counters.
+	// Stats, when non-nil, accumulates per-pass change counts,
+	// instruction deltas, and analysis cache counters, and per-pass
+	// wall time when Trace is set too.
 	Stats *Stats
 	// PrintChanged, when non-nil, receives an IR dump after every pass
 	// that reports a change.
@@ -128,14 +128,10 @@ type PassManager struct {
 	// Trace, when non-nil, records one span per pass step (named
 	// "<scope path>/<pass name>") — with a traced scope that lands
 	// every step in the flight recorder's timeline. Campaigns set it
-	// on their per-shard clone; it costs two clock reads per step.
+	// on their per-shard clone. It is the pass manager's one timer: a
+	// step reads the clock only for its span, and the span's time is
+	// also the step's wall time in Stats.
 	Trace *telemetry.Scope
-
-	// handles holds Stats' instruments for each position of Passes,
-	// resolved once per collector (handlesFor) instead of by name on
-	// every step.
-	handles    []*passHandles
-	handlesFor *Stats
 }
 
 // NewPassManager resolves names through the registry into a pass
@@ -258,7 +254,7 @@ func (pm *PassManager) runFixpoint(f *ir.Func, cfg *Config, fired *[]string) boo
 	}
 	if pm.Stats != nil {
 		pm.Stats.noteFunc(rounds, converged)
-		pm.Stats.addAnalysis(am.Stats())
+		pm.Stats.analysis.Add(am.Stats())
 	}
 	am.Reset(nil)
 	managers.Put(am)
@@ -286,50 +282,42 @@ func (pm *PassManager) RunOnce(m *ir.Module, cfg *Config) bool {
 	}
 	if pm.Stats != nil {
 		for _, f := range m.Funcs {
-			pm.Stats.funcs.Inc()
-			pm.Stats.addAnalysis(ams[f].Stats())
+			pm.Stats.funcs++
+			pm.Stats.analysis.Add(ams[f].Stats())
 		}
 	}
 	return changed
 }
 
 // stepMark is where the previous pass step on a function ended: the
-// time since the first step started and the function's instruction
-// count. The end of one step is the start of the next, so an
-// instrumented step reads the clock once, and only the monotonic clock
-// (time.Since; time.Now reads the wall clock too).
+// function's instruction count, so each step's instruction delta is
+// the difference of two marks.
 type stepMark struct {
-	start  time.Time
-	at     time.Duration
 	instrs int
 }
 
-// startSteps marks the start of the first pass step on f and resolves
-// the per-position instruments (only when Stats is set).
+// startSteps marks the start of the first pass step on f and gives
+// Stats one row per pipeline position (only when Stats is set).
 func (pm *PassManager) startSteps(f *ir.Func) stepMark {
 	if pm.Stats == nil {
 		return stepMark{}
 	}
-	if pm.handlesFor != pm.Stats || len(pm.handles) != len(pm.Passes) {
-		pm.handles = make([]*passHandles, len(pm.Passes))
-		for i, p := range pm.Passes {
-			pm.handles[i] = pm.Stats.handles(p.Name())
-		}
-		pm.handlesFor = pm.Stats
-	}
-	return stepMark{start: time.Now(), instrs: f.NumInstrs()}
+	pm.Stats.track(pm.Passes)
+	return stepMark{instrs: f.NumInstrs()}
 }
 
 // runStep is one pass step, the only way a pass runs: run the pass at
 // position pos over one function, dump if changed, drop the analyses a
 // change invalidated (the poison facts always, the CFG-level analyses
 // too unless the pass's registry row says it preserves the CFG),
-// verify (Config.VerifyEach), and (with Stats) record the step's wall
-// time and instruction delta since mark.
+// verify (Config.VerifyEach), and (with Stats) count the step and its
+// instruction delta since mark. The step reads the clock only for its
+// pass span (Trace), whose time covers the pass's Run alone and is the
+// step's wall time in Stats.
 func (pm *PassManager) runStep(pos int, p Pass, f *ir.Func, cfg *Config, am *AnalysisManager, mark *stepMark) bool {
 	sp := pm.Trace.Start(p.Name())
 	changed := p.Run(f, cfg, am)
-	sp.End()
+	wall := sp.End()
 	if changed {
 		if pm.PrintChanged != nil {
 			fmt.Fprintf(pm.PrintChanged, "; IR Dump After %s on @%s\n%s\n", p.Name(), f.Name(), f)
@@ -340,9 +328,9 @@ func (pm *PassManager) runStep(pos int, p Pass, f *ir.Func, cfg *Config, am *Ana
 		verifyStep(p.Name(), f, cfg, am, pm.Stats)
 	}
 	if pm.Stats != nil {
-		now, n := time.Since(mark.start), f.NumInstrs()
-		pm.Stats.record(pm.handles[pos], changed, now-mark.at, mark.instrs-n)
-		mark.at, mark.instrs = now, n
+		n := f.NumInstrs()
+		pm.Stats.record(pos, changed, wall, mark.instrs-n)
+		mark.instrs = n
 	}
 	return changed
 }
@@ -355,7 +343,7 @@ func (pm *PassManager) runStep(pos int, p Pass, f *ir.Func, cfg *Config, am *Ana
 // snapshot written by a recovering caller still records the event.
 func verifyStep(pass string, f *ir.Func, cfg *Config, am *AnalysisManager, st *Stats) {
 	if st != nil {
-		st.verifyChecks.Inc()
+		st.verifyChecks++
 	}
 	err := ir.Verify(f, cfg.Sem.Mode.VerifyMode())
 	if err == nil {
@@ -366,7 +354,7 @@ func verifyStep(pass string, f *ir.Func, cfg *Config, am *AnalysisManager, st *S
 	}
 	if err != nil {
 		if st != nil {
-			st.verifyFailures.Inc()
+			st.verifyFailures++
 		}
 		panic(fmt.Sprintf("passes: -verify-each after %s on @%s: %v\n%s", pass, f.Name(), err, f))
 	}

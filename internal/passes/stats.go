@@ -3,6 +3,7 @@ package passes
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -10,188 +11,176 @@ import (
 	"tameir/internal/telemetry"
 )
 
-// PassStat is the accumulated record for one pass name across every
-// function a PassManager ran it over.
+// PassStat is the accumulated record for one pass: one pipeline
+// position in a Stats row, or one pass name across every position in
+// PassStats.
 type PassStat struct {
 	Name    string
 	Runs    int
 	Changed int
-	Wall    time.Duration
+	// Wall is the pass's time, summed from its traced steps' pass
+	// spans; it stays zero unless PassManager.Trace is set.
+	Wall time.Duration
 	// InstrsRemoved is the net instruction-count reduction attributed
 	// to the pass (negative when the pass grows functions, as the
 	// inliner does).
 	InstrsRemoved int
 }
 
-// Stats accumulates pass-manager instrumentation: per-pass timing and
-// change counts, fixpoint behaviour, and analysis-cache counters. One
-// Stats belongs to one PassManager; merge per-shard collectors with
-// Merge (deterministic given deterministic merge order).
-//
-// Since the telemetry PR the collector is a view over a
-// telemetry.Registry: every count lives in a named registry metric
-// (pass_runs_total{pass=...}, opt_funcs_total, analysis_hits_total,
-// ...) and the historical accessors read them back. Report/ReportTime
-// output is byte-identical to the pre-registry collector; Registry()
-// exposes the backing store so campaigns fold pass counters into their
-// campaign-wide snapshot with one Merge.
-type Stats struct {
-	reg *telemetry.Registry
-
-	funcs     telemetry.Counter
-	iters     telemetry.Counter
-	converged telemetry.Counter
-	aComputes telemetry.Counter
-	aHits     telemetry.Counter
-	aPoisonQ  telemetry.Counter
-
-	verifyChecks   telemetry.Counter
-	verifyFailures telemetry.Counter
-	freezeRemoved  telemetry.Counter
-
-	byName map[string]*passHandles
-	order  []string // first-recorded order: matches pipeline position
+func (p *PassStat) add(o PassStat) {
+	p.Runs += o.Runs
+	p.Changed += o.Changed
+	p.Wall += o.Wall
+	p.InstrsRemoved += o.InstrsRemoved
 }
 
-// passHandles caches one pass's resolved registry instruments so the
-// per-step hot path is four atomic adds, no name formatting.
-type passHandles struct {
-	runs    telemetry.Counter
-	changed telemetry.Counter
-	wall    telemetry.Counter
-	removed telemetry.Gauge
-	// freezeElim: the pass is freeze-elim, whose instruction delta
-	// counts the freezes it removed.
-	freezeElim bool
+// Stats accumulates pass-manager instrumentation: per-pass change
+// counts, instruction deltas and (under a traced PassManager) wall
+// time, fixpoint behaviour, analysis-cache counters and the verify-each
+// battery's counts. It is a plain per-goroutine collector, like
+// refine.CheckMetrics: one Stats belongs to one PassManager, counts
+// with ordinary adds, and renders into a registry only when Registry is
+// called. Merge per-shard collectors in shard order.
+type Stats struct {
+	// rows holds one record per pipeline position, named the first
+	// time the collector counts a step (track).
+	rows []PassStat
+
+	funcs, rounds, converged int
+	analysis                 analysis.Stats
+
+	verifyChecks, verifyFailures uint64
 }
 
 // NewStats returns an empty collector.
-func NewStats() *Stats {
-	reg := telemetry.NewRegistry()
-	return &Stats{
-		reg:       reg,
-		funcs:     reg.Counter("opt_funcs_total", telemetry.Deterministic, "functions run through the pipeline"),
-		iters:     reg.Counter("opt_fixpoint_iters_total", telemetry.Deterministic, "whole-pipeline rounds executed"),
-		converged: reg.Counter("opt_converged_total", telemetry.Deterministic, "functions reaching a true fixpoint"),
-		aComputes: reg.Counter("analysis_computes_total", telemetry.Deterministic, "analyses computed"),
-		aHits:     reg.Counter("analysis_hits_total", telemetry.Deterministic, "analysis cache hits"),
-		aPoisonQ:  reg.Counter("analysis_poison_queries_total", telemetry.Deterministic, "poison-fact queries answered"),
-		// Registered eagerly (not on first event) so a snapshot always
-		// carries them: the CI assertion verify_each_failures_total=0
-		// needs the zero to be visible, not absent.
-		verifyChecks:   reg.Counter("verify_each_checks_total", telemetry.Deterministic, "verify-each batteries run between pass steps"),
-		verifyFailures: reg.Counter("verify_each_failures_total", telemetry.Deterministic, "verify-each batteries that found a violation"),
-		freezeRemoved:  reg.Counter("passes_freeze_elim_removed_total", telemetry.Deterministic, "freeze instructions deleted by freeze-elim"),
-		byName:         map[string]*passHandles{},
-	}
-}
+func NewStats() *Stats { return &Stats{} }
 
-// Registry exposes the backing metric store (never nil).
-func (s *Stats) Registry() *telemetry.Registry { return s.reg }
-
-// handles returns the registry instruments for one pass name,
-// registering them on first use. Per-pass run/changed/Δinstr counts
-// are pure functions of the shard partition; wall time never is.
-func (s *Stats) handles(name string) *passHandles {
-	h := s.byName[name]
-	if h == nil {
-		h = &passHandles{
-			runs:    s.reg.Counter(telemetry.L("pass_runs_total", "pass", name), telemetry.Deterministic, "pass executions"),
-			changed: s.reg.Counter(telemetry.L("pass_changed_total", "pass", name), telemetry.Deterministic, "pass executions that changed the function"),
-			wall:    s.reg.Counter(telemetry.L("pass_wall_ns_total", "pass", name), telemetry.Scheduling, "pass wall time in nanoseconds"),
-			removed: s.reg.Gauge(telemetry.L("pass_instrs_removed", "pass", name), telemetry.Deterministic, "net instructions removed"),
-			// freeze-elim only ever deletes freezes, so its instruction
-			// delta IS the number of freezes removed.
-			freezeElim: name == "freeze-elim",
+// track gives an empty s one row per position of the pipeline ps. A
+// collector counts one pipeline: rows are indexed by position.
+func (s *Stats) track(ps []Pass) {
+	if len(s.rows) == 0 {
+		for _, p := range ps {
+			s.rows = append(s.rows, PassStat{Name: p.Name()})
 		}
-		s.byName[name] = h
-		s.order = append(s.order, name)
 	}
-	return h
 }
 
-func (s *Stats) record(h *passHandles, changed bool, wall time.Duration, instrDelta int) {
-	h.runs.Inc()
-	h.wall.Add(uint64(wall))
+// record counts one step of the pass at position pos.
+func (s *Stats) record(pos int, changed bool, wall time.Duration, instrDelta int) {
+	r := &s.rows[pos]
+	r.Runs++
+	r.Wall += wall
 	if changed {
-		h.changed.Inc()
-		h.removed.Add(int64(instrDelta))
-		if h.freezeElim && instrDelta > 0 {
-			s.freezeRemoved.Add(uint64(instrDelta))
-		}
+		r.Changed++
+		r.InstrsRemoved += instrDelta
 	}
 }
 
 func (s *Stats) noteFunc(rounds int, converged bool) {
-	s.funcs.Inc()
-	s.iters.Add(uint64(rounds))
+	s.funcs++
+	s.rounds += rounds
 	if converged {
-		s.converged.Inc()
+		s.converged++
 	}
-}
-
-// addAnalysis folds an analysis manager's cache counters in.
-func (s *Stats) addAnalysis(a analysis.Stats) {
-	s.aComputes.Add(a.Computes)
-	s.aHits.Add(a.Hits)
-	s.aPoisonQ.Add(a.PoisonQueries)
 }
 
 // FreezeElimRemoved is the number of freeze instructions freeze-elim
 // deleted (TestFreezeElimCampaignTranslationValidation pins it).
-func (s *Stats) FreezeElimRemoved() uint64 { return s.freezeRemoved.Value() }
+// freeze-elim only ever deletes freezes, so its instruction delta is
+// the number of freezes removed.
+func (s *Stats) FreezeElimRemoved() uint64 {
+	n := 0
+	for _, r := range s.rows {
+		if r.Name == (FreezeElim{}).Name() {
+			n += r.InstrsRemoved
+		}
+	}
+	return uint64(n)
+}
 
 // VerifyEachFailures is the number of verify-each batteries that found
 // a violation (CI asserts this stays zero).
-func (s *Stats) VerifyEachFailures() uint64 { return s.verifyFailures.Value() }
+func (s *Stats) VerifyEachFailures() uint64 { return s.verifyFailures }
 
 // Funcs is the number of functions run through the pipeline.
-func (s *Stats) Funcs() int { return int(s.funcs.Value()) }
+func (s *Stats) Funcs() int { return s.funcs }
 
 // FixpointIters is the total number of whole-pipeline rounds executed
 // across all functions.
-func (s *Stats) FixpointIters() int { return int(s.iters.Value()) }
+func (s *Stats) FixpointIters() int { return s.rounds }
 
 // Converged counts functions whose last round reported no change
 // (i.e. a true fixpoint, not the round cap).
-func (s *Stats) Converged() int { return int(s.converged.Value()) }
+func (s *Stats) Converged() int { return s.converged }
 
-// Analysis returns the accumulated analysis computation and cache-hit
-// counts.
-func (s *Stats) Analysis() analysis.Stats {
-	return analysis.Stats{Computes: s.aComputes.Value(), Hits: s.aHits.Value()}
-}
+// Analysis returns the accumulated analysis computation, cache-hit and
+// poison-query counts.
+func (s *Stats) Analysis() analysis.Stats { return s.analysis }
 
-// PassStats returns a copy of the per-pass records in first-recorded
-// (pipeline) order.
+// PassStats returns the per-pass records, one per pass name in
+// pipeline order, each folding every position that runs the pass.
 func (s *Stats) PassStats() []PassStat {
-	out := make([]PassStat, 0, len(s.order))
-	for _, n := range s.order {
-		h := s.byName[n]
-		out = append(out, PassStat{
-			Name:          n,
-			Runs:          int(h.runs.Value()),
-			Changed:       int(h.changed.Value()),
-			Wall:          time.Duration(h.wall.Value()),
-			InstrsRemoved: int(h.removed.Value()),
-		})
+	var out []PassStat
+	for _, r := range s.rows {
+		if i := slices.IndexFunc(out, func(o PassStat) bool { return o.Name == r.Name }); i >= 0 {
+			out[i].add(r)
+		} else {
+			out = append(out, r)
+		}
 	}
 	return out
 }
 
-// Merge folds o into s. Pass order follows s first, then any names only
-// o saw, so merging per-shard collectors in shard order stays
-// deterministic.
+// Merge folds o into s row by row. Campaign shards are clones of one
+// pipeline, so their rows line up; an empty s takes o's.
 func (s *Stats) Merge(o *Stats) {
 	if o == nil {
 		return
 	}
-	s.reg.Merge(o.reg)
-	for _, n := range o.order {
-		// Resolve handles for names s had not seen; the values already
-		// arrived via the registry merge.
-		s.handles(n)
+	if len(s.rows) == 0 {
+		for _, r := range o.rows {
+			s.rows = append(s.rows, PassStat{Name: r.Name})
+		}
 	}
+	for i, r := range o.rows {
+		if s.rows[i].Name != r.Name {
+			panic("passes: merging the Stats of two pipelines")
+		}
+		s.rows[i].add(r)
+	}
+	s.funcs += o.funcs
+	s.rounds += o.rounds
+	s.converged += o.converged
+	s.analysis.Add(o.analysis)
+	s.verifyChecks += o.verifyChecks
+	s.verifyFailures += o.verifyFailures
+}
+
+// Registry renders the counts into a fresh registry: pass_runs_total,
+// pass_changed_total and pass_instrs_removed per pass name, and the
+// opt_*, analysis_*, verify_each_* and freeze-elim totals, all
+// Deterministic. Every total is registered even at zero, so a CI
+// assertion such as verify_each_failures_total=0 finds it. Pass time
+// is not here: it is span_wall_ns{span="pass/<name>"} in the registry
+// of PassManager.Trace.
+func (s *Stats) Registry() *telemetry.Registry {
+	reg := telemetry.NewRegistry()
+	det := telemetry.Deterministic
+	reg.Counter("opt_funcs_total", det, "functions run through the pipeline").Add(uint64(s.funcs))
+	reg.Counter("opt_fixpoint_iters_total", det, "whole-pipeline rounds executed").Add(uint64(s.rounds))
+	reg.Counter("opt_converged_total", det, "functions reaching a true fixpoint").Add(uint64(s.converged))
+	reg.Counter("analysis_computes_total", det, "analyses computed").Add(s.analysis.Computes)
+	reg.Counter("analysis_hits_total", det, "analysis cache hits").Add(s.analysis.Hits)
+	reg.Counter("analysis_poison_queries_total", det, "poison-fact queries answered").Add(s.analysis.PoisonQueries)
+	reg.Counter("verify_each_checks_total", det, "verify-each batteries run between pass steps").Add(s.verifyChecks)
+	reg.Counter("verify_each_failures_total", det, "verify-each batteries that found a violation").Add(s.verifyFailures)
+	reg.Counter("passes_freeze_elim_removed_total", det, "freeze instructions deleted by freeze-elim").Add(s.FreezeElimRemoved())
+	for _, ps := range s.PassStats() {
+		reg.Counter(telemetry.L("pass_runs_total", "pass", ps.Name), det, "pass executions").Add(uint64(ps.Runs))
+		reg.Counter(telemetry.L("pass_changed_total", "pass", ps.Name), det, "pass executions that changed the function").Add(uint64(ps.Changed))
+		reg.Gauge(telemetry.L("pass_instrs_removed", "pass", ps.Name), det, "net instructions removed").Add(int64(ps.InstrsRemoved))
+	}
+	return reg
 }
 
 // ReportTime writes an LLVM -time-passes-style table: per-pass wall

@@ -17,17 +17,17 @@
 //     byte-identical across worker counts while the scheduling section
 //     is honest about what it is.
 //
-//  2. Shard-local registries merge into the campaign registry in shard
-//     order (Registry.Merge), the same discipline passes.Stats.Merge
-//     follows. Counter and histogram merges are commutative sums, so
-//     merged deterministic totals never depend on scheduling.
+//  2. Shard-local collectors merge into the campaign in shard order
+//     (Registry.Merge, passes.Stats.Merge). Counter and histogram
+//     merges are commutative sums, so merged deterministic totals
+//     never depend on scheduling.
 //
 // Hot paths are atomic loads/adds on pre-resolved handles: resolving a
 // metric by name takes a lock, incrementing it does not. Layers that
 // cannot afford even an uncontended atomic per event (the execution
-// engine's step loop) accumulate into plain per-goroutine structs and
-// publish once per run; the registry is the meeting point, not the
-// accounting mechanism.
+// engine's step loop, the pass manager's steps) accumulate into plain
+// per-goroutine structs and publish once per run; the registry is the
+// meeting point, not the accounting mechanism.
 package telemetry
 
 import (

@@ -80,14 +80,17 @@ func (s *Scope) Start(name string) *Span {
 	// start/stop timer pair would report, plus a latency distribution.
 }
 
-// End records the span's elapsed wall time. Safe on a nil span.
-func (sp *Span) End() {
+// End records the span's elapsed wall time and returns it, so a caller
+// that keeps its own total reads no clock of its own. Safe on a nil
+// span, which returns zero.
+func (sp *Span) End() time.Duration {
 	if sp == nil {
-		return
+		return 0
 	}
 	d := time.Since(sp.start)
 	sp.hist.Observe(uint64(d))
 	if sp.rec != nil {
 		sp.rec.Complete(sp.track, sp.name, sp.start, d)
 	}
+	return d
 }
